@@ -297,7 +297,7 @@ def equations_solve(b_path, spec_path, **kwargs):
     members = []
     if d.r == d.n:
         for t in centers:
-            members.append(d.U @ t @ d.U.H)
+            members.append(d.embed(t))
     else:
         for t in centers:
             for w_bit in (0, 1):

@@ -171,10 +171,6 @@ def _grid_matrix(e, grid, mode):
                                for i in range(e.t)])
 
 
-def expand(cp: CommutantProjector) -> Matrix:
-    return cp.expand()
-
-
 def admissible_ranks(q: int, p: int):
     """Possible projector ranks for one eigenvalue with two Jordan blocks of
     sizes q >= p >= 1."""

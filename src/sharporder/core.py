@@ -11,6 +11,7 @@ Values are immutable after construction and all operations are pure, so
 matrices can be shared freely across threads.
 """
 
+import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -515,131 +516,43 @@ def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
 
 
 # ----------------------------------------------------------------------
-# SVD: one-sided Jacobi, float mode only
+# SVD, float mode only
 
-_JACOBI_EPS = 1e-14
-_JACOBI_MAX_SWEEPS = 100
+# singular values at or below this fraction of sigma_1 are reported as 0.0
+_SVD_ZERO = 1e-14
 
 
 def svd(m: Matrix):
-    """One-sided Jacobi SVD of a float matrix.
+    """LAPACK SVD of a float matrix.
 
     Returns (U, sigma, V) with U (rows x rows) and V (cols x cols) unitary,
     sigma descending of length min(rows, cols), and m = U diag(sigma) V^H.
-    Deterministic given the input bits.  Right singular vectors are phased so
-    their first significant component is real positive.
+    Right singular vectors are phased so their first significant component
+    is real positive; U is phased to match wherever sigma > 0.
     """
     if m.mode != FLOAT:
         raise NotSupported("svd is float-mode only; exact pipelines use Jordan data")
-    a = np.array(m._a, dtype=complex)
-    nr, nc = a.shape
-    k = min(nr, nc)
+    nr, nc = m.rows, m.cols
     if nr == 0 or nc == 0:
         return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
-
-    g = a.copy()
-    v = np.eye(nc, dtype=complex)
-    # columns below dead2 are numerically zero; rotating them only injects
-    # denormal noise into V
-    dead2 = (np.finfo(float).eps * max(float(np.linalg.norm(a)), 1e-300)) ** 2
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(nc - 1):
-            for q in range(p + 1, nc):
-                gp = g[:, p]
-                gq = g[:, q]
-                alpha = float(np.real(np.vdot(gp, gp)))
-                beta = float(np.real(np.vdot(gq, gq)))
-                gamma = complex(np.vdot(gp, gq))
-                if alpha <= dead2 or beta <= dead2:
-                    continue
-                if abs(gamma) <= _JACOBI_EPS * np.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                absg = abs(gamma)
-                phase = gamma / absg
-                zeta = (beta - alpha) / (2.0 * absg)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                # unitary rotation on columns (p, q); phase folded into column q
-                new_p = c * gp - s * np.conj(phase) * gq
-                new_q = s * phase * gp + c * gq
-                g[:, p] = new_p
-                g[:, q] = new_q
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-        if not rotated:
-            break
-
-    norms = np.sqrt(np.maximum(np.real(np.einsum("ij,ij->j", g.conj(), g)), 0.0))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    g = g[:, order]
-    v = v[:, order]
-
-    tiny = _JACOBI_EPS * max(norms[0] if len(norms) else 0.0, 1e-300)
-    u = np.zeros((nr, nr), dtype=complex)
-    used = 0
-    for j in range(min(nc, nr)):
-        if norms[j] > tiny:
-            u[:, j] = g[:, j] / norms[j]
-            used = j + 1
-    # complete U to a unitary basis for the null directions
-    filled = used
-    for cand in range(nr):
-        if filled >= nr:
-            break
-        e = np.zeros(nr, dtype=complex)
-        e[cand] = 1.0
-        w = e - u[:, :filled] @ (u[:, :filled].conj().T @ e)
-        nw = np.linalg.norm(w)
-        if nw > 0.5:
-            u[:, filled] = w / nw
-            filled += 1
-    # final Gram-Schmidt pass in the unlikely event the basis is short
-    for cand in range(nr):
-        if filled >= nr:
-            break
-        e = np.zeros(nr, dtype=complex)
-        e[cand] = 1.0
-        w = e - u[:, :filled] @ (u[:, :filled].conj().T @ e)
-        nw = np.linalg.norm(w)
-        if nw > 1e-8:
-            u[:, filled] = w / nw
-            filled += 1
-
-    sigma = [float(norms[j]) if norms[j] > tiny else 0.0 for j in range(k)]
-
-    # phase convention: first significant component of each right vector real > 0
-    for j in range(nc):
-        col = v[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12 * max(1.0, float(np.abs(col).max(initial=0.0))))
-        if len(idx) == 0:
-            continue
-        ph = col[idx[0]] / abs(col[idx[0]])
-        v[:, j] = col * np.conj(ph)
-        if j < nr and j < k and sigma[j] > 0.0:
-            u[:, j] = u[:, j] * np.conj(ph)
-
-    return Matrix.floating(u), sigma, Matrix.floating(v)
+    if not np.isfinite(m._a).all():
+        raise MalformedInput("svd of a matrix with non-finite entries")
+    u, s, vh = np.linalg.svd(m._a, full_matrices=True)
+    s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
+    v = vh.conj().T
+    # columns of V are unit vectors, so each has an entry above 1e-12
+    first = np.argmax(np.abs(v) > 1e-12, axis=0)
+    ph = v[first, np.arange(nc)]
+    ph = ph / np.abs(ph)
+    v = v * ph.conj()
+    k = len(s)
+    u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
+    return Matrix.floating(u), [float(x) for x in s], Matrix.floating(v)
 
 
 def singular_values(m: Matrix):
     _, sigma, _ = svd(m)
     return sigma
-
-
-def svd_reconstruct(u: Matrix, sigma, v: Matrix) -> Matrix:
-    s = np.zeros((u.rows, v.rows), dtype=complex)
-    for i, x in enumerate(sigma):
-        s[i, i] = x
-    return Matrix.floating(u.array @ s @ v.array.conj().T)
 
 
 # ----------------------------------------------------------------------
@@ -671,6 +584,8 @@ def matrix_from_obj(obj) -> Matrix:
             flat = [complex(float(re), float(im)) for re, im in entries]
         except (TypeError, ValueError) as exc:
             raise MalformedInput(f"bad float entry: {exc}") from exc
+        if not all(cmath.isfinite(x) for x in flat):
+            raise MalformedInput("non-finite float entry")
         if rows == 0 or cols == 0:
             return Matrix.zeros(rows, cols, FLOAT)
         return Matrix.floating(np.array(flat, dtype=complex).reshape(rows, cols))

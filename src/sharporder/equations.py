@@ -10,7 +10,7 @@ commutant-projector poset of the Jordan form.
 from dataclasses import dataclass
 
 from .commutant import block_choice_projector, delta_membership
-from .core import DEFAULT_TOL, FLOAT, Matrix, approx_eq, is_projector
+from .core import DEFAULT_TOL, Matrix, approx_eq, is_projector
 from .errors import (
     HypothesisViolated,
     NotEP,
@@ -62,11 +62,7 @@ def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,
         raise WNotProjector(f"W must be {hs.n - hs.r} square")
     if not is_projector(w, tol):
         raise WNotProjector("W is not idempotent")
-    inner = Matrix.from_blocks([
-        [t, Matrix.zeros(hs.r, hs.n - hs.r, FLOAT)],
-        [Matrix.zeros(hs.n - hs.r, hs.r, FLOAT), w],
-    ]) if hs.n > hs.r else t
-    return hs.U @ inner @ hs.U.H
+    return hs.embed(t, z=w)
 
 
 def split_ep_solution(hs: HSDecomposition, s: Matrix, tol=DEFAULT_TOL):
@@ -118,12 +114,7 @@ def solve_xbx_family(hs: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """One solution S = U diag(T, O) U* of {XBX = BX, X^2 = X}."""
     if not in_tau(t, hs.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with the core block")
-    r, n = hs.r, hs.n
-    inner = Matrix.from_blocks([
-        [t, Matrix.zeros(r, n - r, FLOAT)],
-        [Matrix.zeros(n - r, r, FLOAT), Matrix.zeros(n - r, n - r, FLOAT)],
-    ]) if n > r else t
-    return hs.U @ inner @ hs.U.H
+    return hs.embed(t)
 
 
 def solve_jordan_commuting_projectors(p: Matrix, spec: JordanSpec,

@@ -6,6 +6,8 @@ so exact-mode pipelines enter through Jordan data instead.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DEFAULT_TOL, FLOAT, Matrix, approx_eq, matrix_from_obj, matrix_to_obj, svd
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
 
@@ -33,6 +35,19 @@ class HSDecomposition:
 
     def sigma_l(self) -> Matrix:
         return self.sigma_matrix() @ self.L
+
+    def embed(self, x: Matrix, y: Matrix = None, z: Matrix = None) -> Matrix:
+        """U [[X, Y], [O, Z]] U* with X r x r, Y r x (n-r) and Z (n-r) x (n-r);
+        None stands for a zero block."""
+        r = self.r
+        inner = np.zeros((self.n, self.n), dtype=complex)
+        inner[:r, :r] = x.array
+        if y is not None:
+            inner[:r, r:] = y.array
+        if z is not None:
+            inner[r:, r:] = z.array
+        u = self.U.array
+        return Matrix.floating(u @ inner @ u.conj().T)
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
         return self.sigma_k().rank(tol) == self.r
@@ -73,29 +88,12 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
 
 def hs_reconstruct(d: HSDecomposition) -> Matrix:
     """B from its decomposition."""
-    n, r = d.n, d.r
-    top = Matrix.from_blocks([[d.sigma_k(), d.sigma_l()]])
-    if n > r:
-        bottom = Matrix.zeros(n - r, n, FLOAT)
-        inner = Matrix.from_blocks([[top], [bottom]])
-    else:
-        inner = top
-    return d.U @ inner @ d.U.H
-
-
-def sigma_k(d: HSDecomposition) -> Matrix:
-    return d.sigma_k()
+    return d.embed(d.sigma_k(), d.sigma_l())
 
 
 def predecessor_expand(d: HSDecomposition, t: Matrix) -> Matrix:
     """A = U [[T SK, T SL], [O, O]] U* for a projector T commuting with SK."""
-    n, r = d.n, d.r
-    top = Matrix.from_blocks([[t @ d.sigma_k(), t @ d.sigma_l()]])
-    if n > r:
-        inner = Matrix.from_blocks([[top], [Matrix.zeros(n - r, n, FLOAT)]])
-    else:
-        inner = top
-    return d.U @ inner @ d.U.H
+    return d.embed(t @ d.sigma_k(), t @ d.sigma_l())
 
 
 def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:
@@ -114,14 +112,8 @@ def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_T
     sk_inv = sk.inverse()
     if not approx_eq(t @ sk, sk @ t, tol):
         raise NotInTau("T does not commute with SK")
-    n, r = d.n, d.r
     head = sk_inv @ t
-    top = Matrix.from_blocks([[head, head @ d.K.inverse() @ d.L]])
-    if n > r:
-        inner = Matrix.from_blocks([[top], [Matrix.zeros(n - r, n, FLOAT)]])
-    else:
-        inner = top
-    return d.U @ inner @ d.U.H
+    return d.embed(head, head @ d.K.inverse() @ d.L)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +132,7 @@ def hs_to_obj(d: HSDecomposition):
 
 def hs_from_obj(obj) -> HSDecomposition:
     try:
-        return HSDecomposition(
+        d = HSDecomposition(
             U=matrix_from_obj(obj["U"]),
             sigma=tuple(float(s) for s in obj["sigma"]),
             K=matrix_from_obj(obj["K"]),
@@ -149,3 +141,8 @@ def hs_from_obj(obj) -> HSDecomposition:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad HS decomposition object: {exc}") from exc
+    n, r = d.U.rows, d.r
+    if not (d.U.is_square and len(d.sigma) == r and (d.K.rows, d.K.cols) == (r, r)
+            and (d.L.rows, d.L.cols) == (r, n - r)):
+        raise MalformedInput("HS decomposition blocks do not fit U and r")
+    return d

@@ -29,7 +29,6 @@ from .errors import (
 from .ginv import index_le_one
 from .hs import (
     HSDecomposition,
-    hs_reconstruct,
     predecessor_block_group_inverse,
     predecessor_expand,
 )
@@ -199,12 +198,5 @@ def extend_to_nonsingular(hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     sk = hs.sigma_k()
     if sk.rank(tol) < hs.r:
         raise SingularK("K singular: B has index greater than 1")
-    n, r = hs.n, hs.r
-    if r == n:
-        return hs_reconstruct(hs)
     corner = (hs.sigma_matrix() - hs.K.inverse()) @ hs.L
-    inner = Matrix.from_blocks([
-        [sk, corner],
-        [Matrix.zeros(n - r, r, FLOAT), Matrix.identity(n - r, FLOAT)],
-    ])
-    return hs.U @ inner @ hs.U.H
+    return hs.embed(sk, corner, Matrix.identity(hs.n - hs.r, FLOAT))

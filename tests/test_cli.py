@@ -74,6 +74,23 @@ def test_malformed_input_exit_2(runner, files):
     assert res2.exit_code == 2
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("args", [["decompose", "hs", "--in"],
+                                  ["inverse", "group", "--in"],
+                                  ["inverse", "mp", "--in"],
+                                  ["check", "order", "--a", "{B}", "--b"]])
+def test_non_finite_input_exit_2(runner, files, args, bad):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    path = files["tmp"] / "nonfinite.json"
+    path.write_text(json.dumps({"mode": "float", "rows": 2, "cols": 2,
+                                "entries": [[1, 0], [bad, 0], [0, 0], [1, 0]]}))
+    argv = [a.format(**files) for a in args] + [str(path)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+
+
 def test_decompose_and_inverse(runner, files):
     res = runner.invoke(main, ["decompose", "hs", "--in", files["B"]])
     assert res.exit_code == 0

@@ -121,6 +121,35 @@ def test_svd_matches_numpy_singular_values():
         assert np.allclose(ours, ref, atol=1e-9)
 
 
+def test_svd_phase_convention():
+    rng = np.random.default_rng(13)
+    for nr, nc, rank in [(5, 5, 5), (5, 5, 2), (7, 3, 3), (7, 3, 1),
+                         (3, 7, 3), (3, 7, 2), (4, 4, 0)]:
+        a = (rng.standard_normal((nr, rank)) + 1j * rng.standard_normal((nr, rank))) \
+            @ (rng.standard_normal((rank, nc)) + 1j * rng.standard_normal((rank, nc)))
+        u, sigma, v = svd(Matrix.floating(a))
+        vv = v.array
+        for j in range(nc):
+            col = vv[:, j]
+            lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+            assert lead.real > 0.0 and abs(lead.imag) <= 1e-15 * lead.real
+        s = np.zeros((nr, nc), dtype=complex)
+        s[range(len(sigma)), range(len(sigma))] = sigma
+        assert np.linalg.norm(u.array @ s @ vv.conj().T - a) <= 1e-12 * max(1.0, np.linalg.norm(a))
+        assert sum(1 for x in sigma if x > 0.0) == rank
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_svd_rejects_non_finite(bad):
+    a = np.eye(3, dtype=complex)
+    a[1, 2] = bad
+    m = Matrix.floating(a)
+    with pytest.raises(MalformedInput):
+        svd(m)
+    with pytest.raises(MalformedInput):
+        m.rank()
+
+
 def test_approx_eq_examples():
     i2 = Matrix.identity(2, FLOAT)
     assert approx_eq(i2, i2)
@@ -199,3 +228,10 @@ def test_json_malformed():
         matrix_from_obj({"mode": "float", "rows": 2, "cols": 2, "entries": []})
     with pytest.raises(MalformedInput):
         matrix_from_obj({"mode": "weird", "rows": 0, "cols": 0, "entries": []})
+
+
+@pytest.mark.parametrize("entry", [["NaN", 0], [0, "Infinity"], [float("-inf"), 1]])
+def test_json_rejects_non_finite_float(entry):
+    obj = {"mode": "float", "rows": 1, "cols": 2, "entries": [[1, 0], entry]}
+    with pytest.raises(MalformedInput):
+        matrix_from_obj(obj)

@@ -13,7 +13,6 @@ from sharporder import (
     index_le_one,
 )
 from sharporder.errors import MalformedInput, NotSupported, ZeroMatrix
-from sharporder.hs import sigma_k
 
 from conftest import TOL8
 
@@ -25,7 +24,7 @@ def test_diagonal_example():
     assert list(d.sigma) == pytest.approx([2.0, 1.0])
     assert approx_eq(hs_reconstruct(d), b, TOL8)
     assert d.L.cols == 1 and d.L.is_zero(TOL8)
-    sk = sigma_k(d)
+    sk = d.sigma_k()
     assert sk.rank() == 2  # index 1
 
 
@@ -85,3 +84,6 @@ def test_json_round_trip():
     assert approx_eq(hs_reconstruct(again), b, TOL8)
     with pytest.raises(MalformedInput):
         hs_from_obj({"U": None})
+    bad_rank = dict(hs_to_obj(d), r=1)
+    with pytest.raises(MalformedInput):
+        hs_from_obj(bad_rank)
