@@ -10,10 +10,53 @@ to describe down-sets under the sharp order.
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, is_projector
-from .errors import InvalidSpec, MalformedInput, NotInDelta, ShapeMismatch
-from .jordan import JordanSpec, block_diag, build_jordan_matrix, spec_from_obj, spec_to_obj
-from .scalars import QQi, frac_str
+from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
+from .jordan import (
+    JordanSpec,
+    build_jordan_matrix,
+    scalar_from_obj,
+    scalar_to_obj,
+    spec_from_obj,
+    spec_to_obj,
+)
+from .scalars import QQI_ZERO, QQi
+
+
+def _write_cells(rows, cols, cells, mode) -> Matrix:
+    """A rows x cols matrix, zero except for RUTM cores: each cell
+    (i0, j0, coeffs) puts coeffs[d] on the d-th superdiagonal of a
+    len(coeffs)-square core whose top-left entry is (i0, j0)."""
+    entries = ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
+               for d, c in enumerate(coeffs) for x in range(len(coeffs) - d))
+    if mode == FLOAT:
+        a = np.zeros((rows, cols), dtype=complex)
+        for i, j, c in entries:
+            a[i, j] = complex(c)
+        a.setflags(write=False)
+        return Matrix(rows, cols, FLOAT, a)
+    data = [[QQI_ZERO] * cols for _ in range(rows)]
+    for i, j, c in entries:
+        data[i][j] = c
+    return Matrix(rows, cols, EXACT, tuple(tuple(r) for r in data))
+
+
+def _layout(spec: JordanSpec):
+    """Per eigenvalue, the t x t grid of (rows, cols, i0, j0) of its Cullen
+    cells: the cell shape and the top-left entry of its RUTM core X in the
+    r x r matrix.  X sits at the top of a tall cell ([X; O]) and at the right
+    of a wide one ([O X])."""
+    out = []
+    off = 0
+    for e in spec.eigenvalues:
+        starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
+        out.append([[(e.sizes[i], e.sizes[k], starts[i],
+                      starts[k] + e.sizes[k] - min(e.sizes[i], e.sizes[k]))
+                     for k in range(e.t)] for i in range(e.t)])
+        off += e.dim
+    return out
 
 
 @dataclass(frozen=True)
@@ -33,14 +76,7 @@ class RUTM:
 
     def expand(self) -> Matrix:
         m = self.size
-        mode = self.mode if m else EXACT
-        if mode == FLOAT:
-            rows = [[complex(self.coeffs[j - i]) if j >= i else 0.0
-                     for j in range(m)] for i in range(m)]
-            return Matrix.floating(rows) if m else Matrix.zeros(0, 0, FLOAT)
-        rows = [[self.coeffs[j - i] if j >= i else QQi(0) for j in range(m)]
-                for i in range(m)]
-        return Matrix(m, m, EXACT, tuple(tuple(r) for r in rows))
+        return _write_cells(m, m, [(0, 0, self.coeffs)], self.mode if m else EXACT)
 
     @staticmethod
     def zero(size, mode=EXACT):
@@ -77,31 +113,8 @@ class CullenBlock:
             raise InvalidSpec("core RUTM size must be min(rows, cols)")
 
     def expand(self, mode) -> Matrix:
-        x = self.core.expand()
-        if x.rows and x.mode != mode:
-            x = x.to_float() if mode == FLOAT else x
-        m = min(self.rows, self.cols)
-        if self.rows == self.cols:
-            return x if m else Matrix.zeros(0, 0, mode)
-        if self.rows > self.cols:
-            return Matrix.from_blocks([[x], [Matrix.zeros(self.rows - m, m, mode)]])
-        return Matrix.from_blocks([[Matrix.zeros(m, self.cols - m, mode), x]])
-
-
-def _extract_cullen(sub: Matrix, rows, cols, tol, mode):
-    """Read the RUTM coefficients out of a candidate commutant cell and verify
-    the cell actually has the Cullen shape."""
-    m = min(rows, cols)
-    if rows >= cols:
-        x0, y0 = 0, 0
-    else:
-        x0, y0 = 0, cols - m
-    coeffs = tuple(sub[x0, y0 + l] for l in range(m))
-    block = CullenBlock(rows, cols, RUTM(m, coeffs if mode == EXACT else tuple(
-        complex(c) for c in coeffs)))
-    if not approx_eq(block.expand(mode), sub, tol):
-        raise NotInDelta("block does not have the commutant (Cullen) shape")
-    return block
+        return _write_cells(self.rows, self.cols,
+                            [(0, self.cols - self.core.size, self.core.coeffs)], mode)
 
 
 @dataclass(frozen=True)
@@ -113,22 +126,19 @@ class CommutantProjector:
     blocks: tuple  # per eigenvalue: tuple of tuples of CullenBlock
 
     def expand(self) -> Matrix:
-        mode = self.spec.mode
-        diag = []
-        for e, grid in zip(self.spec.eigenvalues, self.blocks):
+        if len(self.blocks) != self.spec.s:
+            raise ShapeMismatch("one grid per eigenvalue required")
+        cells = []
+        for e, grid, places in zip(self.spec.eigenvalues, self.blocks, _layout(self.spec)):
             if len(grid) != e.t or any(len(row) != e.t for row in grid):
                 raise ShapeMismatch("grid shape does not match multiplicities")
-            rows = []
-            for i in range(e.t):
-                cells = []
-                for k in range(e.t):
-                    cell = grid[i][k]
-                    if (cell.rows, cell.cols) != (e.sizes[i], e.sizes[k]):
+            for row, place_row in zip(grid, places):
+                for cell, (rows, cols, i0, j0) in zip(row, place_row):
+                    if (cell.rows, cell.cols) != (rows, cols):
                         raise ShapeMismatch("cell shape does not match block sizes")
-                    cells.append(cell.expand(mode))
-                rows.append(cells)
-            diag.append(Matrix.from_blocks(rows))
-        return block_diag(diag, mode)
+                    cells.append((i0, j0, cell.core.coeffs))
+        r = self.spec.r
+        return _write_cells(r, r, cells, self.spec.mode)
 
     def rank(self, tol=DEFAULT_TOL) -> int:
         return self.expand().rank(tol)
@@ -139,36 +149,23 @@ class CommutantProjector:
         its Cullen grid.  Raises NotInDelta otherwise."""
         if not t.is_square or t.rows != spec.r:
             raise ShapeMismatch(f"expected a {spec.r}x{spec.r} matrix")
-        mode = t.mode
+        if t.mode != spec.mode:
+            raise ModeMismatch(f"{t.mode} matrix for a {spec.mode} spec")
         if not is_projector(t, tol):
             raise NotInDelta("matrix is not idempotent")
-        blocks = []
-        off_j = 0
-        for e in spec.eigenvalues:
-            offs = [0]
-            for s in e.sizes:
-                offs.append(offs[-1] + s)
-            grid = []
-            for i in range(e.t):
-                row = []
-                for k in range(e.t):
-                    sub = t.block(off_j + offs[i], off_j + offs[i + 1],
-                                  off_j + offs[k], off_j + offs[k + 1])
-                    row.append(_extract_cullen(sub, e.sizes[i], e.sizes[k], tol, mode))
-                grid.append(row)
-            blocks.append(tuple(tuple(r) for r in grid))
-            off_j += e.dim
-        # off-diagonal (cross-eigenvalue) parts must vanish
-        full = block_diag([_grid_matrix(e, g, mode) for e, g in
-                           zip(spec.eigenvalues, blocks)], mode)
-        if not approx_eq(full, t, tol):
-            raise NotInDelta("matrix couples distinct eigenvalues")
-        return cls(spec, tuple(blocks))
+        # read each core off its first row; t must then match the grid those
+        # cores span: Toeplitz cores, zero padding on the right side, nothing
+        # coupling distinct eigenvalues
 
+        def cell(rows, cols, i0, j0):
+            m = min(rows, cols)
+            return CullenBlock(rows, cols, RUTM(m, tuple(t[i0, j0 + x] for x in range(m))))
 
-def _grid_matrix(e, grid, mode):
-    return Matrix.from_blocks([[grid[i][k].expand(mode) for k in range(e.t)]
-                               for i in range(e.t)])
+        cp = cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
+                                   for place_row in places) for places in _layout(spec)))
+        if not approx_eq(cp.expand(), t, tol):
+            raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
+        return cp
 
 
 def admissible_ranks(q: int, p: int):
@@ -209,18 +206,10 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
         im = rng.randint(-2, 2)
         return QQi(re, im) if mode == EXACT else complex(re, im)
 
-    diag = []
-    for e in spec.eigenvalues:
-        rows = []
-        for i in range(e.t):
-            cells = []
-            for k in range(e.t):
-                m = min(e.sizes[i], e.sizes[k])
-                cells.append(CullenBlock(e.sizes[i], e.sizes[k],
-                                         RUTM(m, tuple(coeff() for _ in range(m)))).expand(mode))
-            rows.append(cells)
-        diag.append(Matrix.from_blocks(rows))
-    return block_diag(diag, mode)
+    cells = [(i0, j0, tuple(coeff() for _ in range(min(rows, cols))))
+             for places in _layout(spec) for place_row in places
+             for rows, cols, i0, j0 in place_row]
+    return _write_cells(spec.r, spec.r, cells, mode)
 
 
 def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
@@ -228,10 +217,8 @@ def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
     sizes = spec.block_sizes
     if len(bits) != len(sizes):
         raise ShapeMismatch("one bit per Jordan block required")
-    mode = spec.mode
-    blocks = [Matrix.identity(s, mode) if b else Matrix.zeros(s, s, mode)
-              for b, s in zip(bits, sizes)]
-    return block_diag(blocks, mode)
+    return Matrix.diag([1 if b else 0 for b, s in zip(bits, sizes) for _ in range(s)],
+                       spec.mode)
 
 
 def sample_delta_projector(spec: JordanSpec, seed: int,
@@ -259,24 +246,11 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
 # JSON
 
 
-def _coeff_to_obj(c):
-    if isinstance(c, QQi):
-        return [frac_str(c.re), frac_str(c.im)]
-    return [float(c.real), float(c.imag)]
-
-
-def _coeff_from_obj(obj):
-    re, im = obj
-    if isinstance(re, str) or isinstance(im, str):
-        return QQi(re, im)
-    return complex(float(re), float(im))
-
-
 def projector_to_obj(cp: CommutantProjector):
     return {
         "spec": spec_to_obj(cp.spec),
         "blocks": [
-            [[[_coeff_to_obj(c) for c in cell.core.coeffs] for cell in row]
+            [[[scalar_to_obj(c) for c in cell.core.coeffs] for cell in row]
              for row in grid]
             for grid in cp.blocks
         ],
@@ -286,6 +260,7 @@ def projector_to_obj(cp: CommutantProjector):
 def projector_from_obj(obj) -> CommutantProjector:
     try:
         spec = spec_from_obj(obj["spec"])
+        exact = spec.mode == EXACT
         blocks = []
         for e, grid in zip(spec.eigenvalues, obj["blocks"]):
             rows = []
@@ -293,9 +268,10 @@ def projector_from_obj(obj) -> CommutantProjector:
                 cells = []
                 for k, coeffs in enumerate(row):
                     m = min(e.sizes[i], e.sizes[k])
-                    cells.append(CullenBlock(
-                        e.sizes[i], e.sizes[k],
-                        RUTM(m, tuple(_coeff_from_obj(c) for c in coeffs))))
+                    core = tuple(scalar_from_obj(c) for c in coeffs)
+                    if any(isinstance(c, QQi) != exact for c in core):
+                        raise MalformedInput(f"coefficient mode differs from the {spec.mode} spec")
+                    cells.append(CullenBlock(e.sizes[i], e.sizes[k], RUTM(m, core)))
                 rows.append(tuple(cells))
             blocks.append(tuple(rows))
     except (KeyError, TypeError, ValueError, IndexError) as exc:

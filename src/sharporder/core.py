@@ -15,7 +15,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 import numpy as np
 
@@ -119,24 +119,35 @@ class Matrix:
         if not grid:
             raise ShapeMismatch("empty block grid")
         mode = grid[0][0].mode
-        rows = []
+        width = sum(b.cols for b in grid[0])
         for block_row in grid:
             if any(b.mode != mode for b in block_row):
                 raise ModeMismatch("mixed modes in block grid")
             h = block_row[0].rows
             if any(b.rows != h for b in block_row):
                 raise ShapeMismatch("inconsistent block heights")
-            for i in range(h):
+        if mode == FLOAT:
+            # slice each block into one preallocated array
+            if any(sum(b.cols for b in block_row) != width for block_row in grid):
+                raise ShapeMismatch("inconsistent block widths")
+            a = np.zeros((sum(block_row[0].rows for block_row in grid), width), dtype=complex)
+            i = 0
+            for block_row in grid:
+                h = block_row[0].rows
+                j = 0
+                for b in block_row:
+                    a[i:i + h, j:j + b.cols] = b._a
+                    j += b.cols
+                i += h
+            a.setflags(write=False)
+            return cls(a.shape[0], width, FLOAT, a)
+        rows = []
+        for block_row in grid:
+            for i in range(block_row[0].rows):
                 row = []
                 for b in block_row:
                     row.extend(b.row(i))
                 rows.append(row)
-        if mode == FLOAT:
-            width = sum(b.cols for b in grid[0])
-            if not rows:
-                return cls.zeros(0, width, FLOAT)
-            return cls.floating(rows)
-        width = sum(b.cols for b in grid[0])
         if any(len(r) != width for r in rows):
             raise ShapeMismatch("inconsistent block widths")
         return cls(len(rows), width, EXACT, tuple(tuple(r) for r in rows))
@@ -279,7 +290,10 @@ class Matrix:
     def is_zero(self, tol=DEFAULT_TOL):
         if self.mode == EXACT:
             return all(x.is_zero() for row in self._a for x in row)
-        return self.fro() <= tol.rel
+        norm = self.fro()
+        if not isfinite(norm):
+            _require_finite(self, "is_zero")
+        return norm <= tol.rel
 
     def to_float(self):
         if self.mode == FLOAT:
@@ -337,6 +351,7 @@ class Matrix:
             return _exact_inverse(self)
         if self.rows == 0:
             return self
+        _require_finite(self, "inverse")
         try:
             inv = np.linalg.inv(self._a)
         except np.linalg.LinAlgError as exc:
@@ -344,6 +359,12 @@ class Matrix:
         if not np.all(np.isfinite(inv)):
             raise SingularMatrix("non-finite inverse")
         return Matrix.floating(inv)
+
+
+def _require_finite(m: Matrix, what):
+    """Reject a float matrix holding NaN or an infinity."""
+    if not np.isfinite(m._a).all():
+        raise MalformedInput(f"{what} of a matrix with non-finite entries")
 
 
 # ----------------------------------------------------------------------
@@ -503,7 +524,11 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
         raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
     if x.mode == EXACT:
         return x._a == y._a
-    return (x - y).fro() <= tol.rel * max(1.0, x.fro(), y.fro())
+    nx, ny = x.fro(), y.fro()
+    if not (isfinite(nx) and isfinite(ny)):
+        _require_finite(x, "approx_eq")
+        _require_finite(y, "approx_eq")
+    return (x - y).fro() <= tol.rel * max(1.0, nx, ny)
 
 
 def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
@@ -535,8 +560,7 @@ def svd(m: Matrix):
     nr, nc = m.rows, m.cols
     if nr == 0 or nc == 0:
         return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
-    if not np.isfinite(m._a).all():
-        raise MalformedInput("svd of a matrix with non-finite entries")
+    _require_finite(m, "svd")
     u, s, vh = np.linalg.svd(m._a, full_matrices=True)
     s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
     v = vh.conj().T

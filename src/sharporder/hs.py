@@ -4,7 +4,7 @@ Float mode only: the singular values are algebraic irrationals in general,
 so exact-mode pipelines enter through Jordan data instead.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,13 @@ class HSDecomposition:
     K: Matrix
     L: Matrix
     r: int
+    _sk: Matrix = field(init=False, repr=False, compare=False)
+    _sl: Matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        s = self.sigma_matrix()
+        object.__setattr__(self, "_sk", s @ self.K)
+        object.__setattr__(self, "_sl", s @ self.L)
 
     @property
     def n(self):
@@ -31,10 +38,10 @@ class HSDecomposition:
 
     def sigma_k(self) -> Matrix:
         """The r x r core block; nonsingular iff B has index <= 1."""
-        return self.sigma_matrix() @ self.K
+        return self._sk
 
     def sigma_l(self) -> Matrix:
-        return self.sigma_matrix() @ self.L
+        return self._sl
 
     def embed(self, x: Matrix, y: Matrix = None, z: Matrix = None) -> Matrix:
         """U [[X, Y], [O, Z]] U* with X r x r, Y r x (n-r) and Z (n-r) x (n-r);
@@ -132,17 +139,16 @@ def hs_to_obj(d: HSDecomposition):
 
 def hs_from_obj(obj) -> HSDecomposition:
     try:
-        d = HSDecomposition(
-            U=matrix_from_obj(obj["U"]),
-            sigma=tuple(float(s) for s in obj["sigma"]),
-            K=matrix_from_obj(obj["K"]),
-            L=matrix_from_obj(obj["L"]),
-            r=int(obj["r"]),
-        )
+        u = matrix_from_obj(obj["U"])
+        sigma = tuple(float(s) for s in obj["sigma"])
+        k = matrix_from_obj(obj["K"])
+        l_ = matrix_from_obj(obj["L"])
+        r = int(obj["r"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad HS decomposition object: {exc}") from exc
-    n, r = d.U.rows, d.r
-    if not (d.U.is_square and len(d.sigma) == r and (d.K.rows, d.K.cols) == (r, r)
-            and (d.L.rows, d.L.cols) == (r, n - r)):
+    n = u.rows
+    if not (u.is_square and len(sigma) == r and (k.rows, k.cols) == (r, r)
+            and (l_.rows, l_.cols) == (r, n - r)
+            and u.mode == k.mode == l_.mode == FLOAT):
         raise MalformedInput("HS decomposition blocks do not fit U and r")
-    return d
+    return HSDecomposition(U=u, sigma=sigma, K=k, L=l_, r=r)

@@ -6,6 +6,7 @@ candidate eigenvalues and the block sizes are recovered from rank sequences
 ``validate_similarity`` gates all downstream use.
 """
 
+import cmath
 from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, matrix_from_obj, matrix_to_obj
@@ -216,23 +217,30 @@ def validate_similarity(p: Matrix, spec: JordanSpec, m: Matrix, tol=DEFAULT_TOL)
 # JSON
 
 
-def _lam_to_obj(lam):
-    if isinstance(lam, QQi):
-        return [frac_str(lam.re), frac_str(lam.im)]
-    return [float(lam.real), float(lam.imag)]
+def scalar_to_obj(x):
+    """A scalar as [re, im]: "p/q" strings when exact, numbers when float."""
+    if isinstance(x, QQi):
+        return [frac_str(x.re), frac_str(x.im)]
+    return [float(x.real), float(x.imag)]
 
 
-def _lam_from_obj(obj):
+def scalar_from_obj(obj):
+    """A float part makes a float scalar; integer and "p/q" parts make an
+    exact one, as in exact matrix entries."""
     re, im = obj
-    if isinstance(re, str) or isinstance(im, str):
-        return QQi(re, im)
-    return complex(float(re), float(im))
+    kinds = {type(re), type(im)}
+    if float in kinds and str not in kinds:
+        x = complex(re, im)
+        if not cmath.isfinite(x):
+            raise MalformedInput("non-finite scalar")
+        return x
+    return QQi(re, im)
 
 
 def spec_to_obj(spec: JordanSpec):
     return {
         "eigenvalues": [
-            {"lambda": _lam_to_obj(e.lam), "sizes": list(e.sizes)}
+            {"lambda": scalar_to_obj(e.lam), "sizes": list(e.sizes)}
             for e in spec.eigenvalues
         ],
         "P": matrix_to_obj(spec.P) if spec.P is not None else None,
@@ -242,10 +250,12 @@ def spec_to_obj(spec: JordanSpec):
 def spec_from_obj(obj) -> JordanSpec:
     try:
         eigs = tuple(
-            EigenBlocks(_lam_from_obj(e["lambda"]), tuple(e["sizes"]))
+            EigenBlocks(scalar_from_obj(e["lambda"]), tuple(e["sizes"]))
             for e in obj["eigenvalues"]
         )
         p = matrix_from_obj(obj["P"]) if obj.get("P") is not None else None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedInput(f"bad JordanSpec object: {exc}") from exc
+    if len({e.mode for e in eigs} | ({p.mode} if p is not None else set())) > 1:
+        raise MalformedInput("eigenvalues and P mix exact and float modes")
     return JordanSpec(eigs, p)

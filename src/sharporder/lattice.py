@@ -30,7 +30,7 @@ from .errors import (
 from .ginv import index_le_one, moore_penrose
 from .hs import HSDecomposition, hs_reconstruct
 from .jordan import JordanSpec, block_diag
-from .sharp import phi, phi_inv, proj_leq, psi, sharp_leq
+from .sharp import phi, phi_inv, proj_leq, sharp_leq
 
 
 def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
@@ -280,14 +280,13 @@ def max_chain(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
     of J) conjugated into tau by the spec's similarity matrix.
     """
     p = spec.P if spec.P is not None else Matrix.identity(spec.r, FLOAT)
-    sizes = spec.block_sizes
+    p_inv = p.inverse()
     chain = [Matrix.zeros(hs.n, hs.n, FLOAT)]
     off = 0
-    for sz in sizes:
+    for sz in spec.block_sizes:
         off += sz
-        e = block_diag([Matrix.identity(off, FLOAT),
-                        Matrix.zeros(spec.r - off, spec.r - off, FLOAT)], FLOAT)
-        chain.append(phi_inv(psi(e, p), hs, tol))
+        e = Matrix.diag([1.0] * off + [0.0] * (spec.r - off), FLOAT)
+        chain.append(phi_inv(p @ e @ p_inv, hs, tol))
     return chain
 
 

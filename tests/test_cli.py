@@ -91,6 +91,34 @@ def test_non_finite_input_exit_2(runner, files, args, bad):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("args", [["downset", "classify"],
+                                  ["downset", "sample"],
+                                  ["downset", "boolean", "--b", "{B}"],
+                                  ["equations", "count", "--b", "{B}"]])
+def test_spec_p_mode_mismatch_exit_2(runner, files, args):
+    # integer eigenvalues are exact, so a float P does not fit them
+    path = files["tmp"] / "mixed_spec.json"
+    path.write_text(json.dumps({
+        "eigenvalues": [{"lambda": [2, 0], "sizes": [1]}, {"lambda": [1, 0], "sizes": [1]}],
+        "P": matrix_to_obj(Matrix.identity(2, FLOAT))}))
+    argv = [a.format(**files) for a in args] + ["--spec", str(path)]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+
+
+def test_downset_sample_integer_eigenvalue_is_exact(runner, files):
+    path = files["tmp"] / "int_spec.json"
+    path.write_text(json.dumps({"eigenvalues": [{"lambda": [2, 0], "sizes": [2, 1]}]}))
+    res = runner.invoke(main, ["downset", "sample", "--spec", str(path), "--seed", "4"])
+    assert res.exit_code == 0
+    (obj,) = json.loads(res.output)
+    assert obj["spec"]["eigenvalues"][0]["lambda"] == ["2/1", "0/1"]
+    coeffs = [c for row in obj["blocks"][0] for cell in row for c in cell]
+    assert coeffs and all(isinstance(part, str) for c in coeffs for part in c)
+
+
 def test_decompose_and_inverse(runner, files):
     res = runner.invoke(main, ["decompose", "hs", "--in", files["B"]])
     assert res.exit_code == 0

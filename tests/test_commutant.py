@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
 from sharporder import (
     EXACT,
+    FLOAT,
     Matrix,
+    QQi,
+    is_projector,
     admissible_ranks,
     build_jordan_matrix,
     delta_membership,
@@ -21,7 +25,7 @@ from sharporder.commutant import (
     block_choice_projector,
     random_commutant_element,
 )
-from sharporder.errors import InvalidSpec, MalformedInput, NotInDelta
+from sharporder.errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta
 from sharporder.sharp import proj_leq
 
 
@@ -141,6 +145,8 @@ def test_from_matrix_rejects_non_commutant():
         CommutantProjector.from_matrix(spec, Matrix.diag([1, 0], EXACT))
     with pytest.raises(NotInDelta):
         CommutantProjector.from_matrix(spec, Matrix.exact([[2, 0], [0, 2]]))
+    with pytest.raises(ModeMismatch):
+        CommutantProjector.from_matrix(spec, Matrix.identity(2, FLOAT))
 
 
 def test_projector_json_round_trip():
@@ -150,3 +156,110 @@ def test_projector_json_round_trip():
     assert again.expand() == cp.expand()
     with pytest.raises(MalformedInput):
         projector_from_obj({"spec": None, "blocks": []})
+    # coefficients follow the spec's scalar rule and must share its mode
+    exact_spec = {"eigenvalues": [{"lambda": [2, 0], "sizes": [1]}]}
+    float_spec = {"eigenvalues": [{"lambda": [2.0, 0.0], "sizes": [1]}]}
+    one = projector_from_obj({"spec": exact_spec, "blocks": [[[[[1, 0]]]]]})
+    assert one.expand() == Matrix.identity(1, EXACT)
+    for spec_obj, coeff in ((exact_spec, [1.0, 0.0]), (float_spec, ["1", "0"]),
+                            (float_spec, [1, 0])):
+        with pytest.raises(MalformedInput):
+            projector_from_obj({"spec": spec_obj, "blocks": [[[[coeff]]]]})
+
+
+def _reference_expand(spec, grids, mode):
+    """The commutant matrix built entry by entry from the Cullen rules: cell
+    (i, k) of an eigenvalue is its RUTM core X, on top of zeros when tall
+    ([X; O]) and right of zeros when wide ([O X])."""
+    r = spec.r
+    a = [[0] * r for _ in range(r)]
+    off = 0
+    for e, grid in zip(spec.eigenvalues, grids):
+        starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
+        for i in range(e.t):
+            for k in range(e.t):
+                rows, cols = e.sizes[i], e.sizes[k]
+                m = min(rows, cols)
+                shift = cols - m if rows < cols else 0
+                for x in range(m):
+                    for y in range(x, m):
+                        a[starts[i] + x][starts[k] + shift + y] = grid[i][k][y - x]
+        off += e.dim
+    if mode == FLOAT:
+        return Matrix.floating(np.array(a, dtype=complex))
+    return Matrix.exact(a)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("pairs", [[(2, [3, 2, 1]), (-1, [2, 2])],
+                                   [(4, [2, 2])],
+                                   [(3, [3, 1]), (1, [1]), (2, [2, 1, 1])]])
+def test_expand_matches_reference(mode, pairs):
+    rnd = random.Random(5)
+    spec = make_spec(pairs, mode=mode)
+    for _ in range(3):
+        grids = []
+        for e in spec.eigenvalues:
+            grid = []
+            for si in e.sizes:
+                row = []
+                for sk in e.sizes:
+                    m = min(si, sk)
+                    coeffs = [complex(rnd.randint(-3, 3), rnd.randint(-3, 3)) for _ in range(m)]
+                    if mode == EXACT:
+                        coeffs = [QQi(int(c.real), int(c.imag)) for c in coeffs]
+                    row.append(coeffs)
+                grid.append(row)
+            grids.append(grid)
+        cp = CommutantProjector(spec, tuple(
+            tuple(tuple(CullenBlock(si, sk, RUTM(min(si, sk), tuple(c)))
+                        for sk, c in zip(e.sizes, row))
+                  for si, row in zip(e.sizes, grid))
+            for e, grid in zip(spec.eigenvalues, grids)))
+        got = cp.expand()
+        assert got.mode == mode
+        assert got == _reference_expand(spec, grids, mode)
+        # and every cell, expanded alone, is the matching slice
+        off = 0
+        for e, cgrid in zip(spec.eigenvalues, cp.blocks):
+            starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
+            for i in range(e.t):
+                for k in range(e.t):
+                    assert cgrid[i][k].expand(mode) == got.block(
+                        starts[i], starts[i] + e.sizes[i], starts[k], starts[k] + e.sizes[k])
+            off += e.dim
+
+
+def test_cullen_cell_expand_sides():
+    core = RUTM(2, (QQi(1), QQi(2)))
+    assert CullenBlock(3, 2, core).expand(EXACT) == Matrix.exact([[1, 2], [0, 1], [0, 0]])
+    assert CullenBlock(2, 3, core).expand(EXACT) == Matrix.exact([[0, 1, 2], [0, 0, 1]])
+    assert CullenBlock(2, 3, core).expand(FLOAT) == Matrix.floating([[0, 1, 2], [0, 0, 1]])
+    assert RUTM(0, ()).expand() == Matrix.zeros(0, 0, EXACT)
+
+
+def test_from_matrix_float_accepts_cullen_shapes():
+    spec = make_spec([(5, [2, 1])], mode=FLOAT)
+    for t in ([[1, 0, 0.5], [0, 1, 0], [0, 0, 0]],    # tall cell, core on top
+              [[0, 0, 0], [0, 0, 0], [0, 0.5, 1]]):   # wide cell, core on the right
+        cp = CommutantProjector.from_matrix(spec, Matrix.floating(t))
+        assert cp.expand() == Matrix.floating(t)
+
+
+@pytest.mark.parametrize("pairs,t", [
+    # non-Toeplitz cell: diag(1, 0) inside one Jordan block
+    ([(5, [2])], [[1, 0], [0, 0]]),
+    # tall cell with its core at the bottom instead of the top
+    ([(5, [2, 1])], [[1, 0, 0], [0, 1, 0.5], [0, 0, 0]]),
+    # wide cell with its core on the left instead of the right
+    ([(5, [2, 1])], [[1, 0, 0], [0, 1, 0], [0.5, 0, 0]]),
+    # an entry coupling two distinct eigenvalues
+    ([(5, [1]), (3, [1])], [[1, 0.5], [0, 0]]),
+])
+def test_from_matrix_float_rejects_non_commutant(pairs, t):
+    spec = make_spec(pairs, mode=FLOAT)
+    t = Matrix.floating(t)
+    assert is_projector(t)
+    assert not delta_membership(t, spec)
+    with pytest.raises(NotInDelta):
+        CommutantProjector.from_matrix(spec, t)

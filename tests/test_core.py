@@ -235,3 +235,40 @@ def test_json_rejects_non_finite_float(entry):
     obj = {"mode": "float", "rows": 1, "cols": 2, "entries": [[1, 0], entry]}
     with pytest.raises(MalformedInput):
         matrix_from_obj(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("-inf"))])
+def test_non_finite_library_matrix_rejected(bad):
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = bad
+    m = Matrix.floating(a)
+    with pytest.raises(MalformedInput):
+        m.inverse()
+    with pytest.raises(MalformedInput):
+        approx_eq(m, m)
+    with pytest.raises(MalformedInput):
+        approx_eq(Matrix.identity(2, FLOAT), m)
+    with pytest.raises(MalformedInput):
+        m.is_zero()
+
+
+def test_float_from_blocks_empty_blocks():
+    a = Matrix.floating([[1, 2j], [3, 4]])
+    b = Matrix.floating([[5], [6]])
+    got = Matrix.from_blocks([[Matrix.zeros(0, 2, FLOAT), Matrix.zeros(0, 1, FLOAT)],
+                              [a, b],
+                              [Matrix.zeros(0, 2, FLOAT), Matrix.zeros(0, 1, FLOAT)]])
+    assert got == Matrix.floating([[1, 2j, 5], [3, 4, 6]])
+    assert Matrix.from_blocks([[Matrix.zeros(2, 0, FLOAT), a]]) == a
+    assert Matrix.from_blocks([[a, Matrix.zeros(2, 0, FLOAT)]]) == a
+    empty = Matrix.from_blocks([[Matrix.zeros(0, 3, FLOAT)], [Matrix.zeros(0, 3, FLOAT)]])
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert empty.array.shape == (0, 3)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_from_blocks_ragged_grid(mode):
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_blocks([[Matrix.identity(2, mode)], [Matrix.zeros(1, 3, mode)]])
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_blocks([[Matrix.identity(2, mode), Matrix.zeros(1, 1, mode)]])

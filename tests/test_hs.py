@@ -12,6 +12,7 @@ from sharporder import (
     hs_to_obj,
     index_le_one,
 )
+from sharporder.core import matrix_to_obj
 from sharporder.errors import MalformedInput, NotSupported, ZeroMatrix
 
 from conftest import TOL8
@@ -87,3 +88,20 @@ def test_json_round_trip():
     bad_rank = dict(hs_to_obj(d), r=1)
     with pytest.raises(MalformedInput):
         hs_from_obj(bad_rank)
+
+
+def test_hs_from_obj_rejects_inconsistent_blocks():
+    # Sigma K and Sigma L are formed when the decomposition is built, so a
+    # misfit must be caught before that, as malformed input
+    obj = hs_to_obj(hs_decompose(Matrix.floating([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0],
+                                                  [0.0, 0.0, 0.0]])))
+    assert obj["r"] == 2
+    exact_k = matrix_to_obj(Matrix.identity(2, EXACT))
+    for bad in (dict(obj, sigma=obj["sigma"][:1]),
+                dict(obj, sigma=obj["sigma"] + [0.5]),
+                dict(obj, K=obj["L"]),
+                dict(obj, L=obj["K"]),
+                dict(obj, K=exact_k),
+                dict(obj, r=3)):
+        with pytest.raises(MalformedInput):
+            hs_from_obj(bad)

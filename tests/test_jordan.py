@@ -20,6 +20,8 @@ from sharporder.errors import (
     NotSupported,
     ZeroEigenvalue,
 )
+from sharporder.core import matrix_to_obj
+from sharporder.scalars import QQi
 
 from conftest import rand_exact_spec, rand_unimodular
 
@@ -109,3 +111,35 @@ def test_spec_json_round_trip():
     assert again == spec
     with pytest.raises(MalformedInput):
         spec_from_obj({"eigenvalues": "nope"})
+
+
+def test_spec_json_integer_eigenvalue_is_exact():
+    # JSON integers are exact parts, as in exact matrix entries
+    spec = spec_from_obj({"eigenvalues": [{"lambda": [2, 0], "sizes": [1]},
+                                          {"lambda": ["1/2", -1], "sizes": [2]}],
+                          "P": None})
+    assert spec.mode == EXACT
+    assert [e.lam for e in spec.eigenvalues] == [QQi(2), QQi("1/2", -1)]
+    # one float part keeps the eigenvalue float
+    for lam in ([2.0, 0], [2, 0.0], [2.5, -1.0]):
+        spec = spec_from_obj({"eigenvalues": [{"lambda": lam, "sizes": [1]}]})
+        assert spec.mode == FLOAT
+        assert spec.eigenvalues[0].lam == complex(*lam)
+
+
+def test_spec_json_rejects_mismatched_or_bad_parts():
+    p_exact = matrix_to_obj(Matrix.identity(1, EXACT))
+    p_float = matrix_to_obj(Matrix.identity(1, FLOAT))
+    bad = [
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": [1]}], "P": p_float},
+        {"eigenvalues": [{"lambda": [2.0, 0.0], "sizes": [1]}], "P": p_exact},
+        {"eigenvalues": [{"lambda": ["2", 0.5], "sizes": [1]}]},
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": [1]}, {"lambda": [1.5, 0], "sizes": [1]}]},
+        {"eigenvalues": [{"lambda": [float("nan"), 0.0], "sizes": [1]}]},
+        {"eigenvalues": [{"lambda": [float("inf"), 0], "sizes": [1]}]},
+    ]
+    for obj in bad:
+        with pytest.raises(MalformedInput):
+            spec_from_obj(obj)
+    assert spec_from_obj({"eigenvalues": [{"lambda": [2, 0], "sizes": [1]}],
+                          "P": p_exact}).P == Matrix.identity(1, EXACT)
