@@ -187,6 +187,8 @@ def downset_boolean(b_path, spec_path, **kwargs):
 @click.option("--count", type=int, default=1, show_default=True)
 @handle_errors
 def downset_sample(spec_path, seed, count):
+    if count < 0:
+        raise MalformedInput("--count must not be negative")
     spec = _load_spec(spec_path)
     out = [projector_to_obj(sample_delta_projector(spec, seed + i))
            for i in range(count)]

@@ -10,8 +10,6 @@ to describe down-sets under the sharp order.
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, is_projector
 from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
 from .jordan import (
@@ -32,11 +30,12 @@ def _write_cells(rows, cols, cells, mode) -> Matrix:
     entries = ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
                for d, c in enumerate(coeffs) for x in range(len(coeffs) - d))
     if mode == FLOAT:
+        import numpy as np
+
         a = np.zeros((rows, cols), dtype=complex)
         for i, j, c in entries:
             a[i, j] = complex(c)
-        a.setflags(write=False)
-        return Matrix(rows, cols, FLOAT, a)
+        return Matrix._wrap(a)
     data = [[QQI_ZERO] * cols for _ in range(rows)]
     for i, j, c in entries:
         data[i][j] = c

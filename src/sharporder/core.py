@@ -5,7 +5,8 @@ Two storage modes, never mixed inside one matrix:
 * ``exact``  -- entries are Gaussian rationals (:class:`~sharporder.scalars.QQi`);
   all predicates are decided exactly.
 * ``float``  -- entries are complex128 in a numpy array; predicates are
-  tolerance-aware.
+  tolerance-aware.  numpy is imported on first float use, so exact-only
+  callers never load it.
 
 Values are immutable after construction and all operations are pure, so
 matrices can be shared freely across threads.
@@ -16,8 +17,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
-
-import numpy as np
 
 from .errors import (
     MalformedInput,
@@ -41,8 +40,10 @@ class Tolerance:
     rank_threshold_factor: float = 1e-10
 
     def __post_init__(self):
-        if not (self.rel > 0 and self.rank_threshold_factor > 0):
-            raise MalformedInput("tolerances must be positive")
+        # rel >= 1 makes every matrix approx_eq to O, a factor >= 1 makes
+        # every rank 0; a NaN fails both comparisons
+        if not (0 < self.rel < 1 and 0 < self.rank_threshold_factor < 1):
+            raise MalformedInput("tolerances must be finite and in (0, 1)")
 
 
 DEFAULT_TOL = Tolerance()
@@ -79,25 +80,38 @@ class Matrix:
 
     @classmethod
     def floating(cls, rows):
-        """Float matrix from anything numpy can turn into a complex array."""
+        """Float matrix from anything numpy can turn into a complex array
+        (always a copy, so later writes to the input cannot reach it)."""
+        import numpy as np
+
         a = np.array(rows, dtype=complex)
         if a.ndim == 1:
             a = a.reshape(1, -1)
         if a.ndim != 2:
             raise ShapeMismatch("expected a 2-d array")
+        return cls._wrap(a)
+
+    @classmethod
+    def _wrap(cls, a):
+        """Float matrix around a complex128 2-d array that no one else can
+        write to (a fresh result, or a view of a read-only one); no copy."""
         a.setflags(write=False)
         return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
         if mode == FLOAT:
-            return cls.floating(np.zeros((rows, cols), dtype=complex))
+            import numpy as np
+
+            return cls._wrap(np.zeros((rows, cols), dtype=complex))
         return cls(rows, cols, EXACT, tuple(tuple(QQI_ZERO for _ in range(cols)) for _ in range(rows)))
 
     @classmethod
     def identity(cls, n, mode=EXACT):
         if mode == FLOAT:
-            return cls.floating(np.eye(n, dtype=complex))
+            import numpy as np
+
+            return cls._wrap(np.eye(n, dtype=complex))
         return cls(n, n, EXACT, tuple(
             tuple(QQI_ONE if i == j else QQI_ZERO for j in range(n)) for i in range(n)))
 
@@ -108,7 +122,9 @@ class Matrix:
             mode = FLOAT if any(isinstance(v, (float, complex)) for v in values) else EXACT
         n = len(values)
         if mode == FLOAT:
-            return cls.floating(np.diag(np.array(values, dtype=complex)))
+            import numpy as np
+
+            return cls._wrap(np.diag(np.array(values, dtype=complex)))
         vals = [QQi.coerce(v) for v in values]
         return cls(n, n, EXACT, tuple(
             tuple(vals[i] if i == j else QQI_ZERO for j in range(n)) for i in range(n)))
@@ -127,9 +143,11 @@ class Matrix:
             if any(b.rows != h for b in block_row):
                 raise ShapeMismatch("inconsistent block heights")
         if mode == FLOAT:
-            # slice each block into one preallocated array
+            import numpy as np
+
             if any(sum(b.cols for b in block_row) != width for block_row in grid):
                 raise ShapeMismatch("inconsistent block widths")
+            # slice each block into one preallocated array
             a = np.zeros((sum(block_row[0].rows for block_row in grid), width), dtype=complex)
             i = 0
             for block_row in grid:
@@ -139,8 +157,7 @@ class Matrix:
                     a[i:i + h, j:j + b.cols] = b._a
                     j += b.cols
                 i += h
-            a.setflags(write=False)
-            return cls(a.shape[0], width, FLOAT, a)
+            return cls._wrap(a)
         rows = []
         for block_row in grid:
             for i in range(block_row[0].rows):
@@ -169,9 +186,7 @@ class Matrix:
     def block(self, i0, i1, j0, j1):
         """Submatrix with rows [i0, i1) and columns [j0, j1)."""
         if self.mode == FLOAT:
-            a = self._a[i0:i1, j0:j1].copy()
-            a.setflags(write=False)
-            return Matrix(i1 - i0, j1 - j0, FLOAT, a)
+            return Matrix._wrap(self._a[i0:i1, j0:j1])
         data = tuple(tuple(self._a[i][j0:j1]) for i in range(i0, i1))
         return Matrix(i1 - i0, j1 - j0, EXACT, data)
 
@@ -202,7 +217,7 @@ class Matrix:
     def __add__(self, other):
         self._check_same(other)
         if self.mode == FLOAT:
-            return Matrix.floating(self._a + other._a)
+            return Matrix._wrap(self._a + other._a)
         data = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._a, other._a))
         return Matrix(self.rows, self.cols, EXACT, data)
 
@@ -211,13 +226,13 @@ class Matrix:
 
     def __neg__(self):
         if self.mode == FLOAT:
-            return Matrix.floating(-self._a)
+            return Matrix._wrap(-self._a)
         return Matrix(self.rows, self.cols, EXACT,
                       tuple(tuple(-x for x in row) for row in self._a))
 
     def scale(self, s):
         if self.mode == FLOAT:
-            return Matrix.floating(complex(s) * self._a)
+            return Matrix._wrap(complex(s) * self._a)
         s = QQi.coerce(s)
         return Matrix(self.rows, self.cols, EXACT,
                       tuple(tuple(s * x for x in row) for row in self._a))
@@ -228,7 +243,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatch(f"inner dims {self.cols} vs {other.rows}")
         if self.mode == FLOAT:
-            return Matrix.floating(self._a @ other._a)
+            return Matrix._wrap(self._a @ other._a)
         n, k, m = self.rows, self.cols, other.cols
         # work over a common denominator so the inner loops run on plain
         # integers instead of Fractions
@@ -256,7 +271,7 @@ class Matrix:
     def H(self):
         """Conjugate transpose."""
         if self.mode == FLOAT:
-            return Matrix.floating(self._a.conj().T)
+            return Matrix._wrap(self._a.conj().T)
         data = tuple(tuple(self._a[i][j].conjugate() for i in range(self.rows))
                      for j in range(self.cols))
         return Matrix(self.cols, self.rows, EXACT, data)
@@ -264,14 +279,14 @@ class Matrix:
     @property
     def T(self):
         if self.mode == FLOAT:
-            return Matrix.floating(self._a.T)
+            return Matrix._wrap(self._a.T)
         data = tuple(tuple(self._a[i][j] for i in range(self.rows)) for j in range(self.cols))
         return Matrix(self.cols, self.rows, EXACT, data)
 
     def trace(self):
         self.require_square()
         if self.mode == FLOAT:
-            return complex(np.trace(self._a))
+            return complex(self._a.trace())
         t = QQI_ZERO
         for i in range(self.rows):
             t = t + self._a[i][i]
@@ -280,6 +295,8 @@ class Matrix:
     def fro(self):
         """Frobenius norm as a float (both modes)."""
         if self.mode == FLOAT:
+            import numpy as np
+
             return float(np.linalg.norm(self._a))
         s = Fraction(0)
         for row in self._a:
@@ -309,7 +326,7 @@ class Matrix:
         if (self.mode, self.rows, self.cols) != (other.mode, other.rows, other.cols):
             return False
         if self.mode == FLOAT:
-            return bool(np.array_equal(self._a, other._a))
+            return bool((self._a == other._a).all())
         return self._a == other._a
 
     def key(self):
@@ -351,6 +368,8 @@ class Matrix:
             return _exact_inverse(self)
         if self.rows == 0:
             return self
+        import numpy as np
+
         _require_finite(self, "inverse")
         try:
             inv = np.linalg.inv(self._a)
@@ -358,11 +377,13 @@ class Matrix:
             raise SingularMatrix(str(exc)) from exc
         if not np.all(np.isfinite(inv)):
             raise SingularMatrix("non-finite inverse")
-        return Matrix.floating(inv)
+        return Matrix._wrap(inv)
 
 
 def _require_finite(m: Matrix, what):
     """Reject a float matrix holding NaN or an infinity."""
+    import numpy as np
+
     if not np.isfinite(m._a).all():
         raise MalformedInput(f"{what} of a matrix with non-finite entries")
 
@@ -560,6 +581,8 @@ def svd(m: Matrix):
     nr, nc = m.rows, m.cols
     if nr == 0 or nc == 0:
         return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
+    import numpy as np
+
     _require_finite(m, "svd")
     u, s, vh = np.linalg.svd(m._a, full_matrices=True)
     s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
@@ -571,7 +594,7 @@ def svd(m: Matrix):
     v = v * ph.conj()
     k = len(s)
     u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
-    return Matrix.floating(u), [float(x) for x in s], Matrix.floating(v)
+    return Matrix._wrap(u), [float(x) for x in s], Matrix._wrap(v)
 
 
 def singular_values(m: Matrix):
@@ -585,7 +608,7 @@ def singular_values(m: Matrix):
 
 def matrix_to_obj(m: Matrix):
     if m.mode == FLOAT:
-        entries = [[float(np.real(x)), float(np.imag(x))] for row in m._a for x in row]
+        entries = [[x.real, x.imag] for x in m._a.ravel().tolist()]
     else:
         entries = [[frac_str(x.re), frac_str(x.im)] for row in m._a for x in row]
     return {"mode": m.mode, "rows": m.rows, "cols": m.cols, "entries": entries}
@@ -612,7 +635,9 @@ def matrix_from_obj(obj) -> Matrix:
             raise MalformedInput("non-finite float entry")
         if rows == 0 or cols == 0:
             return Matrix.zeros(rows, cols, FLOAT)
-        return Matrix.floating(np.array(flat, dtype=complex).reshape(rows, cols))
+        import numpy as np
+
+        return Matrix._wrap(np.array(flat, dtype=complex).reshape(rows, cols))
     flat = [QQi(re, im) for re, im in entries]
     data = tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
     return Matrix(rows, cols, EXACT, data)

@@ -8,7 +8,7 @@ ellipsis node standing in for the rest of each antichain.
 
 from .commutant import sample_delta_projector
 from .core import DEFAULT_TOL, EXACT, approx_eq
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, MalformedInput
 from .jordan import JordanSpec
 from .lattice import boolean_center
 from .sharp import proj_leq
@@ -39,6 +39,8 @@ def hasse_skeleton(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TO
     Roles are "center" and "sample"; factor index is the eigenvalue the
     sample belongs to (None for center nodes).
     """
+    if antichain_samples < 0:
+        raise MalformedInput("antichain_samples must not be negative")
     nodes = [(cp.expand(), "center", None) for cp in boolean_center(spec)]
     sampled_factors = []
     for j, e in enumerate(spec.eigenvalues):

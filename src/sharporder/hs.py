@@ -6,8 +6,6 @@ so exact-mode pipelines enter through Jordan data instead.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import DEFAULT_TOL, FLOAT, Matrix, approx_eq, matrix_from_obj, matrix_to_obj, svd
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
 
@@ -46,6 +44,8 @@ class HSDecomposition:
     def embed(self, x: Matrix, y: Matrix = None, z: Matrix = None) -> Matrix:
         """U [[X, Y], [O, Z]] U* with X r x r, Y r x (n-r) and Z (n-r) x (n-r);
         None stands for a zero block."""
+        import numpy as np
+
         r = self.r
         inner = np.zeros((self.n, self.n), dtype=complex)
         inner[:r, :r] = x.array
@@ -54,7 +54,7 @@ class HSDecomposition:
         if z is not None:
             inner[r:, r:] = z.array
         u = self.U.array
-        return Matrix.floating(u @ inner @ u.conj().T)
+        return Matrix._wrap(u @ inner @ u.conj().T)
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
         return self.sigma_k().rank(tol) == self.r

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import sharporder
 from sharporder import EXACT, FLOAT, Matrix, make_spec
 from sharporder.cli import main
 from sharporder.core import matrix_from_obj, matrix_to_obj
@@ -89,6 +94,35 @@ def test_non_finite_input_exit_2(runner, files, args, bad):
     assert res.exit_code == 2
     assert json.loads(res.stderr) == {"error": "malformed_input"}
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("opt", [["--tol", "inf"], ["--tol", "1e300"], ["--tol", "nan"],
+                                 ["--tol", "1.0"], ["--rank-threshold", "inf"],
+                                 ["--rank-threshold", "1.0"]])
+@pytest.mark.parametrize("args", [["check", "order", "--a", "{A}", "--b", "{B}"],
+                                  ["decompose", "hs", "--in", "{B}"]])
+def test_tolerance_out_of_range_exit_2(runner, tmp_path, args, opt):
+    # with --tol inf, A <= B held for A = [[1, 2], [3, 4]], B = diag(5, 7)
+    paths = {}
+    for name, m in [("A", [[1.0, 2.0], [3.0, 4.0]]), ("B", [[5.0, 0.0], [0.0, 7.0]])]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(matrix_to_obj(Matrix.floating(m))))
+    res = runner.invoke(main, [a.format(**paths) for a in args] + opt)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [["downset", "sample", "--count", "-3"],
+                                  ["hasse", "--out", "{out}", "--antichain-samples", "-1"]])
+def test_negative_count_exit_2(runner, files, args):
+    out = files["tmp"] / "g.dot"
+    argv = [a.format(out=out) for a in args] + ["--spec", files["wspec"]]
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [["downset", "classify"],
@@ -210,3 +244,39 @@ def test_byte_identical_repeat(runner, files):
     a = runner.invoke(main, args).output
     b = runner.invoke(main, args).output
     assert a == b
+
+
+# runs the CLI in a fresh interpreter, then prints whether numpy was imported
+# as the last line of stdout
+_IMPORT_PROBE = """
+import runpy, sys
+sys.argv[0] = "sharporder.cli"
+try:
+    runpy.run_module("sharporder.cli", run_name="__main__")
+finally:
+    print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args, code, numpy_loaded", [
+    (["refute", "conjecture"], 0, False),
+    (["inverse", "mp", "--in", "{b1}"], 0, False),
+    (["downset", "classify", "--spec", "{wspec}"], 0, False),
+    (["inverse", "mp", "--in", "{bad}"], 2, False),
+    (["decompose", "hs", "--in", "{B}"], 0, True),
+], ids=["refute", "inverse-mp-exact", "classify", "malformed", "decompose-float"])
+def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_loaded):
+    argv = [a.format(**files) for a in args]
+    src = str(Path(sharporder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=files["tmp"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    *out, flag = proc.stdout.splitlines()
+    assert proc.returncode == code
+    assert flag == str(numpy_loaded)
+    if code:
+        assert out == [] and json.loads(proc.stderr) == {"error": "malformed_input"}
+    else:
+        assert proc.stderr == ""
+        assert json.loads("\n".join(out)) == json.loads(runner.invoke(main, argv).output)

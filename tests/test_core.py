@@ -12,6 +12,7 @@ from sharporder import (
     Matrix,
     Tolerance,
     approx_eq,
+    hs_decompose,
     is_projector,
     matrix_dumps,
     matrix_from_obj,
@@ -176,8 +177,12 @@ def test_singular_inverse_raises():
 
 
 def test_tolerance_validation():
-    with pytest.raises(MalformedInput):
-        Tolerance(rel=-1.0)
+    # rel >= 1 makes every matrix approx_eq to O; a rank factor >= 1 makes
+    # every rank 0
+    for bad in (-1.0, 0.0, 1.0, 1e300, float("inf"), float("nan")):
+        for field in ("rel", "rank_threshold_factor"):
+            with pytest.raises(MalformedInput):
+                Tolerance(**{field: bad})
 
 
 entry = st.integers(min_value=-4, max_value=4)
@@ -272,3 +277,31 @@ def test_from_blocks_ragged_grid(mode):
         Matrix.from_blocks([[Matrix.identity(2, mode)], [Matrix.zeros(1, 3, mode)]])
     with pytest.raises(ShapeMismatch):
         Matrix.from_blocks([[Matrix.identity(2, mode), Matrix.zeros(1, 1, mode)]])
+
+
+# library-built float results share their arrays without a copy, so the
+# read-only flag is what keeps them immutable
+READ_ONLY_RESULTS = {
+    "add": lambda m: m + m,
+    "sub": lambda m: m - m,
+    "neg": lambda m: -m,
+    "scale": lambda m: m.scale(2j),
+    "matmul": lambda m: m @ m,
+    "H": lambda m: m.H,
+    "T": lambda m: m.T,
+    "inverse": lambda m: m.inverse(),
+    "block": lambda m: m.block(0, 2, 1, 3),
+    "svd_U": lambda m: svd(m)[0],
+    "svd_V": lambda m: svd(m)[2],
+    "embed": lambda m: hs_decompose(m).embed(Matrix.identity(3, FLOAT)),
+}
+
+
+@pytest.mark.parametrize("op", READ_ONLY_RESULTS.values(), ids=READ_ONLY_RESULTS.keys())
+def test_float_results_read_only(op):
+    m = Matrix.floating([[2, 1j, 0], [0, 3, 1], [1, 0, 1]])
+    out = op(m)
+    assert out.array.flags.writeable is False
+    with pytest.raises(ValueError):
+        out.array[0, 0] = 7
+    assert m == Matrix.floating([[2, 1j, 0], [0, 3, 1], [1, 0, 1]])
