@@ -84,6 +84,9 @@ class Matrix:
         (always a copy, so later writes to the input cannot reach it)."""
         import numpy as np
 
+        if isinstance(rows, (list, tuple)) and len(
+                {len(r) if isinstance(r, (list, tuple, np.ndarray)) else None for r in rows}) > 1:
+            raise ShapeMismatch("ragged rows")
         a = np.array(rows, dtype=complex)
         if a.ndim == 1:
             a = a.reshape(1, -1)
@@ -352,7 +355,7 @@ class Matrix:
         """Exact mode: row-reduction rank. Float mode: singular values above
         rank_threshold_factor * sigma_1."""
         if self.mode == EXACT:
-            return _exact_rank(self)
+            return len(_bareiss(_int_form(self)[1], self.rows, self.cols, False)[1])
         if self.rows == 0 or self.cols == 0:
             return 0
         sigma = singular_values(self)
@@ -364,9 +367,17 @@ class Matrix:
     def inverse(self):
         """Matrix inverse; raises SingularMatrix when not invertible."""
         self.require_square()
+        n = self.rows
         if self.mode == EXACT:
-            return _exact_inverse(self)
-        if self.rows == 0:
+            # self = rows / d, so the RREF of [rows | d I] is [I | self^-1]
+            d, rows = _int_form(self)
+            aug = [list(row) + [(d, 0) if j == i else (0, 0) for j in range(n)]
+                   for i, row in enumerate(rows)]
+            a, pivots, big_d = _bareiss(aug, n, 2 * n, True)
+            if pivots[:n] != list(range(n)):
+                raise SingularMatrix("exact matrix is singular")
+            return Matrix(n, n, EXACT, _over([row[n:] for row in a], big_d))
+        if n == 0:
             return self
         import numpy as np
 
@@ -401,7 +412,8 @@ def _int_form(m: Matrix):
         for row in m._a:
             for x in row:
                 d = lcm(d, x.re.denominator, x.im.denominator)
-        rows = tuple(tuple((int(x.re * d), int(x.im * d)) for x in row)
+        rows = tuple(tuple((x.re.numerator * (d // x.re.denominator),
+                            x.im.numerator * (d // x.im.denominator)) for x in row)
                      for row in m._a)
         object.__setattr__(m, "_intform", (d, rows))
     return m._intform
@@ -441,96 +453,72 @@ def _int_rep_eq(p, q) -> bool:
     return True
 
 
-def _exact_rank(m: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination over Gaussian integers;
-    every interior division is exact, so the inner loops stay on ints."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, rows = _int_form(m)
-    a = [list(r) for r in rows]
-    nr, nc = m.rows, m.cols
+def _bareiss(rows, nr, nc, reduce):
+    """Fraction-free elimination (Bareiss 1968) of Gaussian-integer rows.
+
+    Each step sets every entry it touches to (p y - x z) / p_prev: p is the
+    new pivot, x the row's entry in the pivot column, z the pivot row's
+    entry in the entry's column, p_prev the previous pivot.  Every entry is
+    then a minor of the input, so each division is exact and the loops stay
+    on ints.  Forward only (reduce=False) leaves a row echelon form; with
+    reduce=True the rows above each pivot are eliminated too, every pivot
+    ends equal to the last one, D, and the RREF is rows / D.
+
+    Returns (rows, pivot columns, D); D is (1, 0) when there is no pivot.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    pr, pi = 1, 0
     r = 0
-    prev_r, prev_i, prev_n = 1, 0, 1
     for c in range(nc):
-        pivot = None
-        for i in range(r, nr):
-            if a[i][c] != (0, 0):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pr, pi = a[r][c]
-        for i in range(r + 1, nr):
-            xr, xi = a[i][c]
-            row_i = a[i]
-            row_r = a[r]
-            new = [(0, 0)] * nc
-            for j in range(c + 1, nc):
-                yr, yi = row_i[j]
-                zr, zi = row_r[j]
-                tr = pr * yr - pi * yi - (xr * zr - xi * zi)
-                ti = pr * yi + pi * yr - (xr * zi + xi * zr)
-                if prev_n != 1:
-                    tr, ti = ((tr * prev_r + ti * prev_i) // prev_n,
-                              (ti * prev_r - tr * prev_i) // prev_n)
-                new[j] = (tr, ti)
-            a[i] = new
-        prev_r, prev_i = pr, pi
-        prev_n = pr * pr + pi * pi
-        r += 1
         if r == nr:
             break
-    return r
-
-
-def _exact_rref(m: Matrix):
-    """Reduced row echelon form of an exact matrix.
-
-    Returns (rows, pivots) where rows is a mutable list-of-lists of QQi.
-    """
-    a = [list(row) for row in m._a]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    pr = 0
-    for pc in range(nc):
-        pivot_row = None
-        for i in range(pr, nr):
-            if not a[i][pc].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
+        k = next((k for k in range(r, nr) if a[k][c] != (0, 0)), None)
+        if k is None:
             continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        piv = a[pr][pc]
-        a[pr] = [x / piv for x in a[pr]]
-        for i in range(nr):
-            if i != pr and not a[i][pc].is_zero():
-                f = a[i][pc]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
-            break
-    return a, pivots
+        a[r], a[k] = a[k], a[r]
+        row_r = a[r]
+        qr, qi = row_r[c]
+        # a unit p_prev other than 1 (-1, i, -i) still has to be divided out
+        divide = (pr, pi) != (1, 0)
+        pn = pr * pr + pi * pi
+        for i in range(0 if reduce else r + 1, nr):
+            if i == r:
+                continue
+            row_i = a[i]
+            xr, xi = row_i[c]
+            # below the pivot row, the columns up to c are already zero
+            j0 = 0 if i < r else c + 1
+            new = [(0, 0)] * nc
+            for j in range(j0, nc):
+                yr, yi = row_i[j]
+                zr, zi = row_r[j]
+                tr = qr * yr - qi * yi - (xr * zr - xi * zi)
+                ti = qr * yi + qi * yr - (xr * zi + xi * zr)
+                if divide:
+                    tr, ti = ((tr * pr + ti * pi) // pn, (ti * pr - tr * pi) // pn)
+                new[j] = (tr, ti)
+            a[i] = new
+        pivots.append(c)
+        pr, pi = qr, qi
+        r += 1
+    return a, pivots, (pr, pi)
+
+
+def _over(rows, d):
+    """Exact rows of QQi equal to the Gaussian-integer rows / d."""
+    dr, di = d
+    dn = dr * dr + di * di
+    return tuple(tuple(QQi(Fraction(tr * dr + ti * di, dn), Fraction(ti * dr - tr * di, dn))
+                       if tr or ti else QQI_ZERO for tr, ti in row) for row in rows)
 
 
 def exact_rref(m: Matrix):
     """RREF as (Matrix, pivot column list); exact mode only."""
     if m.mode != EXACT:
         raise ModeMismatch("rref is exact-mode only")
-    a, pivots = _exact_rref(m)
-    return Matrix(m.rows, m.cols, EXACT, tuple(tuple(r) for r in a)), pivots
-
-
-def _exact_inverse(m: Matrix) -> Matrix:
-    n = m.rows
-    aug = Matrix.from_blocks([[m, Matrix.identity(n, EXACT)]])
-    red, pivots = _exact_rref(aug)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        raise SingularMatrix("exact matrix is singular")
-    data = tuple(tuple(red[i][n:]) for i in range(n))
-    return Matrix(n, n, EXACT, data)
+    a, pivots, d = _bareiss(_int_form(m)[1], m.rows, m.cols, True)
+    return Matrix(m.rows, m.cols, EXACT, _over(a, d)), pivots
 
 
 # ----------------------------------------------------------------------
@@ -616,20 +604,26 @@ def matrix_to_obj(m: Matrix):
 
 def matrix_from_obj(obj) -> Matrix:
     try:
-        mode = obj["mode"]
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        mode, rows, cols, entries = obj["mode"], obj["rows"], obj["cols"], obj["entries"]
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad matrix object: {exc}") from exc
     if mode not in (EXACT, FLOAT):
         raise MalformedInput(f"unknown mode {mode!r}")
-    if len(entries) != rows * cols:
+    # bool is an int subclass, so JSON true must be ruled out by type
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise MalformedInput("rows and cols must be non-negative integers")
+    if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MalformedInput("entries length does not match rows*cols")
+    # exact parts are ints or "p/q" strings (QQi parses them), float parts
+    # are JSON numbers
+    parts = (int, float) if mode == FLOAT else (int, str)
+    if not all(isinstance(e, list) and len(e) == 2 and type(e[0]) in parts
+               and type(e[1]) in parts for e in entries):
+        raise MalformedInput(f"{mode} entries must be [re, im] pairs")
     if mode == FLOAT:
         try:
-            flat = [complex(float(re), float(im)) for re, im in entries]
-        except (TypeError, ValueError) as exc:
+            flat = [complex(re, im) for re, im in entries]
+        except OverflowError as exc:
             raise MalformedInput(f"bad float entry: {exc}") from exc
         if not all(cmath.isfinite(x) for x in flat):
             raise MalformedInput("non-finite float entry")

@@ -1,18 +1,21 @@
 """Moore-Penrose inverse, matrix index test, group inverse, EP test."""
 
 from .core import DEFAULT_TOL, EXACT, Matrix, approx_eq, exact_rref, svd
-from .errors import IndexTooLarge
+from .errors import IndexTooLarge, SingularMatrix
 
 
 def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The Moore-Penrose inverse.
 
-    Float mode inverts the retained singular values of the SVD; exact mode
-    goes through a full-rank factorization a = F G with
-    a+ = G* (F* a G*)^-1 F*.  The zero matrix maps to the zero transpose.
+    Float mode inverts the singular values of the SVD above
+    rank_threshold_factor * sigma_1.  Exact mode takes the full-rank
+    factorization a = F G from the RREF (F: the pivot columns of a, G: the
+    nonzero rows of the RREF) and returns a+ = G* (F* a G*)^-1 F*.  The zero
+    matrix maps to the zero transpose.
     """
     if a.mode == EXACT:
-        return _exact_mp(a)
+        f, g = _full_rank_factors(a)
+        return g.H @ (f.H @ a @ g.H).inverse() @ f.H
     u, sigma, v = svd(a)
     if not sigma or sigma[0] == 0.0:
         return Matrix.zeros(a.cols, a.rows, a.mode)
@@ -26,15 +29,12 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     return vr @ sinv @ ur.H
 
 
-def _exact_mp(a: Matrix) -> Matrix:
+def _full_rank_factors(a: Matrix):
+    """(F, G) with a = F G: F holds the pivot columns of a, G the nonzero
+    rows of its RREF (both empty for the zero matrix)."""
     rref, pivots = exact_rref(a)
-    r = len(pivots)
-    if r == 0:
-        return Matrix.zeros(a.cols, a.rows, EXACT)
-    f = Matrix.from_blocks([[a.block(0, a.rows, j, j + 1) for j in pivots]])
-    g = rref.block(0, r, 0, a.cols)
-    mid = (f.H @ a @ g.H).inverse()
-    return g.H @ mid @ f.H
+    f = Matrix.exact([[a[i, j] for j in pivots] for i in range(a.rows)])
+    return f, rref.block(0, len(pivots), 0, a.cols)
 
 
 _INDEX_CACHE = {}
@@ -60,18 +60,23 @@ def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
 def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The group inverse a# of an index <= 1 matrix.
 
-    Exact mode uses a# = a (a^3)+ a; float mode goes through the
-    Hartwig-Spindelbock decomposition.  Raises IndexTooLarge when
-    rank(a^2) < rank(a).
+    Exact mode uses Cline's formula a# = F (G F)^-2 G on the full-rank
+    factorization a = F G (Cline 1965); G F is invertible iff the index is
+    at most 1.  Float mode goes through the Hartwig-Spindelbock
+    decomposition.  Raises IndexTooLarge when rank(a^2) < rank(a).
     """
     a.require_square()
+    if a.mode == EXACT:
+        f, g = _full_rank_factors(a)
+        try:
+            m = (g @ f).inverse()
+        except SingularMatrix:
+            raise IndexTooLarge("matrix has index greater than 1") from None
+        return f @ (m @ m) @ g
     if not index_le_one(a, tol):
         raise IndexTooLarge("matrix has index greater than 1")
     if a.is_zero(tol):
         return Matrix.zeros(a.rows, a.cols, a.mode)
-    if a.mode == EXACT:
-        a3 = a @ a @ a
-        return a @ moore_penrose(a3) @ a
     from .hs import hs_decompose, predecessor_block_group_inverse
 
     d = hs_decompose(a, tol)

@@ -79,6 +79,25 @@ def test_malformed_input_exit_2(runner, files):
     assert res2.exit_code == 2
 
 
+@pytest.mark.parametrize("obj", [
+    {"mode": "exact", "rows": 1, "cols": 1, "entries": [[1, 0, 0]]},
+    {"mode": "exact", "rows": 1, "cols": 1, "entries": [1]},
+    {"mode": "exact", "rows": -1, "cols": 0, "entries": []},
+    {"mode": "exact", "rows": 1.5, "cols": 1, "entries": [[1, 0]]},
+    {"mode": "exact", "rows": 1, "cols": 1, "entries": [[True, 0]]},
+    {"mode": "float", "rows": 1, "cols": 1, "entries": [[True, 0]]},
+    {"mode": "float", "rows": 1, "cols": 1, "entries": [["2", 0]]},
+], ids=["triple", "scalar", "negative-rows", "float-rows", "exact-bool", "float-bool",
+        "float-string"])
+def test_malformed_matrix_json_exit_2(runner, files, obj):
+    path = files["tmp"] / "malformed.json"
+    path.write_text(json.dumps(obj))
+    res = runner.invoke(main, ["inverse", "mp", "--in", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("args", [["decompose", "hs", "--in"],
                                   ["inverse", "group", "--in"],

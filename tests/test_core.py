@@ -226,13 +226,52 @@ def test_json_round_trip_float():
     assert approx_eq(m, again)
 
 
+def _obj(mode, entries, rows=1, cols=1):
+    return {"mode": mode, "rows": rows, "cols": cols, "entries": entries}
+
+
+MALFORMED_MATRIX_OBJECTS = [
+    _obj("float", [], rows=2, cols=2),
+    _obj("weird", [], rows=0, cols=0),
+    _obj("exact", [[1, 0, 0]]),
+    _obj("exact", [1]),
+    _obj("exact", ["1/2"]),
+    _obj("exact", [], rows=-1, cols=0),
+    _obj("float", [], rows=0, cols=-1),
+    _obj("exact", [[1, 0]], rows=1.5),
+    _obj("float", [[1, 0]], cols=1.0),
+    _obj("exact", [[1, 0]], rows=True),
+    _obj("exact", [[True, 0]]),
+    _obj("float", [[1, False]]),
+    _obj("float", [["2", 0]]),
+    _obj("float", [[10 ** 400, 0]]),
+    _obj("exact", [[1.5, 0]]),
+    _obj("exact", "ab", cols=2),
+    _obj("float", {"0": [1, 0]}),
+]
+
+
 def test_json_malformed():
     with pytest.raises(MalformedInput):
         matrix_loads("not json")
-    with pytest.raises(MalformedInput):
-        matrix_from_obj({"mode": "float", "rows": 2, "cols": 2, "entries": []})
-    with pytest.raises(MalformedInput):
-        matrix_from_obj({"mode": "weird", "rows": 0, "cols": 0, "entries": []})
+    for obj in MALFORMED_MATRIX_OBJECTS:
+        with pytest.raises(MalformedInput):
+            matrix_from_obj(obj)
+
+
+def test_json_accepts_wire_parts():
+    m = matrix_from_obj(_obj("exact", [["1/2", 3], [0, "-1"]], cols=2))
+    assert m == Matrix.exact([[QQi("1/2", 3), (0, -1)]])
+    f = matrix_from_obj(_obj("float", [[1, 0.5], [-2, 0]], cols=2))
+    assert f == Matrix.floating([[1 + 0.5j, -2]])
+    assert matrix_from_obj(_obj("exact", [], rows=0, cols=3)).cols == 3
+
+
+@pytest.mark.parametrize("make", [Matrix.exact, Matrix.floating], ids=[EXACT, FLOAT])
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+def test_ragged_rows_shape_mismatch(make, rows):
+    with pytest.raises(ShapeMismatch):
+        make(rows)
 
 
 @pytest.mark.parametrize("entry", [["NaN", 0], [0, "Infinity"], [float("-inf"), 1]])

@@ -1,0 +1,224 @@
+"""Differential tests of exact elimination: rank, RREF, inverse and the
+generalized inverses built on them.
+
+The reference RREF is plain Gauss-Jordan on QQi scalars, one division per
+entry operation; sympy's Gaussian-rational domain QQ_I is a second,
+independent reference where it is installed.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sharporder import EXACT, Matrix, group_inverse, moore_penrose
+from sharporder.core import exact_rref
+from sharporder.errors import IndexTooLarge, SingularMatrix
+from sharporder.scalars import QQi
+
+part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+entry = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    st.tuples(part, part),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Gaussian-rational matrices up to 7x8, empty shapes included; half of
+    them are products through a narrower middle, so rank deficiency is
+    common."""
+    nr = draw(st.integers(0, 7))
+    nc = nr if square else draw(st.integers(0, 8))
+
+    def block(r, c):
+        return Matrix.exact([[draw(entry) for _ in range(c)] for _ in range(r)])
+
+    if nr and nc and draw(st.booleans()):
+        k = draw(st.integers(0, min(nr, nc) - 1))
+        return block(nr, k) @ block(k, nc) if k else Matrix.zeros(nr, nc)
+    return block(nr, nc) if nr else Matrix.zeros(0, nc)
+
+
+def reference_rref(m):
+    """Gauss-Jordan on QQi scalars: (rows, pivots)."""
+    a = [m.row(i) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        k = next((k for k in range(r, m.rows) if not a[k][c].is_zero()), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m.rows):
+            if i != r and not a[i][c].is_zero():
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def rows(m):
+    return [m.row(i) for i in range(m.rows)]
+
+
+def identity_like(m):
+    return m == Matrix.identity(m.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_reference(m):
+    red, pivots = exact_rref(m)
+    ref, ref_pivots = reference_rref(m)
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert pivots == ref_pivots
+    assert rows(red) == ref
+    assert m.rank() == len(pivots)
+    assert m.H.rank() == len(pivots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(square=True))
+def test_inverse_or_singular(m):
+    n = m.rows
+    if m.rank() < n:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        return
+    inv = m.inverse()
+    assert identity_like(m @ inv) and identity_like(inv @ m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_moore_penrose_axioms(a):
+    x = moore_penrose(a)
+    assert (x.rows, x.cols) == (a.cols, a.rows)
+    ax, xa = a @ x, x @ a
+    assert ax @ a == a and xa @ x == x
+    assert ax.H == ax and xa.H == xa
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(square=True))
+def test_group_inverse_axioms(a):
+    if (a @ a).rank() < a.rank():
+        with pytest.raises(IndexTooLarge):
+            group_inverse(a)
+        return
+    g = group_inverse(a)
+    assert a @ g @ a == a and g @ a @ g == g and a @ g == g @ a
+    # the product formula a (a^3)+ a gives the same (unique) matrix
+    assert g == a @ moore_penrose(a @ a @ a) @ a
+
+
+@settings(max_examples=30, deadline=None)
+@given(matrices(square=True), st.integers(1, 3), st.data())
+def test_index_two_raises(core, k, data):
+    # diag(core, J) with J a nilpotent Jordan block of size k + 1, mixed by
+    # a unit upper triangular similarity, has index k + 1 >= 2
+    n = core.rows + k + 1
+    jordan = Matrix.exact([[int(j == i + 1) for j in range(k + 1)] for i in range(k + 1)])
+    z = Matrix.zeros(core.rows, k + 1)
+    b = Matrix.from_blocks([[core, z], [z.T, jordan]])
+    s = Matrix.exact([[1 if i == j else (data.draw(st.integers(-2, 2)) if j > i else 0)
+                       for j in range(n)] for i in range(n)])
+    with pytest.raises(IndexTooLarge):
+        group_inverse(s @ b @ s.inverse())
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [0, 0]],
+    [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    [[2, 0, 0], [0, 0, 1], [0, 0, 0]],
+    [[1, 1, 0], [-1, -1, 0], [1, 1, 0]],  # rank 1, square zero
+    [[(0, 1), 1], [1, (0, -1)]],  # nilpotent with complex entries
+], ids=["J2", "J3", "diag-2-J2", "rank1-square-zero", "complex-nilpotent"])
+def test_group_inverse_index_too_large(a):
+    with pytest.raises(IndexTooLarge):
+        group_inverse(Matrix.exact(a))
+
+
+# a fraction-free kernel may skip dividing by the previous pivot only when
+# that pivot is exactly 1: a unit pivot -1, i or -i must still be divided out
+@pytest.mark.parametrize("unit", [(-1, 0), (0, 1), (0, -1)], ids=["-1", "i", "-i"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_unit_pivots(unit, size):
+    u = QQi(*unit)
+    d = Matrix.diag([u] + [1] * (size - 1), EXACT)
+    red, pivots = exact_rref(d)
+    assert identity_like(red) and pivots == list(range(size))
+    assert d.inverse() == Matrix.diag([1 / u] + [1] * (size - 1), EXACT)
+    # unit pivots inside a coupled matrix, with a free column
+    m = Matrix.exact([[unit, 1, 0, 2], [1, 0, unit, 1], [0, unit, 1, 0]][:size])
+    ref, ref_pivots = reference_rref(m)
+    red, pivots = exact_rref(m)
+    assert rows(red) == ref and pivots == ref_pivots
+    sq = m.block(0, size, 0, size)
+    if sq.rank() == size:
+        assert identity_like(sq @ sq.inverse())
+
+
+def test_rref_empty_shapes():
+    for r, c in [(0, 0), (0, 4), (3, 0)]:
+        red, pivots = exact_rref(Matrix.zeros(r, c))
+        assert (red.rows, red.cols, pivots) == (r, c, [])
+    assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
+    assert moore_penrose(Matrix.zeros(3, 0)) == Matrix.zeros(0, 3)
+    assert group_inverse(Matrix.zeros(2, 2)) == Matrix.zeros(2, 2)
+
+
+# ----------------------------------------------------------------------
+# sympy's QQ_I domain as an independent reference
+
+
+def _to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = sympy.QQ
+    data = [[sympy.QQ_I(qq(x.re.numerator, x.re.denominator), qq(x.im.numerator, x.im.denominator))
+             for x in m.row(i)] for i in range(m.rows)]
+    return DomainMatrix(data, (m.rows, m.cols), sympy.QQ_I)
+
+
+def _from_sympy(dm):
+    def frac(q):
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    return [[QQi(frac(x.x), frac(x.y)) for x in row] for row in dm.to_list()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_rank_and_rref_match_sympy(m):
+    dm = _to_sympy(m)
+    red, pivots = exact_rref(m)
+    sred, spivots = dm.rref()
+    assert m.rank() == dm.rank()
+    assert pivots == list(spivots)
+    assert rows(red) == _from_sympy(sred)
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(square=True))
+def test_inverse_matches_sympy(m):
+    dm = _to_sympy(m)
+    from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
+
+    if m.rows == 0:
+        assert m.inverse() == m
+        return
+    try:
+        expected = _from_sympy(dm.inv())
+    except DMNonInvertibleMatrixError:
+        with pytest.raises(SingularMatrix):
+            m.inverse()
+        return
+    assert rows(m.inverse()) == expected
