@@ -46,7 +46,6 @@ from .sharp import (
     jordan_predecessors,
     phi,
     phi_inv,
-    predecessor_group_inverse,
     proj_leq,
     psi,
     psi_inv,

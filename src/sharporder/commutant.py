@@ -10,7 +10,7 @@ to describe down-sets under the sharp order.
 import random
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, is_projector
+from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, in_tau, is_projector
 from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
 from .jordan import (
     JordanSpec,
@@ -182,13 +182,9 @@ def delta_membership(t: Matrix, spec: JordanSpec, tol=DEFAULT_TOL) -> bool:
     if not t.is_square or t.rows != spec.r:
         raise ShapeMismatch(f"expected a {spec.r}x{spec.r} matrix")
     j = build_jordan_matrix(spec)
-    if j.mode != t.mode:
-        j = j.to_float() if t.mode == FLOAT else _exactify(j)
-    return is_projector(t, tol) and approx_eq(t @ j, j @ t, tol)
-
-
-def _exactify(m):
-    raise MalformedInput("cannot compare an exact projector against a float spec")
+    if t.mode == EXACT and j.mode == FLOAT:
+        raise MalformedInput("cannot compare an exact projector against a float spec")
+    return in_tau(t, j.to_float() if t.mode == FLOAT else j, tol)
 
 
 # ----------------------------------------------------------------------

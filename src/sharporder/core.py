@@ -71,6 +71,9 @@ class Matrix:
     @classmethod
     def exact(cls, rows):
         """Exact matrix from nested entries (ints, Fractions, (re, im) pairs, QQi)."""
+        rows = list(rows)
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ShapeMismatch("every row must be a list or tuple")
         data = tuple(tuple(QQi.coerce(x) for x in row) for row in rows)
         r = len(data)
         c = len(data[0]) if r else 0
@@ -352,17 +355,11 @@ class Matrix:
     # linear algebra
 
     def rank(self, tol=DEFAULT_TOL):
-        """Exact mode: row-reduction rank. Float mode: singular values above
-        rank_threshold_factor * sigma_1."""
+        """Exact mode: row-reduction rank. Float mode: numerical_rank of the
+        singular values."""
         if self.mode == EXACT:
             return len(_bareiss(_int_form(self)[1], self.rows, self.cols, False)[1])
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        sigma = singular_values(self)
-        if not sigma or sigma[0] == 0.0:
-            return 0
-        cut = tol.rank_threshold_factor * sigma[0]
-        return sum(1 for s in sigma if s > cut)
+        return numerical_rank(singular_values(self), tol)
 
     def inverse(self):
         """Matrix inverse; raises SingularMatrix when not invertible."""
@@ -549,6 +546,12 @@ def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     return d.fro() <= tol.rel * max(1.0, m.fro() ** 2)
 
 
+def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
+    """T idempotent and commuting with SK: membership in the projector set
+    tau of a Sigma K block (delta, when SK is a Jordan matrix)."""
+    return is_projector(t, tol) and approx_eq(t @ sk, sk @ t, tol)
+
+
 # ----------------------------------------------------------------------
 # SVD, float mode only
 
@@ -588,6 +591,15 @@ def svd(m: Matrix):
 def singular_values(m: Matrix):
     _, sigma, _ = svd(m)
     return sigma
+
+
+def numerical_rank(sigma, tol=DEFAULT_TOL, top=None) -> int:
+    """How many singular values exceed rank_threshold_factor * top.  top is
+    sigma_1 of the list (descending) by default; pass sigma_1 of the whole
+    matrix when sigma is of a block of it.  0 for an empty list or top = 0."""
+    if top is None:
+        top = sigma[0] if sigma else 0.0
+    return sum(1 for s in sigma if s > tol.rank_threshold_factor * top)
 
 
 # ----------------------------------------------------------------------

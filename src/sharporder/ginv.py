@@ -1,26 +1,23 @@
 """Moore-Penrose inverse, matrix index test, group inverse, EP test."""
 
-from .core import DEFAULT_TOL, EXACT, Matrix, approx_eq, exact_rref, svd
-from .errors import IndexTooLarge, SingularMatrix
+from .core import DEFAULT_TOL, EXACT, Matrix, approx_eq, exact_rref, numerical_rank, svd
+from .errors import IndexTooLarge, SingularK, SingularMatrix, ZeroMatrix
 
 
 def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The Moore-Penrose inverse.
 
-    Float mode inverts the singular values of the SVD above
-    rank_threshold_factor * sigma_1.  Exact mode takes the full-rank
-    factorization a = F G from the RREF (F: the pivot columns of a, G: the
-    nonzero rows of the RREF) and returns a+ = G* (F* a G*)^-1 F*.  The zero
-    matrix maps to the zero transpose.
+    Float mode inverts the singular values of the SVD that numerical_rank
+    counts.  Exact mode takes the full-rank factorization a = F G from the
+    RREF (F: the pivot columns of a, G: the nonzero rows of the RREF) and
+    returns a+ = G* (F* a G*)^-1 F*.  The zero matrix maps to the zero
+    transpose.
     """
     if a.mode == EXACT:
         f, g = _full_rank_factors(a)
         return g.H @ (f.H @ a @ g.H).inverse() @ f.H
     u, sigma, v = svd(a)
-    if not sigma or sigma[0] == 0.0:
-        return Matrix.zeros(a.cols, a.rows, a.mode)
-    cut = tol.rank_threshold_factor * sigma[0]
-    r = sum(1 for s in sigma if s > cut)
+    r = numerical_rank(sigma, tol)
     if r == 0:
         return Matrix.zeros(a.cols, a.rows, a.mode)
     ur = u.block(0, a.rows, 0, r)
@@ -62,8 +59,9 @@ def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
 
     Exact mode uses Cline's formula a# = F (G F)^-2 G on the full-rank
     factorization a = F G (Cline 1965); G F is invertible iff the index is
-    at most 1.  Float mode goes through the Hartwig-Spindelbock
-    decomposition.  Raises IndexTooLarge when rank(a^2) < rank(a).
+    at most 1.  Float mode decomposes a = U [[SK, SL], [O, O]] U*
+    (Hartwig-Spindelbock) and inverts that: the index is at most 1 iff SK
+    is nonsingular.  Raises IndexTooLarge when the index exceeds 1.
     """
     a.require_square()
     if a.mode == EXACT:
@@ -73,14 +71,18 @@ def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
         except SingularMatrix:
             raise IndexTooLarge("matrix has index greater than 1") from None
         return f @ (m @ m) @ g
-    if not index_le_one(a, tol):
-        raise IndexTooLarge("matrix has index greater than 1")
-    if a.is_zero(tol):
-        return Matrix.zeros(a.rows, a.cols, a.mode)
     from .hs import hs_decompose, predecessor_block_group_inverse
 
-    d = hs_decompose(a, tol)
-    return predecessor_block_group_inverse(d, Matrix.identity(d.r, a.mode))
+    try:
+        d = hs_decompose(a, tol)
+    except ZeroMatrix:
+        return Matrix.zeros(a.rows, a.cols, a.mode)
+    try:
+        g = predecessor_block_group_inverse(d, Matrix.identity(d.r, a.mode), tol)
+    except SingularK:
+        raise IndexTooLarge("matrix has index greater than 1") from None
+    # a matrix within the tolerance of O maps to O, once its index is known
+    return Matrix.zeros(a.rows, a.cols, a.mode) if a.is_zero(tol) else g
 
 
 def is_ep(b: Matrix, tol=DEFAULT_TOL) -> bool:

@@ -4,9 +4,11 @@ Float mode only: the singular values are algebraic irrationals in general,
 so exact-mode pipelines enter through Jordan data instead.
 """
 
+import sys
 from dataclasses import dataclass, field
 
-from .core import DEFAULT_TOL, FLOAT, Matrix, approx_eq, matrix_from_obj, matrix_to_obj, svd
+from .core import (DEFAULT_TOL, FLOAT, Matrix, approx_eq, in_tau, matrix_from_obj,
+                   matrix_to_obj, numerical_rank, singular_values, svd)
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
 
 
@@ -57,7 +59,10 @@ class HSDecomposition:
         return Matrix._wrap(u @ inner @ u.conj().T)
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
-        return self.sigma_k().rank(tol) == self.r
+        """SK nonsingular, cut against sigma_1 of B: an SK of rounding noise
+        is O however well conditioned it is on its own scale."""
+        top = max(self.sigma, default=0.0)
+        return numerical_rank(singular_values(self._sk), tol, top) == self.r
 
     def validate(self, b: Matrix, tol=DEFAULT_TOL) -> bool:
         n, r = self.n, self.r
@@ -79,10 +84,9 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
         raise NotSupported("hs_decompose is float-mode only")
     n = b.rows
     w, sigma, v = svd(b)
-    if not sigma or sigma[0] == 0.0:
+    r = numerical_rank(sigma, tol)
+    if r == 0:
         raise ZeroMatrix("the zero matrix has no Hartwig-Spindelbock decomposition")
-    cut = tol.rank_threshold_factor * sigma[0]
-    r = sum(1 for s in sigma if s > cut)
     kl = (v.H @ w).block(0, r, 0, n)
     return HSDecomposition(
         U=w,
@@ -109,17 +113,11 @@ def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_T
     Uses (T SK)# = (SK)^-1 T, so the result is
     U [[(SK)^-1 T, (SK)^-1 T K^-1 L], [O, O]] U*.
     """
-    from .core import is_projector
-
-    if not is_projector(t, tol):
-        raise NotInTau("T is not idempotent")
-    sk = d.sigma_k()
-    if sk.rank(tol) < d.r:
+    if not in_tau(t, d.sigma_k(), tol):
+        raise NotInTau("T is not an idempotent commuting with SK")
+    if not d.index_le_one(tol):
         raise SingularK("SK singular: B has index greater than 1")
-    sk_inv = sk.inverse()
-    if not approx_eq(t @ sk, sk @ t, tol):
-        raise NotInTau("T does not commute with SK")
-    head = sk_inv @ t
+    head = d.sigma_k().inverse() @ t
     return d.embed(head, head @ d.K.inverse() @ d.L)
 
 
@@ -140,12 +138,18 @@ def hs_to_obj(d: HSDecomposition):
 def hs_from_obj(obj) -> HSDecomposition:
     try:
         u = matrix_from_obj(obj["U"])
-        sigma = tuple(float(s) for s in obj["sigma"])
+        sigma = obj["sigma"]
         k = matrix_from_obj(obj["K"])
         l_ = matrix_from_obj(obj["L"])
-        r = int(obj["r"])
-    except (KeyError, TypeError, ValueError) as exc:
+        r = obj["r"]
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad HS decomposition object: {exc}") from exc
+    # as in matrix_from_obj, JSON true is ruled out by type; the bound rules
+    # out NaN, infinities and ints too large for a float
+    if not (type(r) is int and r >= 0 and isinstance(sigma, list)
+            and all(type(s) in (int, float) and 0 < s <= sys.float_info.max for s in sigma)):
+        raise MalformedInput("r must be a non-negative integer and sigma finite positive numbers")
+    sigma = tuple(float(s) for s in sigma)
     n = u.rows
     if not (u.is_square and len(sigma) == r and (k.rows, k.cols) == (r, r)
             and (l_.rows, l_.cols) == (r, n - r)

@@ -30,7 +30,7 @@ from .errors import (
 from .ginv import index_le_one, moore_penrose
 from .hs import HSDecomposition, hs_reconstruct
 from .jordan import JordanSpec, block_diag
-from .sharp import phi, phi_inv, proj_leq, sharp_leq
+from .sharp import phi, phi_inv, proj_leq, sharp_leq, sharp_leq_unchecked
 
 
 def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
@@ -321,13 +321,11 @@ def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
         raise IndexTooLarge("second argument has index > 1")
     if b1 == b2:
         return b1
-    # both arguments are validated above, so the raw A^2 = AB = BA
-    # predicate suffices for the comparability shortcuts
-    sq1 = b1 @ b1
-    if approx_eq(sq1, b1 @ b2, tol) and approx_eq(sq1, b2 @ b1, tol):
+    # both arguments are validated above, so the unchecked predicate
+    # suffices for the comparability shortcuts
+    if sharp_leq_unchecked(b1, b2, tol):
         return b1
-    sq2 = b2 @ b2
-    if approx_eq(sq2, b2 @ b1, tol) and approx_eq(sq2, b1 @ b2, tol):
+    if sharp_leq_unchecked(b2, b1, tol):
         return b2
     d = b1 - b2
     if d.rank() == 2:

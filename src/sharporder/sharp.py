@@ -15,7 +15,7 @@ from .core import (
     _int_product,
     _int_rep_eq,
     approx_eq,
-    is_projector,
+    in_tau,
 )
 from .errors import (
     IndexTooLarge,
@@ -27,11 +27,7 @@ from .errors import (
     SingularMatrix,
 )
 from .ginv import index_le_one
-from .hs import (
-    HSDecomposition,
-    predecessor_block_group_inverse,
-    predecessor_expand,
-)
+from .hs import HSDecomposition, predecessor_expand
 from .jordan import JordanSpec, block_diag, single_jordan_block
 
 
@@ -66,17 +62,18 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
         raise IndexTooLarge("first argument has index > 1")
     if not index_le_one(b, tol):
         raise IndexTooLarge("second argument has index > 1")
+    return sharp_leq_unchecked(a, b, tol)
+
+
+def sharp_leq_unchecked(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
+    """The order predicate A^2 = AB = BA alone, for square arguments of one
+    shape and mode whose index is already known to be at most 1."""
     if a.mode == EXACT:
         a2 = _square_rep(a)
         return (_int_rep_eq(a2, _int_product(a, b))
                 and _int_rep_eq(a2, _int_product(b, a)))
     a2 = a @ a
     return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
-
-
-def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
-    """Membership in tau: T idempotent and commuting with Sigma K."""
-    return is_projector(t, tol) and approx_eq(t @ sk, sk @ t, tol)
 
 
 def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
@@ -119,11 +116,6 @@ def psi_inv(t: Matrix, p: Matrix) -> Matrix:
 def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
     """Projector order: T1 = T1 T2 = T2 T1."""
     return approx_eq(t1, t1 @ t2, tol) and approx_eq(t1, t2 @ t1, tol)
-
-
-def predecessor_group_inverse(t: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
-    """Group inverse of phi_inv(t, hs), via (T SK)# = (SK)^-1 T."""
-    return predecessor_block_group_inverse(hs, t, tol)
 
 
 def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):
@@ -195,8 +187,7 @@ def successor_form(a: Matrix, p: Matrix, spec: JordanSpec, x: Matrix, tol=DEFAUL
 def extend_to_nonsingular(hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """A nonsingular C with B sharp-below C:
     C = U [[SK, (Sigma - K^-1) L], [O, I]] U*."""
-    sk = hs.sigma_k()
-    if sk.rank(tol) < hs.r:
+    if not hs.index_le_one(tol):
         raise SingularK("K singular: B has index greater than 1")
     corner = (hs.sigma_matrix() - hs.K.inverse()) @ hs.L
-    return hs.embed(sk, corner, Matrix.identity(hs.n - hs.r, FLOAT))
+    return hs.embed(hs.sigma_k(), corner, Matrix.identity(hs.n - hs.r, FLOAT))

@@ -70,6 +70,13 @@ def test_check_order_precondition_exit_3(runner, files):
     assert json.loads(res.stderr) == {"error": "index_too_large"}
 
 
+def test_inverse_group_index_two_exit_3(runner, files):
+    res = runner.invoke(main, ["inverse", "group", "--in", files["nilpotent"]])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr) == {"error": "index_too_large"}
+    assert res.stdout == ""
+
+
 def test_malformed_input_exit_2(runner, files):
     res = runner.invoke(main, ["inverse", "mp", "--in", files["bad"]])
     assert res.exit_code == 2

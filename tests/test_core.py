@@ -49,6 +49,9 @@ def test_rank_equal_rows():
 def test_rank_zero():
     assert Matrix.zeros(3, 3, EXACT).rank() == 0
     assert Matrix.zeros(3, 3, FLOAT).rank() == 0
+    for shape in ((0, 0), (0, 3), (3, 0)):
+        assert Matrix.zeros(*shape, EXACT).rank() == 0
+        assert Matrix.zeros(*shape, FLOAT).rank() == 0
 
 
 def test_is_projector_diag():
@@ -268,7 +271,7 @@ def test_json_accepts_wire_parts():
 
 
 @pytest.mark.parametrize("make", [Matrix.exact, Matrix.floating], ids=[EXACT, FLOAT])
-@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]]])
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[], [1]], [[1, 2], 3]])
 def test_ragged_rows_shape_mismatch(make, rows):
     with pytest.raises(ShapeMismatch):
         make(rows)

@@ -36,6 +36,10 @@ def test_mp_identity_and_zero():
     assert moore_penrose(z) == Matrix.zeros(3, 2, EXACT)
     zf = Matrix.zeros(2, 3, FLOAT)
     assert moore_penrose(zf).is_zero()
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        for mode in (EXACT, FLOAT):
+            mp = moore_penrose(Matrix.zeros(rows, cols, mode))
+            assert (mp.rows, mp.cols, mp.mode) == (cols, rows, mode)
 
 
 def test_mp_rank_one_example():
@@ -88,6 +92,19 @@ def test_group_inverse_diagonal():
 def test_group_inverse_index_too_large():
     with pytest.raises(IndexTooLarge):
         group_inverse(Matrix.exact([[0, 1], [0, 0]]))
+    # float mode decides the index from Sigma K of the decomposition it
+    # inverts; a singular Sigma K is reported as the index, never as SingularK.
+    # Conjugated J_2(0) alone leaves a 1x1 Sigma K of pure rounding noise,
+    # which only a cut against sigma_1 of B recognises as O
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    j2_plus_2 = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
+    j2 = np.array([[0, 3, 0], [0, 0, 0], [0, 0, 0]], dtype=complex)
+    for a in (Matrix.floating([[0.0, 2.0], [0.0, 0.0]]),
+              Matrix.floating(q @ j2_plus_2 @ q.conj().T),
+              Matrix.floating(q @ j2 @ q.conj().T)):
+        with pytest.raises(IndexTooLarge):
+            group_inverse(a)
 
 
 def test_group_inverse_zero():

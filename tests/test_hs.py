@@ -51,8 +51,9 @@ def test_index_two_shift():
 
 
 def test_zero_matrix_rejected():
-    with pytest.raises(ZeroMatrix):
-        hs_decompose(Matrix.zeros(3, 3, FLOAT))
+    for n in (3, 0):
+        with pytest.raises(ZeroMatrix):
+            hs_decompose(Matrix.zeros(n, n, FLOAT))
 
 
 def test_exact_mode_rejected():
@@ -90,6 +91,7 @@ def test_json_round_trip():
         hs_from_obj(bad_rank)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hs_from_obj_rejects_inconsistent_blocks():
     # Sigma K and Sigma L are formed when the decomposition is built, so a
     # misfit must be caught before that, as malformed input
@@ -102,6 +104,22 @@ def test_hs_from_obj_rejects_inconsistent_blocks():
                 dict(obj, K=obj["L"]),
                 dict(obj, L=obj["K"]),
                 dict(obj, K=exact_k),
-                dict(obj, r=3)):
+                dict(obj, r=3),
+                # r must be a non-negative int, each sigma a finite
+                # positive JSON number
+                dict(obj, r=1.9),
+                dict(obj, r=2.0),
+                dict(obj, r=True),
+                dict(obj, r="2"),
+                dict(obj, r=-1),
+                dict(obj, sigma=["nan", 1.0]),
+                dict(obj, sigma=[float("nan"), 1.0]),
+                dict(obj, sigma=[float("inf"), 1.0]),
+                dict(obj, sigma=[-3.0, 1.0]),
+                dict(obj, sigma=[0.0, 1.0]),
+                dict(obj, sigma=[True, 1.0]),
+                dict(obj, sigma=["2.5", 1.0]),
+                dict(obj, sigma=[10 ** 400, 1.0]),
+                dict(obj, sigma="ab")):
         with pytest.raises(MalformedInput):
             hs_from_obj(bad)

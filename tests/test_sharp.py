@@ -16,7 +16,6 @@ from sharporder import (
     make_spec,
     phi,
     phi_inv,
-    predecessor_group_inverse,
     proj_leq,
     psi,
     psi_inv,
@@ -28,7 +27,9 @@ from sharporder.errors import (
     MultiplicityExceedsOne,
     NotAPredecessor,
     NotInTau,
+    SingularK,
 )
+from sharporder.hs import predecessor_block_group_inverse
 
 from conftest import TOL7, float_context, rand_unimodular, sample_predecessor
 
@@ -95,18 +96,42 @@ def test_psi_round_trip():
 
 def test_predecessor_group_inverse_examples():
     b, d = _diag_context()
-    g = predecessor_group_inverse(Matrix.identity(2, FLOAT), d)
+    g = predecessor_block_group_inverse(d, Matrix.identity(2, FLOAT))
     assert approx_eq(g, Matrix.floating(np.diag([0.5, 1.0, 0.0])), TOL7)
-    assert predecessor_group_inverse(Matrix.zeros(2, 2, FLOAT), d).is_zero()
+    assert predecessor_block_group_inverse(d, Matrix.zeros(2, 2, FLOAT)).is_zero()
 
 
 def test_predecessor_group_inverse_cross_check():
     b, hs, spec = float_context([(2.0, [2, 1]), (-1.0, [1])], 0, seed=3)
     for seed in range(6):
         a, t = sample_predecessor(hs, spec, seed)
-        lhs = predecessor_group_inverse(t, hs, TOL7)
+        lhs = predecessor_block_group_inverse(hs, t, TOL7)
         rhs = group_inverse(a, TOL7)
         assert approx_eq(lhs, rhs, TOL7)
+
+
+def test_singular_k_on_index_two():
+    d = hs_decompose(Matrix.floating([[0.0, 2.0], [0.0, 0.0]]))
+    assert d.r == 1 and not d.index_le_one()
+    for t in (Matrix.identity(1, FLOAT), Matrix.zeros(1, 1, FLOAT)):
+        with pytest.raises(SingularK):
+            predecessor_block_group_inverse(d, t)
+    with pytest.raises(SingularK):
+        extend_to_nonsingular(d)
+
+
+def test_predecessor_group_inverse_checks_t_first():
+    # B = J_3(0) has index 3, so its Sigma K is singular; a T outside tau is
+    # reported as such before the index of B
+    d = hs_decompose(Matrix.floating([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert d.r == 2 and not d.index_le_one()
+    not_idempotent = Matrix.floating([[2.0, 0.0], [0.0, 0.0]])
+    sk = d.sigma_k()
+    rank_one = Matrix.floating([[1.0, 0.0], [0.0, 0.0]])
+    assert not approx_eq(rank_one @ sk, sk @ rank_one)
+    for t in (not_idempotent, rank_one):
+        with pytest.raises(NotInTau):
+            predecessor_block_group_inverse(d, t)
 
 
 def test_jordan_predecessors_diag():
