@@ -325,8 +325,11 @@ def equations_solve(b_path, spec_path, **kwargs):
 def hasse_cmd(spec_path, out_path, seed, antichain_samples):
     dot = hasse_dot(_load_spec(spec_path), seed=seed,
                     antichain_samples=antichain_samples)
-    with open(out_path, "w") as fh:
-        fh.write(dot)
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(dot)
+    except OSError as exc:
+        raise MalformedInput(f"cannot write {out_path}: {exc}") from exc
     _emit({"written": out_path})
 
 

@@ -20,26 +20,15 @@ from .jordan import (
     spec_from_obj,
     spec_to_obj,
 )
-from .scalars import QQI_ZERO, QQi
+from .scalars import QQi
 
 
-def _write_cells(rows, cols, cells, mode) -> Matrix:
-    """A rows x cols matrix, zero except for RUTM cores: each cell
-    (i0, j0, coeffs) puts coeffs[d] on the d-th superdiagonal of a
-    len(coeffs)-square core whose top-left entry is (i0, j0)."""
-    entries = ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
-               for d, c in enumerate(coeffs) for x in range(len(coeffs) - d))
-    if mode == FLOAT:
-        import numpy as np
-
-        a = np.zeros((rows, cols), dtype=complex)
-        for i, j, c in entries:
-            a[i, j] = complex(c)
-        return Matrix._wrap(a)
-    data = [[QQI_ZERO] * cols for _ in range(rows)]
-    for i, j, c in entries:
-        data[i][j] = c
-    return Matrix(rows, cols, EXACT, tuple(tuple(r) for r in data))
+def _cell_entries(cells):
+    """The (i, j, value) entries of RUTM cores: each cell (i0, j0, coeffs)
+    puts coeffs[d] on the d-th superdiagonal of a len(coeffs)-square core
+    whose top-left entry is (i0, j0)."""
+    return ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
+            for d, c in enumerate(coeffs) for x in range(len(coeffs) - d))
 
 
 def _layout(spec: JordanSpec):
@@ -75,7 +64,7 @@ class RUTM:
 
     def expand(self) -> Matrix:
         m = self.size
-        return _write_cells(m, m, [(0, 0, self.coeffs)], self.mode if m else EXACT)
+        return Matrix.from_entries(m, m, _cell_entries([(0, 0, self.coeffs)]), self.mode)
 
     @staticmethod
     def zero(size, mode=EXACT):
@@ -112,8 +101,8 @@ class CullenBlock:
             raise InvalidSpec("core RUTM size must be min(rows, cols)")
 
     def expand(self, mode) -> Matrix:
-        return _write_cells(self.rows, self.cols,
-                            [(0, self.cols - self.core.size, self.core.coeffs)], mode)
+        cells = [(0, self.cols - self.core.size, self.core.coeffs)]
+        return Matrix.from_entries(self.rows, self.cols, _cell_entries(cells), mode)
 
 
 @dataclass(frozen=True)
@@ -137,7 +126,7 @@ class CommutantProjector:
                         raise ShapeMismatch("cell shape does not match block sizes")
                     cells.append((i0, j0, cell.core.coeffs))
         r = self.spec.r
-        return _write_cells(r, r, cells, self.spec.mode)
+        return Matrix.from_entries(r, r, _cell_entries(cells), self.spec.mode)
 
     def rank(self, tol=DEFAULT_TOL) -> int:
         return self.expand().rank(tol)
@@ -204,7 +193,7 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     cells = [(i0, j0, tuple(coeff() for _ in range(min(rows, cols))))
              for places in _layout(spec) for place_row in places
              for rows, cols, i0, j0 in place_row]
-    return _write_cells(spec.r, spec.r, cells, mode)
+    return Matrix.from_entries(spec.r, spec.r, _cell_entries(cells), mode)
 
 
 def block_choice_projector(spec: JordanSpec, bits) -> Matrix:

@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from .scalars import QQI_ONE, QQI_ZERO, QQi, frac_str
+from .scalars import QQI_ZERO, QQi, frac_str
 
 EXACT = "exact"
 FLOAT = "float"
@@ -105,21 +105,28 @@ class Matrix:
         return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     @classmethod
-    def zeros(cls, rows, cols, mode=EXACT):
+    def from_entries(cls, rows, cols, entries, mode):
+        """A rows x cols matrix, zero except for the (i, j, value) entries;
+        the one place a zero matrix is filled."""
         if mode == FLOAT:
             import numpy as np
 
-            return cls._wrap(np.zeros((rows, cols), dtype=complex))
-        return cls(rows, cols, EXACT, tuple(tuple(QQI_ZERO for _ in range(cols)) for _ in range(rows)))
+            a = np.zeros((rows, cols), dtype=complex)
+            for i, j, v in entries:
+                a[i, j] = complex(v)
+            return cls._wrap(a)
+        data = [[QQI_ZERO] * cols for _ in range(rows)]
+        for i, j, v in entries:
+            data[i][j] = QQi.coerce(v)
+        return cls(rows, cols, EXACT, tuple(map(tuple, data)))
+
+    @classmethod
+    def zeros(cls, rows, cols, mode=EXACT):
+        return cls.from_entries(rows, cols, (), mode)
 
     @classmethod
     def identity(cls, n, mode=EXACT):
-        if mode == FLOAT:
-            import numpy as np
-
-            return cls._wrap(np.eye(n, dtype=complex))
-        return cls(n, n, EXACT, tuple(
-            tuple(QQI_ONE if i == j else QQI_ZERO for j in range(n)) for i in range(n)))
+        return cls.from_entries(n, n, ((i, i, 1) for i in range(n)), mode)
 
     @classmethod
     def diag(cls, values, mode=None):
@@ -127,53 +134,7 @@ class Matrix:
         if mode is None:
             mode = FLOAT if any(isinstance(v, (float, complex)) for v in values) else EXACT
         n = len(values)
-        if mode == FLOAT:
-            import numpy as np
-
-            return cls._wrap(np.diag(np.array(values, dtype=complex)))
-        vals = [QQi.coerce(v) for v in values]
-        return cls(n, n, EXACT, tuple(
-            tuple(vals[i] if i == j else QQI_ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def from_blocks(cls, grid):
-        """Assemble a block matrix; zero-width/height blocks are allowed."""
-        if not grid:
-            raise ShapeMismatch("empty block grid")
-        mode = grid[0][0].mode
-        width = sum(b.cols for b in grid[0])
-        for block_row in grid:
-            if any(b.mode != mode for b in block_row):
-                raise ModeMismatch("mixed modes in block grid")
-            h = block_row[0].rows
-            if any(b.rows != h for b in block_row):
-                raise ShapeMismatch("inconsistent block heights")
-        if mode == FLOAT:
-            import numpy as np
-
-            if any(sum(b.cols for b in block_row) != width for block_row in grid):
-                raise ShapeMismatch("inconsistent block widths")
-            # slice each block into one preallocated array
-            a = np.zeros((sum(block_row[0].rows for block_row in grid), width), dtype=complex)
-            i = 0
-            for block_row in grid:
-                h = block_row[0].rows
-                j = 0
-                for b in block_row:
-                    a[i:i + h, j:j + b.cols] = b._a
-                    j += b.cols
-                i += h
-            return cls._wrap(a)
-        rows = []
-        for block_row in grid:
-            for i in range(block_row[0].rows):
-                row = []
-                for b in block_row:
-                    row.extend(b.row(i))
-                rows.append(row)
-        if any(len(r) != width for r in rows):
-            raise ShapeMismatch("inconsistent block widths")
-        return cls(len(rows), width, EXACT, tuple(tuple(r) for r in rows))
+        return cls.from_entries(n, n, ((i, i, v) for i, v in enumerate(values)), mode)
 
     # ------------------------------------------------------------------
     # element access
@@ -228,7 +189,11 @@ class Matrix:
         return Matrix(self.rows, self.cols, EXACT, data)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_same(other)
+        if self.mode == FLOAT:
+            return Matrix._wrap(self._a - other._a)
+        data = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._a, other._a))
+        return Matrix(self.rows, self.cols, EXACT, data)
 
     def __neg__(self):
         if self.mode == FLOAT:
@@ -639,14 +604,10 @@ def matrix_from_obj(obj) -> Matrix:
             raise MalformedInput(f"bad float entry: {exc}") from exc
         if not all(cmath.isfinite(x) for x in flat):
             raise MalformedInput("non-finite float entry")
-        if rows == 0 or cols == 0:
-            return Matrix.zeros(rows, cols, FLOAT)
-        import numpy as np
-
-        return Matrix._wrap(np.array(flat, dtype=complex).reshape(rows, cols))
-    flat = [QQi(re, im) for re, im in entries]
-    data = tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
-    return Matrix(rows, cols, EXACT, data)
+    else:
+        flat = [QQi(re, im) for re, im in entries]
+    return Matrix.from_entries(rows, cols, ((k // cols, k % cols, x) for k, x in enumerate(flat)),
+                               mode)
 
 
 def matrix_dumps(m: Matrix) -> str:

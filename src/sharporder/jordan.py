@@ -119,41 +119,21 @@ def make_spec(pairs, P=None, mode=EXACT) -> JordanSpec:
     return JordanSpec(tuple(eigs), P)
 
 
-def single_jordan_block(lam, size, mode) -> Matrix:
-    if mode == FLOAT:
-        rows = [[complex(lam) if i == j else (1.0 if j == i + 1 else 0.0)
-                 for j in range(size)] for i in range(size)]
-        return Matrix.floating(rows)
-    lam = QQi.coerce(lam)
-    rows = [[lam if i == j else (1 if j == i + 1 else 0) for j in range(size)]
-            for i in range(size)]
-    return Matrix.exact(rows)
+def jordan_entries(blocks, off=0):
+    """The (i, j, value) entries of diag(J_k1(lam1), J_k2(lam2), ...) for the
+    (lam, k) pairs in blocks, its top-left corner at (off, off)."""
+    for lam, k in blocks:
+        for i in range(off, off + k):
+            yield i, i, lam
+            if i + 1 < off + k:
+                yield i, i + 1, 1
+        off += k
 
 
 def build_jordan_matrix(spec: JordanSpec) -> Matrix:
     """The block-diagonal Jordan matrix J described by the spec."""
-    mode = spec.mode
-    blocks = [single_jordan_block(e.lam, k, mode) for e in spec.eigenvalues for k in e.sizes]
-    return block_diag(blocks, mode)
-
-
-def block_diag(blocks, mode) -> Matrix:
-    if not blocks:
-        return Matrix.zeros(0, 0, mode)
-    n = sum(b.rows for b in blocks)
-    grid = []
-    off = 0
-    for b in blocks:
-        row = []
-        if off:
-            row.append(Matrix.zeros(b.rows, off, mode))
-        row.append(b)
-        right = n - off - b.cols
-        if right:
-            row.append(Matrix.zeros(b.rows, right, mode))
-        grid.append(row)
-        off += b.rows
-    return Matrix.from_blocks(grid)
+    blocks = ((e.lam, k) for e in spec.eigenvalues for k in e.sizes)
+    return Matrix.from_entries(spec.r, spec.r, jordan_entries(blocks), spec.mode)
 
 
 def weyr_structure(m: Matrix, candidate_eigenvalues) -> JordanSpec:
@@ -227,6 +207,10 @@ def scalar_to_obj(x):
 def scalar_from_obj(obj):
     """A float part makes a float scalar; integer and "p/q" parts make an
     exact one, as in exact matrix entries."""
+    # bool is an int subclass, so JSON true must be ruled out by type
+    if not (isinstance(obj, list) and len(obj) == 2
+            and all(type(x) in (int, float, str) for x in obj)):
+        raise MalformedInput(f"a scalar must be an [re, im] pair, not {obj!r}")
     re, im = obj
     kinds = {type(re), type(im)}
     if float in kinds and str not in kinds:
@@ -249,10 +233,12 @@ def spec_to_obj(spec: JordanSpec):
 
 def spec_from_obj(obj) -> JordanSpec:
     try:
-        eigs = tuple(
-            EigenBlocks(scalar_from_obj(e["lambda"]), tuple(e["sizes"]))
-            for e in obj["eigenvalues"]
-        )
+        eigs = []
+        for e in obj["eigenvalues"]:
+            sizes = e["sizes"]
+            if not (isinstance(sizes, list) and all(type(k) is int and k >= 1 for k in sizes)):
+                raise MalformedInput(f"sizes must be a list of positive integers, not {sizes!r}")
+            eigs.append(EigenBlocks(scalar_from_obj(e["lambda"]), tuple(sizes)))
         p = matrix_from_obj(obj["P"]) if obj.get("P") is not None else None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedInput(f"bad JordanSpec object: {exc}") from exc

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ginv import index_le_one, moore_penrose
 from .hs import HSDecomposition, hs_reconstruct
-from .jordan import JordanSpec, block_diag
+from .jordan import JordanSpec
 from .sharp import phi, phi_inv, proj_leq, sharp_leq, sharp_leq_unchecked
 
 
@@ -170,55 +170,32 @@ def non_lattice_witness(spec: JordanSpec, tol=DEFAULT_TOL):
     such eigenvalue (in spec order) is used, and the construction lives in
     its three largest blocks.
     """
-    target = None
+    off = 0
     for e in spec.eigenvalues:
         if e.t >= 3:
-            target = e
             break
-    if target is None:
-        raise NoEligibleEigenvalue("no eigenvalue has three or more Jordan blocks")
-    mode = spec.mode
-    a, b, c = target.sizes[0], target.sizes[1], target.sizes[2]
-
-    def zero(m, n):
-        return Matrix.zeros(m, n, mode)
-
-    def ident(n):
-        return Matrix.identity(n, mode)
-
-    x = Matrix.from_blocks([[ident(b)], [zero(a - b, b)]]) if a > b else ident(b)
-    y = Matrix.from_blocks([[zero(c, b - c), ident(c)]]) if b > c else ident(c)
-    g1 = Matrix.from_blocks([
-        [zero(a, a), x, zero(a, c)],
-        [zero(b, a), ident(b), zero(b, c)],
-        [zero(c, a), zero(c, b), zero(c, c)],
-    ])
-    g2 = Matrix.from_blocks([
-        [zero(a, a), x, zero(a, c)],
-        [zero(b, a), ident(b), zero(b, c)],
-        [zero(c, a), y, zero(c, c)],
-    ])
-    g3 = Matrix.from_blocks([
-        [zero(a, a), x, zero(a, c)],
-        [zero(b, a), ident(b), zero(b, c)],
-        [zero(c, a), zero(c, b), ident(c)],
-    ])
-    if a == b:
-        z = Matrix.from_blocks([[zero(c, a - c), -ident(c)]]) if a > c else -ident(c)
-        row3 = [z, y, ident(c)]
+        off += e.dim
     else:
-        neg_one = -1.0 if mode == FLOAT else -1
-        entries = [[neg_one if (i, j) == (0, a - 1) else 0 for j in range(a)]
-                   for i in range(c)]
-        z = Matrix.floating(entries) if mode == FLOAT else Matrix.exact(entries)
-        row3 = [z, zero(c, b), ident(c)]
-    g4 = Matrix.from_blocks([
-        [zero(a, a), x, zero(a, c)],
-        [zero(b, a), ident(b), zero(b, c)],
-        row3,
-    ])
+        raise NoEligibleEigenvalue("no eigenvalue has three or more Jordan blocks")
+    a, b, c = e.sizes[:3]
 
-    quad = tuple(_embed_witness(spec, target, g, mode) for g in (g1, g2, g3, g4))
+    def ones(i0, j0, k, v=1):
+        """v on k diagonal places from (i0, j0) of the target's slice."""
+        return [(off + i0 + x, off + j0 + x, v) for x in range(k)]
+
+    # on the leading three blocks, as a 3 x 3 block grid, every T has the
+    # block rows [O X O] and [O I_b O] with X = [I_b; O]; the third block
+    # rows are T1 [O O O], T2 [O Y O], T3 [O O I_c] with Y = [O I_c], and
+    # T4 [Z Y I_c] with Z = [O -I_c] when a = b, else [Z O I_c] with Z = -e_1 e_a^T
+    shared = ones(0, a, b) + ones(a, a, b)
+    y = ones(a + b, a + b - c, c)
+    ic = ones(a + b, a + b, c)
+    if a == b:
+        t4 = ones(a + b, a - c, c, -1) + y + ic
+    else:
+        t4 = ones(a + b, a - 1, 1, -1) + ic
+    quad = tuple(Matrix.from_entries(spec.r, spec.r, shared + third, spec.mode)
+                 for third in ([], y, ic, t4))
     t1, t2, t3, t4 = quad
     ok = (all(delta_membership(t, spec, tol) for t in quad)
           and proj_leq(t1, t3, tol) and proj_leq(t1, t4, tol)
@@ -228,25 +205,6 @@ def non_lattice_witness(spec: JordanSpec, tol=DEFAULT_TOL):
     if not ok:
         raise PrecondViolated("witness construction failed validation")
     return quad
-
-
-def _embed_witness(spec, target, g, mode):
-    """Place g in the leading three blocks of the target eigenvalue, zero
-    everywhere else."""
-    diag = []
-    for e in spec.eigenvalues:
-        if e is target:
-            rest = e.dim - g.rows
-            if rest:
-                diag.append(Matrix.from_blocks([
-                    [g, Matrix.zeros(g.rows, rest, mode)],
-                    [Matrix.zeros(rest, g.cols, mode), Matrix.zeros(rest, rest, mode)],
-                ]))
-            else:
-                diag.append(g)
-        else:
-            diag.append(Matrix.zeros(e.dim, e.dim, mode))
-    return block_diag(diag, mode)
 
 
 # ----------------------------------------------------------------------

@@ -57,10 +57,12 @@ class QQi:
         return QQi(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-QQi.coerce(other))
+        other = QQi.coerce(other)
+        return QQi(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return QQi.coerce(other) + (-self)
+        other = QQi.coerce(other)
+        return QQi(other.re - self.re, other.im - self.im)
 
     def __mul__(self, other):
         other = QQi.coerce(other)
@@ -113,7 +115,6 @@ class QQi:
 
 
 QQI_ZERO = QQi(0)
-QQI_ONE = QQi(1)
 
 
 def frac_str(f: Fraction) -> str:

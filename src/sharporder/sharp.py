@@ -7,6 +7,8 @@ A below B corresponds to a unique projector T commuting with Sigma K
 projectors and projectors commuting with the Jordan form itself (psi).
 """
 
+from itertools import chain
+
 from .core import (
     DEFAULT_TOL,
     EXACT,
@@ -19,6 +21,7 @@ from .core import (
 )
 from .errors import (
     IndexTooLarge,
+    ModeMismatch,
     MultiplicityExceedsOne,
     NotAPredecessor,
     NotInTau,
@@ -28,7 +31,7 @@ from .errors import (
 )
 from .ginv import index_le_one
 from .hs import HSDecomposition, predecessor_expand
-from .jordan import JordanSpec, block_diag, single_jordan_block
+from .jordan import JordanSpec, jordan_entries
 
 
 _SQUARE_CACHE = {}
@@ -131,14 +134,15 @@ def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):
     if r > n:
         raise ShapeMismatch("spec dimension exceeds n")
     p_inv = p.inverse()
-    blocks = [single_jordan_block(e.lam, e.sizes[0], mode) for e in spec.eigenvalues]
+    blocks = []
+    off = 0
+    for e in spec.eigenvalues:
+        blocks.append(list(jordan_entries([(e.lam, e.dim)], off)))
+        off += e.dim
     out = []
     for mask in range(2 ** spec.s):
-        chosen = [blk if (mask >> i) & 1 else Matrix.zeros(blk.rows, blk.cols, mode)
-                  for i, blk in enumerate(blocks)]
-        if n > r:
-            chosen.append(Matrix.zeros(n - r, n - r, mode))
-        out.append(p @ block_diag(chosen, mode) @ p_inv)
+        entries = [x for i, block in enumerate(blocks) if (mask >> i) & 1 for x in block]
+        out.append(p @ Matrix.from_entries(n, n, entries, mode) @ p_inv)
     return out
 
 
@@ -172,11 +176,12 @@ def successor_form(a: Matrix, p: Matrix, spec: JordanSpec, x: Matrix, tol=DEFAUL
     n = p.rows
     if x.rows != n - r or not x.is_square:
         raise ShapeMismatch(f"X must be {n - r} x {n - r}")
-    blocks = [single_jordan_block(e.lam, k, mode)
-              for e in spec.eigenvalues for k in e.sizes]
-    if n > r:
-        blocks.append(x)
-    b = p @ block_diag(blocks, mode) @ p.inverse()
+    if x.mode != mode:
+        raise ModeMismatch(f"{x.mode} X for a {mode} spec")
+    blocks = ((e.lam, k) for e in spec.eigenvalues for k in e.sizes)
+    x_entries = ((r + i, r + j, x[i, j]) for i in range(n - r) for j in range(n - r))
+    jx = Matrix.from_entries(n, n, chain(jordan_entries(blocks), x_entries), mode)
+    b = p @ jx @ p.inverse()
     try:
         leq = sharp_leq(a, b, tol)
     except IndexTooLarge:

@@ -168,6 +168,21 @@ def test_spec_p_mode_mismatch_exit_2(runner, files, args):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("eig", [{"lambda": [2, 0], "sizes": [2.5]},
+                                 {"lambda": [2, 0], "sizes": "21"},
+                                 {"lambda": [2, 0], "sizes": [True]},
+                                 {"lambda": [True, 0], "sizes": [1]},
+                                 {"lambda": [2.0, False], "sizes": [1]}])
+def test_malformed_spec_json_exit_2(runner, files, eig):
+    # each of these was read as some spec (2.5 as 2, "21" as (2, 1), true as 1)
+    path = files["tmp"] / "bad_spec.json"
+    path.write_text(json.dumps({"eigenvalues": [eig]}))
+    res = runner.invoke(main, ["downset", "classify", "--spec", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+
+
 def test_downset_sample_integer_eigenvalue_is_exact(runner, files):
     path = files["tmp"] / "int_spec.json"
     path.write_text(json.dumps({"eigenvalues": [{"lambda": [2, 0], "sizes": [2, 1]}]}))
@@ -262,6 +277,15 @@ def test_hasse(runner, files, tmp_path):
     assert res.exit_code == 0
     dot = open(out).read()
     assert dot.startswith("digraph downset {")
+
+
+def test_hasse_unwritable_out_exit_2(runner, files, tmp_path):
+    out = tmp_path / "missing" / "g.dot"
+    res = runner.invoke(main, ["hasse", "--spec", files["wspec"], "--out", str(out)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+    assert not out.exists()
 
 
 def test_byte_identical_repeat(runner, files):

@@ -49,9 +49,19 @@ def test_rank_equal_rows():
 def test_rank_zero():
     assert Matrix.zeros(3, 3, EXACT).rank() == 0
     assert Matrix.zeros(3, 3, FLOAT).rank() == 0
-    for shape in ((0, 0), (0, 3), (3, 0)):
+    for shape in ((0, 0), (0, 3), (3, 0), (2, 0)):
         assert Matrix.zeros(*shape, EXACT).rank() == 0
         assert Matrix.zeros(*shape, FLOAT).rank() == 0
+    # zero-size matrices from the entry writer keep their shape in both modes
+    for mode in (EXACT, FLOAT):
+        for m, shape in ((Matrix.zeros(0, 3, mode), (0, 3)), (Matrix.zeros(2, 0, mode), (2, 0)),
+                         (Matrix.identity(0, mode), (0, 0))):
+            assert (m.rows, m.cols, m.mode) == (*shape, mode)
+            assert m == Matrix.from_entries(*shape, [], mode)
+            if mode == FLOAT:
+                assert m.array.shape == shape
+            else:
+                assert [m.row(i) for i in range(m.rows)] == [[]] * m.rows
 
 
 def test_is_projector_diag():
@@ -297,28 +307,6 @@ def test_non_finite_library_matrix_rejected(bad):
         approx_eq(Matrix.identity(2, FLOAT), m)
     with pytest.raises(MalformedInput):
         m.is_zero()
-
-
-def test_float_from_blocks_empty_blocks():
-    a = Matrix.floating([[1, 2j], [3, 4]])
-    b = Matrix.floating([[5], [6]])
-    got = Matrix.from_blocks([[Matrix.zeros(0, 2, FLOAT), Matrix.zeros(0, 1, FLOAT)],
-                              [a, b],
-                              [Matrix.zeros(0, 2, FLOAT), Matrix.zeros(0, 1, FLOAT)]])
-    assert got == Matrix.floating([[1, 2j, 5], [3, 4, 6]])
-    assert Matrix.from_blocks([[Matrix.zeros(2, 0, FLOAT), a]]) == a
-    assert Matrix.from_blocks([[a, Matrix.zeros(2, 0, FLOAT)]]) == a
-    empty = Matrix.from_blocks([[Matrix.zeros(0, 3, FLOAT)], [Matrix.zeros(0, 3, FLOAT)]])
-    assert (empty.rows, empty.cols) == (0, 3)
-    assert empty.array.shape == (0, 3)
-
-
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_from_blocks_ragged_grid(mode):
-    with pytest.raises(ShapeMismatch):
-        Matrix.from_blocks([[Matrix.identity(2, mode)], [Matrix.zeros(1, 3, mode)]])
-    with pytest.raises(ShapeMismatch):
-        Matrix.from_blocks([[Matrix.identity(2, mode), Matrix.zeros(1, 1, mode)]])
 
 
 # library-built float results share their arrays without a copy, so the

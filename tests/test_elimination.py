@@ -123,10 +123,10 @@ def test_group_inverse_axioms(a):
 def test_index_two_raises(core, k, data):
     # diag(core, J) with J a nilpotent Jordan block of size k + 1, mixed by
     # a unit upper triangular similarity, has index k + 1 >= 2
-    n = core.rows + k + 1
-    jordan = Matrix.exact([[int(j == i + 1) for j in range(k + 1)] for i in range(k + 1)])
-    z = Matrix.zeros(core.rows, k + 1)
-    b = Matrix.from_blocks([[core, z], [z.T, jordan]])
+    m = core.rows
+    n = m + k + 1
+    b = Matrix.from_entries(n, n, [(i, j, core[i, j]) for i in range(m) for j in range(m)]
+                            + [(m + i, m + i + 1, 1) for i in range(k)], EXACT)
     s = Matrix.exact([[1 if i == j else (data.draw(st.integers(-2, 2)) if j > i else 0)
                        for j in range(n)] for i in range(n)])
     with pytest.raises(IndexTooLarge):

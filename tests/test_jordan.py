@@ -137,6 +137,15 @@ def test_spec_json_rejects_mismatched_or_bad_parts():
         {"eigenvalues": [{"lambda": [2, 0], "sizes": [1]}, {"lambda": [1.5, 0], "sizes": [1]}]},
         {"eigenvalues": [{"lambda": [float("nan"), 0.0], "sizes": [1]}]},
         {"eigenvalues": [{"lambda": [float("inf"), 0], "sizes": [1]}]},
+        # sizes are a list of positive ints and parts are never JSON booleans
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": [2.5]}]},
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": ["2", "1"]}]},
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": "21"}]},
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": [True]}]},
+        {"eigenvalues": [{"lambda": [2, 0], "sizes": [0]}]},
+        {"eigenvalues": [{"lambda": [True, 0], "sizes": [1]}]},
+        {"eigenvalues": [{"lambda": [2.0, False], "sizes": [1]}]},
+        {"eigenvalues": [{"lambda": "12", "sizes": [1]}]},
     ]
     for obj in bad:
         with pytest.raises(MalformedInput):

@@ -192,6 +192,45 @@ def test_witness_relations_various_sizes():
         assert not proj_leq(t3, t4) and not proj_leq(t4, t3)
 
 
+def _dense_witness(a, b, c):
+    """T1..T4 on the leading three blocks (sizes a >= b >= c), built densely:
+    rows [O X O], [O I_b O] with X = [I_b; O], then third block rows
+    [O O O], [O Y O], [O O I_c] and [Z Y' I_c], Y = [O I_c]."""
+    n = a + b + c
+    base = np.zeros((n, n))
+    base[:a, a:a + b] = np.eye(a, b)
+    base[a:a + b, a:a + b] = np.eye(b)
+    y = np.zeros((n, n))
+    y[a + b:, a:a + b] = np.eye(c, b, b - c)
+    ic = np.zeros((n, n))
+    ic[a + b:, a + b:] = np.eye(c)
+    z = np.zeros((n, n))
+    if a == b:
+        z[a + b:, :a] = -np.eye(c, a, a - c)
+        z += y
+    else:
+        z[a + b, a - 1] = -1
+    return base, base + y, base + ic, base + ic + z
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("abc", [(1, 1, 1), (2, 2, 1), (2, 1, 1), (3, 2, 1)])
+def test_witness_entries_match_dense_reference(abc, mode):
+    # the target eigenvalue sits after a 2-block and has a fourth block, so
+    # the witness lives at offset 2 with zero padding on both sides
+    a, b, c = abc
+    spec = make_spec([(3, [2]), (1, [a, b, c, 1]), (5, [1])], mode=mode)
+    off, r = 2, spec.r
+    for t, ref in zip(non_lattice_witness(spec), _dense_witness(a, b, c)):
+        full = np.zeros((r, r))
+        full[off:off + len(ref), off:off + len(ref)] = ref
+        assert t.mode == mode
+        if mode == FLOAT:
+            assert np.array_equal(t.array, full)
+        else:
+            assert t == Matrix.exact(full.astype(int).tolist())
+
+
 def test_witness_needs_three_blocks():
     with pytest.raises(NoEligibleEigenvalue):
         non_lattice_witness(make_spec([(2, [2, 1])]))

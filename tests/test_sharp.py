@@ -24,6 +24,7 @@ from sharporder import (
 )
 from sharporder.errors import (
     IndexTooLarge,
+    ModeMismatch,
     MultiplicityExceedsOne,
     NotAPredecessor,
     NotInTau,
@@ -189,6 +190,17 @@ def test_successor_form_examples():
     b2, ok2 = successor_form(a2, Matrix.identity(2, EXACT), spec2,
                              Matrix.zeros(0, 0, EXACT))
     assert b2 == a2 and ok2
+
+
+def test_successor_form_x_mode_mismatch():
+    a = Matrix.diag([2, 0], EXACT)
+    with pytest.raises(ModeMismatch):
+        successor_form(a, Matrix.identity(2, EXACT), make_spec([(2, [1])]),
+                       Matrix.floating([[5]]))
+    af = Matrix.diag([2.0, 0.0], FLOAT)
+    with pytest.raises(ModeMismatch):
+        successor_form(af, Matrix.identity(2, FLOAT), make_spec([(2, [1])], mode=FLOAT),
+                       Matrix.exact([[5]]))
 
 
 def test_successor_form_is_necessary_not_sufficient():
