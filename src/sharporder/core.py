@@ -16,7 +16,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import isfinite, lcm, sqrt
 
 from .errors import (
     MalformedInput,
@@ -266,9 +266,7 @@ class Matrix:
     def fro(self):
         """Frobenius norm as a float (both modes)."""
         if self.mode == FLOAT:
-            import numpy as np
-
-            return float(np.linalg.norm(self._a))
+            return _fro(self._a)
         s = Fraction(0)
         for row in self._a:
             for x in row:
@@ -359,6 +357,14 @@ def _require_finite(m: Matrix, what):
 
     if not np.isfinite(m._a).all():
         raise MalformedInput(f"{what} of a matrix with non-finite entries")
+
+
+def _fro(a):
+    """Frobenius norm of a complex array, summed term for term as
+    numpy.linalg.norm sums it, so the two agree bit for bit."""
+    x = a.ravel(order="K")
+    xr, xi = x.real, x.imag
+    return sqrt(xr.dot(xr) + xi.dot(xi))
 
 
 # ----------------------------------------------------------------------
@@ -495,20 +501,20 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
         raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
     if x.mode == EXACT:
         return x._a == y._a
-    nx, ny = x.fro(), y.fro()
+    nx, ny = _fro(x._a), _fro(y._a)
     if not (isfinite(nx) and isfinite(ny)):
         _require_finite(x, "approx_eq")
         _require_finite(y, "approx_eq")
-    return (x - y).fro() <= tol.rel * max(1.0, nx, ny)
+    return _fro(x._a - y._a) <= tol.rel * max(1.0, nx, ny)
 
 
 def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     """True iff m^2 = m (exactly, or within rel * max(1, ||m||_F^2))."""
     m.require_square()
-    d = m @ m - m
     if m.mode == EXACT:
-        return d.is_zero()
-    return d.fro() <= tol.rel * max(1.0, m.fro() ** 2)
+        return (m @ m - m).is_zero()
+    a = m._a
+    return _fro(a @ a - a) <= tol.rel * max(1.0, _fro(a) ** 2)
 
 
 def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
@@ -532,14 +538,11 @@ def svd(m: Matrix):
     Right singular vectors are phased so their first significant component
     is real positive; U is phased to match wherever sigma > 0.
     """
-    if m.mode != FLOAT:
-        raise NotSupported("svd is float-mode only; exact pipelines use Jordan data")
     nr, nc = m.rows, m.cols
-    if nr == 0 or nc == 0:
+    if _empty_svd_input(m, "svd"):
         return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
     import numpy as np
 
-    _require_finite(m, "svd")
     u, s, vh = np.linalg.svd(m._a, full_matrices=True)
     s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
     v = vh.conj().T
@@ -554,8 +557,26 @@ def svd(m: Matrix):
 
 
 def singular_values(m: Matrix):
-    _, sigma, _ = svd(m)
-    return sigma
+    """The sigma of svd(m), from LAPACK's values-only driver: what a rank
+    cut needs, without the singular vectors."""
+    if _empty_svd_input(m, "singular_values"):
+        return []
+    import numpy as np
+
+    s = np.linalg.svd(m._a, compute_uv=False).tolist()
+    cut = _SVD_ZERO * s[0]
+    return [x if x > cut else 0.0 for x in s]
+
+
+def _empty_svd_input(m: Matrix, what) -> bool:
+    """Check the input of an SVD: float mode (NotSupported) and finite
+    (MalformedInput); True when it has no rows or no columns."""
+    if m.mode != FLOAT:
+        raise NotSupported(f"{what} is float-mode only; exact pipelines use Jordan data")
+    if m.rows == 0 or m.cols == 0:
+        return True
+    _require_finite(m, what)
+    return False
 
 
 def numerical_rank(sigma, tol=DEFAULT_TOL, top=None) -> int:

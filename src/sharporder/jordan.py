@@ -7,6 +7,7 @@ candidate eigenvalues and the block sizes are recovered from rank sequences
 """
 
 import cmath
+import operator
 from dataclasses import dataclass
 
 from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, matrix_from_obj, matrix_to_obj
@@ -30,7 +31,14 @@ class EigenBlocks:
     sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        # operator.index takes ints (numpy's too) and refuses 2.5 or "2"
+        # rather than truncating them; bool, an int subclass, is ruled out
+        if any(isinstance(s, bool) for s in self.sizes):
+            raise InvalidSpec("block sizes must be integers, not booleans")
+        try:
+            sizes = tuple(map(operator.index, self.sizes))
+        except TypeError as exc:
+            raise InvalidSpec(f"block sizes must be integers: {exc}") from None
         object.__setattr__(self, "sizes", sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise InvalidSpec("block sizes must be positive")

@@ -27,7 +27,6 @@ from .errors import (
     NotInTau,
     ShapeMismatch,
     SingularK,
-    SingularMatrix,
 )
 from .ginv import index_le_one
 from .hs import HSDecomposition, predecessor_expand
@@ -84,15 +83,14 @@ def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
 
     Computed as the leading r x r block of U* A U times (SK)^-1, then
     validated by reconstruction; raises NotAPredecessor if A is not below
-    the decomposed matrix.
+    the decomposed matrix, and SingularK if SK is singular (B has index
+    greater than 1, decided by the rank cut of HSDecomposition.index_le_one).
     """
+    if not hs.index_le_one(tol):
+        raise SingularK("SK singular: B has index greater than 1")
     sk = hs.sigma_k()
-    try:
-        sk_inv = sk.inverse()
-    except SingularMatrix as exc:
-        raise SingularK("SK singular: B has index greater than 1") from exc
     m = hs.U.H @ a @ hs.U
-    t = m.block(0, hs.r, 0, hs.r) @ sk_inv
+    t = m.block(0, hs.r, 0, hs.r) @ sk.inverse()
     if not in_tau(t, sk, tol):
         raise NotAPredecessor("extracted block is not a commuting projector")
     if not approx_eq(predecessor_expand(hs, t), a, tol):

@@ -21,6 +21,7 @@ from sharporder import (
     singular_values,
     svd,
 )
+from sharporder.core import numerical_rank
 from sharporder.errors import (
     MalformedInput,
     ModeMismatch,
@@ -161,7 +162,49 @@ def test_svd_rejects_non_finite(bad):
     with pytest.raises(MalformedInput):
         svd(m)
     with pytest.raises(MalformedInput):
+        singular_values(m)
+    with pytest.raises(MalformedInput):
         m.rank()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 9), st.integers(-3, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_singular_values_match_full_svd(nr, nc, rank, scale, seed):
+    # square, tall and wide shapes, full rank or rank-deficient products
+    rank = min(rank, nr, nc)
+    rng = np.random.default_rng(seed)
+    a = ((rng.standard_normal((nr, rank)) + 1j * rng.standard_normal((nr, rank)))
+         @ (rng.standard_normal((rank, nc)) + 1j * rng.standard_normal((rank, nc))))
+    m = Matrix.floating(a * 10.0 ** scale)
+    ours, full = singular_values(m), svd(m)[1]
+    assert len(ours) == len(full) == min(nr, nc)
+    assert all(type(x) is float for x in ours)
+    assert ours == sorted(ours, reverse=True)
+    top = full[0] if full else 0.0
+    assert all(abs(x - y) <= 1e-14 * top for x, y in zip(ours, full))
+    assert numerical_rank(ours) == numerical_rank(full) == m.rank() == rank
+
+
+def test_singular_values_edges():
+    for nr, nc in [(0, 0), (0, 3), (2, 0)]:
+        assert singular_values(Matrix.zeros(nr, nc, FLOAT)) == []
+    for m in (Matrix.identity(2, EXACT), Matrix.zeros(0, 0, EXACT)):
+        with pytest.raises(NotSupported):
+            singular_values(m)
+    assert singular_values(Matrix.zeros(2, 3, FLOAT)) == [0.0, 0.0]
+    # values at or below 1e-14 sigma_1 are reported as exactly 0.0
+    assert singular_values(Matrix.floating(np.diag([1.0, 1e-15, 2e-14]))) == [1.0, 2e-14, 0.0]
+
+
+def test_fro_bit_equal_to_numpy_norm():
+    rng = np.random.default_rng(17)
+    for nr, nc in [(1, 1), (3, 5), (8, 8), (13, 4)]:
+        m = Matrix.floating(rng.standard_normal((nr, nc)) + 1j * rng.standard_normal((nr, nc)))
+        views = [m, m.T, m.H, m.block(1 % nr, nr, 0, nc - 1), m.T.block(0, nc, 1 % nr, nr)]
+        for v in views:
+            assert v.fro() == float(np.linalg.norm(v.array))
+    assert Matrix.zeros(0, 4, FLOAT).fro() == 0.0
 
 
 def test_approx_eq_examples():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sharporder import (
@@ -48,6 +49,19 @@ def test_spec_validation():
         make_spec([(1, [1, 2])])  # not descending
     with pytest.raises(InvalidSpec):
         make_spec([(1, [1]), (1, [2])])  # repeated eigenvalue
+
+
+@pytest.mark.parametrize("sizes", [[2.5], [True], [1, False], "21", ["2", "1"],
+                                   [np.float64(2.0)], [np.True_]])
+def test_spec_sizes_must_be_integers(sizes):
+    # sizes are never truncated or parsed: 2.5 is not 2, "21" is not (2, 1)
+    with pytest.raises(InvalidSpec):
+        make_spec([(1, sizes)])
+
+
+def test_spec_sizes_accept_numpy_integers():
+    sizes = make_spec([(1, [np.int64(2), np.int32(1)])]).eigenvalues[0].sizes
+    assert sizes == (2, 1) and all(type(k) is int for k in sizes)
 
 
 def test_weyr_identity():

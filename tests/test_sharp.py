@@ -79,6 +79,23 @@ def test_phi_rejects_non_predecessor():
         phi(Matrix.floating(np.diag([1.0, 1.0, 1.0])), d)
 
 
+def test_phi_rejects_noise_sigma_k():
+    # B = Q (3 e1 e2^T) Q* has index 2, but rounding leaves its 1 x 1 Sigma K
+    # at about 1e-16 rather than exactly 0, so inverting it succeeds; only
+    # the rank cut against sigma_1 of B tells it from a nonsingular block
+    e12 = np.zeros((3, 3))
+    e12[0, 1] = 3.0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        b = Matrix.floating(q @ e12 @ q.conj().T)
+        d = hs_decompose(b)
+        assert d.r == 1 and d.sigma_k()[0, 0] != 0 and not d.index_le_one()
+        for a in (b, Matrix.zeros(3, 3, FLOAT)):
+            with pytest.raises(SingularK):
+                phi(a, d)
+
+
 def test_phi_inv_edges():
     b, d = _diag_context()
     assert phi_inv(Matrix.zeros(2, 2, FLOAT), d).is_zero()
