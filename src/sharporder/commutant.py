@@ -20,7 +20,7 @@ from .jordan import (
     spec_from_obj,
     spec_to_obj,
 )
-from .scalars import QQi
+from .scalars import QQI_ZERO, QQi
 
 
 def _cell_entries(cells):
@@ -196,34 +196,48 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     return Matrix.from_entries(spec.r, spec.r, _cell_entries(cells), mode)
 
 
-def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
-    """The diagonal idempotent with one 0/1 choice per Jordan block."""
+def _block_diagonal(spec: JordanSpec, bits):
+    """The 0/1 diagonal of the block-choice projector: each block's bit,
+    repeated over the block's rows."""
     sizes = spec.block_sizes
     if len(bits) != len(sizes):
         raise ShapeMismatch("one bit per Jordan block required")
-    return Matrix.diag([1 if b else 0 for b, s in zip(bits, sizes) for _ in range(s)],
-                       spec.mode)
+    return [1 if b else 0 for b, s in zip(bits, sizes) for _ in range(s)]
+
+
+def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
+    """The diagonal idempotent with one 0/1 choice per Jordan block."""
+    return Matrix.diag(_block_diagonal(spec, bits), spec.mode)
 
 
 def sample_delta_projector(spec: JordanSpec, seed: int,
                            block_choices=None, tol=DEFAULT_TOL) -> CommutantProjector:
     """A random projector commuting with J: conjugate a 0/1 block-diagonal
     idempotent by a random invertible commutant element.  Deterministic for a
-    fixed seed; may not reach every projector (the sets are infinite)."""
+    fixed seed; may not reach every projector (the sets are infinite).
+
+    The idempotent E is a 0/1 diagonal, so in exact mode S E is S with the
+    dropped blocks' columns set to zero and T = (S E) S^-1 takes one
+    product.  Float mode forms S E as a product: BLAS gives some of its
+    zeros a sign that a column mask would not, and those signs reach T."""
     rng = random.Random(seed)
     sizes = spec.block_sizes
     if block_choices is None:
         bits = [rng.randint(0, 1) for _ in sizes]
     else:
         bits = list(block_choices)
-    e = block_choice_projector(spec, bits)
+    keep = _block_diagonal(spec, bits)
     ident = Matrix.identity(spec.r, spec.mode)
     while True:
         s = ident + random_commutant_element(spec, rng)
         if s.rank(tol) == spec.r:
             break
-    t = s @ e @ s.inverse()
-    return CommutantProjector.from_matrix(spec, t, tol)
+    if s.mode == FLOAT:
+        se = s @ Matrix.diag(keep, FLOAT)
+    else:
+        se = Matrix(s.rows, s.cols, EXACT, tuple(
+            tuple(x if k else QQI_ZERO for x, k in zip(s.row(i), keep)) for i in range(s.rows)))
+    return CommutantProjector.from_matrix(spec, se @ s.inverse(), tol)
 
 
 # ----------------------------------------------------------------------

@@ -508,19 +508,73 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
     return _fro(x._a - y._a) <= tol.rel * max(1.0, nx, ny)
 
 
+def _operand_shape(x):
+    """(mode, rows, cols) of a Matrix, or of a @ b for an (a, b) pair,
+    raising as a @ b would: ModeMismatch, then ShapeMismatch."""
+    if isinstance(x, Matrix):
+        return x.mode, x.rows, x.cols
+    a, b = x
+    if a.mode != b.mode:
+        raise ModeMismatch(f"{a.mode} vs {b.mode}")
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"inner dims {a.cols} vs {b.rows}")
+    return a.mode, a.rows, b.cols
+
+
+def _int_operand(x):
+    return _int_form(x) if isinstance(x, Matrix) else _int_product(*x)
+
+
+def _float_operand(x):
+    return x if isinstance(x, Matrix) else x[0] @ x[1]
+
+
+def _equal_products(x, ys, tol=DEFAULT_TOL, x_int=None) -> bool:
+    """x = y for every y in ys, taken in order and stopping at the first
+    that differs.  Each side is a Matrix or an (a, b) pair standing for
+    a @ b.
+
+    Exact mode compares integer forms (_int_form of a matrix, _int_product
+    of a pair), so no QQi product is built; x_int, when given, returns the
+    integer form of x in place of its product (a caller's cache).  Float
+    mode forms each product once with @ and compares by approx_eq.  Either
+    way each comparison raises as approx_eq(x, a @ b) would, before any
+    integer form is taken.
+    """
+    sx = _operand_shape(x)
+    if sx[0] == FLOAT:
+        x = _float_operand(x)
+        return all(approx_eq(x, _float_operand(y), tol) for y in ys)
+    rx = None
+    for y in ys:
+        sy = _operand_shape(y)
+        if sy[0] != sx[0]:
+            raise ModeMismatch(f"{sx[0]} vs {sy[0]}")
+        if sy != sx:
+            raise ShapeMismatch(f"{sx[1]}x{sx[2]} vs {sy[1]}x{sy[2]}")
+        if rx is None:
+            rx = _int_operand(x) if x_int is None else x_int()
+        if not _int_rep_eq(rx, _int_operand(y)):
+            return False
+    return True
+
+
 def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
-    """True iff m^2 = m (exactly, or within rel * max(1, ||m||_F^2))."""
+    """True iff m^2 = m.  Exact mode compares the integer forms of m m and
+    m; float mode asks ||m m - m||_F <= rel * max(1, ||m||_F^2)."""
     m.require_square()
     if m.mode == EXACT:
-        return (m @ m - m).is_zero()
+        return _equal_products((m, m), (m,), tol)
     a = m._a
     return _fro(a @ a - a) <= tol.rel * max(1.0, _fro(a) ** 2)
 
 
 def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     """T idempotent and commuting with SK: membership in the projector set
-    tau of a Sigma K block (delta, when SK is a Jordan matrix)."""
-    return is_projector(t, tol) and approx_eq(t @ sk, sk @ t, tol)
+    tau of a Sigma K block (delta, when SK is a Jordan matrix).  T SK = SK T
+    is decided on integer forms in exact mode and by approx_eq in float
+    mode; a T that is not idempotent is rejected before SK is looked at."""
+    return is_projector(t, tol) and _equal_products((t, sk), ((sk, t),), tol)
 
 
 # ----------------------------------------------------------------------

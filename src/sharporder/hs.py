@@ -23,11 +23,13 @@ class HSDecomposition:
     r: int
     _sk: Matrix = field(init=False, repr=False, compare=False)
     _sl: Matrix = field(init=False, repr=False, compare=False)
+    _sk_sigma: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = self.sigma_matrix()
         object.__setattr__(self, "_sk", s @ self.K)
         object.__setattr__(self, "_sl", s @ self.L)
+        object.__setattr__(self, "_sk_sigma", None)
 
     @property
     def n(self):
@@ -60,9 +62,13 @@ class HSDecomposition:
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
         """SK nonsingular, cut against sigma_1 of B: an SK of rounding noise
-        is O however well conditioned it is on its own scale."""
+        is O however well conditioned it is on its own scale.  The singular
+        values of SK are computed on first use and kept, so each call only
+        cuts them."""
+        if self._sk_sigma is None:
+            object.__setattr__(self, "_sk_sigma", singular_values(self._sk))
         top = max(self.sigma, default=0.0)
-        return numerical_rank(singular_values(self._sk), tol, top) == self.r
+        return numerical_rank(self._sk_sigma, tol, top) == self.r
 
     def validate(self, b: Matrix, tol=DEFAULT_TOL) -> bool:
         n, r = self.n, self.r

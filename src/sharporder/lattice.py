@@ -215,17 +215,24 @@ def interval_iso_forward(pproj: Matrix, t1: Matrix, t2: Matrix = None,
                          tol=DEFAULT_TOL) -> Matrix:
     """Map [O, T2 - T1] onto [T1, T2] by P -> P + T1.
 
-    When t2 is supplied, membership of pproj in [O, T2 - T1] is enforced.
+    When t2 is supplied, T1 <= T2 (the interval is not empty) and membership
+    of pproj in [O, T2 - T1] are enforced.
     """
     if not is_projector(pproj, tol):
         raise PrecondViolated("interval element is not idempotent")
-    if t2 is not None and not proj_leq(pproj, t2 - t1, tol):
-        raise PrecondViolated("element does not lie below T2 - T1")
+    if t2 is not None:
+        if not proj_leq(t1, t2, tol):
+            raise PrecondViolated("T1 does not lie below T2: the interval is empty")
+        if not proj_leq(pproj, t2 - t1, tol):
+            raise PrecondViolated("element does not lie below T2 - T1")
     return pproj + t1
 
 
 def interval_iso_backward(q: Matrix, t1: Matrix, tol=DEFAULT_TOL) -> Matrix:
-    """Inverse map [T1, T2] -> [O, T2 - T1], Q -> Q - T1."""
+    """Inverse map [T1, T2] -> [O, T2 - T1], Q -> Q - T1, for a projector Q
+    above T1."""
+    if not is_projector(q, tol):
+        raise PrecondViolated("interval element is not idempotent")
     if not proj_leq(t1, q, tol):
         raise PrecondViolated("element does not lie above T1")
     return q - t1

@@ -14,8 +14,8 @@ from .core import (
     EXACT,
     FLOAT,
     Matrix,
+    _equal_products,
     _int_product,
-    _int_rep_eq,
     approx_eq,
     in_tau,
 )
@@ -69,13 +69,10 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
 
 def sharp_leq_unchecked(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     """The order predicate A^2 = AB = BA alone, for square arguments of one
-    shape and mode whose index is already known to be at most 1."""
-    if a.mode == EXACT:
-        a2 = _square_rep(a)
-        return (_int_rep_eq(a2, _int_product(a, b))
-                and _int_rep_eq(a2, _int_product(b, a)))
-    a2 = a @ a
-    return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
+    shape and mode whose index is already known to be at most 1.  Exact
+    mode compares integer forms, with A^2 from the square cache; float mode
+    forms A^2 once and compares by approx_eq."""
+    return _equal_products((a, a), ((a, b), (b, a)), tol, lambda: _square_rep(a))
 
 
 def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
@@ -99,7 +96,10 @@ def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
 
 
 def phi_inv(t: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
-    """The predecessor A determined by a projector T in tau."""
+    """The predecessor A determined by a projector T in tau; raises SingularK,
+    as phi does, when SK is singular."""
+    if not hs.index_le_one(tol):
+        raise SingularK("SK singular: B has index greater than 1")
     if not in_tau(t, hs.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with SK")
     return predecessor_expand(hs, t)
@@ -115,8 +115,9 @@ def psi_inv(t: Matrix, p: Matrix) -> Matrix:
 
 
 def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
-    """Projector order: T1 = T1 T2 = T2 T1."""
-    return approx_eq(t1, t1 @ t2, tol) and approx_eq(t1, t2 @ t1, tol)
+    """Projector order: T1 = T1 T2 = T2 T1, decided on integer forms in
+    exact mode and by approx_eq in float mode."""
+    return _equal_products(t1, ((t1, t2), (t2, t1)), tol)
 
 
 def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):

@@ -257,6 +257,17 @@ def test_interval_iso_examples():
         interval_iso_forward(t2, t1, t2)  # t2 is not below t2 - t1
 
 
+def test_interval_iso_rejects_empty_interval_and_non_projector():
+    o = Matrix.zeros(2, 2, EXACT)
+    # T1 = diag(1, 0) is not below T2 = diag(0, 1), so [T1, T2] is empty even
+    # though O lies below T2 - T1
+    with pytest.raises(PrecondViolated):
+        interval_iso_forward(o, Matrix.diag([1, 0], EXACT), Matrix.diag([0, 1], EXACT))
+    # 2 I lies above O in the projector order's equations but is no projector
+    with pytest.raises(PrecondViolated):
+        interval_iso_backward(Matrix.identity(2, EXACT).scale(2), o)
+
+
 def test_interval_iso_round_trip_random():
     spec = make_spec([(2, [1, 1]), (3, [1])])
     rnd = random.Random(2)

@@ -14,6 +14,7 @@ from sharporder import (
     hs_decompose,
     jordan_predecessors,
     make_spec,
+    max_chain,
     phi,
     phi_inv,
     proj_leq,
@@ -30,6 +31,7 @@ from sharporder.errors import (
     NotInTau,
     SingularK,
 )
+from sharporder import hs as hs_module
 from sharporder.hs import predecessor_block_group_inverse
 
 from conftest import TOL7, float_context, rand_unimodular, sample_predecessor
@@ -94,6 +96,28 @@ def test_phi_rejects_noise_sigma_k():
         for a in (b, Matrix.zeros(3, 3, FLOAT)):
             with pytest.raises(SingularK):
                 phi(a, d)
+
+
+def test_phi_inv_rejects_singular_sigma_k(monkeypatch):
+    # the index-2 B of test_phi_rejects_noise_sigma_k: phi_inv and max_chain
+    # raise SingularK as phi does, and the singular values of SK are computed
+    # once for every index decision on the decomposition
+    e12 = np.zeros((3, 3))
+    e12[0, 1] = 3.0
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    d = hs_decompose(Matrix.floating(q @ e12 @ q.conj().T))
+    spec = make_spec([(1.0, [1])], mode=FLOAT)
+    calls = []
+    real = hs_module.singular_values
+    monkeypatch.setattr(hs_module, "singular_values", lambda m: calls.append(m) or real(m))
+    for t in (Matrix.identity(1, FLOAT), Matrix.zeros(1, 1, FLOAT)):
+        with pytest.raises(SingularK):
+            phi_inv(t, d)
+    with pytest.raises(SingularK):
+        max_chain(d, spec)
+    assert not d.index_le_one() and not d.index_le_one(TOL7)
+    assert len(calls) == 1
 
 
 def test_phi_inv_edges():
