@@ -10,16 +10,19 @@ to describe down-sets under the sharp order.
 import random
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, in_tau, is_projector
-from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
-from .jordan import (
-    JordanSpec,
-    build_jordan_matrix,
+from .core import (
+    DEFAULT_TOL,
+    EXACT,
+    FLOAT,
+    Matrix,
+    approx_eq,
+    in_tau,
+    is_projector,
     scalar_from_obj,
     scalar_to_obj,
-    spec_from_obj,
-    spec_to_obj,
 )
+from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
+from .jordan import JordanSpec, build_jordan_matrix, spec_from_obj, spec_to_obj
 from .scalars import QQI_ZERO, QQi
 
 
@@ -141,19 +144,24 @@ class CommutantProjector:
             raise ModeMismatch(f"{t.mode} matrix for a {spec.mode} spec")
         if not is_projector(t, tol):
             raise NotInDelta("matrix is not idempotent")
-        # read each core off its first row; t must then match the grid those
-        # cores span: Toeplitz cores, zero padding on the right side, nothing
-        # coupling distinct eigenvalues
+        # t must match the grid its cores span: Toeplitz cores, zero padding
+        # on the right side, nothing coupling distinct eigenvalues
+        cp = cls.read(spec, t)
+        if not approx_eq(cp.expand(), t, tol):
+            raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
+        return cp
+
+    @classmethod
+    def read(cls, spec: JordanSpec, t: Matrix):
+        """The Cullen grid of an r x r matrix t, unchecked: each RUTM core
+        read off the first row of its cell."""
 
         def cell(rows, cols, i0, j0):
             m = min(rows, cols)
             return CullenBlock(rows, cols, RUTM(m, tuple(t[i0, j0 + x] for x in range(m))))
 
-        cp = cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
-                                   for place_row in places) for places in _layout(spec)))
-        if not approx_eq(cp.expand(), t, tol):
-            raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
-        return cp
+        return cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
+                                     for place_row in places) for places in _layout(spec)))
 
 
 def admissible_ranks(q: int, p: int):
@@ -208,6 +216,13 @@ def _block_diagonal(spec: JordanSpec, bits):
 def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
     """The diagonal idempotent with one 0/1 choice per Jordan block."""
     return Matrix.diag(_block_diagonal(spec, bits), spec.mode)
+
+
+def center_choices(spec: JordanSpec):
+    """The block choices of the 2^s central projectors, one bit per Jordan
+    block: bit j of the mask keeps or drops every block of eigenvalue j."""
+    for mask in range(2 ** spec.s):
+        yield [(mask >> j) & 1 for j, e in enumerate(spec.eigenvalues) for _ in e.sizes]
 
 
 def sample_delta_projector(spec: JordanSpec, seed: int,

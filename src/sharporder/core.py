@@ -215,28 +215,8 @@ class Matrix:
             raise ShapeMismatch(f"inner dims {self.cols} vs {other.rows}")
         if self.mode == FLOAT:
             return Matrix._wrap(self._a @ other._a)
-        n, k, m = self.rows, self.cols, other.cols
-        # work over a common denominator so the inner loops run on plain
-        # integers instead of Fractions
-        d1, a = _int_form(self)
-        d2, b = _int_form(other)
-        d = d1 * d2
-        bt = list(zip(*b)) if k else [()] * m
-        data = []
-        for i in range(n):
-            ai = a[i]
-            row = []
-            for j in range(m):
-                bj = bt[j] if k else ()
-                sre = sim = 0
-                for t in range(k):
-                    xr, xi = ai[t]
-                    yr, yi = bj[t]
-                    sre += xr * yr - xi * yi
-                    sim += xr * yi + xi * yr
-                row.append(QQi(Fraction(sre, d), Fraction(sim, d)))
-            data.append(tuple(row))
-        return Matrix(n, m, EXACT, tuple(data))
+        d, rows = _int_product(self, other)
+        return Matrix(self.rows, other.cols, EXACT, _over(rows, (d, 0)))
 
     @property
     def H(self):
@@ -368,7 +348,9 @@ def _fro(a):
 
 
 # ----------------------------------------------------------------------
-# exact elimination helpers
+# the exact kernel: _int_form reads a matrix as Gaussian integers over one
+# denominator, _int_product multiplies, _bareiss eliminates, _int_rep_eq
+# compares, and _over writes QQi back
 
 
 def _int_form(m: Matrix):
@@ -388,13 +370,12 @@ def _int_form(m: Matrix):
 
 
 def _int_product(a: Matrix, b: Matrix):
-    """Integer form (d, rows) of a @ b, skipping Fraction construction; for
-    predicates that only compare products."""
+    """Integer form (d, rows) of a @ b, the one exact product: @ writes it
+    back with _over, and the product predicates compare it as it is."""
     d1, ra = _int_form(a)
     d2, rb = _int_form(b)
-    if a.cols == 0:
-        return 1, tuple(((0, 0),) * b.cols for _ in range(a.rows))
-    bt = list(zip(*rb))
+    # with no inner dimension, every column of b is empty
+    bt = list(zip(*rb)) if a.cols else [()] * b.cols
     rows = []
     for arow in ra:
         out = []
@@ -508,63 +489,25 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
     return _fro(x._a - y._a) <= tol.rel * max(1.0, nx, ny)
 
 
-def _operand_shape(x):
-    """(mode, rows, cols) of a Matrix, or of a @ b for an (a, b) pair,
-    raising as a @ b would: ModeMismatch, then ShapeMismatch."""
-    if isinstance(x, Matrix):
-        return x.mode, x.rows, x.cols
-    a, b = x
-    if a.mode != b.mode:
-        raise ModeMismatch(f"{a.mode} vs {b.mode}")
-    if a.cols != b.rows:
-        raise ShapeMismatch(f"inner dims {a.cols} vs {b.rows}")
-    return a.mode, a.rows, b.cols
-
-
-def _int_operand(x):
-    return _int_form(x) if isinstance(x, Matrix) else _int_product(*x)
-
-
-def _float_operand(x):
-    return x if isinstance(x, Matrix) else x[0] @ x[1]
-
-
-def _equal_products(x, ys, tol=DEFAULT_TOL, x_int=None) -> bool:
-    """x = y for every y in ys, taken in order and stopping at the first
-    that differs.  Each side is a Matrix or an (a, b) pair standing for
-    a @ b.
-
-    Exact mode compares integer forms (_int_form of a matrix, _int_product
-    of a pair), so no QQi product is built; x_int, when given, returns the
-    integer form of x in place of its product (a caller's cache).  Float
-    mode forms each product once with @ and compares by approx_eq.  Either
-    way each comparison raises as approx_eq(x, a @ b) would, before any
-    integer form is taken.
-    """
-    sx = _operand_shape(x)
-    if sx[0] == FLOAT:
-        x = _float_operand(x)
-        return all(approx_eq(x, _float_operand(y), tol) for y in ys)
-    rx = None
-    for y in ys:
-        sy = _operand_shape(y)
-        if sy[0] != sx[0]:
-            raise ModeMismatch(f"{sx[0]} vs {sy[0]}")
-        if sy != sx:
-            raise ShapeMismatch(f"{sx[1]}x{sx[2]} vs {sy[1]}x{sy[2]}")
-        if rx is None:
-            rx = _int_operand(x) if x_int is None else x_int()
-        if not _int_rep_eq(rx, _int_operand(y)):
-            return False
-    return True
+def _check_operands(x: Matrix, y: Matrix, idempotent=False):
+    """The one check of a product predicate's operands, made before any
+    entry is read: NonSquare when x is to be idempotent and is not square,
+    then ModeMismatch, then ShapeMismatch unless x and y are square of one
+    size."""
+    if idempotent:
+        x.require_square()
+    if x.mode != y.mode:
+        raise ModeMismatch(f"{x.mode} vs {y.mode}")
+    if not x.rows == x.cols == y.rows == y.cols:
+        raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
 
 
 def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     """True iff m^2 = m.  Exact mode compares the integer forms of m m and
     m; float mode asks ||m m - m||_F <= rel * max(1, ||m||_F^2)."""
-    m.require_square()
+    _check_operands(m, m, idempotent=True)
     if m.mode == EXACT:
-        return _equal_products((m, m), (m,), tol)
+        return _int_rep_eq(_int_form(m), _int_product(m, m))
     a = m._a
     return _fro(a @ a - a) <= tol.rel * max(1.0, _fro(a) ** 2)
 
@@ -574,7 +517,12 @@ def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     tau of a Sigma K block (delta, when SK is a Jordan matrix).  T SK = SK T
     is decided on integer forms in exact mode and by approx_eq in float
     mode; a T that is not idempotent is rejected before SK is looked at."""
-    return is_projector(t, tol) and _equal_products((t, sk), ((sk, t),), tol)
+    _check_operands(t, sk, idempotent=True)
+    if not is_projector(t, tol):
+        return False
+    if t.mode == EXACT:
+        return _int_rep_eq(_int_product(t, sk), _int_product(sk, t))
+    return approx_eq(t @ sk, sk @ t, tol)
 
 
 # ----------------------------------------------------------------------
@@ -646,12 +594,42 @@ def numerical_rank(sigma, tol=DEFAULT_TOL, top=None) -> int:
 # JSON wire format
 
 
+def scalar_to_obj(x):
+    """A scalar as [re, im]: "p/q" strings when exact, numbers when float."""
+    if isinstance(x, QQi):
+        return [frac_str(x.re), frac_str(x.im)]
+    return [float(x.real), float(x.imag)]
+
+
+def scalar_from_obj(obj, mode=None):
+    """The scalar of an [re, im] pair, the one parser of the matrix, spec
+    and projector codecs.  Exact parts are ints or "p/q" strings (QQi parses
+    them), float parts are JSON numbers that make a finite complex; with no
+    mode given, a float part makes the scalar float."""
+    if not (isinstance(obj, list) and len(obj) == 2):
+        raise MalformedInput(f"a scalar must be an [re, im] pair, not {obj!r}")
+    re, im = obj
+    # bool is an int subclass, so JSON true must be ruled out by type
+    kinds = {type(re), type(im)}
+    if mode is None:
+        mode = FLOAT if float in kinds else EXACT
+    if not kinds <= ({int, float} if mode == FLOAT else {int, str}):
+        raise MalformedInput(f"bad {mode} scalar {obj!r}")
+    if mode == EXACT:
+        return QQi(re, im)
+    try:
+        x = complex(re, im)
+    except OverflowError as exc:
+        raise MalformedInput(f"bad float scalar: {exc}") from exc
+    if not cmath.isfinite(x):
+        raise MalformedInput("non-finite float scalar")
+    return x
+
+
 def matrix_to_obj(m: Matrix):
-    if m.mode == FLOAT:
-        entries = [[x.real, x.imag] for x in m._a.ravel().tolist()]
-    else:
-        entries = [[frac_str(x.re), frac_str(x.im)] for row in m._a for x in row]
-    return {"mode": m.mode, "rows": m.rows, "cols": m.cols, "entries": entries}
+    flat = m._a.ravel().tolist() if m.mode == FLOAT else [x for row in m._a for x in row]
+    return {"mode": m.mode, "rows": m.rows, "cols": m.cols,
+            "entries": [scalar_to_obj(x) for x in flat]}
 
 
 def matrix_from_obj(obj) -> Matrix:
@@ -666,21 +644,7 @@ def matrix_from_obj(obj) -> Matrix:
         raise MalformedInput("rows and cols must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MalformedInput("entries length does not match rows*cols")
-    # exact parts are ints or "p/q" strings (QQi parses them), float parts
-    # are JSON numbers
-    parts = (int, float) if mode == FLOAT else (int, str)
-    if not all(isinstance(e, list) and len(e) == 2 and type(e[0]) in parts
-               and type(e[1]) in parts for e in entries):
-        raise MalformedInput(f"{mode} entries must be [re, im] pairs")
-    if mode == FLOAT:
-        try:
-            flat = [complex(re, im) for re, im in entries]
-        except OverflowError as exc:
-            raise MalformedInput(f"bad float entry: {exc}") from exc
-        if not all(cmath.isfinite(x) for x in flat):
-            raise MalformedInput("non-finite float entry")
-    else:
-        flat = [QQi(re, im) for re, im in entries]
+    flat = [scalar_from_obj(e, mode) for e in entries]
     return Matrix.from_entries(rows, cols, ((k // cols, k % cols, x) for k, x in enumerate(flat)),
                                mode)
 

@@ -9,7 +9,7 @@ commutant-projector poset of the Jordan form.
 
 from dataclasses import dataclass
 
-from .commutant import block_choice_projector, delta_membership
+from .commutant import block_choice_projector, center_choices, delta_membership
 from .core import DEFAULT_TOL, Matrix, approx_eq, is_projector
 from .errors import (
     HypothesisViolated,
@@ -135,13 +135,10 @@ def solve_jordan_commuting_projectors(p: Matrix, spec: JordanSpec,
     free_shape = (spec.r, spec.r)
     if all(e.t == 1 for e in spec.eigenvalues):
         p_inv = p.inverse()
-        members = []
-        for mask in range(2 ** spec.s):
-            bits = [(mask >> j) & 1 for j in range(spec.s)]
-            t = block_choice_projector(spec, bits)
-            members.append(p @ t @ p_inv)
+        members = tuple(p @ block_choice_projector(spec, bits) @ p_inv
+                        for bits in center_choices(spec))
         return SolutionFamily(JORDAN_COMMUTE_IDEMPOTENT, (p, spec), free_shape,
-                              finite_count=2 ** spec.s, members=tuple(members))
+                              finite_count=2 ** spec.s, members=members)
     return SolutionFamily(JORDAN_COMMUTE_IDEMPOTENT, (p, spec), free_shape)
 
 

@@ -1,6 +1,16 @@
 """Moore-Penrose inverse, matrix index test, group inverse, EP test."""
 
-from .core import DEFAULT_TOL, EXACT, Matrix, approx_eq, exact_rref, numerical_rank, svd
+from .core import (
+    DEFAULT_TOL,
+    EXACT,
+    Matrix,
+    _bareiss,
+    _int_product,
+    approx_eq,
+    exact_rref,
+    numerical_rank,
+    svd,
+)
 from .errors import IndexTooLarge, SingularK, SingularMatrix, ZeroMatrix
 
 
@@ -39,7 +49,8 @@ _INDEX_CACHE_CAP = 4096
 
 
 def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
-    """True iff rank(a^2) = rank(a), i.e. the group inverse exists."""
+    """True iff rank(a^2) = rank(a), i.e. the group inverse exists.  In
+    exact mode, the rows of a^2 are eliminated as _int_product gives them."""
     a.require_square()
     if a.mode != EXACT:
         return (a @ a).rank(tol) == a.rank(tol)
@@ -47,7 +58,8 @@ def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
     k = a.key()
     hit = _INDEX_CACHE.get(k)
     if hit is None:
-        hit = (a @ a).rank() == a.rank()
+        n = a.rows
+        hit = len(_bareiss(_int_product(a, a)[1], n, n, False)[1]) == a.rank()
         if len(_INDEX_CACHE) >= _INDEX_CACHE_CAP:
             _INDEX_CACHE.clear()
         _INDEX_CACHE[k] = hit

@@ -6,11 +6,20 @@ candidate eigenvalues and the block sizes are recovered from rank sequences
 ``validate_similarity`` gates all downstream use.
 """
 
-import cmath
 import operator
 from dataclasses import dataclass
 
-from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, matrix_from_obj, matrix_to_obj
+from .core import (
+    DEFAULT_TOL,
+    EXACT,
+    FLOAT,
+    Matrix,
+    approx_eq,
+    matrix_from_obj,
+    matrix_to_obj,
+    scalar_from_obj,
+    scalar_to_obj,
+)
 from .errors import (
     IncompleteSpectrum,
     InvalidSpec,
@@ -20,7 +29,7 @@ from .errors import (
     SingularMatrix,
     ZeroEigenvalue,
 )
-from .scalars import QQi, frac_str
+from .scalars import QQi
 
 
 @dataclass(frozen=True)
@@ -203,30 +212,6 @@ def validate_similarity(p: Matrix, spec: JordanSpec, m: Matrix, tol=DEFAULT_TOL)
 
 # ----------------------------------------------------------------------
 # JSON
-
-
-def scalar_to_obj(x):
-    """A scalar as [re, im]: "p/q" strings when exact, numbers when float."""
-    if isinstance(x, QQi):
-        return [frac_str(x.re), frac_str(x.im)]
-    return [float(x.real), float(x.imag)]
-
-
-def scalar_from_obj(obj):
-    """A float part makes a float scalar; integer and "p/q" parts make an
-    exact one, as in exact matrix entries."""
-    # bool is an int subclass, so JSON true must be ruled out by type
-    if not (isinstance(obj, list) and len(obj) == 2
-            and all(type(x) in (int, float, str) for x in obj)):
-        raise MalformedInput(f"a scalar must be an [re, im] pair, not {obj!r}")
-    re, im = obj
-    kinds = {type(re), type(im)}
-    if float in kinds and str not in kinds:
-        x = complex(re, im)
-        if not cmath.isfinite(x):
-            raise MalformedInput("non-finite scalar")
-        return x
-    return QQi(re, im)
 
 
 def spec_to_obj(spec: JordanSpec):

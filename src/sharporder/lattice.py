@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 from .commutant import (
     CommutantProjector,
-    CullenBlock,
-    RUTM,
     admissible_ranks,
+    block_choice_projector,
+    center_choices,
     delta_membership,
 )
 from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, exact_rref, is_projector
@@ -139,23 +139,8 @@ def classify_downset(spec: JordanSpec) -> DownsetDescriptor:
 def boolean_center(spec: JordanSpec):
     """The 2^s central projectors: per eigenvalue, D_j is O or the full
     identity of that eigenvalue's slice."""
-    out = []
-    for mask in range(2 ** spec.s):
-        grids = []
-        for j, e in enumerate(spec.eigenvalues):
-            on = (mask >> j) & 1
-            grid = []
-            for i in range(e.t):
-                row = []
-                for k in range(e.t):
-                    m = min(e.sizes[i], e.sizes[k])
-                    core = RUTM.identity(m, spec.mode) if (on and i == k) \
-                        else RUTM.zero(m, spec.mode)
-                    row.append(CullenBlock(e.sizes[i], e.sizes[k], core))
-                grid.append(tuple(row))
-            grids.append(tuple(grid))
-        out.append(CommutantProjector(spec, tuple(grids)))
-    return out
+    return [CommutantProjector.read(spec, block_choice_projector(spec, bits))
+            for bits in center_choices(spec)]
 
 
 # ----------------------------------------------------------------------

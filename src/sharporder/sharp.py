@@ -9,13 +9,16 @@ projectors and projectors commuting with the Jordan form itself (psi).
 
 from itertools import chain
 
+from .commutant import _block_diagonal, center_choices
 from .core import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
     Matrix,
-    _equal_products,
+    _check_operands,
+    _int_form,
     _int_product,
+    _int_rep_eq,
     approx_eq,
     in_tau,
 )
@@ -68,11 +71,17 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
 
 
 def sharp_leq_unchecked(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
-    """The order predicate A^2 = AB = BA alone, for square arguments of one
-    shape and mode whose index is already known to be at most 1.  Exact
-    mode compares integer forms, with A^2 from the square cache; float mode
-    forms A^2 once and compares by approx_eq."""
-    return _equal_products((a, a), ((a, b), (b, a)), tol, lambda: _square_rep(a))
+    """The order predicate A^2 = AB = BA alone, for arguments whose index is
+    already known to be at most 1; their mode and shape are checked first,
+    as in every product predicate.  Exact mode compares integer forms, with
+    A^2 from the square cache; float mode forms A^2 once and compares by
+    approx_eq."""
+    _check_operands(a, b)
+    if a.mode == EXACT:
+        a2 = _square_rep(a)
+        return _int_rep_eq(a2, _int_product(a, b)) and _int_rep_eq(a2, _int_product(b, a))
+    a2 = a @ a
+    return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
 
 
 def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
@@ -117,7 +126,11 @@ def psi_inv(t: Matrix, p: Matrix) -> Matrix:
 def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
     """Projector order: T1 = T1 T2 = T2 T1, decided on integer forms in
     exact mode and by approx_eq in float mode."""
-    return _equal_products(t1, ((t1, t2), (t2, t1)), tol)
+    _check_operands(t1, t2)
+    if t1.mode == EXACT:
+        r1 = _int_form(t1)
+        return _int_rep_eq(r1, _int_product(t1, t2)) and _int_rep_eq(r1, _int_product(t2, t1))
+    return approx_eq(t1, t1 @ t2, tol) and approx_eq(t1, t2 @ t1, tol)
 
 
 def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):
@@ -133,15 +146,12 @@ def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):
     if r > n:
         raise ShapeMismatch("spec dimension exceeds n")
     p_inv = p.inverse()
-    blocks = []
-    off = 0
-    for e in spec.eigenvalues:
-        blocks.append(list(jordan_entries([(e.lam, e.dim)], off)))
-        off += e.dim
+    entries = list(jordan_entries((e.lam, e.dim) for e in spec.eigenvalues))
     out = []
-    for mask in range(2 ** spec.s):
-        entries = [x for i, block in enumerate(blocks) if (mask >> i) & 1 for x in block]
-        out.append(p @ Matrix.from_entries(n, n, entries, mode) @ p_inv)
+    for bits in center_choices(spec):
+        keep = _block_diagonal(spec, bits)
+        j = Matrix.from_entries(n, n, [(i, k, v) for i, k, v in entries if keep[i]], mode)
+        out.append(p @ j @ p_inv)
     return out
 
 

@@ -94,8 +94,9 @@ def test_malformed_input_exit_2(runner, files):
     {"mode": "exact", "rows": 1, "cols": 1, "entries": [[True, 0]]},
     {"mode": "float", "rows": 1, "cols": 1, "entries": [[True, 0]]},
     {"mode": "float", "rows": 1, "cols": 1, "entries": [["2", 0]]},
+    {"mode": "float", "rows": 1, "cols": 1, "entries": [[10 ** 400, 0.5]]},
 ], ids=["triple", "scalar", "negative-rows", "float-rows", "exact-bool", "float-bool",
-        "float-string"])
+        "float-string", "float-huge-int"])
 def test_malformed_matrix_json_exit_2(runner, files, obj):
     path = files["tmp"] / "malformed.json"
     path.write_text(json.dumps(obj))
@@ -172,9 +173,11 @@ def test_spec_p_mode_mismatch_exit_2(runner, files, args):
                                  {"lambda": [2, 0], "sizes": "21"},
                                  {"lambda": [2, 0], "sizes": [True]},
                                  {"lambda": [True, 0], "sizes": [1]},
-                                 {"lambda": [2.0, False], "sizes": [1]}])
+                                 {"lambda": [2.0, False], "sizes": [1]},
+                                 {"lambda": [10 ** 400, 0.5], "sizes": [1]}])
 def test_malformed_spec_json_exit_2(runner, files, eig):
-    # each of these was read as some spec (2.5 as 2, "21" as (2, 1), true as 1)
+    # each of these was read as some spec (2.5 as 2, "21" as (2, 1), true as 1),
+    # and an integer part too large for a float crashed the parser
     path = files["tmp"] / "bad_spec.json"
     path.write_text(json.dumps({"eigenvalues": [eig]}))
     res = runner.invoke(main, ["downset", "classify", "--spec", str(path)])

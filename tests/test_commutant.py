@@ -80,6 +80,8 @@ def test_delta_membership_examples():
     spec2 = make_spec([(5, [2])])
     assert not delta_membership(Matrix.diag([1, 0], EXACT), spec2)
     assert delta_membership(Matrix.diag([1, 1, 0], EXACT), spec)
+    # a float T is tested against the float image of an exact spec's J
+    assert delta_membership(Matrix.identity(3, FLOAT), spec)
 
 
 def test_structural_commutation():

@@ -1,5 +1,5 @@
-"""Differential tests of exact elimination: rank, RREF, inverse and the
-generalized inverses built on them.
+"""Differential tests of the exact kernel: products, rank, RREF, inverse,
+the index test and the generalized inverses built on them.
 
 The reference RREF is plain Gauss-Jordan on QQi scalars, one division per
 entry operation; sympy's Gaussian-rational domain QQ_I is a second,
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sharporder import EXACT, Matrix, group_inverse, moore_penrose
 from sharporder.core import exact_rref
 from sharporder.errors import IndexTooLarge, SingularMatrix
+from sharporder.ginv import _INDEX_CACHE, index_le_one
 from sharporder.scalars import QQi
 
 part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -27,11 +28,11 @@ entry = st.one_of(
 
 
 @st.composite
-def matrices(draw, square=False):
-    """Gaussian-rational matrices up to 7x8, empty shapes included; half of
-    them are products through a narrower middle, so rank deficiency is
-    common."""
-    nr = draw(st.integers(0, 7))
+def matrices(draw, square=False, nr=None):
+    """Gaussian-rational matrices up to 7x8 (nr rows when given), empty
+    shapes included; half of them are products through a narrower middle,
+    so rank deficiency is common."""
+    nr = draw(st.integers(0, 7)) if nr is None else nr
     nc = nr if square else draw(st.integers(0, 8))
 
     def block(r, c):
@@ -118,19 +119,25 @@ def test_group_inverse_axioms(a):
     assert g == a @ moore_penrose(a @ a @ a) @ a
 
 
-@settings(max_examples=30, deadline=None)
-@given(matrices(square=True), st.integers(1, 3), st.data())
-def test_index_two_raises(core, k, data):
-    # diag(core, J) with J a nilpotent Jordan block of size k + 1, mixed by
-    # a unit upper triangular similarity, has index k + 1 >= 2
-    m = core.rows
-    n = m + k + 1
+@st.composite
+def index_two_or_more(draw):
+    """diag(core, J) with J a nilpotent Jordan block of size 2..4, mixed by a
+    unit upper triangular similarity: its index is the size of J, >= 2."""
+    core = draw(matrices(square=True))
+    m, k = core.rows, draw(st.integers(2, 4))
+    n = m + k
     b = Matrix.from_entries(n, n, [(i, j, core[i, j]) for i in range(m) for j in range(m)]
-                            + [(m + i, m + i + 1, 1) for i in range(k)], EXACT)
-    s = Matrix.exact([[1 if i == j else (data.draw(st.integers(-2, 2)) if j > i else 0)
+                            + [(m + i, m + i + 1, 1) for i in range(k - 1)], EXACT)
+    s = Matrix.exact([[1 if i == j else (draw(st.integers(-2, 2)) if j > i else 0)
                        for j in range(n)] for i in range(n)])
+    return s @ b @ s.inverse()
+
+
+@settings(max_examples=30, deadline=None)
+@given(index_two_or_more())
+def test_index_two_raises(a):
     with pytest.raises(IndexTooLarge):
-        group_inverse(s @ b @ s.inverse())
+        group_inverse(a)
 
 
 @pytest.mark.parametrize("a", [
@@ -222,3 +229,26 @@ def test_inverse_matches_sympy(m):
             m.inverse()
         return
     assert rows(m.inverse()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_matches_sympy(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(nr=a.cols))
+    assert rows(a @ b) == _from_sympy(_to_sympy(a).matmul(_to_sympy(b)))
+
+
+def test_product_without_inner_dimension_matches_sympy():
+    a, b = Matrix.zeros(2, 0), Matrix.zeros(0, 3)
+    assert a @ b == Matrix.zeros(2, 3)
+    assert rows(a @ b) == _from_sympy(_to_sympy(a).matmul(_to_sympy(b)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(square=True), index_two_or_more()))
+def test_index_le_one_matches_sympy(m):
+    dm = _to_sympy(m)
+    # an empty cache makes this call a miss, decided by elimination
+    _INDEX_CACHE.clear()
+    assert index_le_one(m) == (dm.matmul(dm).rank() == dm.rank())

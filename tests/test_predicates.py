@@ -169,9 +169,10 @@ def test_sharp_leq_unchecked_matches_definition(pair):
 
 
 # ----------------------------------------------------------------------
-# error precedence: the classes the QQi-product predicates raised, checked
-# operand by operand in the order the products were formed; the exact
-# sharp_leq_unchecked raises them now too, as its float branch does
+# error precedence: each predicate checks its operands once, before any
+# entry is read (NonSquare for a T that is to be idempotent, then
+# ModeMismatch, then ShapeMismatch), so the error does not depend on the
+# entries
 
 E2, E3, F2 = Matrix.identity(2), Matrix.identity(3), Matrix.identity(2, FLOAT)
 WIDE, WIDE_F = Matrix.zeros(2, 3), Matrix.zeros(2, 3, FLOAT)
@@ -201,6 +202,10 @@ RAISES = [
     (delta_membership, (WIDE_F, SPEC_F), ShapeMismatch),
     (delta_membership, (E3, SPEC), ShapeMismatch),
     (delta_membership, (E2, SPEC_F), MalformedInput),
+    # the entries alone would decide these False before the bad operand is
+    # reached: a T that is not idempotent, and a T1 with T1 = T1 T2
+    (in_tau, (Matrix.exact([[2, 0], [0, 0]]), F2), ModeMismatch),
+    (proj_leq, (Matrix.exact([[1, 0, 0], [0, 0, 0]]), Matrix.zeros(3, 3)), ShapeMismatch),
 ]
 
 
@@ -211,18 +216,9 @@ def test_predicate_errors(fn, args, exc):
         fn(*args)
 
 
-def test_predicates_that_decide_before_the_bad_operand():
-    # a T that is not idempotent is rejected before SK is looked at, and the
-    # second product of the projector order is formed only once the first
-    # equation holds
-    assert not in_tau(Matrix.exact([[2, 0], [0, 0]]), F2)
-    assert not proj_leq(Matrix.exact([[1, 0, 0], [0, 0, 0]]), Matrix.zeros(3, 3))
-    assert delta_membership(F2, SPEC)
-
-
 def test_shape_checked_before_integer_forms():
     a, b = Matrix.exact([[1, 0], [0, 0]]), Matrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    for fn in (proj_leq, sharp_leq_unchecked):
+    for fn in (proj_leq, sharp_leq_unchecked, in_tau):
         with pytest.raises(ShapeMismatch):
             fn(a, b)
     assert a._intform is None and b._intform is None
