@@ -15,6 +15,8 @@ from .core import (
     EXACT,
     FLOAT,
     Matrix,
+    _int_form,
+    _over,
     approx_eq,
     in_tau,
     is_projector,
@@ -23,7 +25,7 @@ from .core import (
 )
 from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
 from .jordan import JordanSpec, build_jordan_matrix, spec_from_obj, spec_to_obj
-from .scalars import QQI_ZERO, QQi
+from .scalars import QQi
 
 
 def _cell_entries(cells):
@@ -250,8 +252,10 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
     if s.mode == FLOAT:
         se = s @ Matrix.diag(keep, FLOAT)
     else:
-        se = Matrix(s.rows, s.cols, EXACT, tuple(
-            tuple(x if k else QQI_ZERO for x, k in zip(s.row(i), keep)) for i in range(s.rows)))
+        d, rows = _int_form(s)
+        se = _over(s.rows, s.cols,
+                   tuple(tuple(x if k else (0, 0) for x, k in zip(row, keep)) for row in rows),
+                   (d, 0))
     return CommutantProjector.from_matrix(spec, se @ s.inverse(), tol)
 
 

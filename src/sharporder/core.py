@@ -16,7 +16,8 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm, sqrt
+from itertools import chain
+from math import gcd, isfinite, lcm, sqrt
 
 from .errors import (
     MalformedInput,
@@ -30,6 +31,8 @@ from .scalars import QQI_ZERO, QQi, frac_str
 
 EXACT = "exact"
 FLOAT = "float"
+
+_FRACTION_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,12 @@ class Matrix:
 
     __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_key")
 
-    def __init__(self, rows, cols, mode, data):
+    def __init__(self, rows, cols, mode, data, intform=None):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "_a", data)
-        object.__setattr__(self, "_intform", None)
+        object.__setattr__(self, "_intform", intform)
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -185,21 +188,20 @@ class Matrix:
         self._check_same(other)
         if self.mode == FLOAT:
             return Matrix._wrap(self._a + other._a)
-        data = tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._a, other._a))
-        return Matrix(self.rows, self.cols, EXACT, data)
+        return _int_sum(self, other, 1)
 
     def __sub__(self, other):
         self._check_same(other)
         if self.mode == FLOAT:
             return Matrix._wrap(self._a - other._a)
-        data = tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._a, other._a))
-        return Matrix(self.rows, self.cols, EXACT, data)
+        return _int_sum(self, other, -1)
 
     def __neg__(self):
         if self.mode == FLOAT:
             return Matrix._wrap(-self._a)
-        return Matrix(self.rows, self.cols, EXACT,
-                      tuple(tuple(-x for x in row) for row in self._a))
+        # rows / -d: the writer moves the sign onto the rows
+        d, rows = _int_form(self)
+        return _over(self.rows, self.cols, rows, (-d, 0))
 
     def scale(self, s):
         if self.mode == FLOAT:
@@ -216,23 +218,29 @@ class Matrix:
         if self.mode == FLOAT:
             return Matrix._wrap(self._a @ other._a)
         d, rows = _int_product(self, other)
-        return Matrix(self.rows, other.cols, EXACT, _over(rows, (d, 0)))
+        return _over(self.rows, other.cols, rows, (d, 0))
 
     @property
     def H(self):
         """Conjugate transpose."""
         if self.mode == FLOAT:
             return Matrix._wrap(self._a.conj().T)
-        data = tuple(tuple(self._a[i][j].conjugate() for i in range(self.rows))
-                     for j in range(self.cols))
-        return Matrix(self.cols, self.rows, EXACT, data)
+        form = self._intform
+        if form is not None:
+            form = (form[0], tuple(tuple((xr, -xi) for xr, xi in row)
+                                   for row in _transpose(form[1], self.cols)))
+        return Matrix(self.cols, self.rows, EXACT,
+                      tuple(tuple(x.conjugate() for x in row)
+                            for row in _transpose(self._a, self.cols)), form)
 
     @property
     def T(self):
         if self.mode == FLOAT:
             return Matrix._wrap(self._a.T)
-        data = tuple(tuple(self._a[i][j] for i in range(self.rows)) for j in range(self.cols))
-        return Matrix(self.cols, self.rows, EXACT, data)
+        form = self._intform
+        if form is not None:
+            form = (form[0], _transpose(form[1], self.cols))
+        return Matrix(self.cols, self.rows, EXACT, _transpose(self._a, self.cols), form)
 
     def trace(self):
         self.require_square()
@@ -316,7 +324,7 @@ class Matrix:
             a, pivots, big_d = _bareiss(aug, n, 2 * n, True)
             if pivots[:n] != list(range(n)):
                 raise SingularMatrix("exact matrix is singular")
-            return Matrix(n, n, EXACT, _over([row[n:] for row in a], big_d))
+            return _over(n, n, tuple(tuple(row[n:]) for row in a), big_d)
         if n == 0:
             return self
         import numpy as np
@@ -348,15 +356,20 @@ def _fro(a):
 
 
 # ----------------------------------------------------------------------
-# the exact kernel: _int_form reads a matrix as Gaussian integers over one
-# denominator, _int_product multiplies, _bareiss eliminates, _int_rep_eq
-# compares, and _over writes QQi back
+# the exact kernel: every exact result is computed on Gaussian integers over
+# one denominator.  _int_form reads a matrix in that form, _int_product
+# multiplies (row by row, skipping zero entries of the left factor),
+# _int_sum adds and subtracts, _bareiss eliminates, _int_rep_eq compares,
+# and _over, the one writer, reduces the form it is given, writes the QQi
+# entries and keeps the form on the result, so the next operation reads it
+# instead of rebuilding it from QQi
 
 
 def _int_form(m: Matrix):
     """Clear denominators: (d, rows) with rows of (re, im) integer pairs so
-    that m = rows / d entrywise.  Cached on the (immutable) matrix; callers
-    that mutate rows must copy first."""
+    that m = rows / d entrywise, d the lcm of the entries' denominators.
+    Cached on the (immutable) matrix; callers that mutate rows must copy
+    first."""
     if m._intform is None:
         d = 1
         for row in m._a:
@@ -371,22 +384,48 @@ def _int_form(m: Matrix):
 
 def _int_product(a: Matrix, b: Matrix):
     """Integer form (d, rows) of a @ b, the one exact product: @ writes it
-    back with _over, and the product predicates compare it as it is."""
+    with _over, and the product predicates compare it as it is.
+
+    Row i of the product is the sum of b's rows scaled by row i of a, so a
+    zero entry of a skips a whole row of b, and a real one skips the
+    imaginary cross terms.  Zero entries of b are multiplied as they come:
+    listing each row's nonzero entries first costs more than it saves on
+    the small matrices most products are made of."""
     d1, ra = _int_form(a)
     d2, rb = _int_form(b)
-    # with no inner dimension, every column of b is empty
-    bt = list(zip(*rb)) if a.cols else [()] * b.cols
+    nc = b.cols
     rows = []
     for arow in ra:
-        out = []
-        for bj in bt:
-            sre = sim = 0
-            for (xr, xi), (yr, yi) in zip(arow, bj):
-                sre += xr * yr - xi * yi
-                sim += xr * yi + xi * yr
-            out.append((sre, sim))
-        rows.append(tuple(out))
+        sre = [0] * nc
+        sim = [0] * nc
+        for (xr, xi), brow in zip(arow, rb):
+            if xi:
+                for j, (yr, yi) in enumerate(brow):
+                    sre[j] += xr * yr - xi * yi
+                    sim[j] += xr * yi + xi * yr
+            elif xr:
+                for j, (yr, yi) in enumerate(brow):
+                    sre[j] += xr * yr
+                    sim[j] += xr * yi
+        rows.append(tuple(zip(sre, sim)))
     return d1 * d2, tuple(rows)
+
+
+def _int_sum(a: Matrix, b: Matrix, sign):
+    """a + b (sign 1) or a - b (sign -1), over the lcm of the two
+    denominators."""
+    d1, ra = _int_form(a)
+    d2, rb = _int_form(b)
+    d = lcm(d1, d2)
+    m1, m2 = d // d1, sign * (d // d2)
+    rows = tuple(tuple((xr * m1 + yr * m2, xi * m1 + yi * m2) for (xr, xi), (yr, yi) in zip(p, q))
+                 for p, q in zip(ra, rb))
+    return _over(a.rows, a.cols, rows, (d, 0))
+
+
+def _transpose(rows, nc):
+    """The nc rows of the transpose of nested rows with nc columns."""
+    return tuple(tuple(row[j] for row in rows) for j in range(nc))
 
 
 def _int_rep_eq(p, q) -> bool:
@@ -454,12 +493,42 @@ def _bareiss(rows, nr, nc, reduce):
     return a, pivots, (pr, pi)
 
 
-def _over(rows, d):
-    """Exact rows of QQi equal to the Gaussian-integer rows / d."""
+def _over(nr, nc, rows, d):
+    """The one exact writer: the nr x nc Matrix equal to the Gaussian-integer
+    rows / d, for a nonzero Gaussian integer d = (re, im).
+
+    A d off the real axis moves to the real denominator |d|^2 (the rows are
+    multiplied by its conjugate), and a negative real d to -d (the rows are
+    negated).  One gcd over d and every part then reduces the pair, so d
+    ends as the lcm of the entries' denominators: the pair is the one
+    _int_form would read, and it is kept on the result as its integer form.
+    The rows must be tuples of (re, im) tuples, as the form keeps them.
+    Zero entries share QQI_ZERO, and equal entries share one QQi."""
     dr, di = d
-    dn = dr * dr + di * di
-    return tuple(tuple(QQi(Fraction(tr * dr + ti * di, dn), Fraction(ti * dr - tr * di, dn))
-                       if tr or ti else QQI_ZERO for tr, ti in row) for row in rows)
+    if di:
+        rows = tuple(tuple((tr * dr + ti * di, ti * dr - tr * di) for tr, ti in row)
+                     for row in rows)
+        dr = dr * dr + di * di
+    elif dr < 0:
+        rows = tuple(tuple((-tr, -ti) for tr, ti in row) for row in rows)
+        dr = -dr
+    g = gcd(dr, *chain.from_iterable(chain.from_iterable(rows)))
+    if g > 1:
+        dr //= g
+        rows = tuple(tuple((tr // g, ti // g) for tr, ti in row) for row in rows)
+    made = {(0, 0): QQI_ZERO}
+    data = []
+    for row in rows:
+        out = []
+        for p in row:
+            x = made.get(p)
+            if x is None:
+                tr, ti = p
+                x = made[p] = QQi(Fraction(tr, dr) if tr else _FRACTION_ZERO,
+                                  Fraction(ti, dr) if ti else _FRACTION_ZERO)
+            out.append(x)
+        data.append(tuple(out))
+    return Matrix(nr, nc, EXACT, tuple(data), (dr, rows))
 
 
 def exact_rref(m: Matrix):
@@ -467,7 +536,7 @@ def exact_rref(m: Matrix):
     if m.mode != EXACT:
         raise ModeMismatch("rref is exact-mode only")
     a, pivots, d = _bareiss(_int_form(m)[1], m.rows, m.cols, True)
-    return Matrix(m.rows, m.cols, EXACT, _over(a, d)), pivots
+    return _over(m.rows, m.cols, tuple(map(tuple, a)), d), pivots
 
 
 # ----------------------------------------------------------------------

@@ -56,13 +56,14 @@ def _square_rep(a: Matrix):
 def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     """A is below B in the sharp order: A^2 = AB = BA.
 
-    Both arguments must have index <= 1 (the order is only defined there);
+    Both arguments must be square (NonSquare), then of one mode
+    (ModeMismatch) and one size (ShapeMismatch), as for every product
+    predicate, and have index <= 1 (the order is only defined there);
     raises IndexTooLarge otherwise.
     """
     a.require_square()
     b.require_square()
-    if (a.rows, a.mode) != (b.rows, b.mode):
-        raise ShapeMismatch("arguments must share shape and mode")
+    _check_operands(a, b)
     if not index_le_one(a, tol):
         raise IndexTooLarge("first argument has index > 1")
     if not index_le_one(b, tol):

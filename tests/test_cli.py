@@ -70,6 +70,13 @@ def test_check_order_precondition_exit_3(runner, files):
     assert json.loads(res.stderr) == {"error": "index_too_large"}
 
 
+def test_check_order_mode_mismatch_exit_3(runner, files):
+    res = runner.invoke(main, ["check", "order", "--a", files["b1"], "--b", files["A"]])
+    assert res.exit_code == 3
+    assert json.loads(res.stderr) == {"error": "mode_mismatch"}
+    assert res.stdout == ""
+
+
 def test_inverse_group_index_two_exit_3(runner, files):
     res = runner.invoke(main, ["inverse", "group", "--in", files["nilpotent"]])
     assert res.exit_code == 3

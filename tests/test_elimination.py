@@ -1,5 +1,6 @@
-"""Differential tests of the exact kernel: products, rank, RREF, inverse,
-the index test and the generalized inverses built on them.
+"""Differential tests of the exact kernel: sums, products, rank, RREF,
+inverse, the index test and the generalized inverses built on them, and the
+integer form the writer keeps on each result.
 
 The reference RREF is plain Gauss-Jordan on QQi scalars, one division per
 entry operation; sympy's Gaussian-rational domain QQ_I is a second,
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharporder import EXACT, Matrix, group_inverse, moore_penrose
-from sharporder.core import exact_rref
+from sharporder.core import _int_form, exact_rref
 from sharporder.errors import IndexTooLarge, SingularMatrix
 from sharporder.ginv import _INDEX_CACHE, index_le_one
 from sharporder.scalars import QQi
@@ -252,3 +253,96 @@ def test_index_le_one_matches_sympy(m):
     # an empty cache makes this call a miss, decided by elimination
     _INDEX_CACHE.clear()
     assert index_le_one(m) == (dm.matmul(dm).rank() == dm.rank())
+
+
+# ----------------------------------------------------------------------
+# the writer: every exact result is written from an integer form, and the
+# form it keeps must be the one _int_form reads from the written entries
+
+
+@st.composite
+def kernel_matrices(draw, nr, nc):
+    """nr x nc operands of one of four kinds: zero-heavy (about one entry in
+    four nonzero), real, purely imaginary, or Gaussian with a (0, 0) entry
+    off the real axis, so elimination can start on a Gaussian pivot."""
+    kind = draw(st.sampled_from(["zero-heavy", "real", "imaginary", "gaussian-pivot"]))
+    ent = {"real": part, "imaginary": st.tuples(st.just(0), part)}.get(kind, entry)
+    cells = [[draw(ent) if kind != "zero-heavy" or draw(st.integers(0, 3)) == 0 else 0
+              for _ in range(nc)] for _ in range(nr)]
+    if kind == "gaussian-pivot" and nr and nc:
+        cells[0][0] = draw(st.tuples(part, part.filter(bool)))
+    return Matrix.exact(cells) if nr else Matrix.zeros(0, nc)
+
+
+def assert_written(m, expected):
+    """m holds the expected QQi entries, and the integer form kept on it is
+    the canonical one of a matrix built from those entries."""
+    assert rows(m) == expected
+    assert m._intform == _int_form(Matrix.exact(expected))
+
+
+def scalar_product(a, b):
+    return [[sum((a[i, t] * b[t, j] for t in range(a.cols)), QQi(0)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def scalar_inverse(m):
+    """The right half of the QQi Gauss-Jordan RREF of [m | I]; None when m
+    is singular."""
+    n = m.rows
+    aug = Matrix.exact([m.row(i) + [int(i == j) for j in range(n)] for i in range(n)])
+    red, pivots = reference_rref(aug)
+    return [row[n:] for row in red] if pivots[:n] == list(range(n)) else None
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_writer_matches_scalar_reference(data):
+    nr, k, nc = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a, b = data.draw(kernel_matrices(nr, k)), data.draw(kernel_matrices(nr, k))
+    c = data.draw(kernel_matrices(k, nc))
+    ra, rb = rows(a), rows(b)
+    assert_written(a + b, [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    assert_written(a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    assert_written(-a, [[-x for x in p] for p in ra])
+    assert_written(a @ c, scalar_product(a, c))
+    # a has an integer form now, and H and T carry it over
+    assert_written(a.T, [[ra[i][j] for i in range(nr)] for j in range(k)])
+    assert_written(a.H, [[ra[i][j].conjugate() for i in range(nr)] for j in range(k)])
+    red, pivots = exact_rref(a)
+    ref, ref_pivots = reference_rref(a)
+    assert pivots == ref_pivots
+    assert_written(red, ref)
+    sq = data.draw(kernel_matrices(nr, nr))
+    expected = scalar_inverse(sq)
+    if expected is None:
+        with pytest.raises(SingularMatrix):
+            sq.inverse()
+    else:
+        assert_written(sq.inverse(), expected)
+
+
+# zero rows and columns on either side, real and imaginary parts meeting
+@pytest.mark.parametrize("a, b", [
+    ([[0, 0], [1, 2]], [[1, (0, 1)], [3, 4]]),
+    ([[1, 0], [(0, 2), 0]], [[1, 2], [(0, 1), 5]]),
+    ([[1, 2], [3, (0, 4)]], [[0, 1], [0, (0, 2)]]),
+    ([[1, 2], [3, 4]], [[0, 0], [(0, 1), 1]]),
+    ([[0, 0], [0, 0]], [[1, 2], [3, 4]]),
+    ([[(0, 2)]], [[3]]),
+    ([[3]], [[(0, 2)]]),
+    ([[(0, 1), 2]], [[(0, 1)], [(0, -1)]]),
+    ([[(1, 1), Fraction(1, 2)]], [[(1, -1), 0], [0, (0, Fraction(2, 3))]]),
+], ids=["zero-row-a", "zero-column-a", "zero-column-b", "zero-row-b", "zero-a",
+        "imaginary-real", "real-imaginary", "imaginary-cancels", "gaussian-rational"])
+def test_zero_skipping_product(a, b):
+    a, b = Matrix.exact(a), Matrix.exact(b)
+    assert_written(a @ b, scalar_product(a, b))
+
+
+@pytest.mark.parametrize("r, k, c", [(0, 3, 0), (3, 0, 3), (0, 0, 2), (2, 0, 0)])
+def test_product_empty_shapes(r, k, c):
+    m = Matrix.zeros(r, k) @ Matrix.zeros(k, c)
+    assert (m.rows, m.cols) == (r, c)
+    assert m == Matrix.zeros(r, c)
+    assert m._intform == (1, tuple(((0, 0),) * c for _ in range(r)))

@@ -27,8 +27,10 @@ from sharporder.errors import (
     IndexTooLarge,
     ModeMismatch,
     MultiplicityExceedsOne,
+    NonSquare,
     NotAPredecessor,
     NotInTau,
+    ShapeMismatch,
     SingularK,
 )
 from sharporder import hs as hs_module
@@ -53,6 +55,24 @@ def test_sharp_leq_index_guard():
         sharp_leq(Matrix.exact([[0, 1], [0, 0]]), Matrix.identity(2, EXACT))
     with pytest.raises(IndexTooLarge):
         sharp_leq(Matrix.zeros(2, 2, EXACT), Matrix.exact([[0, 1], [0, 0]]))
+
+
+# sharp_leq checks both arguments square, then their mode and size as every
+# product predicate does, before any index test
+@pytest.mark.parametrize("a, b, exc", [
+    (Matrix.identity(2), Matrix.identity(2, FLOAT), ModeMismatch),
+    (Matrix.identity(2, FLOAT), Matrix.identity(2), ModeMismatch),
+    # the index-2 first argument is never tested: the modes differ
+    (Matrix.exact([[0, 1], [0, 0]]), Matrix.identity(2, FLOAT), ModeMismatch),
+    (Matrix.identity(2, FLOAT), Matrix.identity(3), ModeMismatch),
+    (Matrix.identity(2), Matrix.identity(3), ShapeMismatch),
+    (Matrix.zeros(2, 3), Matrix.identity(2, FLOAT), NonSquare),
+    (Matrix.identity(2), Matrix.zeros(3, 2), NonSquare),
+], ids=["exact-float", "float-exact", "index-2-exact-float", "float-exact-sizes",
+        "sizes", "wide-a", "tall-b"])
+def test_sharp_leq_operand_errors(a, b, exc):
+    with pytest.raises(exc):
+        sharp_leq(a, b)
 
 
 def _diag_context():
