@@ -8,6 +8,7 @@ to describe down-sets under the sharp order.
 """
 
 import random
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .core import (
@@ -15,7 +16,6 @@ from .core import (
     EXACT,
     FLOAT,
     Matrix,
-    _int_form,
     _over,
     approx_eq,
     in_tau,
@@ -23,7 +23,8 @@ from .core import (
     scalar_from_obj,
     scalar_to_obj,
 )
-from .errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch
+from .errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch,
+                     SingularMatrix)
 from .jordan import JordanSpec, build_jordan_matrix, spec_from_obj, spec_to_obj
 from .scalars import QQi
 
@@ -192,13 +193,13 @@ def delta_membership(t: Matrix, spec: JordanSpec, tol=DEFAULT_TOL) -> bool:
 
 def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     """A random element of the commutant algebra of J, with Gaussian-integer
-    RUTM coefficients drawn from [-2, 2]."""
+    RUTM coefficients drawn from [-2, 2], as (re, im) int pairs when exact."""
     mode = spec.mode
 
     def coeff():
         re = rng.randint(-2, 2)
         im = rng.randint(-2, 2)
-        return QQi(re, im) if mode == EXACT else complex(re, im)
+        return (re, im) if mode == EXACT else complex(re, im)
 
     cells = [(i0, j0, tuple(coeff() for _ in range(min(rows, cols))))
              for places in _layout(spec) for place_row in places
@@ -236,7 +237,9 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
     The idempotent E is a 0/1 diagonal, so in exact mode S E is S with the
     dropped blocks' columns set to zero and T = (S E) S^-1 takes one
     product.  Float mode forms S E as a product: BLAS gives some of its
-    zeros a sign that a column mask would not, and those signs reach T."""
+    zeros a sign that a column mask would not, and those signs reach T.
+    A singular S is drawn again, found by the exact inverse's elimination or
+    by the float rank cut (np.linalg.inv can succeed where the cut fails)."""
     rng = random.Random(seed)
     sizes = spec.block_sizes
     if block_choices is None:
@@ -245,18 +248,22 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
         bits = list(block_choices)
     keep = _block_diagonal(spec, bits)
     ident = Matrix.identity(spec.r, spec.mode)
-    while True:
+    s_inv = None
+    while s_inv is None:
         s = ident + random_commutant_element(spec, rng)
-        if s.rank(tol) == spec.r:
-            break
+        if s.mode == EXACT:
+            with suppress(SingularMatrix):
+                s_inv = s.inverse()
+        elif s.rank(tol) == spec.r:
+            s_inv = s.inverse()
     if s.mode == FLOAT:
         se = s @ Matrix.diag(keep, FLOAT)
     else:
-        d, rows = _int_form(s)
+        d, rows = s._intform
         se = _over(s.rows, s.cols,
                    tuple(tuple(x if k else (0, 0) for x, k in zip(row, keep)) for row in rows),
                    (d, 0))
-    return CommutantProjector.from_matrix(spec, se @ s.inverse(), tol)
+    return CommutantProjector.from_matrix(spec, se @ s_inv, tol)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 Two storage modes, never mixed inside one matrix:
 
-* ``exact``  -- entries are Gaussian rationals (:class:`~sharporder.scalars.QQi`);
-  all predicates are decided exactly.
+* ``exact``  -- Gaussian rationals, stored as one reduced integer form: Gaussian
+  integers over their least positive common denominator.  Every exact
+  operation runs on that form; an entry is read as a
+  :class:`~sharporder.scalars.QQi`, built on the first read.  All predicates
+  are decided exactly.
 * ``float``  -- entries are complex128 in a numpy array; predicates are
   tolerance-aware.  numpy is imported on first float use, so exact-only
   callers never load it.
@@ -27,13 +30,10 @@ from .errors import (
     ShapeMismatch,
     SingularMatrix,
 )
-from .scalars import QQI_ZERO, QQi, frac_str
+from .scalars import QQi, frac_str
 
 EXACT = "exact"
 FLOAT = "float"
-
-_FRACTION_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -55,15 +55,17 @@ DEFAULT_TOL = Tolerance()
 class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
-    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_key")
+    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi")
 
-    def __init__(self, rows, cols, mode, data, intform=None):
+    def __init__(self, rows, cols, mode, data):
+        """data: a complex128 array no one else can write to (float mode), or
+        the reduced integer form (d, rows) that _over writes (exact mode)."""
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_a", data)
-        object.__setattr__(self, "_intform", intform)
-        object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_a", data if mode == FLOAT else None)
+        object.__setattr__(self, "_intform", None if mode == FLOAT else data)
+        object.__setattr__(self, "_qqi", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -73,16 +75,15 @@ class Matrix:
 
     @classmethod
     def exact(cls, rows):
-        """Exact matrix from nested entries (ints, Fractions, (re, im) pairs, QQi)."""
+        """Exact matrix from nested ints, Fractions, (re, im) pairs, QQi or "p/q" strings."""
         rows = list(rows)
         if not all(isinstance(row, (list, tuple)) for row in rows):
             raise ShapeMismatch("every row must be a list or tuple")
-        data = tuple(tuple(QQi.coerce(x) for x in row) for row in rows)
-        r = len(data)
-        c = len(data[0]) if r else 0
-        if any(len(row) != c for row in data):
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
             raise ShapeMismatch("ragged rows")
-        return cls(r, c, EXACT, data)
+        return cls.from_entries(len(rows), c, ((i, j, x) for i, row in enumerate(rows)
+                                               for j, x in enumerate(row)), EXACT)
 
     @classmethod
     def floating(cls, rows):
@@ -118,10 +119,12 @@ class Matrix:
             for i, j, v in entries:
                 a[i, j] = complex(v)
             return cls._wrap(a)
-        data = [[QQI_ZERO] * cols for _ in range(rows)]
-        for i, j, v in entries:
-            data[i][j] = QQi.coerce(v)
-        return cls(rows, cols, EXACT, tuple(map(tuple, data)))
+        entries = list(entries)
+        d, values = _cleared(v for _, _, v in entries)
+        data = [[(0, 0)] * cols for _ in range(rows)]
+        for (i, j, _), p in zip(entries, values):
+            data[i][j] = p
+        return _over(rows, cols, tuple(map(tuple, data)), (d, 0))
 
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
@@ -146,19 +149,31 @@ class Matrix:
         i, j = ij
         if self.mode == FLOAT:
             return complex(self._a[i, j])
-        return self._a[i][j]
+        return self._entries()[i][j]
 
     def row(self, i):
         if self.mode == FLOAT:
             return [complex(x) for x in self._a[i]]
-        return list(self._a[i])
+        return list(self._entries()[i])
+
+    def _entries(self):
+        """The QQi rows of an exact matrix, the one place QQi entries are
+        made: built from the integer form when an entry is first read, and
+        kept.  Equal entries share one QQi."""
+        if self._qqi is None:
+            d, rows = self._intform
+            made = {}
+            object.__setattr__(self, "_qqi", tuple(tuple(
+                made.get(p) or made.setdefault(p, QQi(Fraction(p[0], d), Fraction(p[1], d)))
+                for p in row) for row in rows))
+        return self._qqi
 
     def block(self, i0, i1, j0, j1):
         """Submatrix with rows [i0, i1) and columns [j0, j1)."""
         if self.mode == FLOAT:
             return Matrix._wrap(self._a[i0:i1, j0:j1])
-        data = tuple(tuple(self._a[i][j0:j1]) for i in range(i0, i1))
-        return Matrix(i1 - i0, j1 - j0, EXACT, data)
+        d, rows = self._intform
+        return _over(i1 - i0, j1 - j0, tuple(rows[i][j0:j1] for i in range(i0, i1)), (d, 0))
 
     @property
     def array(self):
@@ -200,15 +215,17 @@ class Matrix:
         if self.mode == FLOAT:
             return Matrix._wrap(-self._a)
         # rows / -d: the writer moves the sign onto the rows
-        d, rows = _int_form(self)
+        d, rows = self._intform
         return _over(self.rows, self.cols, rows, (-d, 0))
 
     def scale(self, s):
         if self.mode == FLOAT:
             return Matrix._wrap(complex(s) * self._a)
-        s = QQi.coerce(s)
-        return Matrix(self.rows, self.cols, EXACT,
-                      tuple(tuple(s * x for x in row) for row in self._a))
+        e, ((sr, si),) = _cleared([s])
+        d, rows = self._intform
+        return _over(self.rows, self.cols,
+                     tuple(tuple((xr * sr - xi * si, xr * si + xi * sr) for xr, xi in row)
+                           for row in rows), (d * e, 0))
 
     def __matmul__(self, other):
         if self.mode != other.mode:
@@ -225,45 +242,37 @@ class Matrix:
         """Conjugate transpose."""
         if self.mode == FLOAT:
             return Matrix._wrap(self._a.conj().T)
-        form = self._intform
-        if form is not None:
-            form = (form[0], tuple(tuple((xr, -xi) for xr, xi in row)
-                                   for row in _transpose(form[1], self.cols)))
+        d, rows = self._intform
         return Matrix(self.cols, self.rows, EXACT,
-                      tuple(tuple(x.conjugate() for x in row)
-                            for row in _transpose(self._a, self.cols)), form)
+                      (d, tuple(tuple((xr, -xi) for xr, xi in row)
+                                for row in _transpose(rows, self.cols))))
 
     @property
     def T(self):
         if self.mode == FLOAT:
             return Matrix._wrap(self._a.T)
-        form = self._intform
-        if form is not None:
-            form = (form[0], _transpose(form[1], self.cols))
-        return Matrix(self.cols, self.rows, EXACT, _transpose(self._a, self.cols), form)
+        d, rows = self._intform
+        return Matrix(self.cols, self.rows, EXACT, (d, _transpose(rows, self.cols)))
 
     def trace(self):
         self.require_square()
         if self.mode == FLOAT:
             return complex(self._a.trace())
-        t = QQI_ZERO
-        for i in range(self.rows):
-            t = t + self._a[i][i]
-        return t
+        d, rows = self._intform
+        re, im = map(sum, zip((0, 0), *(rows[i][i] for i in range(self.rows))))
+        return QQi(Fraction(re, d), Fraction(im, d))
 
     def fro(self):
         """Frobenius norm as a float (both modes)."""
         if self.mode == FLOAT:
             return _fro(self._a)
-        s = Fraction(0)
-        for row in self._a:
-            for x in row:
-                s += x.abs2()
-        return float(s) ** 0.5
+        d, rows = self._intform
+        # int / int rounds once, as float() of the exact Fraction sum did
+        return (sum(xr * xr + xi * xi for row in rows for xr, xi in row) / (d * d)) ** 0.5
 
     def is_zero(self, tol=DEFAULT_TOL):
         if self.mode == EXACT:
-            return all(x.is_zero() for row in self._a for x in row)
+            return not any(chain.from_iterable(chain.from_iterable(self._intform[1])))
         norm = self.fro()
         if not isfinite(norm):
             _require_finite(self, "is_zero")
@@ -272,7 +281,8 @@ class Matrix:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return Matrix.floating([[complex(x) for x in row] for row in self._a])
+        d, rows = self._intform
+        return Matrix.floating([[complex(xr / d, xi / d) for xr, xi in row] for row in rows])
 
     # ------------------------------------------------------------------
     # comparisons / hashing helpers
@@ -284,20 +294,15 @@ class Matrix:
             return False
         if self.mode == FLOAT:
             return bool((self._a == other._a).all())
-        return self._a == other._a
+        return self._intform == other._intform
 
     def key(self):
-        """Hashable identity key (exact mode only), for dedup in tests/oracles.
-
-        Built from the cleared-denominator integer form, which is canonical,
-        so hashing stays on plain ints.
-        """
+        """Hashable identity key (exact mode only), for dedup in tests/oracles:
+        the shape and the integer form, which is canonical, so hashing stays
+        on plain ints."""
         if self.mode != EXACT:
             raise ModeMismatch("key() is exact-mode only")
-        if self._key is None:
-            d, rows = _int_form(self)
-            object.__setattr__(self, "_key", (self.rows, self.cols, d, rows))
-        return self._key
+        return (self.rows, self.cols, *self._intform)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.mode})"
@@ -309,7 +314,7 @@ class Matrix:
         """Exact mode: row-reduction rank. Float mode: numerical_rank of the
         singular values."""
         if self.mode == EXACT:
-            return len(_bareiss(_int_form(self)[1], self.rows, self.cols, False)[1])
+            return len(_bareiss(self._intform[1], self.rows, self.cols, False)[1])
         return numerical_rank(singular_values(self), tol)
 
     def inverse(self):
@@ -318,7 +323,7 @@ class Matrix:
         n = self.rows
         if self.mode == EXACT:
             # self = rows / d, so the RREF of [rows | d I] is [I | self^-1]
-            d, rows = _int_form(self)
+            d, rows = self._intform
             aug = [list(row) + [(d, 0) if j == i else (0, 0) for j in range(n)]
                    for i, row in enumerate(rows)]
             a, pivots, big_d = _bareiss(aug, n, 2 * n, True)
@@ -356,30 +361,30 @@ def _fro(a):
 
 
 # ----------------------------------------------------------------------
-# the exact kernel: every exact result is computed on Gaussian integers over
-# one denominator.  _int_form reads a matrix in that form, _int_product
-# multiplies (row by row, skipping zero entries of the left factor),
-# _int_sum adds and subtracts, _bareiss eliminates, _int_rep_eq compares,
-# and _over, the one writer, reduces the form it is given, writes the QQi
-# entries and keeps the form on the result, so the next operation reads it
-# instead of rebuilding it from QQi
+# the exact kernel: an exact matrix is stored as Gaussian integers over one
+# denominator, and every exact result is computed in that form.
+# _int_product multiplies (row by row, skipping zero entries of the left
+# factor), _int_sum adds and subtracts, _bareiss eliminates, _int_rep_eq
+# compares, _cleared turns entries given as scalars into integers, and
+# _over, the one writer, reduces a form to the canonical one a Matrix keeps
 
 
-def _int_form(m: Matrix):
-    """Clear denominators: (d, rows) with rows of (re, im) integer pairs so
-    that m = rows / d entrywise, d the lcm of the entries' denominators.
-    Cached on the (immutable) matrix; callers that mutate rows must copy
-    first."""
-    if m._intform is None:
-        d = 1
-        for row in m._a:
-            for x in row:
-                d = lcm(d, x.re.denominator, x.im.denominator)
-        rows = tuple(tuple((x.re.numerator * (d // x.re.denominator),
-                            x.im.numerator * (d // x.im.denominator)) for x in row)
-                     for row in m._a)
-        object.__setattr__(m, "_intform", (d, rows))
-    return m._intform
+def _parts(x):
+    """An exact scalar as an (re, im) pair of ints or Fractions."""
+    if type(x) is int:
+        return x, 0
+    if type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is int:
+        return x
+    x = QQi.coerce(x)
+    return x.re, x.im
+
+
+def _cleared(values):
+    """(d, pairs): exact scalars as (re, im) integer pairs over d, the lcm
+    of their denominators."""
+    parts = [(re.as_integer_ratio(), im.as_integer_ratio()) for re, im in map(_parts, values)]
+    d = lcm(*(q for pair in parts for _, q in pair))
+    return d, [(a * (d // b), c * (d // e)) for (a, b), (c, e) in parts]
 
 
 def _int_product(a: Matrix, b: Matrix):
@@ -391,8 +396,8 @@ def _int_product(a: Matrix, b: Matrix):
     imaginary cross terms.  Zero entries of b are multiplied as they come:
     listing each row's nonzero entries first costs more than it saves on
     the small matrices most products are made of."""
-    d1, ra = _int_form(a)
-    d2, rb = _int_form(b)
+    d1, ra = a._intform
+    d2, rb = b._intform
     nc = b.cols
     rows = []
     for arow in ra:
@@ -414,8 +419,8 @@ def _int_product(a: Matrix, b: Matrix):
 def _int_sum(a: Matrix, b: Matrix, sign):
     """a + b (sign 1) or a - b (sign -1), over the lcm of the two
     denominators."""
-    d1, ra = _int_form(a)
-    d2, rb = _int_form(b)
+    d1, ra = a._intform
+    d2, rb = b._intform
     d = lcm(d1, d2)
     m1, m2 = d // d1, sign * (d // d2)
     rows = tuple(tuple((xr * m1 + yr * m2, xi * m1 + yi * m2) for (xr, xi), (yr, yi) in zip(p, q))
@@ -500,10 +505,9 @@ def _over(nr, nc, rows, d):
     A d off the real axis moves to the real denominator |d|^2 (the rows are
     multiplied by its conjugate), and a negative real d to -d (the rows are
     negated).  One gcd over d and every part then reduces the pair, so d
-    ends as the lcm of the entries' denominators: the pair is the one
-    _int_form would read, and it is kept on the result as its integer form.
-    The rows must be tuples of (re, im) tuples, as the form keeps them.
-    Zero entries share QQI_ZERO, and equal entries share one QQi."""
+    ends as the lcm of the entries' denominators.  That reduced pair is
+    canonical, and it is all the Matrix stores: equal matrices hold equal
+    forms.  The rows must be tuples of (re, im) tuples."""
     dr, di = d
     if di:
         rows = tuple(tuple((tr * dr + ti * di, ti * dr - tr * di) for tr, ti in row)
@@ -512,30 +516,19 @@ def _over(nr, nc, rows, d):
     elif dr < 0:
         rows = tuple(tuple((-tr, -ti) for tr, ti in row) for row in rows)
         dr = -dr
-    g = gcd(dr, *chain.from_iterable(chain.from_iterable(rows)))
-    if g > 1:
-        dr //= g
-        rows = tuple(tuple((tr // g, ti // g) for tr, ti in row) for row in rows)
-    made = {(0, 0): QQI_ZERO}
-    data = []
-    for row in rows:
-        out = []
-        for p in row:
-            x = made.get(p)
-            if x is None:
-                tr, ti = p
-                x = made[p] = QQi(Fraction(tr, dr) if tr else _FRACTION_ZERO,
-                                  Fraction(ti, dr) if ti else _FRACTION_ZERO)
-            out.append(x)
-        data.append(tuple(out))
-    return Matrix(nr, nc, EXACT, tuple(data), (dr, rows))
+    if dr > 1:
+        g = gcd(dr, *chain.from_iterable(chain.from_iterable(rows)))
+        if g > 1:
+            dr //= g
+            rows = tuple(tuple((tr // g, ti // g) for tr, ti in row) for row in rows)
+    return Matrix(nr, nc, EXACT, (dr, rows))
 
 
 def exact_rref(m: Matrix):
     """RREF as (Matrix, pivot column list); exact mode only."""
     if m.mode != EXACT:
         raise ModeMismatch("rref is exact-mode only")
-    a, pivots, d = _bareiss(_int_form(m)[1], m.rows, m.cols, True)
+    a, pivots, d = _bareiss(m._intform[1], m.rows, m.cols, True)
     return _over(m.rows, m.cols, tuple(map(tuple, a)), d), pivots
 
 
@@ -550,7 +543,7 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
     if (x.rows, x.cols) != (y.rows, y.cols):
         raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
     if x.mode == EXACT:
-        return x._a == y._a
+        return x._intform == y._intform
     nx, ny = _fro(x._a), _fro(y._a)
     if not (isfinite(nx) and isfinite(ny)):
         _require_finite(x, "approx_eq")
@@ -576,7 +569,7 @@ def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     m; float mode asks ||m m - m||_F <= rel * max(1, ||m||_F^2)."""
     _check_operands(m, m, idempotent=True)
     if m.mode == EXACT:
-        return _int_rep_eq(_int_form(m), _int_product(m, m))
+        return _int_rep_eq(m._intform, _int_product(m, m))
     a = m._a
     return _fro(a @ a - a) <= tol.rel * max(1.0, _fro(a) ** 2)
 
@@ -696,7 +689,7 @@ def scalar_from_obj(obj, mode=None):
 
 
 def matrix_to_obj(m: Matrix):
-    flat = m._a.ravel().tolist() if m.mode == FLOAT else [x for row in m._a for x in row]
+    flat = m._a.ravel().tolist() if m.mode == FLOAT else [x for row in m._entries() for x in row]
     return {"mode": m.mode, "rows": m.rows, "cols": m.cols,
             "entries": [scalar_to_obj(x) for x in flat]}
 

@@ -6,6 +6,7 @@ from .core import (
     Matrix,
     _bareiss,
     _int_product,
+    _over,
     approx_eq,
     exact_rref,
     numerical_rank,
@@ -40,7 +41,8 @@ def _full_rank_factors(a: Matrix):
     """(F, G) with a = F G: F holds the pivot columns of a, G the nonzero
     rows of its RREF (both empty for the zero matrix)."""
     rref, pivots = exact_rref(a)
-    f = Matrix.exact([[a[i, j] for j in pivots] for i in range(a.rows)])
+    d, rows = a._intform
+    f = _over(a.rows, len(pivots), tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0))
     return f, rref.block(0, len(pivots), 0, a.cols)
 
 

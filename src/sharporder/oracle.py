@@ -6,10 +6,9 @@ clever algorithms elsewhere can be checked against something unambiguous.
 
 from itertools import product
 
-from .core import DEFAULT_TOL, EXACT, Matrix, approx_eq
+from .core import DEFAULT_TOL, EXACT, Matrix, _cleared, _over, approx_eq
 from .errors import BudgetExceeded, NotSupported
 from .ginv import index_le_one
-from .scalars import QQi
 
 DEFAULT_CAP = 10 ** 7
 
@@ -17,13 +16,12 @@ DEFAULT_CAP = 10 ** 7
 def enumerate_index1(n: int, grid, cap=DEFAULT_CAP):
     """All n x n exact matrices with entries from grid having index <= 1,
     in lexicographic entry order."""
-    grid = [QQi.coerce(g) for g in grid]
+    d, grid = _cleared(grid)
     if len(grid) ** (n * n) > cap:
         raise BudgetExceeded(f"grid^(n^2) exceeds cap {cap}")
     out = []
     for entries in product(grid, repeat=n * n):
-        m = Matrix(n, n, EXACT,
-                   tuple(tuple(entries[i * n + j] for j in range(n)) for i in range(n)))
+        m = _over(n, n, tuple(entries[i * n:(i + 1) * n] for i in range(n)), (d, 0))
         if index_le_one(m):
             out.append(m)
     return out

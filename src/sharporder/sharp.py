@@ -16,7 +16,6 @@ from .core import (
     FLOAT,
     Matrix,
     _check_operands,
-    _int_form,
     _int_product,
     _int_rep_eq,
     approx_eq,
@@ -129,7 +128,7 @@ def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
     exact mode and by approx_eq in float mode."""
     _check_operands(t1, t2)
     if t1.mode == EXACT:
-        r1 = _int_form(t1)
+        r1 = t1._intform
         return _int_rep_eq(r1, _int_product(t1, t2)) and _int_rep_eq(r1, _int_product(t2, t1))
     return approx_eq(t1, t1 @ t2, tol) and approx_eq(t1, t2 @ t1, tol)
 

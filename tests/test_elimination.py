@@ -1,6 +1,6 @@
 """Differential tests of the exact kernel: sums, products, rank, RREF,
 inverse, the index test and the generalized inverses built on them, and the
-integer form the writer keeps on each result.
+reduced integer form that every exact constructor stores.
 
 The reference RREF is plain Gauss-Jordan on QQi scalars, one division per
 entry operation; sympy's Gaussian-rational domain QQ_I is a second,
@@ -8,13 +8,24 @@ independent reference where it is installed.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharporder import EXACT, Matrix, group_inverse, moore_penrose
-from sharporder.core import _int_form, exact_rref
+from sharporder import (
+    EXACT,
+    CommutantProjector,
+    Matrix,
+    group_inverse,
+    make_spec,
+    matrix_from_obj,
+    matrix_to_obj,
+    moore_penrose,
+)
+from sharporder.core import exact_rref
 from sharporder.errors import IndexTooLarge, SingularMatrix
 from sharporder.ginv import _INDEX_CACHE, index_le_one
 from sharporder.scalars import QQi
@@ -256,13 +267,13 @@ def test_index_le_one_matches_sympy(m):
 
 
 # ----------------------------------------------------------------------
-# the writer: every exact result is written from an integer form, and the
-# form it keeps must be the one _int_form reads from the written entries
+# the writer: every exact matrix stores one integer form, and it must be the
+# reduced one of the entries it reads back
 
 
 @st.composite
-def kernel_matrices(draw, nr, nc):
-    """nr x nc operands of one of four kinds: zero-heavy (about one entry in
+def kernel_cells(draw, nr, nc):
+    """nr x nc entries of one of four kinds: zero-heavy (about one entry in
     four nonzero), real, purely imaginary, or Gaussian with a (0, 0) entry
     off the real axis, so elimination can start on a Gaussian pivot."""
     kind = draw(st.sampled_from(["zero-heavy", "real", "imaginary", "gaussian-pivot"]))
@@ -271,14 +282,27 @@ def kernel_matrices(draw, nr, nc):
               for _ in range(nc)] for _ in range(nr)]
     if kind == "gaussian-pivot" and nr and nc:
         cells[0][0] = draw(st.tuples(part, part.filter(bool)))
+    return cells
+
+
+@st.composite
+def kernel_matrices(draw, nr, nc):
+    cells = draw(kernel_cells(nr, nc))
     return Matrix.exact(cells) if nr else Matrix.zeros(0, nc)
 
 
+def reduced_form(entries):
+    """The canonical (d, rows) of nested QQi entries, computed on Fractions:
+    d is the lcm of the entries' denominators."""
+    d = lcm(1, *(f.denominator for row in entries for x in row for f in (x.re, x.im)))
+    return d, tuple(tuple((int(x.re * d), int(x.im * d)) for x in row) for row in entries)
+
+
 def assert_written(m, expected):
-    """m holds the expected QQi entries, and the integer form kept on it is
-    the canonical one of a matrix built from those entries."""
+    """m reads back the expected QQi entries, and the integer form it stores
+    is the reduced one of those entries."""
     assert rows(m) == expected
-    assert m._intform == _int_form(Matrix.exact(expected))
+    assert m._intform == reduced_form(expected)
 
 
 def scalar_product(a, b):
@@ -306,7 +330,6 @@ def test_writer_matches_scalar_reference(data):
     assert_written(a - b, [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
     assert_written(-a, [[-x for x in p] for p in ra])
     assert_written(a @ c, scalar_product(a, c))
-    # a has an integer form now, and H and T carry it over
     assert_written(a.T, [[ra[i][j] for i in range(nr)] for j in range(k)])
     assert_written(a.H, [[ra[i][j].conjugate() for i in range(nr)] for j in range(k)])
     red, pivots = exact_rref(a)
@@ -320,6 +343,61 @@ def test_writer_matches_scalar_reference(data):
             sq.inverse()
     else:
         assert_written(sq.inverse(), expected)
+
+
+# Jordan data whose commutant grids have one, two and three cells a side
+EXPAND_SPECS = [[(1, [2]), (2, [1])], [(1, [2, 1])], [((0, 1), [1, 1, 1])], [(-1, [3, 2])]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_every_constructor_writes_the_canonical_form(data):
+    nr, nc = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    cells = data.draw(kernel_cells(nr, nc))
+    ref = [[QQi.coerce(x) for x in row] for row in cells]
+    zero = [[QQi(0)] * nc for _ in range(nr)]
+    a = Matrix.exact(cells) if nr else Matrix.zeros(0, nc)
+    s = data.draw(entry)
+    values = data.draw(st.lists(entry, max_size=5))
+    i0, i1 = sorted(data.draw(st.integers(0, nr)) for _ in range(2))
+    j0, j1 = sorted(data.draw(st.integers(0, nc)) for _ in range(2))
+    made = [
+        (a, ref),
+        (Matrix.from_entries(nr, nc, [(i, j, x) for i, row in enumerate(cells)
+                                      for j, x in enumerate(row) if x != 0], EXACT), ref),
+        (matrix_from_obj(matrix_to_obj(a)), ref),
+        (Matrix.zeros(nr, nc), zero),
+        (Matrix.identity(nr), [[QQi(int(i == j)) for j in range(nr)] for i in range(nr)]),
+        (Matrix.diag(values, EXACT),
+         [[QQi.coerce(v) if i == j else QQi(0) for j in range(len(values))]
+          for i, v in enumerate(values)]),
+        (a.block(i0, i1, j0, j1), [row[j0:j1] for row in ref[i0:i1]]),
+        (a.scale(s), [[QQi.coerce(s) * x for x in row] for row in ref]),
+        (a.T, [[ref[i][j] for i in range(nr)] for j in range(nc)]),
+        (a.H, [[ref[i][j].conjugate() for i in range(nr)] for j in range(nc)]),
+        (a.T.T, ref),
+        (a @ Matrix.identity(nc), ref),
+        (a + Matrix.zeros(nr, nc), ref),
+        (a - a, zero),
+        (-a, [[-x for x in row] for row in ref]),
+        (exact_rref(a)[0], reference_rref(a)[0]),
+    ]
+    sq = data.draw(kernel_matrices(nr, nr))
+    inv = scalar_inverse(sq)
+    if inv is not None:
+        made.append((sq.inverse(), inv))
+    spec = make_spec(data.draw(st.sampled_from(EXPAND_SPECS)))
+    t = data.draw(kernel_matrices(spec.r, spec.r))
+    grid = CommutantProjector.read(spec, t)
+    expanded = grid.expand()
+    assert CommutantProjector.read(spec, expanded) == grid
+    made.append((expanded, rows(expanded)))
+    for m, expected in made:
+        assert_written(m, expected)
+    # one stored form per matrix: ==, key() and the entries agree
+    for (x, ex), (y, ey) in combinations(made, 2):
+        if (x.rows, x.cols) == (y.rows, y.cols):
+            assert (x == y) == (x.key() == y.key()) == (ex == ey)
 
 
 # zero rows and columns on either side, real and imaginary parts meeting
@@ -345,4 +423,4 @@ def test_product_empty_shapes(r, k, c):
     m = Matrix.zeros(r, k) @ Matrix.zeros(k, c)
     assert (m.rows, m.cols) == (r, c)
     assert m == Matrix.zeros(r, c)
-    assert m._intform == (1, tuple(((0, 0),) * c for _ in range(r)))
+    assert_written(m, [[QQi(0)] * c for _ in range(r)])

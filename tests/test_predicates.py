@@ -221,7 +221,8 @@ def test_shape_checked_before_integer_forms():
     for fn in (proj_leq, sharp_leq_unchecked, in_tau):
         with pytest.raises(ShapeMismatch):
             fn(a, b)
-    assert a._intform is None and b._intform is None
+    # no QQi entry is built before the ShapeMismatch
+    assert a._qqi is None and b._qqi is None
 
 
 # ----------------------------------------------------------------------
@@ -257,6 +258,18 @@ def test_sampler_exact_equals_reference(pairs):
     bits = [k % 2 for k in range(len(spec.block_sizes))]
     assert (sample_delta_projector(spec, 5, block_choices=bits).expand()
             == reference_sample(spec, 5, bits))
+
+
+def test_sampler_draws_again_after_singular_s():
+    # seed 25 draws a singular S first for this spec, so the exact sampler
+    # must catch the SingularMatrix of its inverse and draw again
+    spec, seed = make_spec(SAMPLER_SPECS[0]), 25
+    rng = random.Random(seed)
+    for _ in spec.block_sizes:
+        rng.randint(0, 1)
+    first = Matrix.identity(spec.r) + random_commutant_element(spec, rng)
+    assert first.rank() < spec.r
+    assert sample_delta_projector(spec, seed).expand() == reference_sample(spec, seed)
 
 
 @pytest.mark.parametrize("pairs", SAMPLER_SPECS)
