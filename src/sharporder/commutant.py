@@ -9,7 +9,8 @@ to describe down-sets under the sharp order.
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import lcm
 
 from .core import (
     DEFAULT_TOL,
@@ -17,6 +18,7 @@ from .core import (
     FLOAT,
     Matrix,
     _over,
+    _scalar_over,
     approx_eq,
     in_tau,
     is_projector,
@@ -35,6 +37,15 @@ def _cell_entries(cells):
     whose top-left entry is (i0, j0)."""
     return ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
             for d, c in enumerate(coeffs) for x in range(len(coeffs) - d))
+
+
+def _int_rows(r, cells):
+    """The r x r integer rows that hold the RUTM cores of cells, whose
+    coefficients are (re, im) int pairs, and zeros elsewhere."""
+    rows = [[(0, 0)] * r for _ in range(r)]
+    for i, j, c in _cell_entries(cells):
+        rows[i][j] = c
+    return tuple(map(tuple, rows))
 
 
 def _layout(spec: JordanSpec):
@@ -118,8 +129,12 @@ class CommutantProjector:
 
     spec: JordanSpec
     blocks: tuple  # per eigenvalue: tuple of tuples of CullenBlock
+    # the grid's expansion that from_matrix validated; not compared, hashed or shown
+    _matrix: Matrix = field(default=None, compare=False, repr=False)
 
     def expand(self) -> Matrix:
+        if self._matrix is not None:
+            return self._matrix
         if len(self.blocks) != self.spec.s:
             raise ShapeMismatch("one grid per eigenvalue required")
         cells = []
@@ -140,28 +155,46 @@ class CommutantProjector:
     @classmethod
     def from_matrix(cls, spec: JordanSpec, t: Matrix, tol=DEFAULT_TOL):
         """Validate that t is an idempotent in the commutant of J and capture
-        its Cullen grid.  Raises NotInDelta otherwise."""
+        its Cullen grid.  Raises NotInDelta otherwise.
+
+        t must equal the grid its cores' first rows span (Toeplitz cores,
+        zero padding on the right side, nothing coupling distinct
+        eigenvalues).  Exact mode spans it on t's integer rows, over t's
+        denominator, and compares int tuples; float mode compares the grid's
+        expansion with t by approx_eq, and keeps that cleaned expansion."""
         if not t.is_square or t.rows != spec.r:
             raise ShapeMismatch(f"expected a {spec.r}x{spec.r} matrix")
         if t.mode != spec.mode:
             raise ModeMismatch(f"{t.mode} matrix for a {spec.mode} spec")
         if not is_projector(t, tol):
             raise NotInDelta("matrix is not idempotent")
-        # t must match the grid its cores span: Toeplitz cores, zero padding
-        # on the right side, nothing coupling distinct eigenvalues
         cp = cls.read(spec, t)
-        if not approx_eq(cp.expand(), t, tol):
+        if t.mode == EXACT:
+            rows = t._intform[1]
+            m, ok = t, rows == _int_rows(spec.r, [
+                (i0, j0, rows[i0][j0:j0 + min(nr, nc)])
+                for grid in _layout(spec) for row in grid for nr, nc, i0, j0 in row])
+        else:
+            m = cp.expand()
+            ok = approx_eq(m, t, tol)
+        if not ok:
             raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
-        return cp
+        return cls(spec, cp.blocks, m)
 
     @classmethod
     def read(cls, spec: JordanSpec, t: Matrix):
         """The Cullen grid of an r x r matrix t, unchecked: each RUTM core
-        read off the first row of its cell."""
+        read off the first row of its cell.  Of an exact t, only those
+        coefficients are made into QQi."""
+        if t.mode == EXACT:
+            d, rows = t._intform
+            scalar = _scalar_over(d)
+        else:
+            rows, scalar = t.array, complex
 
-        def cell(rows, cols, i0, j0):
-            m = min(rows, cols)
-            return CullenBlock(rows, cols, RUTM(m, tuple(t[i0, j0 + x] for x in range(m))))
+        def cell(nr, nc, i0, j0):
+            m = min(nr, nc)
+            return CullenBlock(nr, nc, RUTM(m, tuple(map(scalar, rows[i0][j0:j0 + m]))))
 
         return cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
                                      for place_row in places) for places in _layout(spec)))
@@ -193,18 +226,31 @@ def delta_membership(t: Matrix, spec: JordanSpec, tol=DEFAULT_TOL) -> bool:
 
 def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     """A random element of the commutant algebra of J, with Gaussian-integer
-    RUTM coefficients drawn from [-2, 2], as (re, im) int pairs when exact."""
-    mode = spec.mode
+    RUTM coefficients drawn from [-2, 2], written as integer rows."""
 
     def coeff():
-        re = rng.randint(-2, 2)
-        im = rng.randint(-2, 2)
-        return (re, im) if mode == EXACT else complex(re, im)
+        return rng.randint(-2, 2), rng.randint(-2, 2)
 
     cells = [(i0, j0, tuple(coeff() for _ in range(min(rows, cols))))
              for places in _layout(spec) for place_row in places
              for rows, cols, i0, j0 in place_row]
-    return Matrix.from_entries(spec.r, spec.r, _cell_entries(cells), mode)
+    m = _over(spec.r, spec.r, _int_rows(spec.r, cells), (1, 0))
+    return m if spec.mode == EXACT else m.to_float()
+
+
+def _block_inverse(spec: JordanSpec, s: Matrix) -> Matrix:
+    """The inverse of an exact commutant element S, which is block diagonal
+    across eigenvalues: each eigenvalue's block is inverted alone, and the
+    inverses are written over the lcm of their denominators.  Raises
+    SingularMatrix when any block is singular."""
+    parts, o = [], 0
+    for e in spec.eigenvalues:
+        parts.append((o, s.block(o, o + e.dim, o, o + e.dim).inverse()._intform))
+        o += e.dim
+    d, r = lcm(*(dk for _, (dk, _) in parts)), spec.r
+    return _over(r, r, tuple(
+        ((0, 0),) * o + tuple((xr * (d // dk), xi * (d // dk)) for xr, xi in row)
+        + ((0, 0),) * (r - o - len(row)) for o, (dk, rk) in parts for row in rk), (d, 0))
 
 
 def _block_diagonal(spec: JordanSpec, bits):
@@ -238,8 +284,9 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
     dropped blocks' columns set to zero and T = (S E) S^-1 takes one
     product.  Float mode forms S E as a product: BLAS gives some of its
     zeros a sign that a column mask would not, and those signs reach T.
-    A singular S is drawn again, found by the exact inverse's elimination or
-    by the float rank cut (np.linalg.inv can succeed where the cut fails)."""
+    Exact mode inverts S one eigenvalue's block at a time.  A singular S,
+    found by any block's elimination or by the float rank cut
+    (np.linalg.inv can succeed where the cut fails), is drawn again whole."""
     rng = random.Random(seed)
     sizes = spec.block_sizes
     if block_choices is None:
@@ -253,7 +300,7 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
         s = ident + random_commutant_element(spec, rng)
         if s.mode == EXACT:
             with suppress(SingularMatrix):
-                s_inv = s.inverse()
+                s_inv = _block_inverse(spec, s)
         elif s.rank(tol) == spec.r:
             s_inv = s.inverse()
     if s.mode == FLOAT:

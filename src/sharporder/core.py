@@ -157,15 +157,12 @@ class Matrix:
         return list(self._entries()[i])
 
     def _entries(self):
-        """The QQi rows of an exact matrix, the one place QQi entries are
-        made: built from the integer form when an entry is first read, and
-        kept.  Equal entries share one QQi."""
+        """The QQi rows of an exact matrix: built from the integer form when
+        an entry is first read, and kept."""
         if self._qqi is None:
             d, rows = self._intform
-            made = {}
-            object.__setattr__(self, "_qqi", tuple(tuple(
-                made.get(p) or made.setdefault(p, QQi(Fraction(p[0], d), Fraction(p[1], d)))
-                for p in row) for row in rows))
+            scalar = _scalar_over(d)
+            object.__setattr__(self, "_qqi", tuple(tuple(map(scalar, row)) for row in rows))
         return self._qqi
 
     def block(self, i0, i1, j0, j1):
@@ -342,6 +339,13 @@ class Matrix:
         if not np.all(np.isfinite(inv)):
             raise SingularMatrix("non-finite inverse")
         return Matrix._wrap(inv)
+
+
+def _scalar_over(d):
+    """The one maker of QQi entries: the function from an (re, im) int pair
+    to the QQi (re + im i) / d.  Equal pairs share one QQi."""
+    made = {}
+    return lambda p: made.get(p) or made.setdefault(p, QQi(Fraction(p[0], d), Fraction(p[1], d)))
 
 
 def _require_finite(m: Matrix, what):

@@ -19,13 +19,17 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The Moore-Penrose inverse.
 
     Float mode inverts the singular values of the SVD that numerical_rank
-    counts.  Exact mode takes the full-rank factorization a = F G from the
-    RREF (F: the pivot columns of a, G: the nonzero rows of the RREF) and
-    returns a+ = G* (F* a G*)^-1 F*.  The zero matrix maps to the zero
-    transpose.
+    counts.  Exact mode returns a+ = G* (F* a G*)^-1 F* (Ben-Israel and
+    Greville, Generalized Inverses), F the pivot columns of a and G the
+    nonzero rows of its forward-only Bareiss echelon form.  Any bases of
+    a's column and row spaces serve: for a = F0 G0, F = F0 P and G = Q G0,
+    the invertible P and Q cancel, so G need not be the RREF or give
+    a = F G.  The zero matrix maps to the zero transpose.
     """
     if a.mode == EXACT:
-        f, g = _full_rank_factors(a)
+        echelon, pivots, _ = _bareiss(a._intform[1], a.rows, a.cols, False)
+        f = _pivot_columns(a, pivots)
+        g = _over(len(pivots), a.cols, tuple(map(tuple, echelon[:len(pivots)])), (1, 0))
         return g.H @ (f.H @ a @ g.H).inverse() @ f.H
     u, sigma, v = svd(a)
     r = numerical_rank(sigma, tol)
@@ -37,13 +41,10 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     return vr @ sinv @ ur.H
 
 
-def _full_rank_factors(a: Matrix):
-    """(F, G) with a = F G: F holds the pivot columns of a, G the nonzero
-    rows of its RREF (both empty for the zero matrix)."""
-    rref, pivots = exact_rref(a)
+def _pivot_columns(a: Matrix, pivots) -> Matrix:
+    """The columns of an exact a at the given pivot positions."""
     d, rows = a._intform
-    f = _over(a.rows, len(pivots), tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0))
-    return f, rref.block(0, len(pivots), 0, a.cols)
+    return _over(a.rows, len(pivots), tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0))
 
 
 _INDEX_CACHE = {}
@@ -79,7 +80,9 @@ def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """
     a.require_square()
     if a.mode == EXACT:
-        f, g = _full_rank_factors(a)
+        # Cline's formula needs a = F G, so G is the RREF's nonzero rows
+        rref, pivots = exact_rref(a)
+        f, g = _pivot_columns(a, pivots), rref.block(0, len(pivots), 0, a.cols)
         try:
             m = (g @ f).inverse()
         except SingularMatrix:

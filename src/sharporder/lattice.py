@@ -14,9 +14,9 @@ from .commutant import (
     admissible_ranks,
     block_choice_projector,
     center_choices,
-    delta_membership,
 )
-from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, approx_eq, exact_rref, is_projector
+from .core import (DEFAULT_TOL, EXACT, FLOAT, Matrix, _over, approx_eq, exact_rref, in_tau,
+                   is_projector)
 from .errors import (
     IndexTooLarge,
     NoEligibleEigenvalue,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ginv import index_le_one, moore_penrose
 from .hs import HSDecomposition, hs_reconstruct
-from .jordan import JordanSpec
+from .jordan import JordanSpec, build_jordan_matrix
 from .sharp import phi, phi_inv, proj_leq, sharp_leq, sharp_leq_unchecked
 
 
@@ -182,7 +182,8 @@ def non_lattice_witness(spec: JordanSpec, tol=DEFAULT_TOL):
     quad = tuple(Matrix.from_entries(spec.r, spec.r, shared + third, spec.mode)
                  for third in ([], y, ic, t4))
     t1, t2, t3, t4 = quad
-    ok = (all(delta_membership(t, spec, tol) for t in quad)
+    j = build_jordan_matrix(spec)
+    ok = (all(in_tau(t, j, tol) for t in quad)
           and proj_leq(t1, t3, tol) and proj_leq(t1, t4, tol)
           and proj_leq(t2, t3, tol) and proj_leq(t2, t4, tol)
           and not proj_leq(t1, t2, tol) and not proj_leq(t2, t1, tol)
@@ -244,14 +245,19 @@ def max_chain(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
 # the global meet in dimension 2
 
 
+_ZERO_2 = Matrix.zeros(2, 2, EXACT)
+_E1 = Matrix.exact([[1], [0]])
+
+
 def _kernel_vec_2(m: Matrix):
     """A nonzero kernel vector of an exact 2x2 rank-1 matrix, as a 2x1 Matrix."""
     red, pivots = exact_rref(m)
     if pivots == [0]:
-        c = red[0, 1]
-        return Matrix.exact([[(-c.re, -c.im)], [1]])
+        # the RREF's first row is [1 c] = [d c'] / d, so (-c, 1) = (-c', d) / d
+        d, ((_, (cr, ci)), _) = red._intform
+        return _over(2, 1, (((-cr, -ci),), ((d, 0),)), (d, 0))
     # pivot in column 1 (or no pivot): e1 is in the kernel
-    return Matrix.exact([[1], [0]])
+    return _E1
 
 
 def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
@@ -279,23 +285,23 @@ def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
         return b2
     d = b1 - b2
     if d.rank() == 2:
-        return Matrix.zeros(2, 2, EXACT)
+        return _ZERO_2
     x0 = _kernel_vec_2(d)
     y0 = _kernel_vec_2(d.T)
     w = b1 @ x0
     # proportionality w = mu * x0
     if not (w[0, 0] * x0[1, 0] - w[1, 0] * x0[0, 0]).is_zero():
-        return Matrix.zeros(2, 2, EXACT)
+        return _ZERO_2
     mu = w[0, 0] / x0[0, 0] if not x0[0, 0].is_zero() else w[1, 0] / x0[1, 0]
     if mu.is_zero():
-        return Matrix.zeros(2, 2, EXACT)
+        return _ZERO_2
     v = b1.T @ y0
     if not approx_eq(v, y0.scale(mu)):
-        return Matrix.zeros(2, 2, EXACT)
+        return _ZERO_2
     inner = (y0.T @ x0)[0, 0]
     if inner.is_zero():
-        return Matrix.zeros(2, 2, EXACT)
+        return _ZERO_2
     a = (x0 @ y0.T).scale(mu / inner)
     if sharp_leq(a, b1, tol) and sharp_leq(a, b2, tol):
         return a
-    return Matrix.zeros(2, 2, EXACT)
+    return _ZERO_2

@@ -265,3 +265,61 @@ def test_from_matrix_float_rejects_non_commutant(pairs, t):
     assert not delta_membership(t, spec)
     with pytest.raises(NotInDelta):
         CommutantProjector.from_matrix(spec, t)
+
+
+# one eigenvalue with blocks 2, 2, 1 (rows 0-1, 2-3, 4) and one with a
+# single block (row 5); E keeps the first and the last block
+REGION_SPEC = [(2, [2, 2, 1]), (3, [1])]
+REGION_BITS = [1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("i,j", [
+    (1, 3),   # the 2x2 core of cell (0, 1), below its first row
+    (1, 4),   # the padding row under the core of the tall 2x1 cell (0, 2)
+    (4, 0),   # the padding left of the core of the wide 1x2 cell (2, 0)
+    (5, 2),   # coupling the two eigenvalues
+])
+def test_from_matrix_exact_rejects_one_entry_off_the_grid(i, j):
+    # E is a 0/1 diagonal with E[i, i] != E[j, j], so E + c e_i e_j^T is
+    # still idempotent; it leaves the commutant only through entry (i, j).
+    # Conjugating by an invertible commutant element keeps both facts.
+    spec = make_spec(REGION_SPEC)
+    e = block_choice_projector(spec, REGION_BITS)
+    bad = e + Matrix.from_entries(spec.r, spec.r, [(i, j, (1, -2))], EXACT)
+    s = Matrix.identity(spec.r) + random_commutant_element(spec, random.Random(5))
+    for t in (bad, s @ bad @ s.inverse()):
+        assert is_projector(t)
+        assert not delta_membership(t, spec)
+        with pytest.raises(NotInDelta):
+            CommutantProjector.from_matrix(spec, t)
+    # the unperturbed E and its conjugate are accepted
+    for t in (e, s @ e @ s.inverse()):
+        assert CommutantProjector.from_matrix(spec, t).expand() == t
+
+
+@pytest.mark.parametrize("pairs", [REGION_SPEC, [(1, [3, 1]), (-1, [2, 2])]])
+def test_from_matrix_exact_keeps_the_validated_matrix(pairs):
+    spec = make_spec(pairs)
+    for seed in range(8):
+        t = sample_delta_projector(spec, seed).expand()
+        t = Matrix.exact([t.row(i) for i in range(t.rows)])  # no QQi entries built yet
+        cp = CommutantProjector.from_matrix(spec, t)
+        # the grid is read off the integer form: t's own entries stay unbuilt
+        assert t._qqi is None
+        assert cp.expand() is t
+        read = CommutantProjector.read(spec, t)
+        assert cp.blocks == read.blocks
+        assert cp == read and hash(cp) == hash(read)
+        assert read.expand() == t
+
+
+def test_from_matrix_float_expands_to_the_cleaned_grid():
+    spec = make_spec([(5, [2, 1])], mode=FLOAT)
+    grid = Matrix.floating([[1, 0, 0.5], [0, 1, 0], [0, 0, 0]])
+    # noise below the tolerance: in the core below its first row, and in
+    # the padding of the tall cell
+    noisy = grid + Matrix.floating([[0, 0, 0], [0, 1e-13, 1e-13], [0, 0, 0]])
+    cp = CommutantProjector.from_matrix(spec, noisy)
+    assert cp.expand() == grid
+    assert cp.expand() == CommutantProjector.read(spec, noisy).expand()
+    assert cp.expand() != noisy

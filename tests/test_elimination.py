@@ -7,8 +7,9 @@ entry operation; sympy's Gaussian-rational domain QQ_I is a second,
 independent reference where it is installed.
 """
 
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 
 import pytest
@@ -255,6 +256,38 @@ def test_product_without_inner_dimension_matches_sympy():
     a, b = Matrix.zeros(2, 0), Matrix.zeros(0, 3)
     assert a @ b == Matrix.zeros(2, 3)
     assert rows(a @ b) == _from_sympy(_to_sympy(a).matmul(_to_sympy(b)))
+
+
+@pytest.mark.parametrize("nr,nc,k", [
+    (3, 4, 0),                        # the zero matrix
+    (4, 3, 1), (3, 5, 2), (5, 4, 2),  # rank-deficient, wide and tall
+    (4, 4, 3),                        # rank-deficient square
+    (4, 2, 2), (2, 4, 2), (3, 3, 3),  # full column, full row and full rank
+])
+def test_moore_penrose_matches_sympy_pinv(nr, nc, k):
+    # a = B C through a k-wide middle with Gaussian-rational factors, so its
+    # rank is k; when k < nc, C's first column is zero, so a's pivot columns
+    # do not start at column 0
+    sympy = pytest.importorskip("sympy")
+    rnd = random.Random(nr * 100 + nc * 10 + k)
+
+    def factor(r, c, skip=0):
+        return Matrix.exact([[0 if j < skip else (Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),
+                                                  rnd.randint(-2, 2))
+                              for j in range(c)] for _ in range(r)])
+
+    a = factor(nr, k) @ factor(k, nc, int(k < nc)) if k else Matrix.zeros(nr, nc)
+    assert a.rank() == k
+    sa = sympy.Matrix(nr, nc, [sympy.Rational(x.re.numerator, x.re.denominator)
+                               + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+                               for x in chain.from_iterable(rows(a))])
+
+    def qqi(x):
+        re, im = sympy.expand(x).as_real_imag()
+        return QQi(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+    want = sa.pinv()
+    assert rows(moore_penrose(a)) == [[qqi(want[i, j]) for j in range(nr)] for i in range(nc)]
 
 
 @settings(max_examples=80, deadline=None)

@@ -233,6 +233,7 @@ SAMPLER_SPECS = [
     [(1, [2, 1]), (-1, [1])],      # two blocks
     [(2, [1, 1, 1]), (3, [2])],    # three blocks
     [(-1, [2, 2, 1, 1])],          # four blocks
+    [(2, [2, 1]), (-2, [1, 1])],   # two eigenvalues: S has a 3x3 and a 2x2 block
 ]
 
 
@@ -269,6 +270,21 @@ def test_sampler_draws_again_after_singular_s():
         rng.randint(0, 1)
     first = Matrix.identity(spec.r) + random_commutant_element(spec, rng)
     assert first.rank() < spec.r
+    assert sample_delta_projector(spec, seed).expand() == reference_sample(spec, seed)
+
+
+def test_sampler_draws_whole_s_again_after_one_singular_block():
+    # seed 7 first draws an S whose first eigenvalue's block is invertible
+    # and whose second is not: the sampler inverts S block by block, and
+    # must then draw the whole S again, not only the singular block
+    spec, seed = make_spec(SAMPLER_SPECS[4]), 7
+    rng = random.Random(seed)
+    for _ in spec.block_sizes:
+        rng.randint(0, 1)
+    first = Matrix.identity(spec.r) + random_commutant_element(spec, rng)
+    k = spec.eigenvalues[0].dim
+    assert first.block(0, k, 0, k).rank() == k
+    assert first.block(k, spec.r, k, spec.r).rank() < spec.r - k
     assert sample_delta_projector(spec, seed).expand() == reference_sample(spec, seed)
 
 
