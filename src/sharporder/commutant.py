@@ -1,15 +1,16 @@
 """The algebra of matrices commuting with a Jordan matrix J, and the poset
-of projectors inside it.
+of projectors inside it, used to describe down-sets under the sharp order.
 
 A matrix commutes with J iff it is block diagonal across eigenvalues, each
-diagonal block being a grid of upper-triangular-Toeplitz (RUTM) pieces padded
-per the Cullen shape rules.  Projectors in that algebra form the poset used
-to describe down-sets under the sharp order.
-"""
+diagonal block a grid of upper-triangular-Toeplitz (RUTM) cores padded per
+the Cullen shape rules.  A spec's grid layout is made once and kept on it:
+exact mode fills and checks grids on integer rows, float mode with numpy
+index arrays made on the spec's first float use."""
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from math import lcm
 
 from .core import (
@@ -51,17 +52,43 @@ def _int_rows(r, cells):
 def _layout(spec: JordanSpec):
     """Per eigenvalue, the t x t grid of (rows, cols, i0, j0) of its Cullen
     cells: the cell shape and the top-left entry of its RUTM core X in the
-    r x r matrix.  X sits at the top of a tall cell ([X; O]) and at the right
-    of a wide one ([O X])."""
-    out = []
-    off = 0
-    for e in spec.eigenvalues:
-        starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
-        out.append([[(e.sizes[i], e.sizes[k], starts[i],
-                      starts[k] + e.sizes[k] - min(e.sizes[i], e.sizes[k]))
-                     for k in range(e.t)] for i in range(e.t)])
-        off += e.dim
+    r x r matrix, at the top of a tall cell ([X; O]) and the right of a wide
+    one ([O X]).  Kept on the spec, as a float spec's P is unhashable."""
+    out = vars(spec).get("_cullen")
+    if out is None:
+        out, off = [], 0
+        for e in spec.eigenvalues:
+            starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
+            out.append([[(e.sizes[i], e.sizes[k], starts[i],
+                          starts[k] + e.sizes[k] - min(e.sizes[i], e.sizes[k]))
+                         for k in range(e.t)] for i in range(e.t)])
+            off += e.dim
+        object.__setattr__(spec, "_cullen", out)
     return out
+
+
+def _places(spec: JordanSpec):
+    """The (rows, cols, i0, j0) of every Cullen cell, in layout order."""
+    return [place for grid in _layout(spec) for row in grid for place in row]
+
+
+def _scattered(spec: JordanSpec, values, first=False):
+    """The float matrix of the RUTM cores whose coefficients are values, in
+    layout order, or with first, the first rows of the cells of values, a
+    flattened r x r matrix.  One scatter over index arrays kept on the spec."""
+    import numpy as np
+
+    ix = vars(spec).get("_cullen_index")
+    if ix is None:
+        r, k = spec.r, count()
+        cells = [(i0, j0, [(next(k), i0 * r + j0 + d) for d in range(min(nr, nc))])
+                 for nr, nc, i0, j0 in _places(spec)]
+        ix = tuple(map(np.array, zip(*((c, x, i * r + j)
+                                       for i, j, (c, x) in _cell_entries(cells)))))
+        object.__setattr__(spec, "_cullen_index", ix)
+    a = np.zeros(spec.r ** 2, dtype=complex)
+    a[ix[2]] = np.asarray(values)[ix[1 if first else 0]]
+    return Matrix._wrap(a.reshape(spec.r, spec.r))
 
 
 @dataclass(frozen=True)
@@ -122,70 +149,85 @@ class CullenBlock:
         return Matrix.from_entries(self.rows, self.cols, _cell_entries(cells), mode)
 
 
-@dataclass(frozen=True)
 class CommutantProjector:
     """A projector commuting with J, stored per eigenvalue as a t_j x t_j
-    grid of Cullen blocks."""
+    grid of Cullen blocks.  One made by from_matrix keeps the matrix it
+    checked and reads `blocks` when first asked; one made from blocks
+    expands them on first use.  eq, hash and repr see (spec, blocks)."""
 
-    spec: JordanSpec
-    blocks: tuple  # per eigenvalue: tuple of tuples of CullenBlock
-    # the grid's expansion that from_matrix validated; not compared, hashed or shown
-    _matrix: Matrix = field(default=None, compare=False, repr=False)
+    __slots__ = ("spec", "_blocks", "_matrix")
+
+    def __init__(self, spec: JordanSpec, blocks, _matrix=None):
+        for name, value in (("spec", spec), ("_blocks", blocks), ("_matrix", _matrix)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CommutantProjector is immutable")
+
+    @property
+    def blocks(self):
+        """Per eigenvalue: a tuple of tuples of CullenBlock."""
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", self.read(self.spec, self._matrix)._blocks)
+        return self._blocks
+
+    def __eq__(self, other):
+        return ((self.spec, self.blocks) == (other.spec, other.blocks)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.spec, self.blocks))
+
+    def __repr__(self):
+        return f"CommutantProjector(spec={self.spec!r}, blocks={self.blocks!r})"
 
     def expand(self) -> Matrix:
-        if self._matrix is not None:
-            return self._matrix
-        if len(self.blocks) != self.spec.s:
-            raise ShapeMismatch("one grid per eigenvalue required")
-        cells = []
-        for e, grid, places in zip(self.spec.eigenvalues, self.blocks, _layout(self.spec)):
-            if len(grid) != e.t or any(len(row) != e.t for row in grid):
-                raise ShapeMismatch("grid shape does not match multiplicities")
-            for row, place_row in zip(grid, places):
-                for cell, (rows, cols, i0, j0) in zip(row, place_row):
-                    if (cell.rows, cell.cols) != (rows, cols):
-                        raise ShapeMismatch("cell shape does not match block sizes")
-                    cells.append((i0, j0, cell.core.coeffs))
-        r = self.spec.r
-        return Matrix.from_entries(r, r, _cell_entries(cells), self.spec.mode)
+        if self._matrix is None:
+            spec = self.spec
+            if [[[(c.rows, c.cols) for c in row] for row in grid] for grid in self.blocks] != [
+                    [[place[:2] for place in row] for row in grid] for grid in _layout(spec)]:
+                raise ShapeMismatch("grid shape does not match the spec's block sizes")
+            cells = zip((c for grid in self.blocks for row in grid for c in row), _places(spec))
+            entries = _cell_entries((i0, j0, c.core.coeffs) for c, (_, _, i0, j0) in cells)
+            object.__setattr__(self, "_matrix",
+                               Matrix.from_entries(spec.r, spec.r, entries, spec.mode))
+        return self._matrix
 
     def rank(self, tol=DEFAULT_TOL) -> int:
         return self.expand().rank(tol)
 
     @classmethod
     def from_matrix(cls, spec: JordanSpec, t: Matrix, tol=DEFAULT_TOL):
-        """Validate that t is an idempotent in the commutant of J and capture
-        its Cullen grid.  Raises NotInDelta otherwise.
+        """Keep t if it is an idempotent in the commutant of J, else raise
+        NotInDelta; its Cullen grid is read only when asked for.
 
         t must equal the grid its cores' first rows span (Toeplitz cores,
         zero padding on the right side, nothing coupling distinct
-        eigenvalues).  Exact mode spans it on t's integer rows, over t's
-        denominator, and compares int tuples; float mode compares the grid's
-        expansion with t by approx_eq, and keeps that cleaned expansion."""
+        eigenvalues).  Exact mode spans it on t's integer rows and compares
+        int tuples; float mode spans it with _scattered, the bits of
+        read(spec, t).expand(), compares that with t by approx_eq, and keeps it."""
         if not t.is_square or t.rows != spec.r:
             raise ShapeMismatch(f"expected a {spec.r}x{spec.r} matrix")
         if t.mode != spec.mode:
             raise ModeMismatch(f"{t.mode} matrix for a {spec.mode} spec")
         if not is_projector(t, tol):
             raise NotInDelta("matrix is not idempotent")
-        cp = cls.read(spec, t)
         if t.mode == EXACT:
             rows = t._intform[1]
-            m, ok = t, rows == _int_rows(spec.r, [
-                (i0, j0, rows[i0][j0:j0 + min(nr, nc)])
-                for grid in _layout(spec) for row in grid for nr, nc, i0, j0 in row])
+            ok = rows == _int_rows(spec.r, [(i0, j0, rows[i0][j0:j0 + min(nr, nc)])
+                                            for nr, nc, i0, j0 in _places(spec)])
         else:
-            m = cp.expand()
-            ok = approx_eq(m, t, tol)
+            t, noisy = _scattered(spec, t.array.ravel(), first=True), t
+            ok = approx_eq(t, noisy, tol)
         if not ok:
             raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
-        return cls(spec, cp.blocks, m)
+        return cls(spec, None, t)
 
     @classmethod
     def read(cls, spec: JordanSpec, t: Matrix):
         """The Cullen grid of an r x r matrix t, unchecked: each RUTM core
-        read off the first row of its cell.  Of an exact t, only those
-        coefficients are made into QQi."""
+        read off the first row of its cell, in a projector that holds only
+        the grid.  Of an exact t, only those coefficients are made into QQi."""
         if t.mode == EXACT:
             d, rows = t._intform
             scalar = _scalar_over(d)
@@ -226,16 +268,16 @@ def delta_membership(t: Matrix, spec: JordanSpec, tol=DEFAULT_TOL) -> bool:
 
 def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     """A random element of the commutant algebra of J, with Gaussian-integer
-    RUTM coefficients drawn from [-2, 2], written as integer rows."""
-
-    def coeff():
-        return rng.randint(-2, 2), rng.randint(-2, 2)
-
-    cells = [(i0, j0, tuple(coeff() for _ in range(min(rows, cols))))
-             for places in _layout(spec) for place_row in places
-             for rows, cols, i0, j0 in place_row]
-    m = _over(spec.r, spec.r, _int_rows(spec.r, cells), (1, 0))
-    return m if spec.mode == EXACT else m.to_float()
+    RUTM coefficients drawn from [-2, 2] in layout order, real part first.
+    Exact mode writes them as integer rows; float mode scatters them, with
+    the bits of the exact element's to_float()."""
+    places = _places(spec)
+    coeffs = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(min(nr, nc))]
+              for nr, nc, _, _ in places]
+    if spec.mode == FLOAT:
+        return _scattered(spec, [complex(*c) for cell in coeffs for c in cell])
+    return _over(spec.r, spec.r, _int_rows(spec.r, [
+        (i0, j0, cell) for (_, _, i0, j0), cell in zip(places, coeffs)]), (1, 0))
 
 
 def _block_inverse(spec: JordanSpec, s: Matrix) -> Matrix:
@@ -331,20 +373,18 @@ def projector_to_obj(cp: CommutantProjector):
 def projector_from_obj(obj) -> CommutantProjector:
     try:
         spec = spec_from_obj(obj["spec"])
-        exact = spec.mode == EXACT
-        blocks = []
-        for e, grid in zip(spec.eigenvalues, obj["blocks"]):
-            rows = []
-            for i, row in enumerate(grid):
-                cells = []
-                for k, coeffs in enumerate(row):
-                    m = min(e.sizes[i], e.sizes[k])
-                    core = tuple(scalar_from_obj(c) for c in coeffs)
-                    if any(isinstance(c, QQi) != exact for c in core):
-                        raise MalformedInput(f"coefficient mode differs from the {spec.mode} spec")
-                    cells.append(CullenBlock(e.sizes[i], e.sizes[k], RUTM(m, core)))
-                rows.append(tuple(cells))
-            blocks.append(tuple(rows))
+        grids, layout, exact = obj["blocks"], _layout(spec), spec.mode == EXACT
+        if [[len(row) for row in grid] for grid in grids] != [list(map(len, g)) for g in layout]:
+            raise MalformedInput("grid shape does not match the spec's multiplicities")
+
+        def cell(coeffs, nr, nc, i0, j0):
+            core = tuple(map(scalar_from_obj, coeffs))
+            if len(core) != min(nr, nc) or any(isinstance(c, QQi) != exact for c in core):
+                raise MalformedInput(f"a {nr}x{nc} cell needs {min(nr, nc)} {spec.mode} scalars")
+            return CullenBlock(nr, nc, RUTM(len(core), core))
+
+        blocks = tuple(tuple(tuple(cell(c, *place) for c, place in zip(row, places))
+                             for row, places in zip(grid, g)) for grid, g in zip(grids, layout))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedInput(f"bad CommutantProjector object: {exc}") from exc
-    return CommutantProjector(spec, tuple(blocks))
+    return CommutantProjector(spec, blocks)

@@ -322,9 +322,15 @@ finally:
     (["refute", "conjecture"], 0, False),
     (["inverse", "mp", "--in", "{b1}"], 0, False),
     (["downset", "classify", "--spec", "{wspec}"], 0, False),
+    # the exact commands that run the commutant code, whose float path
+    # keeps numpy index arrays on the spec
+    (["downset", "sample", "--spec", "{wspec}", "--seed", "3", "--count", "4"], 0, False),
+    (["witness", "nonlattice", "--spec", "{wspec}"], 0, False),
+    (["hasse", "--spec", "{wspec}", "--out", "{tmp}/g.dot"], 0, False),
     (["inverse", "mp", "--in", "{bad}"], 2, False),
     (["decompose", "hs", "--in", "{B}"], 0, True),
-], ids=["refute", "inverse-mp-exact", "classify", "malformed", "decompose-float"])
+], ids=["refute", "inverse-mp-exact", "classify", "sample-exact", "witness-exact", "hasse-exact",
+        "malformed", "decompose-float"])
 def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_loaded):
     argv = [a.format(**files) for a in args]
     src = str(Path(sharporder.__file__).resolve().parents[1])

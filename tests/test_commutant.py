@@ -8,6 +8,7 @@ from sharporder import (
     FLOAT,
     Matrix,
     QQi,
+    Tolerance,
     is_projector,
     admissible_ranks,
     build_jordan_matrix,
@@ -323,3 +324,83 @@ def test_from_matrix_float_expands_to_the_cleaned_grid():
     assert cp.expand() == grid
     assert cp.expand() == CommutantProjector.read(spec, noisy).expand()
     assert cp.expand() != noisy
+
+
+# (block sizes per eigenvalue, seeds): two of the float benchmark's shapes,
+# one with 1x1 cells only and one with tall and wide cells, and two small ones
+FLOAT_CASES = [([[1] * 5, [1] * 4, [1] * 3], range(6)), ([[4, 3, 2], [3, 2], [2]], range(6)),
+               ([[2, 1], [1]], range(6)), ([[2], [1]], range(12, 18))]
+# the (case, seed) pairs whose first float S fails the rank cut
+RANK_CUT_REDRAWS = {(1, 1), (2, 0)}
+# a (case, seed) pair whose T has a zero with its sign bit set in a cell's
+# first row, which the scatter must keep
+NEGATIVE_ZERO = (3, 15)
+
+
+def _same_bits(x, y):
+    """Equal values and equal signs of zero, real and imaginary parts."""
+    return (np.array_equal(x, y) and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
+
+
+def _replayed_t(spec, seed, tol):
+    """The T = (S E) S^-1 that sample_delta_projector checks, from its own
+    draws, and whether its first S failed the rank cut."""
+    rng = random.Random(seed)
+    bits = [rng.randint(0, 1) for _ in spec.block_sizes]
+    draws = 0
+    while True:
+        draws += 1
+        s = Matrix.identity(spec.r, FLOAT) + random_commutant_element(spec, rng)
+        if s.rank(tol) == spec.r:
+            return s @ block_choice_projector(spec, bits) @ s.inverse(), draws > 1
+
+
+@pytest.mark.parametrize("case", range(len(FLOAT_CASES)))
+def test_float_sampling_bits_match_the_grid_reference(case):
+    sizes, seeds = FLOAT_CASES[case]
+    exact = make_spec(list(zip((2, -1, 3), sizes)))
+    spec = make_spec(list(zip((2.0, -1.0, 3.0), sizes)), mode=FLOAT)
+    tol = Tolerance(rel=1e-7)
+    for seed in seeds:
+        rf, rx = random.Random(seed), random.Random(seed)
+        got = random_commutant_element(spec, rf).array
+        assert _same_bits(got, random_commutant_element(exact, rx).to_float().array)
+        assert rf.getstate() == rx.getstate()
+        t, redrawn = _replayed_t(spec, seed, tol)
+        assert redrawn == ((case, seed) in RANK_CUT_REDRAWS)
+        cp, ref = CommutantProjector.from_matrix(spec, t, tol), CommutantProjector.read(spec, t)
+        assert _same_bits(cp.expand().array, ref.expand().array)
+        assert _same_bits(sample_delta_projector(spec, seed, tol=tol).expand().array,
+                          ref.expand().array)
+        assert cp.blocks == ref.blocks and hash(cp) == hash(ref)
+        if (case, seed) == NEGATIVE_ZERO:
+            a = ref.expand().array
+            assert np.signbit(a.real[a.real == 0]).any() or np.signbit(a.imag[a.imag == 0]).any()
+
+
+def test_projector_keeps_one_form_and_makes_the_other_once():
+    spec = make_spec([(2, [2, 1]), (3, [1])])
+    t = sample_delta_projector(spec, 4).expand()
+    cp = CommutantProjector.from_matrix(spec, t)
+    assert cp._blocks is None and cp.blocks is cp.blocks
+    assert cp.expand() is t
+    built = CommutantProjector(spec, cp.blocks)
+    assert built._matrix is None and built.expand() is built.expand()
+    assert built.expand() == t and built == cp and repr(built) == repr(cp)
+    with pytest.raises(AttributeError):
+        cp.spec = spec
+
+
+@pytest.mark.parametrize("cut", [
+    lambda blocks: blocks[:1],                               # one eigenvalue's grid
+    lambda blocks: [blocks[0][:1], blocks[1]],               # one row of a grid
+    lambda blocks: [[[blocks[0][0][0][:1]] + blocks[0][0][1:], blocks[0][1]],
+                    blocks[1]],                              # a 2x2 core's coefficient
+], ids=["missing-grid", "missing-row", "short-core"])
+def test_projector_json_rejects_a_malformed_grid(cut):
+    spec = make_spec([(2, [2, 1]), (3, [1])])
+    obj = projector_to_obj(sample_delta_projector(spec, 3))
+    assert projector_from_obj(obj).expand() == sample_delta_projector(spec, 3).expand()
+    with pytest.raises(MalformedInput):
+        projector_from_obj({"spec": obj["spec"], "blocks": cut(obj["blocks"])})
