@@ -18,8 +18,11 @@ from .core import (
     EXACT,
     FLOAT,
     Matrix,
+    _int_product,
+    _int_rep_eq,
     _over,
     _scalar_over,
+    _solve,
     approx_eq,
     in_tau,
     is_projector,
@@ -280,21 +283,6 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
         (i0, j0, cell) for (_, _, i0, j0), cell in zip(places, coeffs)]), (1, 0))
 
 
-def _block_inverse(spec: JordanSpec, s: Matrix) -> Matrix:
-    """The inverse of an exact commutant element S, which is block diagonal
-    across eigenvalues: each eigenvalue's block is inverted alone, and the
-    inverses are written over the lcm of their denominators.  Raises
-    SingularMatrix when any block is singular."""
-    parts, o = [], 0
-    for e in spec.eigenvalues:
-        parts.append((o, s.block(o, o + e.dim, o, o + e.dim).inverse()._intform))
-        o += e.dim
-    d, r = lcm(*(dk for _, (dk, _) in parts)), spec.r
-    return _over(r, r, tuple(
-        ((0, 0),) * o + tuple((xr * (d // dk), xi * (d // dk)) for xr, xi in row)
-        + ((0, 0),) * (r - o - len(row)) for o, (dk, rk) in parts for row in rk), (d, 0))
-
-
 def _block_diagonal(spec: JordanSpec, bits):
     """The 0/1 diagonal of the block-choice projector: each block's bit,
     repeated over the block's rows."""
@@ -316,43 +304,65 @@ def center_choices(spec: JordanSpec):
         yield [(mask >> j) & 1 for j, e in enumerate(spec.eigenvalues) for _ in e.sizes]
 
 
+def _idempotent_on_heads(spec: JordanSpec, t: Matrix) -> bool:
+    """T^2 = T for an exact T in the commutant of J, decided on its rows I
+    (the first row of each Jordan block): T[I, :] T = T[I, :].  T^2 is in
+    the commutant too, and the rows I fix a commutant element."""
+    d, rows = t._intform
+    top = tuple(rows[row[0][2]] for grid in _layout(spec) for row in grid)
+    heads = Matrix(len(top), spec.r, EXACT, (d, top))
+    return _int_rep_eq(heads._intform, _int_product(heads, t))
+
+
+def _delta_rows(spec: JordanSpec, s: Matrix, keep) -> Matrix:
+    """T = (S E) S^-1, written from its Cullen grid, for an exact commutant
+    element S (its denominator does not change T) and the 0/1 diagonal keep
+    of E.  Per eigenvalue block, the rows I of T, which hold the grid, solve
+    T[I, :] S = (S E)[I, :] by one _solve of S^T: SingularMatrix if S is."""
+    rows, cells, o = s._intform[1], [], 0
+    for e, grid in zip(spec.eigenvalues, _layout(spec)):
+        span = range(o, o + e.dim)
+        x, n = _solve(tuple(tuple(rows[i][j] for i in span) for j in span), e.dim,
+                      tuple(tuple(rows[row[0][2]][j] if keep[j] else (0, 0) for row in grid)
+                            for j in span), e.t)
+        cells += [(n, i0, j0, [x[j - o][q] for j in range(j0, j0 + min(nr, nc))])
+                  for q, row in enumerate(grid) for nr, nc, i0, j0 in row]
+        o += e.dim
+    d = lcm(*(n for n, _, _, _ in cells))
+    return _over(spec.r, spec.r, _int_rows(spec.r, [
+        (i0, j0, [(xr * (d // n), xi * (d // n)) for xr, xi in c]) for n, i0, j0, c in cells]),
+        (d, 0))
+
+
 def sample_delta_projector(spec: JordanSpec, seed: int,
                            block_choices=None, tol=DEFAULT_TOL) -> CommutantProjector:
     """A random projector commuting with J: conjugate a 0/1 block-diagonal
-    idempotent by a random invertible commutant element.  Deterministic for a
-    fixed seed; may not reach every projector (the sets are infinite).
+    idempotent E by a random invertible commutant element S.  Deterministic
+    for a fixed seed; may not reach every projector (the sets are infinite).
 
-    The idempotent E is a 0/1 diagonal, so in exact mode S E is S with the
-    dropped blocks' columns set to zero and T = (S E) S^-1 takes one
-    product.  Float mode forms S E as a product: BLAS gives some of its
-    zeros a sign that a column mask would not, and those signs reach T.
-    Exact mode inverts S one eigenvalue's block at a time.  A singular S,
-    found by any block's elimination or by the float rank cut
+    Exact mode solves for the rows of T = (S E) S^-1 that hold its Cullen
+    grid (_delta_rows) and writes T from the grid, so T and T^2 are in the
+    commutant: T^2 = T is checked on those rows alone.  Float mode forms T
+    by products and checks it with from_matrix: BLAS gives some zeros of
+    S E a sign that a column mask would not, and those signs reach T.  A
+    singular S, found by a block's elimination or by the float rank cut
     (np.linalg.inv can succeed where the cut fails), is drawn again whole."""
     rng = random.Random(seed)
-    sizes = spec.block_sizes
-    if block_choices is None:
-        bits = [rng.randint(0, 1) for _ in sizes]
-    else:
-        bits = list(block_choices)
-    keep = _block_diagonal(spec, bits)
+    keep = _block_diagonal(spec, [rng.randint(0, 1) for _ in spec.block_sizes]
+                           if block_choices is None else list(block_choices))
     ident = Matrix.identity(spec.r, spec.mode)
-    s_inv = None
-    while s_inv is None:
+    while True:
         s = ident + random_commutant_element(spec, rng)
         if s.mode == EXACT:
             with suppress(SingularMatrix):
-                s_inv = _block_inverse(spec, s)
+                t = _delta_rows(spec, s, keep)
+                break
         elif s.rank(tol) == spec.r:
-            s_inv = s.inverse()
-    if s.mode == FLOAT:
-        se = s @ Matrix.diag(keep, FLOAT)
-    else:
-        d, rows = s._intform
-        se = _over(s.rows, s.cols,
-                   tuple(tuple(x if k else (0, 0) for x, k in zip(row, keep)) for row in rows),
-                   (d, 0))
-    return CommutantProjector.from_matrix(spec, se @ s_inv, tol)
+            return CommutantProjector.from_matrix(
+                spec, s @ Matrix.diag(keep, FLOAT) @ s.inverse(), tol)
+    if not _idempotent_on_heads(spec, t):
+        raise NotInDelta("matrix is not idempotent")
+    return CommutantProjector(spec, None, t)
 
 
 # ----------------------------------------------------------------------

@@ -315,18 +315,16 @@ class Matrix:
         return numerical_rank(singular_values(self), tol)
 
     def inverse(self):
-        """Matrix inverse; raises SingularMatrix when not invertible."""
+        """Matrix inverse; raises SingularMatrix when not invertible.  Exact
+        mode solves rows X = d I for self = rows / d with _solve (every
+        division exact by Cramer's rule)."""
         self.require_square()
         n = self.rows
         if self.mode == EXACT:
-            # self = rows / d, so the RREF of [rows | d I] is [I | self^-1]
             d, rows = self._intform
-            aug = [list(row) + [(d, 0) if j == i else (0, 0) for j in range(n)]
-                   for i, row in enumerate(rows)]
-            a, pivots, big_d = _bareiss(aug, n, 2 * n, True)
-            if pivots[:n] != list(range(n)):
-                raise SingularMatrix("exact matrix is singular")
-            return _over(n, n, tuple(tuple(row[n:]) for row in a), big_d)
+            x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0) for j in range(n))
+                                             for i in range(n)), n)
+            return _over(n, n, x, (big_n, 0))
         if n == 0:
             return self
         import numpy as np
@@ -368,9 +366,9 @@ def _fro(a):
 # the exact kernel: an exact matrix is stored as Gaussian integers over one
 # denominator, and every exact result is computed in that form.
 # _int_product multiplies (row by row, skipping zero entries of the left
-# factor), _int_sum adds and subtracts, _bareiss eliminates, _int_rep_eq
-# compares, _cleared turns entries given as scalars into integers, and
-# _over, the one writer, reduces a form to the canonical one a Matrix keeps
+# factor), _int_sum adds and subtracts, _bareiss eliminates, _solve solves,
+# _int_rep_eq compares, _cleared turns entries given as scalars into
+# integers, and _over, the one writer, reduces a form to the canonical one
 
 
 def _parts(x):
@@ -458,8 +456,8 @@ def _bareiss(rows, nr, nc, reduce):
     entry in the entry's column, p_prev the previous pivot.  Every entry is
     then a minor of the input, so each division is exact and the loops stay
     on ints.  Forward only (reduce=False) leaves a row echelon form; with
-    reduce=True the rows above each pivot are eliminated too, every pivot
-    ends equal to the last one, D, and the RREF is rows / D.
+    reduce=True (exact_rref) the rows above each pivot are eliminated too,
+    every pivot ends equal to the last one, D, and the RREF is rows / D.
 
     Returns (rows, pivot columns, D); D is (1, 0) when there is no pivot.
     """
@@ -500,6 +498,33 @@ def _bareiss(rows, nr, nc, reduce):
         pr, pi = qr, qi
         r += 1
     return a, pivots, (pr, pi)
+
+
+def _solve(rows, n, rhs, k):
+    """(X rows, N), N a positive int, with A X / N = B for the n x n and
+    n x k Gaussian-integer rows of A and B; SingularMatrix if A is singular.
+
+    The forward-only _bareiss of [A | B] leaves [U | B'], and its last pivot
+    D is +-det A, so D A^-1 = +-adj A is integral (Cramer's rule).  N is D
+    when D > 0, else |D|^2, so N X is integral too: back substitution
+    N x_i = (N b'_i - sum over j > i of u_ij N x_j) / u_ii divides exactly."""
+    a, pivots, (dr, di) = _bareiss([p + q for p, q in zip(rows, rhs)], n, n + k, False)
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("exact matrix is singular")
+    big_n = dr if dr > 0 and not di else dr * dr + di * di
+    x = [()] * n
+    for i, row in zip(range(n - 1, -1, -1), reversed(a)):
+        sre, sim = [big_n * br for br, _ in row[n:]], [big_n * bi for _, bi in row[n:]]
+        for (ur, ui), xj in zip(row[i + 1:n], x[i + 1:]):
+            if ur or ui:
+                for c, (yr, yi) in enumerate(xj):
+                    sre[c] -= ur * yr - ui * yi
+                    sim[c] -= ur * yi + ui * yr
+        ur, ui = row[i]
+        pn = ur * ur + ui * ui
+        x[i] = tuple(((tr * ur + ti * ui) // pn, (ti * ur - tr * ui) // pn)
+                     for tr, ti in zip(sre, sim))
+    return tuple(x), big_n
 
 
 def _over(nr, nc, rows, d):

@@ -7,6 +7,7 @@ from .core import (
     _bareiss,
     _int_product,
     _over,
+    _solve,
     approx_eq,
     exact_rref,
     numerical_rank,
@@ -20,17 +21,21 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
 
     Float mode inverts the singular values of the SVD that numerical_rank
     counts.  Exact mode returns a+ = G* (F* a G*)^-1 F* (Ben-Israel and
-    Greville, Generalized Inverses), F the pivot columns of a and G the
-    nonzero rows of its forward-only Bareiss echelon form.  Any bases of
-    a's column and row spaces serve: for a = F0 G0, F = F0 P and G = Q G0,
-    the invertible P and Q cancel, so G need not be the RREF or give
-    a = F G.  The zero matrix maps to the zero transpose.
+    Greville, Generalized Inverses) as G* Y, one _solve giving Y with
+    (F* a G*) Y = F*, its divisions exact by Cramer's rule.  F is the pivot
+    columns of a and G the nonzero rows of its forward-only Bareiss echelon
+    form.  Any bases of a's column and row spaces serve: for a = F0 G0,
+    F = F0 P and G = Q G0, the invertible P and Q cancel, so G need not be
+    the RREF or give a = F G.  The zero matrix maps to the zero transpose.
     """
     if a.mode == EXACT:
         echelon, pivots, _ = _bareiss(a._intform[1], a.rows, a.cols, False)
-        f = _pivot_columns(a, pivots)
-        g = _over(len(pivots), a.cols, tuple(map(tuple, echelon[:len(pivots)])), (1, 0))
-        return g.H @ (f.H @ a @ g.H).inverse() @ f.H
+        k, fh = len(pivots), _pivot_columns(a, pivots).H
+        gh = _over(k, a.cols, tuple(map(tuple, echelon[:k])), (1, 0)).H
+        dm, m = (fh @ a @ gh)._intform
+        df, rf = fh.scale(dm)._intform  # (m / dm) Y = F* iff m Y = dm F*
+        y, n = _solve(m, k, rf, a.rows)
+        return gh @ _over(k, a.rows, y, (n * df, 0))
     u, sigma, v = svd(a)
     r = numerical_rank(sigma, tol)
     if r == 0:

@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sharporder import (
     EXACT,
@@ -23,6 +24,10 @@ from sharporder import (
 )
 from sharporder.jordan import JordanSpec
 from sharporder.sharp import phi_inv, psi
+
+# CI runs with --hypothesis-profile=ci: a failing example prints the blob
+# that @reproduce_failure replays locally; examples and deadlines as default
+settings.register_profile("ci", print_blob=True)
 
 TOL8 = Tolerance(rel=1e-8)
 TOL7 = Tolerance(rel=1e-7)

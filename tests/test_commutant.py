@@ -1,4 +1,6 @@
 import random
+from itertools import count
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +21,16 @@ from sharporder import (
     rutm_idempotents,
     sample_delta_projector,
 )
+from sharporder import commutant
 from sharporder.commutant import (
     CommutantProjector,
     CullenBlock,
     RUTM,
+    _idempotent_on_heads,
     block_choice_projector,
     random_commutant_element,
 )
+from sharporder.core import scalar_from_obj, scalar_to_obj
 from sharporder.errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta
 from sharporder.sharp import proj_leq
 
@@ -377,6 +382,73 @@ def test_float_sampling_bits_match_the_grid_reference(case):
         if (case, seed) == NEGATIVE_ZERO:
             a = ref.expand().array
             assert np.signbit(a.real[a.real == 0]).any() or np.signbit(a.imag[a.imag == 0]).any()
+
+
+# the six shapes of the exact-projectors benchmark, with the eigenvalues its
+# seed 3 gives them
+EXACT_CASES = [[(-1, [1, 1]), (-2, [1, 1])], [(3, [2, 2, 1])], [((1, 1), [1] * 6)],
+               [((2, -1), [2, 1]), ((1, 1), [2, 1, 1])], [(2, [3, 2]), (-2, [2, 1])],
+               [(1, [3, 3, 2])]]
+# two (case, seed) pairs whose first exact S is singular when the bits are drawn
+SINGULAR_FIRST_S = {(1, 10), (4, 2)}
+
+
+def _replayed_exact_t(spec, seed, bits):
+    """S E S^-1 from the draws of sample_delta_projector(spec, seed, bits),
+    by the full inverse and two products; the rng state after the draws; and
+    whether the first S was singular."""
+    rng = random.Random(seed)
+    if bits is None:
+        bits = [rng.randint(0, 1) for _ in spec.block_sizes]
+    for draws in count(1):
+        s = Matrix.identity(spec.r) + random_commutant_element(spec, rng)
+        if s.rank() == spec.r:
+            return s @ block_choice_projector(spec, bits) @ s.inverse(), rng.getstate(), draws > 1
+
+
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+def test_exact_sampling_matches_the_full_conjugation(case, monkeypatch):
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(commutant, "random", SimpleNamespace(Random=Recorded))
+    spec, bit_rng = make_spec(EXACT_CASES[case]), random.Random(case)
+    for seed in range(60):
+        for bits in (None, [bit_rng.randint(0, 1) for _ in spec.block_sizes]):
+            t, state, redrawn = _replayed_exact_t(spec, seed, bits)
+            if bits is None and (case, seed) in SINGULAR_FIRST_S:
+                assert redrawn
+            cp = sample_delta_projector(spec, seed, block_choices=bits)
+            assert made.pop().getstate() == state
+            assert cp.expand().key() == t.key()
+            assert projector_to_obj(cp) == projector_to_obj(CommutantProjector.read(spec, t))
+            # the sampler checks T^2 = T on the determining rows only; the
+            # public checks must pass on every sample it returns
+            assert CommutantProjector.from_matrix(spec, cp.expand()) == cp
+            assert delta_membership(cp.expand(), spec)
+
+
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+def test_row_idempotence_agrees_with_is_projector(case):
+    spec, rng = make_spec(EXACT_CASES[case]), random.Random(case)
+    seen = set()
+    for seed in range(20):
+        cp = sample_delta_projector(spec, seed)
+        obj = projector_to_obj(cp)
+        coeffs = rng.choice([c for grid in obj["blocks"] for row in grid for c in row])
+        x = rng.randrange(len(coeffs))
+        coeffs[x] = scalar_to_obj(scalar_from_obj(coeffs[x]) + QQi(*rng.choice([(1, 0), (0, -1)])))
+        element = random_commutant_element(spec, rng)
+        bits = [rng.randint(0, 1) for _ in spec.block_sizes]
+        for m in (element, Matrix.identity(spec.r) + element, cp.expand(),
+                  projector_from_obj(obj).expand(), block_choice_projector(spec, bits)):
+            seen.add(is_projector(m))
+            assert _idempotent_on_heads(spec, m) == is_projector(m)
+    assert seen == {False, True}
 
 
 def test_projector_keeps_one_form_and_makes_the_other_once():

@@ -26,7 +26,7 @@ from sharporder import (
     matrix_to_obj,
     moore_penrose,
 )
-from sharporder.core import exact_rref
+from sharporder.core import _bareiss, _solve, exact_rref
 from sharporder.errors import IndexTooLarge, SingularMatrix
 from sharporder.ginv import _INDEX_CACHE, index_le_one
 from sharporder.scalars import QQi
@@ -192,6 +192,81 @@ def test_rref_empty_shapes():
     assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
     assert moore_penrose(Matrix.zeros(3, 0)) == Matrix.zeros(0, 3)
     assert group_inverse(Matrix.zeros(2, 2)) == Matrix.zeros(2, 2)
+
+
+# ----------------------------------------------------------------------
+# _solve: forward Bareiss on [A | B], then fraction-free back substitution
+
+gaussian = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def systems(draw):
+    """(A rows, B rows, n, k): Gaussian-integer A (n x n, n = 0..8) and B
+    (n x k, k = 0..4); half of the A are products through a narrower
+    middle, so singular ones are common."""
+    n, k = draw(st.integers(0, 8)), draw(st.integers(0, 4))
+
+    def block(r, c):
+        return tuple(tuple(draw(gaussian) for _ in range(c)) for _ in range(r))
+
+    a = block(n, n)
+    if n and draw(st.booleans()):
+        m = draw(st.integers(0, n - 1))
+        a = (Matrix.exact(block(n, m)) @ Matrix.exact(block(m, n)) if m
+             else Matrix.zeros(n, n))._intform[1]
+    return a, block(n, k), n, k
+
+
+def reference_solve(a, b, n):
+    """X of A X = B by Gauss-Jordan on QQi scalars, or None when A is
+    singular."""
+    aug = Matrix.exact([p + q for p, q in zip(a, b)]) if n else Matrix.zeros(0, 0)
+    ref, pivots = reference_rref(aug)
+    if [p for p in pivots if p < n] != list(range(n)):
+        return None
+    return [row[n:] for row in ref]
+
+
+def check_solve(a, b, n, k):
+    want = reference_solve(a, b, n)
+    if want is None:
+        with pytest.raises(SingularMatrix):
+            _solve(a, n, b, k)
+        return
+    x, d = _solve(a, n, b, k)
+    assert type(d) is int and d > 0
+    assert len(x) == n and all(len(row) == k for row in x)
+    assert [[QQi(*p) for p in row] for row in x] == [[d * y for y in row] for row in want]
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems())
+def test_solve_matches_reference(system):
+    check_solve(*system)
+
+
+@pytest.mark.parametrize("unit", [(-1, 0), (0, 1), (0, -1)])
+def test_solve_unit_pivots_and_row_swap(unit):
+    # A[0][0] = 0 forces a row swap; the first two pivots are unit and
+    # unit^2, so step two divides by the unit and step three by unit^2,
+    # which is -1 for i and -i
+    a = (((0, 0), unit, (1, 0)), (unit, (1, 0), (0, 0)), ((2, 0), (0, 0), unit))
+    b = (((1, 0), (0, 2)), ((0, 0), (-1, 1)), ((3, 0), (0, 0)))
+    echelon, (ur, ui) = _bareiss([p + q for p, q in zip(a, b)], 3, 5, False)[0], unit
+    assert echelon[0][0] == unit and echelon[1][1] == (ur * ur - ui * ui, 2 * ur * ui)
+    check_solve(a, b, 3, 2)
+    m = Matrix.exact(a)
+    assert identity_like(m @ m.inverse()) and identity_like(m.inverse() @ m)
+    check_solve(a[:2] + (((0, 0),) * 3,), b, 3, 2)  # a zero row: singular
+
+
+def test_solve_empty_shapes():
+    assert _solve((), 0, (), 3) == ((), 1)
+    assert _solve((((2, 0),),), 1, ((),), 0) == (((),), 2)
+    assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
+    with pytest.raises(SingularMatrix):
+        _solve((((0, 0),),), 1, (((1, 0),),), 1)
 
 
 # ----------------------------------------------------------------------
