@@ -31,13 +31,10 @@ from .jordan import (
 )
 from .commutant import (
     CommutantProjector,
-    CullenBlock,
-    RUTM,
     admissible_ranks,
     delta_membership,
     projector_from_obj,
     projector_to_obj,
-    rutm_idempotents,
     sample_delta_projector,
 )
 from .sharp import (

@@ -2,14 +2,15 @@
 of projectors inside it, used to describe down-sets under the sharp order.
 
 A matrix commutes with J iff it is block diagonal across eigenvalues, each
-diagonal block a grid of upper-triangular-Toeplitz (RUTM) cores padded per
-the Cullen shape rules.  A spec's grid layout is made once and kept on it:
-exact mode fills and checks grids on integer rows, float mode with numpy
+diagonal block a grid of upper-triangular Toeplitz cores padded per the
+Cullen shape rules (Gantmacher, The Theory of Matrices, ch. VIII).  A grid
+holds only its cores' coefficients: the cell shapes depend on the block
+sizes alone, so a spec's layout is made once, by _layout, and kept on it.
+Exact mode fills and checks grids on integer rows, float mode with numpy
 index arrays made on the spec's first float use."""
 
 import random
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import count
 from math import lcm
 
@@ -36,7 +37,7 @@ from .scalars import QQi
 
 
 def _cell_entries(cells):
-    """The (i, j, value) entries of RUTM cores: each cell (i0, j0, coeffs)
+    """The (i, j, value) entries of Toeplitz cores: each cell (i0, j0, coeffs)
     puts coeffs[d] on the d-th superdiagonal of a len(coeffs)-square core
     whose top-left entry is (i0, j0)."""
     return ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
@@ -44,7 +45,7 @@ def _cell_entries(cells):
 
 
 def _int_rows(r, cells):
-    """The r x r integer rows that hold the RUTM cores of cells, whose
+    """The r x r integer rows that hold the Toeplitz cores of cells, whose
     coefficients are (re, im) int pairs, and zeros elsewhere."""
     rows = [[(0, 0)] * r for _ in range(r)]
     for i, j, c in _cell_entries(cells):
@@ -54,7 +55,7 @@ def _int_rows(r, cells):
 
 def _layout(spec: JordanSpec):
     """Per eigenvalue, the t x t grid of (rows, cols, i0, j0) of its Cullen
-    cells: the cell shape and the top-left entry of its RUTM core X in the
+    cells: the cell shape and the top-left entry of its Toeplitz core X in the
     r x r matrix, at the top of a tall cell ([X; O]) and the right of a wide
     one ([O X]).  Kept on the spec, as a float spec's P is unhashable."""
     out = vars(spec).get("_cullen")
@@ -70,13 +71,20 @@ def _layout(spec: JordanSpec):
     return out
 
 
+def _fits(spec: JordanSpec, blocks):
+    """Whether blocks has the spec's grids, each cell with as many
+    coefficients as its core's size."""
+    return [[list(map(len, row)) for row in grid] for grid in blocks] == [
+        [[min(nr, nc) for nr, nc, _, _ in row] for row in grid] for grid in _layout(spec)]
+
+
 def _places(spec: JordanSpec):
     """The (rows, cols, i0, j0) of every Cullen cell, in layout order."""
     return [place for grid in _layout(spec) for row in grid for place in row]
 
 
 def _scattered(spec: JordanSpec, values, first=False):
-    """The float matrix of the RUTM cores whose coefficients are values, in
+    """The float matrix of the Toeplitz cores whose coefficients are values, in
     layout order, or with first, the first rows of the cells of values, a
     flattened r x r matrix.  One scatter over index arrays kept on the spec."""
     import numpy as np
@@ -94,69 +102,13 @@ def _scattered(spec: JordanSpec, values, first=False):
     return Matrix._wrap(a.reshape(spec.r, spec.r))
 
 
-@dataclass(frozen=True)
-class RUTM:
-    """Regular upper triangular (Toeplitz) matrix a1 I + a2 N + ... + am N^(m-1)."""
-
-    size: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.size or self.size < 0:
-            raise InvalidSpec("RUTM needs exactly `size` coefficients")
-
-    @property
-    def mode(self):
-        return EXACT if all(isinstance(c, QQi) for c in self.coeffs) else FLOAT
-
-    def expand(self) -> Matrix:
-        m = self.size
-        return Matrix.from_entries(m, m, _cell_entries([(0, 0, self.coeffs)]), self.mode)
-
-    @staticmethod
-    def zero(size, mode=EXACT):
-        c = QQi(0) if mode == EXACT else 0.0
-        return RUTM(size, tuple(c for _ in range(size)))
-
-    @staticmethod
-    def identity(size, mode=EXACT):
-        one = QQi(1) if mode == EXACT else 1.0
-        zero = QQi(0) if mode == EXACT else 0.0
-        return RUTM(size, tuple(one if i == 0 else zero for i in range(size)))
-
-
-def rutm_idempotents(size: int):
-    """All idempotent RUTMs of a given size: exactly the zero and identity."""
-    if size < 1:
-        raise InvalidSpec("size must be >= 1")
-    return {RUTM.zero(size), RUTM.identity(size)}
-
-
-@dataclass(frozen=True)
-class CullenBlock:
-    """One (i, k) cell of a commutant grid: an RUTM padded to rows x cols.
-
-    Expands to [X; O] when rows > cols, [O X] when rows < cols, X when equal.
-    """
-
-    rows: int
-    cols: int
-    core: RUTM
-
-    def __post_init__(self):
-        if self.core.size != min(self.rows, self.cols):
-            raise InvalidSpec("core RUTM size must be min(rows, cols)")
-
-    def expand(self, mode) -> Matrix:
-        cells = [(0, self.cols - self.core.size, self.core.coeffs)]
-        return Matrix.from_entries(self.rows, self.cols, _cell_entries(cells), mode)
-
-
 class CommutantProjector:
     """A projector commuting with J, stored per eigenvalue as a t_j x t_j
-    grid of Cullen blocks.  One made by from_matrix keeps the matrix it
-    checked and reads `blocks` when first asked; one made from blocks
-    expands them on first use.  eq, hash and repr see (spec, blocks)."""
+    grid of its cells' core coefficients (see blocks).  One made by
+    from_matrix keeps the matrix it checked and reads `blocks` when first
+    asked; one made from blocks expands them on first use, and raises
+    ShapeMismatch there if they do not fit the spec.  eq, hash and repr see
+    (spec, blocks)."""
 
     __slots__ = ("spec", "_blocks", "_matrix")
 
@@ -169,7 +121,10 @@ class CommutantProjector:
 
     @property
     def blocks(self):
-        """Per eigenvalue: a tuple of tuples of CullenBlock."""
+        """Per eigenvalue, a t x t tuple of tuples of coefficient tuples:
+        cell (i, k), sizes[i] x sizes[k], lists the min(sizes[i], sizes[k])
+        coefficients of its Toeplitz core, the core's first row.  The core
+        is on top of a tall cell and on the right of a wide one."""
         if self._blocks is None:
             object.__setattr__(self, "_blocks", self.read(self.spec, self._matrix)._blocks)
         return self._blocks
@@ -187,17 +142,13 @@ class CommutantProjector:
     def expand(self) -> Matrix:
         if self._matrix is None:
             spec = self.spec
-            if [[[(c.rows, c.cols) for c in row] for row in grid] for grid in self.blocks] != [
-                    [[place[:2] for place in row] for row in grid] for grid in _layout(spec)]:
+            if not _fits(spec, self.blocks):
                 raise ShapeMismatch("grid shape does not match the spec's block sizes")
             cells = zip((c for grid in self.blocks for row in grid for c in row), _places(spec))
-            entries = _cell_entries((i0, j0, c.core.coeffs) for c, (_, _, i0, j0) in cells)
+            entries = _cell_entries((i0, j0, c) for c, (_, _, i0, j0) in cells)
             object.__setattr__(self, "_matrix",
                                Matrix.from_entries(spec.r, spec.r, entries, spec.mode))
         return self._matrix
-
-    def rank(self, tol=DEFAULT_TOL) -> int:
-        return self.expand().rank(tol)
 
     @classmethod
     def from_matrix(cls, spec: JordanSpec, t: Matrix, tol=DEFAULT_TOL):
@@ -228,9 +179,10 @@ class CommutantProjector:
 
     @classmethod
     def read(cls, spec: JordanSpec, t: Matrix):
-        """The Cullen grid of an r x r matrix t, unchecked: each RUTM core
-        read off the first row of its cell, in a projector that holds only
-        the grid.  Of an exact t, only those coefficients are made into QQi."""
+        """The Cullen grid of an r x r matrix t, unchecked: each cell's core
+        coefficients sliced from the cell's first row, in a projector that
+        holds only the grid.  Of an exact t, only those coefficients are
+        made into QQi."""
         if t.mode == EXACT:
             d, rows = t._intform
             scalar = _scalar_over(d)
@@ -238,8 +190,7 @@ class CommutantProjector:
             rows, scalar = t.array, complex
 
         def cell(nr, nc, i0, j0):
-            m = min(nr, nc)
-            return CullenBlock(nr, nc, RUTM(m, tuple(map(scalar, rows[i0][j0:j0 + m]))))
+            return tuple(map(scalar, rows[i0][j0:j0 + min(nr, nc)]))
 
         return cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
                                      for place_row in places) for places in _layout(spec)))
@@ -271,7 +222,7 @@ def delta_membership(t: Matrix, spec: JordanSpec, tol=DEFAULT_TOL) -> bool:
 
 def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     """A random element of the commutant algebra of J, with Gaussian-integer
-    RUTM coefficients drawn from [-2, 2] in layout order, real part first.
+    core coefficients drawn from [-2, 2] in layout order, real part first.
     Exact mode writes them as integer rows; float mode scatters them, with
     the bits of the exact element's to_float()."""
     places = _places(spec)
@@ -373,7 +324,7 @@ def projector_to_obj(cp: CommutantProjector):
     return {
         "spec": spec_to_obj(cp.spec),
         "blocks": [
-            [[[scalar_to_obj(c) for c in cell.core.coeffs] for cell in row]
+            [[[scalar_to_obj(c) for c in cell] for cell in row]
              for row in grid]
             for grid in cp.blocks
         ],
@@ -383,18 +334,12 @@ def projector_to_obj(cp: CommutantProjector):
 def projector_from_obj(obj) -> CommutantProjector:
     try:
         spec = spec_from_obj(obj["spec"])
-        grids, layout, exact = obj["blocks"], _layout(spec), spec.mode == EXACT
-        if [[len(row) for row in grid] for grid in grids] != [list(map(len, g)) for g in layout]:
-            raise MalformedInput("grid shape does not match the spec's multiplicities")
-
-        def cell(coeffs, nr, nc, i0, j0):
-            core = tuple(map(scalar_from_obj, coeffs))
-            if len(core) != min(nr, nc) or any(isinstance(c, QQi) != exact for c in core):
-                raise MalformedInput(f"a {nr}x{nc} cell needs {min(nr, nc)} {spec.mode} scalars")
-            return CullenBlock(nr, nc, RUTM(len(core), core))
-
-        blocks = tuple(tuple(tuple(cell(c, *place) for c, place in zip(row, places))
-                             for row, places in zip(grid, g)) for grid, g in zip(grids, layout))
+        blocks = tuple(tuple(tuple(tuple(map(scalar_from_obj, cell)) for cell in row)
+                             for row in grid) for grid in obj["blocks"])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MalformedInput(f"bad CommutantProjector object: {exc}") from exc
+    exact = spec.mode == EXACT
+    if not _fits(spec, blocks) or any(isinstance(c, QQi) != exact for grid in blocks
+                                      for row in grid for cell in row for c in cell):
+        raise MalformedInput(f"the grid does not fit the spec's block sizes and {spec.mode} mode")
     return CommutantProjector(spec, blocks)

@@ -23,9 +23,7 @@ from .jordan import JordanSpec
 from .sharp import in_tau
 
 
-EP_COMMUTE_IDEMPOTENT = "ep_commute_idempotent"
 JORDAN_COMMUTE_IDEMPOTENT = "jordan_commute_idempotent"
-XBX_FAMILY = "xbx_family"
 
 
 @dataclass(frozen=True)
@@ -38,13 +36,6 @@ class SolutionFamily:
     free_part_shape: tuple
     finite_count: int = None
     members: tuple = None
-
-    def to_obj(self):
-        return {
-            "kind": self.kind,
-            "free_part_shape": list(self.free_part_shape),
-            "finite_count": self.finite_count,
-        }
 
 
 def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,

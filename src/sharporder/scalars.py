@@ -89,10 +89,6 @@ class QQi:
     def conjugate(self):
         return QQi(self.re, -self.im)
 
-    def abs2(self):
-        """Squared modulus, as an exact Fraction."""
-        return self.re * self.re + self.im * self.im
-
     def is_zero(self):
         return self.re == 0 and self.im == 0
 

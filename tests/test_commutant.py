@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sharporder import (
     EXACT,
@@ -18,36 +20,25 @@ from sharporder import (
     make_spec,
     projector_from_obj,
     projector_to_obj,
-    rutm_idempotents,
     sample_delta_projector,
 )
 from sharporder import commutant
 from sharporder.commutant import (
     CommutantProjector,
-    CullenBlock,
-    RUTM,
     _idempotent_on_heads,
     block_choice_projector,
     random_commutant_element,
 )
 from sharporder.core import scalar_from_obj, scalar_to_obj
-from sharporder.errors import InvalidSpec, MalformedInput, ModeMismatch, NotInDelta
+from sharporder.errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta,
+                               ShapeMismatch)
 from sharporder.sharp import proj_leq
 
 
-def test_rutm_idempotents_sizes():
-    for size in (1, 2, 3):
-        got = rutm_idempotents(size)
-        assert got == {RUTM.zero(size), RUTM.identity(size)}
-    with pytest.raises(InvalidSpec):
-        rutm_idempotents(0)
-
-
 def test_rutm_expand():
-    from sharporder import QQi
-
-    r = RUTM(3, (QQi(1), QQi(2), QQi(3)))
-    assert r.expand() == Matrix.exact([[1, 2, 3], [0, 1, 2], [0, 0, 1]])
+    # one 3x3 Jordan block: its single cell is the Toeplitz core a1 I + a2 N + a3 N^2
+    cp = CommutantProjector(make_spec([(5, [3])]), ((((QQi(1), QQi(2), QQi(3)),),),))
+    assert cp.expand() == Matrix.exact([[1, 2, 3], [0, 1, 2], [0, 0, 1]])
 
 
 def test_expand_identity_and_zero():
@@ -62,10 +53,11 @@ def test_expand_identity_and_zero():
 
 
 def test_expand_partial_identity():
-    # single eigenvalue, sizes [2,1]: identity RUTM in the top-left cell only
+    # single eigenvalue, sizes [2,1]: identity core in the top-left cell only
     spec = make_spec([(7, [2, 1])])
-    grid = ((CullenBlock(2, 2, RUTM.identity(2)), CullenBlock(2, 1, RUTM.zero(1))),
-            (CullenBlock(1, 2, RUTM.zero(1)), CullenBlock(1, 1, RUTM.zero(1))))
+    o, i = QQi(0), QQi(1)
+    grid = (((i, o), (o,)),
+            ((o,), (o,)))
     cp = CommutantProjector(spec, (grid,))
     assert cp.expand() == Matrix.diag([1, 1, 0], EXACT)
 
@@ -128,8 +120,6 @@ def test_single_block_delta_is_two_elements():
         seen.add(t.key())
     assert seen == {Matrix.zeros(3, 3, EXACT).key(),
                     Matrix.identity(3, EXACT).key()}
-    # and structurally: RUTM idempotents are only O and I
-    assert len(rutm_idempotents(3)) == 2
 
 
 def test_equal_rank_samples_incomparable():
@@ -177,7 +167,7 @@ def test_projector_json_round_trip():
 
 def _reference_expand(spec, grids, mode):
     """The commutant matrix built entry by entry from the Cullen rules: cell
-    (i, k) of an eigenvalue is its RUTM core X, on top of zeros when tall
+    (i, k) of an eigenvalue is its Toeplitz core X, on top of zeros when tall
     ([X; O]) and right of zeros when wide ([O X])."""
     r = spec.r
     a = [[0] * r for _ in range(r)]
@@ -219,31 +209,24 @@ def test_expand_matches_reference(mode, pairs):
                     row.append(coeffs)
                 grid.append(row)
             grids.append(grid)
-        cp = CommutantProjector(spec, tuple(
-            tuple(tuple(CullenBlock(si, sk, RUTM(min(si, sk), tuple(c)))
-                        for sk, c in zip(e.sizes, row))
-                  for si, row in zip(e.sizes, grid))
-            for e, grid in zip(spec.eigenvalues, grids)))
+        cp = CommutantProjector(spec, tuple(tuple(tuple(map(tuple, row)) for row in grid)
+                                            for grid in grids))
         got = cp.expand()
         assert got.mode == mode
         assert got == _reference_expand(spec, grids, mode)
-        # and every cell, expanded alone, is the matching slice
-        off = 0
-        for e, cgrid in zip(spec.eigenvalues, cp.blocks):
-            starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
-            for i in range(e.t):
-                for k in range(e.t):
-                    assert cgrid[i][k].expand(mode) == got.block(
-                        starts[i], starts[i] + e.sizes[i], starts[k], starts[k] + e.sizes[k])
-            off += e.dim
+        # and the grid read back off the matrix is the one it was built from
+        assert CommutantProjector.read(spec, got).blocks == cp.blocks
 
 
 def test_cullen_cell_expand_sides():
-    core = RUTM(2, (QQi(1), QQi(2)))
-    assert CullenBlock(3, 2, core).expand(EXACT) == Matrix.exact([[1, 2], [0, 1], [0, 0]])
-    assert CullenBlock(2, 3, core).expand(EXACT) == Matrix.exact([[0, 1, 2], [0, 0, 1]])
-    assert CullenBlock(2, 3, core).expand(FLOAT) == Matrix.floating([[0, 1, 2], [0, 0, 1]])
-    assert RUTM(0, ()).expand() == Matrix.zeros(0, 0, EXACT)
+    # blocks 3 and 2: cell (0, 1) is tall, [X; O], and cell (1, 0) wide, [O X]
+    for mode, o, x, make in ((EXACT, QQi(0), (QQi(1), QQi(2)), Matrix.exact),
+                             (FLOAT, 0j, (1 + 0j, 2 + 0j), Matrix.floating)):
+        spec = make_spec([(5, [3, 2])], mode=mode)
+        got = CommutantProjector(spec, ((((o, o, o), x), (x, (o, o))),)).expand()
+        assert got.block(0, 3, 3, 5) == make([[1, 2], [0, 1], [0, 0]])
+        assert got.block(3, 5, 0, 3) == make([[0, 1, 2], [0, 0, 1]])
+        assert got.block(0, 3, 0, 3).is_zero() and got.block(3, 5, 3, 5).is_zero()
 
 
 def test_from_matrix_float_accepts_cullen_shapes():
@@ -476,3 +459,39 @@ def test_projector_json_rejects_a_malformed_grid(cut):
     assert projector_from_obj(obj).expand() == sample_delta_projector(spec, 3).expand()
     with pytest.raises(MalformedInput):
         projector_from_obj({"spec": obj["spec"], "blocks": cut(obj["blocks"])})
+
+
+@pytest.mark.parametrize("cut", [
+    lambda g: (((g[0][0][0][:1],) + g[0][0][1:], g[0][1]), g[1]),         # a coefficient short
+    lambda g: (((g[0][0][0] + g[0][0][0][:1],) + g[0][0][1:], g[0][1]), g[1]),  # one too many
+    lambda g: ((g[0][0],), g[1]),                                          # one row of a grid
+    lambda g: g[:1],                                                       # one eigenvalue's grid
+], ids=["short-cell", "long-cell", "missing-row", "missing-grid"])
+def test_constructor_rejects_a_malformed_grid_at_expand(cut):
+    spec = make_spec([(2, [2, 1]), (3, [1])])
+    cp = sample_delta_projector(spec, 3)
+    assert CommutantProjector(spec, cp.blocks).expand() == cp.expand()
+    bad = CommutantProjector(spec, cut(cp.blocks))
+    with pytest.raises(ShapeMismatch):
+        bad.expand()
+
+
+@st.composite
+def _grids(draw):
+    """A projector-shaped grid, not necessarily idempotent: an exact or float
+    spec of 1-3 eigenvalues with 1-3 blocks of size <= 3 each, and
+    Gaussian-integer core coefficients."""
+    mode = draw(st.sampled_from([EXACT, FLOAT]))
+    lams = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=3, unique=True))
+    sizes = [sorted(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)), reverse=True)
+             for _ in lams]
+    scalar, part = (QQi if mode == EXACT else complex), st.integers(-3, 3)
+    return CommutantProjector(make_spec(list(zip(lams, sizes)), mode=mode), tuple(
+        tuple(tuple(tuple(scalar(draw(part), draw(part)) for _ in range(min(si, sk)))
+                    for sk in s) for si in s) for s in sizes))
+
+
+@given(_grids())
+def test_grid_round_trips_through_its_matrix_and_json(cp):
+    assert CommutantProjector.read(cp.spec, cp.expand()).blocks == cp.blocks
+    assert projector_from_obj(projector_to_obj(cp)) == cp
