@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .commutant import projector_to_obj, sample_delta_projector
+from .commutant import center_choices, projector_to_obj, sample_delta_projector
 from .core import (
     DEFAULT_TOL,
     Matrix,
@@ -29,9 +29,8 @@ from .ginv import group_inverse, moore_penrose
 from .hasse import hasse_dot
 from .hs import hs_decompose, hs_to_obj
 from .jordan import spec_from_obj, validate_similarity
-from .lattice import boolean_center, classify_downset, max_chain, meet_in_c2, \
-    non_lattice_witness
-from .sharp import conjecture_refutation, phi_inv, proj_leq, psi, sharp_leq
+from .lattice import classify_downset, max_chain, meet_in_c2, non_lattice_witness
+from .sharp import conjecture_refutation, phi_inv_stack, proj_leq, psi_choices, sharp_leq
 
 
 def _emit(obj):
@@ -174,11 +173,8 @@ def downset_classify(spec_path):
 def downset_boolean(b_path, spec_path, **kwargs):
     tol = _tol(kwargs)
     _, spec, d = _downset_setup(b_path, spec_path, tol)
-    out = []
-    for cp in boolean_center(spec):
-        t = psi(cp.expand().to_float(), spec.P)
-        out.append(matrix_to_obj(phi_inv(t, d, tol)))
-    _emit(out)
+    centers = psi_choices(spec, center_choices(spec))
+    _emit([matrix_to_obj(a) for a in phi_inv_stack(centers, d, tol)])
 
 
 @downset.command("sample")
@@ -295,17 +291,13 @@ def equations_solve(b_path, spec_path, **kwargs):
         _emit({"finite_count": None, "kind": "infinite_family",
                "free_part_shape": [spec.r, spec.r]})
         return
-    centers = [psi(cp.expand().to_float(), spec.P) for cp in boolean_center(spec)]
-    members = []
+    centers = psi_choices(spec, center_choices(spec))
     if d.r == d.n:
-        for t in centers:
-            members.append(d.embed(t))
+        members = Matrix.slices(d.embed_stack(centers))
     else:
-        for t in centers:
-            for w_bit in (0, 1):
-                w = Matrix.identity(d.n - d.r, b.mode) if w_bit \
-                    else Matrix.zeros(d.n - d.r, d.n - d.r, b.mode)
-                members.append(solve_ep_commute_idempotent(d, t, w, tol))
+        ws = (Matrix.zeros(d.n - d.r, d.n - d.r, b.mode), Matrix.identity(d.n - d.r, b.mode))
+        members = [solve_ep_commute_idempotent(d, t, w, tol)
+                   for t in Matrix.slices(centers) for w in ws]
     for s in members:
         if not verify_power_commute(s, b, 3, tol):
             raise PrecondViolated("materialized solution fails verification")

@@ -11,7 +11,7 @@ index arrays made on the spec's first float use."""
 
 import random
 from contextlib import suppress
-from itertools import count
+from itertools import count, islice
 from math import lcm
 
 from .core import (
@@ -220,18 +220,37 @@ def delta_membership(t: Matrix, spec: JordanSpec, tol=DEFAULT_TOL) -> bool:
 # sampling
 
 
+def _draws(rng: random.Random, count):
+    """count values of rng.randint(-2, 2), leaving rng in the same state.
+    CPython's randint(-2, 2) is 2 less than its _randbelow(5): getrandbits(3),
+    drawn again while it is 5 or more.  That loop, copied, skips randint's
+    argument checks, which cost more than the draw."""
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        x = bits(3)
+        while x > 4:
+            x = bits(3)
+        out.append(x - 2)
+    return out
+
+
 def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     """A random element of the commutant algebra of J, with Gaussian-integer
-    core coefficients drawn from [-2, 2] in layout order, real part first.
-    Exact mode writes them as integer rows; float mode scatters them, with
-    the bits of the exact element's to_float()."""
+    core coefficients drawn from [-2, 2] (_draws) in layout order, real part
+    first.  Exact mode writes them as integer rows; float mode scatters them,
+    with the bits of the exact element's to_float()."""
     places = _places(spec)
-    coeffs = [[(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(min(nr, nc))]
-              for nr, nc, _, _ in places]
+    sizes = [min(nr, nc) for nr, nc, _, _ in places]
+    parts = _draws(rng, 2 * sum(sizes))
     if spec.mode == FLOAT:
-        return _scattered(spec, [complex(*c) for cell in coeffs for c in cell])
+        import numpy as np
+
+        # (re, im) float pairs read as complex128: complex(re, im), bit for bit
+        return _scattered(spec, np.array(parts, dtype=float).view(complex))
+    pairs = zip(parts[::2], parts[1::2])
     return _over(spec.r, spec.r, _int_rows(spec.r, [
-        (i0, j0, cell) for (_, _, i0, j0), cell in zip(places, coeffs)]), (1, 0))
+        (i0, j0, list(islice(pairs, k))) for (_, _, i0, j0), k in zip(places, sizes)]), (1, 0))
 
 
 def _block_diagonal(spec: JordanSpec, bits):
@@ -332,6 +351,10 @@ def projector_to_obj(cp: CommutantProjector):
 
 
 def projector_from_obj(obj) -> CommutantProjector:
+    """The projector of projector JSON: MalformedInput for a grid that does
+    not fit the spec or its mode, NotInDelta for one whose matrix is not
+    idempotent (exact mode: _idempotent_on_heads; float mode: is_projector
+    at DEFAULT_TOL).  The matrix is expanded here and kept."""
     try:
         spec = spec_from_obj(obj["spec"])
         blocks = tuple(tuple(tuple(tuple(map(scalar_from_obj, cell)) for cell in row)
@@ -342,4 +365,8 @@ def projector_from_obj(obj) -> CommutantProjector:
     if not _fits(spec, blocks) or any(isinstance(c, QQi) != exact for grid in blocks
                                       for row in grid for cell in row for c in cell):
         raise MalformedInput(f"the grid does not fit the spec's block sizes and {spec.mode} mode")
-    return CommutantProjector(spec, blocks)
+    cp = CommutantProjector(spec, blocks)
+    t = cp.expand()
+    if not (_idempotent_on_heads(spec, t) if exact else is_projector(t)):
+        raise NotInDelta("the grid's matrix is not idempotent")
+    return cp

@@ -109,6 +109,14 @@ class Matrix:
         return cls(a.shape[0], a.shape[1], FLOAT, a)
 
     @classmethod
+    def slices(cls, stack):
+        """The float matrices of the slices of a (k, rows, cols) complex128
+        stack that no one else can write to: views of the stack, which is
+        made read-only, not copied."""
+        stack.setflags(write=False)
+        return [cls(stack.shape[1], stack.shape[2], FLOAT, a) for a in stack]
+
+    @classmethod
     def from_entries(cls, rows, cols, entries, mode):
         """A rows x cols matrix, zero except for the (i, j, value) entries;
         the one place a zero matrix is filled."""
@@ -272,7 +280,7 @@ class Matrix:
             return not any(chain.from_iterable(chain.from_iterable(self._intform[1])))
         norm = self.fro()
         if not isfinite(norm):
-            _require_finite(self, "is_zero")
+            _require_finite(self._a, "is_zero")
         return norm <= tol.rel
 
     def to_float(self):
@@ -329,7 +337,7 @@ class Matrix:
             return self
         import numpy as np
 
-        _require_finite(self, "inverse")
+        _require_finite(self._a, "inverse")
         try:
             inv = np.linalg.inv(self._a)
         except np.linalg.LinAlgError as exc:
@@ -346,11 +354,11 @@ def _scalar_over(d):
     return lambda p: made.get(p) or made.setdefault(p, QQi(Fraction(p[0], d), Fraction(p[1], d)))
 
 
-def _require_finite(m: Matrix, what):
-    """Reject a float matrix holding NaN or an infinity."""
+def _require_finite(a, what):
+    """Reject a complex array holding NaN or an infinity."""
     import numpy as np
 
-    if not np.isfinite(m._a).all():
+    if not np.isfinite(a).all():
         raise MalformedInput(f"{what} of a matrix with non-finite entries")
 
 
@@ -573,11 +581,18 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
         raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
     if x.mode == EXACT:
         return x._intform == y._intform
-    nx, ny = _fro(x._a), _fro(y._a)
+    return _close(x._a, y._a, tol)
+
+
+def _close(x, y, tol):
+    """approx_eq's float rule on two complex arrays: ||x - y||_F <= rel *
+    max(1, ||x||_F, ||y||_F); MalformedInput if either holds NaN or an
+    infinity."""
+    nx, ny = _fro(x), _fro(y)
     if not (isfinite(nx) and isfinite(ny)):
         _require_finite(x, "approx_eq")
         _require_finite(y, "approx_eq")
-    return _fro(x._a - y._a) <= tol.rel * max(1.0, nx, ny)
+    return _fro(x - y) <= tol.rel * max(1.0, nx, ny)
 
 
 def _check_operands(x: Matrix, y: Matrix, idempotent=False):
@@ -595,25 +610,49 @@ def _check_operands(x: Matrix, y: Matrix, idempotent=False):
 
 def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     """True iff m^2 = m.  Exact mode compares the integer forms of m m and
-    m; float mode asks ||m m - m||_F <= rel * max(1, ||m||_F^2)."""
+    m; float mode is the 1-stack of _projector_flags."""
     _check_operands(m, m, idempotent=True)
     if m.mode == EXACT:
         return _int_rep_eq(m._intform, _int_product(m, m))
-    a = m._a
-    return _fro(a @ a - a) <= tol.rel * max(1.0, _fro(a) ** 2)
+    return _projector_flags(m._a[None], tol)[0]
 
 
 def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     """T idempotent and commuting with SK: membership in the projector set
-    tau of a Sigma K block (delta, when SK is a Jordan matrix).  T SK = SK T
-    is decided on integer forms in exact mode and by approx_eq in float
-    mode; a T that is not idempotent is rejected before SK is looked at."""
+    tau of a Sigma K block (delta, when SK is a Jordan matrix).  Exact mode
+    decides both on integer forms, a T that is not idempotent before SK is
+    looked at; float mode is the 1-stack of outside_tau."""
     _check_operands(t, sk, idempotent=True)
-    if not is_projector(t, tol):
-        return False
-    if t.mode == EXACT:
-        return _int_rep_eq(_int_product(t, sk), _int_product(sk, t))
-    return approx_eq(t @ sk, sk @ t, tol)
+    if t.mode == FLOAT:
+        return outside_tau(t._a[None], sk._a, tol) is None
+    return (_int_rep_eq(t._intform, _int_product(t, t))
+            and _int_rep_eq(_int_product(t, sk), _int_product(sk, t)))
+
+
+def _projector_flags(ts, tol):
+    """Whether each slice T of a (k, r, r) complex stack is a projector, by
+    is_projector's float rule ||T T - T||_F <= rel * max(1, ||T||_F^2); the
+    products T T in one batched product."""
+    return [_fro(d) <= tol.rel * max(1.0, _fro(t) ** 2) for t, d in zip(ts, ts @ ts - ts)]
+
+
+def outside_tau(ts, sk, tol=DEFAULT_TOL):
+    """The index of the first slice T of a (k, r, r) complex stack that is not
+    in tau(SK), for an r x r complex array SK, or None if every slice is.
+
+    in_tau's float rules, unchanged, on every slice: T is a projector
+    (_projector_flags), then T SK and SK T are close (_close, which raises
+    MalformedInput for non-finite entries).  The products are batched, those
+    with SK only for the slices before the first that is not a projector, and
+    the first slice to fail either rule decides: the result and the error are
+    those of in_tau called on each slice in turn."""
+    idem = _projector_flags(ts, tol)
+    first = idem.index(False) if not all(idem) else len(ts)
+    head = ts[:first]
+    for i, (x, y) in enumerate(zip(head @ sk, sk @ head)):
+        if not _close(x, y, tol):
+            return i
+    return None if first == len(ts) else first
 
 
 # ----------------------------------------------------------------------
@@ -668,7 +707,7 @@ def _empty_svd_input(m: Matrix, what) -> bool:
         raise NotSupported(f"{what} is float-mode only; exact pipelines use Jordan data")
     if m.rows == 0 or m.cols == 0:
         return True
-    _require_finite(m, what)
+    _require_finite(m._a, what)
     return False
 
 

@@ -47,18 +47,24 @@ class HSDecomposition:
 
     def embed(self, x: Matrix, y: Matrix = None, z: Matrix = None) -> Matrix:
         """U [[X, Y], [O, Z]] U* with X r x r, Y r x (n-r) and Z (n-r) x (n-r);
-        None stands for a zero block."""
+        None stands for a zero block.  The 1-stack of embed_stack."""
+        return Matrix.slices(self.embed_stack(*(None if m is None else m.array[None]
+                                                for m in (x, y, z))))[0]
+
+    def embed_stack(self, x, y=None, z=None):
+        """embed of each slice of (k, ., .) complex stacks X, Y and Z, in one
+        batched product: a (k, n, n) array."""
         import numpy as np
 
         r = self.r
-        inner = np.zeros((self.n, self.n), dtype=complex)
-        inner[:r, :r] = x.array
+        inner = np.zeros((len(x), self.n, self.n), dtype=complex)
+        inner[:, :r, :r] = x
         if y is not None:
-            inner[:r, r:] = y.array
+            inner[:, :r, r:] = y
         if z is not None:
-            inner[r:, r:] = z.array
+            inner[:, r:, r:] = z
         u = self.U.array
-        return Matrix._wrap(u @ inner @ u.conj().T)
+        return u @ inner @ u.conj().T
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
         """SK nonsingular, cut against sigma_1 of B: an SK of rounding noise
@@ -108,9 +114,10 @@ def hs_reconstruct(d: HSDecomposition) -> Matrix:
     return d.embed(d.sigma_k(), d.sigma_l())
 
 
-def predecessor_expand(d: HSDecomposition, t: Matrix) -> Matrix:
-    """A = U [[T SK, T SL], [O, O]] U* for a projector T commuting with SK."""
-    return d.embed(t @ d.sigma_k(), t @ d.sigma_l())
+def predecessor_expand(d: HSDecomposition, ts):
+    """A = U [[T SK, T SL], [O, O]] U* for each projector T commuting with SK
+    of a (k, r, r) complex stack, in one batched product: a (k, n, n) array."""
+    return d.embed_stack(ts @ d.sigma_k().array, ts @ d.sigma_l().array)
 
 
 def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:

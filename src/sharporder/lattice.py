@@ -30,7 +30,7 @@ from .errors import (
 from .ginv import index_le_one, moore_penrose
 from .hs import HSDecomposition, hs_reconstruct
 from .jordan import JordanSpec, build_jordan_matrix
-from .sharp import phi, phi_inv, proj_leq, sharp_leq, sharp_leq_unchecked
+from .sharp import phi, phi_inv_stack, proj_leq, psi_choices, sharp_leq, sharp_leq_unchecked
 
 
 def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
@@ -227,18 +227,15 @@ def interval_iso_backward(q: Matrix, t1: Matrix, tol=DEFAULT_TOL) -> Matrix:
 def max_chain(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
     """A maximal chain O < A_1 < ... < A_l = B, one step per Jordan block.
 
-    Uses the cumulative-block projectors E_i (identity on the first i blocks
-    of J) conjugated into tau by the spec's similarity matrix.
+    A_i is phi_inv of P E_i P^-1, with E_i the identity on the first i
+    blocks of J and P the spec's similarity matrix (the identity if it has
+    none).  The l steps are one stack: psi_choices conjugates them in one
+    batched product and phi_inv_stack maps them in another.  Every step is
+    still checked against tau, in order, with phi_inv's errors.
     """
-    p = spec.P if spec.P is not None else Matrix.identity(spec.r, FLOAT)
-    p_inv = p.inverse()
-    chain = [Matrix.zeros(hs.n, hs.n, FLOAT)]
-    off = 0
-    for sz in spec.block_sizes:
-        off += sz
-        e = Matrix.diag([1.0] * off + [0.0] * (spec.r - off), FLOAT)
-        chain.append(phi_inv(p @ e @ p_inv, hs, tol))
-    return chain
+    l = len(spec.block_sizes)
+    steps = psi_choices(spec, ([1] * i + [0] * (l - i) for i in range(1, l + 1)))
+    return [Matrix.zeros(hs.n, hs.n, FLOAT)] + phi_inv_stack(steps, hs, tol)
 
 
 # ----------------------------------------------------------------------

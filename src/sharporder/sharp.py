@@ -20,6 +20,7 @@ from .core import (
     _int_rep_eq,
     approx_eq,
     in_tau,
+    outside_tau,
 )
 from .errors import (
     IndexTooLarge,
@@ -84,39 +85,74 @@ def sharp_leq_unchecked(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
 
 
+def _require_index_le_one(hs: HSDecomposition, tol):
+    """SingularK unless SK is nonsingular, that is B has index <= 1 (the rank
+    cut of HSDecomposition.index_le_one)."""
+    if not hs.index_le_one(tol):
+        raise SingularK("SK singular: B has index greater than 1")
+
+
 def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """The projector T with A = U [[T SK, T SL], [O, O]] U*.
 
     Computed as the leading r x r block of U* A U times (SK)^-1, then
     validated by reconstruction; raises NotAPredecessor if A is not below
-    the decomposed matrix, and SingularK if SK is singular (B has index
-    greater than 1, decided by the rank cut of HSDecomposition.index_le_one).
+    the decomposed matrix, and SingularK if SK is singular.  The tau check
+    and the reconstruction are 1-stacks of the kernels behind phi_inv_stack.
     """
-    if not hs.index_le_one(tol):
-        raise SingularK("SK singular: B has index greater than 1")
+    _require_index_le_one(hs, tol)
     sk = hs.sigma_k()
     m = hs.U.H @ a @ hs.U
     t = m.block(0, hs.r, 0, hs.r) @ sk.inverse()
     if not in_tau(t, sk, tol):
         raise NotAPredecessor("extracted block is not a commuting projector")
-    if not approx_eq(predecessor_expand(hs, t), a, tol):
+    if not approx_eq(Matrix.slices(predecessor_expand(hs, t.array[None]))[0], a, tol):
         raise NotAPredecessor("reconstruction from T does not match A")
     return t
 
 
 def phi_inv(t: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """The predecessor A determined by a projector T in tau; raises SingularK,
-    as phi does, when SK is singular."""
-    if not hs.index_le_one(tol):
-        raise SingularK("SK singular: B has index greater than 1")
-    if not in_tau(t, hs.sigma_k(), tol):
+    as phi does, when SK is singular, then NotInTau.  The 1-stack of
+    phi_inv_stack."""
+    _require_index_le_one(hs, tol)
+    _check_operands(t, hs.sigma_k(), idempotent=True)
+    return phi_inv_stack(t.array[None], hs, tol)[0]
+
+
+def phi_inv_stack(ts, hs: HSDecomposition, tol=DEFAULT_TOL):
+    """phi_inv of each slice T of a (k, r, r) complex stack, as k float
+    matrices (views of one read-only array).  SingularK comes first; then
+    every T is checked against tau, in order (outside_tau), and NotInTau is
+    raised at the first that is not in it; then all are mapped in one
+    batched product (predecessor_expand)."""
+    _require_index_le_one(hs, tol)
+    if ts.shape[1:] != (hs.r, hs.r):
+        raise ShapeMismatch(f"{ts.shape[1]}x{ts.shape[2]} vs {hs.r}x{hs.r}")
+    if outside_tau(ts, hs.sigma_k().array, tol) is not None:
         raise NotInTau("T is not an idempotent commuting with SK")
-    return predecessor_expand(hs, t)
+    return Matrix.slices(predecessor_expand(hs, ts))
 
 
 def psi(t: Matrix, p: Matrix) -> Matrix:
     """delta -> tau conjugation: T maps to P T P^-1."""
     return p @ t @ p.inverse()
+
+
+def psi_choices(spec: JordanSpec, choices):
+    """psi of the 0/1 block-choice projectors E of choices (each a list of
+    bits, one per Jordan block), as one (k, r, r) complex stack P E P^-1
+    formed by one batched product.  P is the spec's similarity matrix, or
+    the identity when the spec carries none."""
+    import numpy as np
+
+    r = spec.r
+    p = spec.P if spec.P is not None else Matrix.identity(r, FLOAT)
+    p_inv = p.inverse()
+    keep = [_block_diagonal(spec, bits) for bits in choices]
+    e = np.zeros((len(keep), r, r), dtype=complex)
+    e[:, range(r), range(r)] = keep
+    return p.array @ e @ p_inv.array
 
 
 def psi_inv(t: Matrix, p: Matrix) -> Matrix:

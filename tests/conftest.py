@@ -73,11 +73,13 @@ def rand_exact_spec(rnd, max_s=3, max_t=1, max_size=2, p_dim=None):
     return make_spec(pairs)
 
 
-def float_context(pairs, extra_zeros, seed):
-    """(B, hs, spec-with-P) where B = P diag(J, O) P* with unitary P.
+def float_context(pairs, extra_zeros, seed, coupling=0.0):
+    """(B, hs, spec-with-P) where B = P [[J, J X], [O, O]] P* with unitary P.
 
-    The returned spec describes the core block of the decomposition and
-    carries a validated similarity matrix, so tau elements can be produced by
+    X is a seeded Gaussian matrix times coupling: with coupling 0, B is the
+    EP matrix P diag(J, O) P*; otherwise a singular B is not EP.  The
+    returned spec describes the core block of the decomposition and carries
+    a validated similarity matrix, so tau elements can be produced by
     conjugating commutant projectors.
     """
     spec0 = make_spec(pairs, mode=FLOAT)
@@ -88,6 +90,8 @@ def float_context(pairs, extra_zeros, seed):
     p = rand_unitary(n, np_rng)
     inner = np.zeros((n, n), dtype=complex)
     inner[:r, :r] = j.array
+    if coupling:
+        inner[:r, r:] = coupling * j.array @ np_rng.standard_normal((r, n - r))
     b = Matrix.floating(p.array @ inner @ p.array.conj().T)
     hs = hs_decompose(b, TOL7)
     sk = hs.sigma_k()

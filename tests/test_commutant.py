@@ -344,6 +344,18 @@ def _replayed_t(spec, seed, tol):
             return s @ block_choice_projector(spec, bits) @ s.inverse(), draws > 1
 
 
+def test_draws_match_randint():
+    # the sampler's copy of CPython's randint(-2, 2) gives the same values and
+    # leaves the rng in the same state, so every sample stays the same; a
+    # Python whose randint draws otherwise fails here
+    for seed in range(400):
+        fast, ref = random.Random(seed), random.Random(seed)
+        k = seed % 37
+        assert commutant._draws(fast, k) == [ref.randint(-2, 2) for _ in range(k)]
+        assert fast.getstate() == ref.getstate()
+        assert fast.random() == ref.random()
+
+
 @pytest.mark.parametrize("case", range(len(FLOAT_CASES)))
 def test_float_sampling_bits_match_the_grid_reference(case):
     sizes, seeds = FLOAT_CASES[case]
@@ -415,20 +427,28 @@ def test_exact_sampling_matches_the_full_conjugation(case, monkeypatch):
             assert delta_membership(cp.expand(), spec)
 
 
+def _perturbed(cp, rng):
+    """cp with one core coefficient of its grid moved by 1 or -i."""
+    blocks = [[list(map(list, row)) for row in grid] for grid in cp.blocks]
+    coeffs = rng.choice([c for grid in blocks for row in grid for c in row])
+    x = rng.randrange(len(coeffs))
+    coeffs[x] += rng.choice([1, -1j]) if cp.spec.mode == FLOAT else QQi(*rng.choice([(1, 0),
+                                                                                      (0, -1)]))
+    return CommutantProjector(cp.spec, tuple(tuple(tuple(map(tuple, row)) for row in grid)
+                                             for grid in blocks))
+
+
 @pytest.mark.parametrize("case", range(len(EXACT_CASES)))
 def test_row_idempotence_agrees_with_is_projector(case):
     spec, rng = make_spec(EXACT_CASES[case]), random.Random(case)
     seen = set()
     for seed in range(20):
         cp = sample_delta_projector(spec, seed)
-        obj = projector_to_obj(cp)
-        coeffs = rng.choice([c for grid in obj["blocks"] for row in grid for c in row])
-        x = rng.randrange(len(coeffs))
-        coeffs[x] = scalar_to_obj(scalar_from_obj(coeffs[x]) + QQi(*rng.choice([(1, 0), (0, -1)])))
+        perturbed = _perturbed(cp, rng)
         element = random_commutant_element(spec, rng)
         bits = [rng.randint(0, 1) for _ in spec.block_sizes]
         for m in (element, Matrix.identity(spec.r) + element, cp.expand(),
-                  projector_from_obj(obj).expand(), block_choice_projector(spec, bits)):
+                  perturbed.expand(), block_choice_projector(spec, bits)):
             seen.add(is_projector(m))
             assert _idempotent_on_heads(spec, m) == is_projector(m)
     assert seen == {False, True}
@@ -493,5 +513,33 @@ def _grids(draw):
 
 @given(_grids())
 def test_grid_round_trips_through_its_matrix_and_json(cp):
+    # the JSON reader returns the grid, or raises NotInDelta exactly when the
+    # grid's matrix is not idempotent (Gaussian-integer grids: float
+    # arithmetic is exact on them, so is_projector decides both modes)
     assert CommutantProjector.read(cp.spec, cp.expand()).blocks == cp.blocks
-    assert projector_from_obj(projector_to_obj(cp)) == cp
+    obj = projector_to_obj(cp)
+    if is_projector(cp.expand()):
+        assert projector_from_obj(obj) == cp
+    else:
+        with pytest.raises(NotInDelta):
+            projector_from_obj(obj)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_projector_json_rejects_a_non_idempotent_grid(mode):
+    spec = make_spec([(2, [2, 1]), (3, [1])], mode=mode)
+    rng, rejected = random.Random(0), 0
+    for seed in range(12):
+        cp = sample_delta_projector(spec, seed)
+        assert projector_from_obj(projector_to_obj(cp)) == cp
+        moved = _perturbed(cp, rng)
+        if is_projector(moved.expand()):
+            assert projector_from_obj(projector_to_obj(moved)) == moved
+        else:
+            rejected += 1
+            with pytest.raises(NotInDelta):
+                projector_from_obj(projector_to_obj(moved))
+    assert rejected >= 6
+    # a wrong shape is still malformed input, reported before idempotence
+    with pytest.raises(MalformedInput):
+        projector_from_obj({"spec": projector_to_obj(cp)["spec"], "blocks": []})
