@@ -58,7 +58,8 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: JSONDecodeError, or an integer too long to parse
+    except (OSError, ValueError) as exc:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 

@@ -12,7 +12,12 @@ Two storage modes, never mixed inside one matrix:
   callers never load it.
 
 Values are immutable after construction and all operations are pure, so
-matrices can be shared freely across threads.
+matrices can be shared freely across threads.  An exact matrix keeps facts
+derived from its value once they are first asked for (its QQi entries, the
+integer form of its square, its index verdict); each is a function of the
+value alone, so two threads that race on one only compute it twice, and
+none is read by ``==``, ``key()`` or hashing.  Float matrices keep nothing
+that a tolerance decides.
 """
 
 import cmath
@@ -55,7 +60,9 @@ DEFAULT_TOL = Tolerance()
 class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
-    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi")
+    # _sq and _index1 (exact only) stay unset until _int_square and
+    # ginv.index_le_one make them, so building a matrix does not pay for them
+    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1")
 
     def __init__(self, rows, cols, mode, data):
         """data: a complex128 array no one else can write to (float mode), or
@@ -374,9 +381,10 @@ def _fro(a):
 # the exact kernel: an exact matrix is stored as Gaussian integers over one
 # denominator, and every exact result is computed in that form.
 # _int_product multiplies (row by row, skipping zero entries of the left
-# factor), _int_sum adds and subtracts, _bareiss eliminates, _solve solves,
-# _int_rep_eq compares, _cleared turns entries given as scalars into
-# integers, and _over, the one writer, reduces a form to the canonical one
+# factor), _int_square keeps a square, _int_sum adds and subtracts, _bareiss
+# eliminates, _solve solves, _int_rep_eq compares, _cleared turns entries
+# given as scalars into integers, and _over, the one writer, reduces a form
+# to the canonical one
 
 
 def _parts(x):
@@ -424,6 +432,17 @@ def _int_product(a: Matrix, b: Matrix):
                     sim[j] += xr * yi
         rows.append(tuple(zip(sre, sim)))
     return d1 * d2, tuple(rows)
+
+
+def _int_square(a: Matrix):
+    """Integer form of a @ a for an exact a, made by _int_product on first
+    use and kept on a: the index test and every predicate that squares an
+    operand start from it."""
+    sq = getattr(a, "_sq", None)
+    if sq is None:
+        sq = _int_product(a, a)
+        object.__setattr__(a, "_sq", sq)
+    return sq
 
 
 def _int_sum(a: Matrix, b: Matrix, sign):
@@ -586,12 +605,17 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
 
 def _close(x, y, tol):
     """approx_eq's float rule on two complex arrays: ||x - y||_F <= rel *
-    max(1, ||x||_F, ||y||_F); MalformedInput if either holds NaN or an
-    infinity."""
+    max(1, ||x||_F, ||y||_F), decided on scaled copies when a norm
+    overflows; MalformedInput if either holds NaN or an infinity."""
     nx, ny = _fro(x), _fro(y)
     if not (isfinite(nx) and isfinite(ny)):
         _require_finite(x, "approx_eq")
         _require_finite(y, "approx_eq")
+        # a norm overflowed: the same rule on copies scaled by the largest
+        # part of an entry, ||x/s - y/s|| <= rel * max(1/s, ||x/s||, ||y/s||)
+        s = max(float(abs(p).max()) for p in (x.real, x.imag, y.real, y.imag))
+        x, y = x / s, y / s
+        return _fro(x - y) <= tol.rel * max(1.0 / s, _fro(x), _fro(y))
     return _fro(x - y) <= tol.rel * max(1.0, nx, ny)
 
 
@@ -613,7 +637,7 @@ def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     m; float mode is the 1-stack of _projector_flags."""
     _check_operands(m, m, idempotent=True)
     if m.mode == EXACT:
-        return _int_rep_eq(m._intform, _int_product(m, m))
+        return _int_rep_eq(m._intform, _int_square(m))
     return _projector_flags(m._a[None], tol)[0]
 
 
@@ -625,7 +649,7 @@ def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     _check_operands(t, sk, idempotent=True)
     if t.mode == FLOAT:
         return outside_tau(t._a[None], sk._a, tol) is None
-    return (_int_rep_eq(t._intform, _int_product(t, t))
+    return (_int_rep_eq(t._intform, _int_square(t))
             and _int_rep_eq(_int_product(t, sk), _int_product(sk, t)))
 
 
@@ -786,6 +810,6 @@ def matrix_dumps(m: Matrix) -> str:
 def matrix_loads(s: str) -> Matrix:
     try:
         obj = json.loads(s)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int too long to parse
         raise MalformedInput(f"bad JSON: {exc}") from exc
     return matrix_from_obj(obj)

@@ -5,7 +5,7 @@ from .core import (
     EXACT,
     Matrix,
     _bareiss,
-    _int_product,
+    _int_square,
     _over,
     _solve,
     approx_eq,
@@ -52,26 +52,22 @@ def _pivot_columns(a: Matrix, pivots) -> Matrix:
     return _over(a.rows, len(pivots), tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0))
 
 
-_INDEX_CACHE = {}
-_INDEX_CACHE_CAP = 4096
-
-
 def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
-    """True iff rank(a^2) = rank(a), i.e. the group inverse exists.  In
-    exact mode, the rows of a^2 are eliminated as _int_product gives them."""
+    """True iff rank(a^2) = rank(a), i.e. the group inverse exists.
+
+    An exact verdict does not depend on the tolerance: it is decided once,
+    by eliminating the rows of a's kept square (_int_square) and ranking a,
+    and kept on a, so a checked matrix answers again with one attribute
+    read.  A float verdict depends on tol and is decided on every call."""
     a.require_square()
     if a.mode != EXACT:
         return (a @ a).rank(tol) == a.rank(tol)
-    # exact ranks do not depend on the tolerance, so the answer is cacheable
-    k = a.key()
-    hit = _INDEX_CACHE.get(k)
-    if hit is None:
+    kept = getattr(a, "_index1", None)
+    if kept is None:
         n = a.rows
-        hit = len(_bareiss(_int_product(a, a)[1], n, n, False)[1]) == a.rank()
-        if len(_INDEX_CACHE) >= _INDEX_CACHE_CAP:
-            _INDEX_CACHE.clear()
-        _INDEX_CACHE[k] = hit
-    return hit
+        kept = len(_bareiss(_int_square(a)[1], n, n, False)[1]) == a.rank()
+        object.__setattr__(a, "_index1", kept)
+    return kept
 
 
 def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:

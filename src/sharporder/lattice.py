@@ -18,7 +18,6 @@ from .commutant import (
 from .core import (DEFAULT_TOL, EXACT, FLOAT, Matrix, _over, approx_eq, exact_rref, in_tau,
                    is_projector)
 from .errors import (
-    IndexTooLarge,
     NoEligibleEigenvalue,
     NonCommuting,
     NonSquare,
@@ -27,10 +26,10 @@ from .errors import (
     PrecondViolated,
     ShapeMismatch,
 )
-from .ginv import index_le_one, moore_penrose
+from .ginv import moore_penrose
 from .hs import HSDecomposition, hs_reconstruct
 from .jordan import JordanSpec, build_jordan_matrix
-from .sharp import phi, phi_inv_stack, proj_leq, psi_choices, sharp_leq, sharp_leq_unchecked
+from .sharp import phi, phi_inv_stack, proj_leq, psi_choices, sharp_leq
 
 
 def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
@@ -268,17 +267,10 @@ def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
         raise NotSupported("meet_in_c2 is exact-mode only")
     if b1.rows != 2 or b2.rows != 2 or not (b1.is_square and b2.is_square):
         raise NonSquare("arguments must be 2x2")
-    if not index_le_one(b1, tol):
-        raise IndexTooLarge("first argument has index > 1")
-    if not index_le_one(b2, tol):
-        raise IndexTooLarge("second argument has index > 1")
-    if b1 == b2:
+    # sharp_leq raises IndexTooLarge for b1, then for b2, and is True for b1 = b2
+    if sharp_leq(b1, b2, tol):
         return b1
-    # both arguments are validated above, so the unchecked predicate
-    # suffices for the comparability shortcuts
-    if sharp_leq_unchecked(b1, b2, tol):
-        return b1
-    if sharp_leq_unchecked(b2, b1, tol):
+    if sharp_leq(b2, b1, tol):
         return b2
     d = b1 - b2
     if d.rank() == 2:

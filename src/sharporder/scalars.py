@@ -6,10 +6,15 @@ rounding.  ``Fraction`` already normalizes to lowest terms with a positive
 denominator, which gives us the canonical form for free.
 """
 
+import re
 from fractions import Fraction
 from numbers import Rational
 
 from .errors import MalformedInput
+
+# the one string form of an exact part: an integer or "p/q", ASCII digits
+# only (no spaces, underscores, decimal points or exponents)
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _as_fraction(x):
@@ -17,7 +22,7 @@ def _as_fraction(x):
         return x
     if isinstance(x, (int, Rational)):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

@@ -18,6 +18,7 @@ from .core import (
     _check_operands,
     _int_product,
     _int_rep_eq,
+    _int_square,
     approx_eq,
     in_tau,
     outside_tau,
@@ -36,30 +37,17 @@ from .hs import HSDecomposition, predecessor_expand
 from .jordan import JordanSpec, jordan_entries
 
 
-_SQUARE_CACHE = {}
-_SQUARE_CACHE_CAP = 2048
-
-
-def _square_rep(a: Matrix):
-    """Cached integer form of a @ a (exact mode), reused across the many
-    order checks a pairwise sweep makes against the same element."""
-    k = a.key()
-    rep = _SQUARE_CACHE.get(k)
-    if rep is None:
-        rep = _int_product(a, a)
-        if len(_SQUARE_CACHE) >= _SQUARE_CACHE_CAP:
-            _SQUARE_CACHE.clear()
-        _SQUARE_CACHE[k] = rep
-    return rep
-
-
 def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     """A is below B in the sharp order: A^2 = AB = BA.
 
     Both arguments must be square (NonSquare), then of one mode
     (ModeMismatch) and one size (ShapeMismatch), as for every product
     predicate, and have index <= 1 (the order is only defined there);
-    raises IndexTooLarge otherwise.
+    raises IndexTooLarge otherwise, for the first argument first.  Exact
+    mode compares integer forms: an exact matrix keeps its index verdict
+    and its square once they are made, so a sweep that asks about one
+    matrix again pays for neither twice.  Float mode decides the index at
+    tol, forms A^2 once and compares by approx_eq.
     """
     a.require_square()
     b.require_square()
@@ -68,18 +56,8 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
         raise IndexTooLarge("first argument has index > 1")
     if not index_le_one(b, tol):
         raise IndexTooLarge("second argument has index > 1")
-    return sharp_leq_unchecked(a, b, tol)
-
-
-def sharp_leq_unchecked(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
-    """The order predicate A^2 = AB = BA alone, for arguments whose index is
-    already known to be at most 1; their mode and shape are checked first,
-    as in every product predicate.  Exact mode compares integer forms, with
-    A^2 from the square cache; float mode forms A^2 once and compares by
-    approx_eq."""
-    _check_operands(a, b)
     if a.mode == EXACT:
-        a2 = _square_rep(a)
+        a2 = _int_square(a)
         return _int_rep_eq(a2, _int_product(a, b)) and _int_rep_eq(a2, _int_product(b, a))
     a2 = a @ a
     return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)

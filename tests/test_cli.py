@@ -113,6 +113,19 @@ def test_malformed_matrix_json_exit_2(runner, files, obj):
     assert res.stdout == ""
 
 
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="the interpreter does not limit int digits")
+def test_over_long_json_integer_exit_2(runner, files):
+    # json raises a plain ValueError past the interpreter's int digit limit
+    path = files["tmp"] / "long.json"
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(f'{{"mode": "exact", "rows": 1, "cols": 1, "entries": [[{digits}, 0]]}}')
+    res = runner.invoke(main, ["inverse", "group", "--in", str(path)])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("args", [["decompose", "hs", "--in"],
                                   ["inverse", "group", "--in"],

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -215,6 +216,20 @@ def test_approx_eq_examples():
     assert not approx_eq(i2, i2.scale(2))
 
 
+@pytest.mark.parametrize("x, y, want", [
+    ([[1e200, 0]], [[3e200, 0]], False),
+    ([[1e300, 0]], [[-1e300, 0]], False),
+    ([[1e300, 0]], [[1e300, 0]], True),
+])
+def test_approx_eq_when_a_norm_overflows(x, y, want):
+    # the norms overflow (numpy warns of that), so the rule is decided on
+    # copies scaled by the largest part of an entry
+    x, y = Matrix.floating(x), Matrix.floating(y)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(x.fro())
+        assert approx_eq(x, y) == want
+
+
 def test_approx_eq_mode_mismatch():
     with pytest.raises(ModeMismatch):
         approx_eq(Matrix.identity(2, EXACT), Matrix.identity(2, FLOAT))
@@ -313,6 +328,25 @@ def test_json_malformed():
     for obj in MALFORMED_MATRIX_OBJECTS:
         with pytest.raises(MalformedInput):
             matrix_from_obj(obj)
+
+
+@pytest.mark.parametrize("part", ["1.5", "1e3", "  3/4 ", "1_000"])
+def test_exact_string_part_is_integer_or_p_over_q(part):
+    # Fraction would read each of these; an exponent would make it build 10^exp
+    with pytest.raises(MalformedInput):
+        QQi(part)
+    with pytest.raises(MalformedInput):
+        matrix_from_obj(_obj("exact", [[part, 0]]))
+
+
+# no limit (0), or none at all before Python 3.10.7
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="the interpreter does not limit int digits")
+def test_json_over_long_integer_is_malformed():
+    with pytest.raises(MalformedInput):
+        matrix_loads(json.dumps(_obj("exact", [["X", 0]])).replace('"X"', "7" * (INT_DIGITS + 1)))
 
 
 def test_json_accepts_wire_parts():

@@ -28,7 +28,7 @@ from sharporder import (
 )
 from sharporder.core import _bareiss, _solve, exact_rref
 from sharporder.errors import IndexTooLarge, SingularMatrix
-from sharporder.ginv import _INDEX_CACHE, index_le_one
+from sharporder.ginv import index_le_one
 from sharporder.scalars import QQi
 
 part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -369,9 +369,10 @@ def test_moore_penrose_matches_sympy_pinv(nr, nc, k):
 @given(st.one_of(matrices(square=True), index_two_or_more()))
 def test_index_le_one_matches_sympy(m):
     dm = _to_sympy(m)
-    # an empty cache makes this call a miss, decided by elimination
-    _INDEX_CACHE.clear()
-    assert index_le_one(m) == (dm.matmul(dm).rank() == dm.rank())
+    # a fresh copy keeps no verdict yet, so this call decides by elimination
+    fresh = Matrix(m.rows, m.cols, EXACT, m._intform)
+    assert not hasattr(fresh, "_index1")
+    assert index_le_one(fresh) == (dm.matmul(dm).rank() == dm.rank())
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from sharporder import (
     EXACT,
     FLOAT,
     Matrix,
+    Tolerance,
     approx_eq,
     group_inverse,
     index_le_one,
@@ -72,6 +73,19 @@ def test_index_le_one_examples():
     assert not index_le_one(Matrix.exact([[0, 1], [0, 0]]))
     assert index_le_one(Matrix.exact([[0, 1], [0, 1]]))  # projector
     assert index_le_one(Matrix.exact([[1, 2], [3, 5]]))  # nonsingular
+
+
+def test_index_verdict_kept_in_exact_mode_only():
+    a = Matrix.exact([[0, 1], [0, 0]])
+    assert not index_le_one(a)
+    assert a._index1 is False and hasattr(a, "_sq")
+    # eigenvalues 1e-6, 0 and 1 give index 1, but A^2 has a singular value
+    # near 1e-6, which a rank cut at 1e-4 of the largest counts as zero: a
+    # float verdict depends on the tolerance, so one instance gives both
+    f = Matrix.floating([[1e-6, 1, 0], [0, 0, 0], [0, 0, 1]])
+    loose = Tolerance(rank_threshold_factor=1e-4)
+    assert index_le_one(f) and not index_le_one(f, loose) and index_le_one(f)
+    assert not hasattr(f, "_index1") and not hasattr(f, "_sq")
 
 
 def test_group_inverse_nonsingular_is_inverse():

@@ -1,7 +1,11 @@
-"""Every module-level import of a library module is used by that module.
+"""Every module-level import of a library module is used by that module,
+and no library module holds mutable state at module level.
 
 Deleting code tends to leave its imports behind; this catches them.  The
-package's __init__.py imports names to re-export them, so it is left out."""
+package's __init__.py imports names to re-export them, so it is left out.
+A module-level dict, list or set is where a global cache grows; a value
+keeps what it derives from itself instead (an exact Matrix keeps its
+square and its index verdict), so there is none to clear or cap."""
 
 import ast
 from pathlib import Path
@@ -33,3 +37,40 @@ def test_module_imports_are_used(path):
 def test_unused_imports_finds_a_leftover():
     source = "import numpy as np\nimport os.path\nfrom math import gcd, lcm\nx = lcm(os.sep)\n"
     assert unused_imports(source) == ["gcd", "np"]
+
+
+# what makes a dict, list or set: a display, a comprehension, or a call of
+# the type by name
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_TYPES = ("dict", "list", "set")
+
+
+def module_containers(source):
+    """The names that module-level assignments of source bind to a new dict,
+    list or set."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        v = node.value
+        if isinstance(v, _CONTAINERS) or (isinstance(v, ast.Call) and isinstance(v.func, ast.Name)
+                                          and v.func.id in _CONTAINER_TYPES):
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return sorted(names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_containers(path):
+    # __init__.py lists its public names, which is not state
+    exempt = {"__all__"} if path.name == "__init__.py" else set()
+    assert [n for n in module_containers(path.read_text()) if n not in exempt] == []
+
+
+def test_module_containers_finds_a_cache():
+    source = ("_CACHE = {}\n_SEEN: set = set()\nA = B = [x for x in ()]\nN = 4\nT = (1, 2)\n"
+              "M = dict(a=1)\nP = frozenset()\ndef f():\n    local = []\n")
+    assert module_containers(source) == ["A", "B", "M", "_CACHE", "_SEEN"]

@@ -334,6 +334,17 @@ def test_meet_in_c2_guards():
         meet_in_c2(Matrix.exact([[0, 1], [0, 0]]), Matrix.identity(2, EXACT))
 
 
+def test_meet_in_c2_argument_index_and_equal_arguments():
+    # the index of b1 is checked before that of b2, and b1 = b2 meets in b1
+    nil, p = Matrix.exact([[0, 1], [0, 0]]), Matrix.exact([[1, 1], [0, 0]])
+    for b1, b2, which in ((nil, p, "first"), (p, nil, "second"), (nil, nil, "first")):
+        with pytest.raises(IndexTooLarge, match=f"^{which} argument has index > 1$"):
+            meet_in_c2(b1, b2)
+    b = Matrix.exact([[2, 1], [0, 3]])
+    assert meet_in_c2(b, b) is b
+    assert meet_in_c2(b, Matrix.exact([[2, 1], [0, 3]])) is b
+
+
 def test_meet_in_c2_comparable_arguments():
     b = Matrix.exact([[1, 0], [0, 2]])
     a = Matrix.exact([[1, 0], [0, 0]])

@@ -21,9 +21,16 @@ from sharporder.commutant import (
     sample_delta_projector,
 )
 from sharporder.core import in_tau, is_projector
-from sharporder.errors import MalformedInput, ModeMismatch, NonSquare, ShapeMismatch
+from sharporder.errors import (
+    IndexTooLarge,
+    MalformedInput,
+    ModeMismatch,
+    NonSquare,
+    ShapeMismatch,
+)
+from sharporder.ginv import index_le_one
 from sharporder.scalars import QQI_ZERO
-from sharporder.sharp import proj_leq, sharp_leq_unchecked
+from sharporder.sharp import proj_leq, sharp_leq
 
 part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 entry = st.one_of(
@@ -160,19 +167,23 @@ def test_in_tau_matches_definition(pair, data):
 
 @settings(max_examples=80, deadline=None)
 @given(sharp_pairs())
-def test_sharp_leq_unchecked_matches_definition(pair):
+def test_sharp_leq_matches_definition(pair):
+    # the index test itself is checked against sympy in test_elimination;
+    # the third call reads A^2 and both index verdicts as A and B kept them
     a, b = pair
-    assert sharp_leq_unchecked(a, b) == ref_sharp_leq(a, b)
-    assert sharp_leq_unchecked(b, a) == ref_sharp_leq(b, a)
-    # the second call reads A^2 from the square cache
-    assert sharp_leq_unchecked(a, b) == ref_sharp_leq(a, b)
+    for x, y in ((a, b), (b, a), (a, b)):
+        if index_le_one(x) and index_le_one(y):
+            assert sharp_leq(x, y) == ref_sharp_leq(x, y)
+        else:
+            with pytest.raises(IndexTooLarge):
+                sharp_leq(x, y)
 
 
 # ----------------------------------------------------------------------
 # error precedence: each predicate checks its operands once, before any
-# entry is read (NonSquare for a T that is to be idempotent, then
-# ModeMismatch, then ShapeMismatch), so the error does not depend on the
-# entries
+# entry is read (NonSquare for a T that is to be idempotent, and for either
+# argument of sharp_leq, then ModeMismatch, then ShapeMismatch), so the
+# error does not depend on the entries
 
 E2, E3, F2 = Matrix.identity(2), Matrix.identity(3), Matrix.identity(2, FLOAT)
 WIDE, WIDE_F = Matrix.zeros(2, 3), Matrix.zeros(2, 3, FLOAT)
@@ -192,12 +203,12 @@ RAISES = [
     (proj_leq, (E2, E3), ShapeMismatch),
     (proj_leq, (WIDE, E2), ShapeMismatch),
     (proj_leq, (Matrix.exact([[1, 0, 0], [0, 0, 0]]), E3), ShapeMismatch),
-    (sharp_leq_unchecked, (F2, E2), ModeMismatch),
-    (sharp_leq_unchecked, (E2, F2), ModeMismatch),
-    (sharp_leq_unchecked, (E2, E3), ShapeMismatch),
-    (sharp_leq_unchecked, (WIDE, E2), ShapeMismatch),
-    (sharp_leq_unchecked, (WIDE_F, F2), ShapeMismatch),
-    (sharp_leq_unchecked, (F2, Matrix.identity(3, FLOAT)), ShapeMismatch),
+    (sharp_leq, (F2, E2), ModeMismatch),
+    (sharp_leq, (E2, F2), ModeMismatch),
+    (sharp_leq, (E2, E3), ShapeMismatch),
+    (sharp_leq, (WIDE, E2), NonSquare),
+    (sharp_leq, (WIDE_F, F2), NonSquare),
+    (sharp_leq, (F2, Matrix.identity(3, FLOAT)), ShapeMismatch),
     (delta_membership, (WIDE, SPEC), ShapeMismatch),
     (delta_membership, (WIDE_F, SPEC_F), ShapeMismatch),
     (delta_membership, (E3, SPEC), ShapeMismatch),
@@ -218,7 +229,7 @@ def test_predicate_errors(fn, args, exc):
 
 def test_shape_checked_before_integer_forms():
     a, b = Matrix.exact([[1, 0], [0, 0]]), Matrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    for fn in (proj_leq, sharp_leq_unchecked, in_tau):
+    for fn in (proj_leq, sharp_leq, in_tau):
         with pytest.raises(ShapeMismatch):
             fn(a, b)
     # no QQi entry is built before the ShapeMismatch

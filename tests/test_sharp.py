@@ -50,6 +50,32 @@ def test_sharp_leq_nondiagonal_below_identity():
     assert sharp_leq(a, Matrix.identity(3, EXACT))
 
 
+def test_kept_square_and_index_leave_equality_alone():
+    # A keeps its square and index verdict from the first order test; a
+    # fresh equal matrix keeps neither, and the two stay one value
+    kept, fresh = Matrix.exact([[1, 1], [0, 0]]), Matrix.exact([[1, 1], [0, 0]])
+    others = [Matrix.identity(2), Matrix.exact([[1, 0], [0, 0]]), Matrix.exact([[1, 1], [0, 2]]),
+              Matrix.zeros(2, 2), Matrix.exact([[0, 1], [0, 0]])]
+    assert sharp_leq(kept, others[0])
+    assert kept._index1 is True and hasattr(kept, "_sq")
+    assert not hasattr(fresh, "_index1") and not hasattr(fresh, "_sq")
+    assert kept == fresh and kept.key() == fresh.key() and hash(kept.key()) == hash(fresh.key())
+
+    def verdicts(a):
+        out = []
+        for b in others:
+            for x, y in ((a, b), (b, a)):
+                try:
+                    out.append(sharp_leq(x, y))
+                except IndexTooLarge as exc:
+                    out.append(str(exc))
+        return out
+
+    assert verdicts(kept) == verdicts(fresh) == [
+        True, False, False, False, False, False, False, True, "second argument has index > 1",
+        "first argument has index > 1"]
+
+
 def test_sharp_leq_index_guard():
     with pytest.raises(IndexTooLarge):
         sharp_leq(Matrix.exact([[0, 1], [0, 0]]), Matrix.identity(2, EXACT))
@@ -146,6 +172,15 @@ def test_phi_inv_edges():
     assert approx_eq(phi_inv(Matrix.identity(2, FLOAT), d), b, TOL7)
     with pytest.raises(NotInTau):
         phi_inv(Matrix.floating([[0.5, 0], [0, 0]]), d)
+
+
+def test_phi_inv_rejects_t_whose_norms_overflow():
+    # T = [[1, c], [0, 0]] is idempotent for every c and commutes with SK
+    # only for c = 0; at c = 1e300 the norms of T SK and SK T overflow, and
+    # the tau check still tells them apart
+    b, d = _diag_context()
+    with np.errstate(over="ignore"), pytest.raises(NotInTau):
+        phi_inv(Matrix.floating([[1, 1e300], [0, 0]]), d)
 
 
 def test_psi_round_trip():
