@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isfinite, lcm, sqrt
+from math import gcd, inf, isfinite, lcm, sqrt
 
 from .errors import (
     MalformedInput,
@@ -326,7 +326,7 @@ class Matrix:
         """Exact mode: row-reduction rank. Float mode: numerical_rank of the
         singular values."""
         if self.mode == EXACT:
-            return len(_bareiss(self._intform[1], self.rows, self.cols, False)[1])
+            return len(_bareiss(self._intform[1], self.rows, self.cols)[1])
         return numerical_rank(singular_values(self), tol)
 
     def inverse(self):
@@ -371,10 +371,14 @@ def _require_finite(a, what):
 
 def _fro(a):
     """Frobenius norm of a complex array, summed term for term as
-    numpy.linalg.norm sums it, so the two agree bit for bit."""
+    numpy.linalg.norm sums it, so the two agree bit for bit; inf when the
+    sums overflow, also where numpy's overflow warning is an error."""
     x = a.ravel(order="K")
     xr, xi = x.real, x.imag
-    return sqrt(xr.dot(xr) + xi.dot(xi))
+    try:
+        return sqrt(xr.dot(xr) + xi.dot(xi))
+    except RuntimeWarning:
+        return inf
 
 
 # ----------------------------------------------------------------------
@@ -382,9 +386,10 @@ def _fro(a):
 # denominator, and every exact result is computed in that form.
 # _int_product multiplies (row by row, skipping zero entries of the left
 # factor), _int_square keeps a square, _int_sum adds and subtracts, _bareiss
-# eliminates, _solve solves, _int_rep_eq compares, _cleared turns entries
-# given as scalars into integers, and _over, the one writer, reduces a form
-# to the canonical one
+# eliminates (forward only: the one elimination, whose echelon form gives
+# the rank and the bases behind both generalized inverses), _solve solves,
+# _int_rep_eq compares, _cleared turns entries given as scalars into
+# integers, and _over, the one writer, reduces a form to the canonical one
 
 
 def _parts(x):
@@ -475,16 +480,19 @@ def _int_rep_eq(p, q) -> bool:
     return True
 
 
-def _bareiss(rows, nr, nc, reduce):
-    """Fraction-free elimination (Bareiss 1968) of Gaussian-integer rows.
+def _bareiss(rows, nr, nc):
+    """Fraction-free forward elimination (Bareiss 1968) of Gaussian-integer
+    rows, the one exact elimination: rank, _solve and both generalized
+    inverses start from it.
 
-    Each step sets every entry it touches to (p y - x z) / p_prev: p is the
-    new pivot, x the row's entry in the pivot column, z the pivot row's
-    entry in the entry's column, p_prev the previous pivot.  Every entry is
-    then a minor of the input, so each division is exact and the loops stay
-    on ints.  Forward only (reduce=False) leaves a row echelon form; with
-    reduce=True (exact_rref) the rows above each pivot are eliminated too,
-    every pivot ends equal to the last one, D, and the RREF is rows / D.
+    Each step sets every entry below the pivot row to (p y - x z) / p_prev:
+    p is the new pivot, x the row's entry in the pivot column, z the pivot
+    row's entry in the entry's column, p_prev the previous pivot.  Every
+    entry is then a minor of the input, so each division is exact and the
+    loops stay on ints.  The result is a row echelon form, never reduced:
+    its nonzero rows are a basis of the row space, the pivot columns of the
+    input one of the column space, and the last pivot D is, up to sign, a
+    minor of the input on its pivot columns (+-det A for a nonsingular A).
 
     Returns (rows, pivot columns, D); D is (1, 0) when there is no pivot.
     """
@@ -504,15 +512,12 @@ def _bareiss(rows, nr, nc, reduce):
         # a unit p_prev other than 1 (-1, i, -i) still has to be divided out
         divide = (pr, pi) != (1, 0)
         pn = pr * pr + pi * pi
-        for i in range(0 if reduce else r + 1, nr):
-            if i == r:
-                continue
+        for i in range(r + 1, nr):
             row_i = a[i]
             xr, xi = row_i[c]
-            # below the pivot row, the columns up to c are already zero
-            j0 = 0 if i < r else c + 1
+            # the columns up to c are already zero below the pivot row
             new = [(0, 0)] * nc
-            for j in range(j0, nc):
+            for j in range(c + 1, nc):
                 yr, yi = row_i[j]
                 zr, zi = row_r[j]
                 tr = qr * yr - qi * yi - (xr * zr - xi * zi)
@@ -535,7 +540,7 @@ def _solve(rows, n, rhs, k):
     D is +-det A, so D A^-1 = +-adj A is integral (Cramer's rule).  N is D
     when D > 0, else |D|^2, so N X is integral too: back substitution
     N x_i = (N b'_i - sum over j > i of u_ij N x_j) / u_ii divides exactly."""
-    a, pivots, (dr, di) = _bareiss([p + q for p, q in zip(rows, rhs)], n, n + k, False)
+    a, pivots, (dr, di) = _bareiss([p + q for p, q in zip(rows, rhs)], n, n + k)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("exact matrix is singular")
     big_n = dr if dr > 0 and not di else dr * dr + di * di
@@ -578,14 +583,6 @@ def _over(nr, nc, rows, d):
             dr //= g
             rows = tuple(tuple((tr // g, ti // g) for tr, ti in row) for row in rows)
     return Matrix(nr, nc, EXACT, (dr, rows))
-
-
-def exact_rref(m: Matrix):
-    """RREF as (Matrix, pivot column list); exact mode only."""
-    if m.mode != EXACT:
-        raise ModeMismatch("rref is exact-mode only")
-    a, pivots, d = _bareiss(m._intform[1], m.rows, m.cols, True)
-    return _over(m.rows, m.cols, tuple(map(tuple, a)), d), pivots
 
 
 # ----------------------------------------------------------------------

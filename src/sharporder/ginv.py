@@ -9,7 +9,6 @@ from .core import (
     _over,
     _solve,
     approx_eq,
-    exact_rref,
     numerical_rank,
     svd,
 )
@@ -21,21 +20,12 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
 
     Float mode inverts the singular values of the SVD that numerical_rank
     counts.  Exact mode returns a+ = G* (F* a G*)^-1 F* (Ben-Israel and
-    Greville, Generalized Inverses) as G* Y, one _solve giving Y with
-    (F* a G*) Y = F*, its divisions exact by Cramer's rule.  F is the pivot
-    columns of a and G the nonzero rows of its forward-only Bareiss echelon
-    form.  Any bases of a's column and row spaces serve: for a = F0 G0,
-    F = F0 P and G = Q G0, the invertible P and Q cancel, so G need not be
-    the RREF or give a = F G.  The zero matrix maps to the zero transpose.
+    Greville, Generalized Inverses) through _through, with F and G the
+    bases of _bases.  The zero matrix maps to the zero transpose.
     """
     if a.mode == EXACT:
-        echelon, pivots, _ = _bareiss(a._intform[1], a.rows, a.cols, False)
-        k, fh = len(pivots), _pivot_columns(a, pivots).H
-        gh = _over(k, a.cols, tuple(map(tuple, echelon[:k])), (1, 0)).H
-        dm, m = (fh @ a @ gh)._intform
-        df, rf = fh.scale(dm)._intform  # (m / dm) Y = F* iff m Y = dm F*
-        y, n = _solve(m, k, rf, a.rows)
-        return gh @ _over(k, a.rows, y, (n * df, 0))
+        f, g = _bases(a)
+        return _through(f.H, a, g.H)
     u, sigma, v = svd(a)
     r = numerical_rank(sigma, tol)
     if r == 0:
@@ -46,10 +36,29 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     return vr @ sinv @ ur.H
 
 
-def _pivot_columns(a: Matrix, pivots) -> Matrix:
-    """The columns of an exact a at the given pivot positions."""
+def _bases(a: Matrix):
+    """(F, G) for an exact a: its pivot columns and the nonzero rows of its
+    forward-only Bareiss echelon form, bases of its column and row spaces.
+
+    Both generalized inverses take any such bases: for a = F0 G0 of full
+    rank, F = F0 P and G = Q G0 with P and Q nonsingular, and P and Q cancel
+    from G* (F* a G*)^-1 F* and from F (G a F)^-1 G.  So G need not be the
+    RREF or give a = F G."""
+    echelon, pivots, _ = _bareiss(a._intform[1], a.rows, a.cols)
     d, rows = a._intform
-    return _over(a.rows, len(pivots), tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0))
+    k = len(pivots)
+    return (_over(a.rows, k, tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0)),
+            _over(k, a.cols, tuple(map(tuple, echelon[:k])), (1, 0)))
+
+
+def _through(l: Matrix, a: Matrix, r: Matrix) -> Matrix:
+    """r (l a r)^-1 l for exact l, a and r, the one exact generalized
+    inverse: r Y, with (l a r) Y = l solved by one _solve, its divisions
+    exact by Cramer's rule.  SingularMatrix when l a r is singular."""
+    dm, m = (l @ a @ r)._intform
+    dl, rl = l.scale(dm)._intform  # (m / dm) Y = l iff m Y = dm l
+    y, n = _solve(m, l.rows, rl, l.cols)
+    return r @ _over(l.rows, l.cols, y, (n * dl, 0))
 
 
 def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
@@ -65,7 +74,7 @@ def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
     kept = getattr(a, "_index1", None)
     if kept is None:
         n = a.rows
-        kept = len(_bareiss(_int_square(a)[1], n, n, False)[1]) == a.rank()
+        kept = len(_bareiss(_int_square(a)[1], n, n)[1]) == a.rank()
         object.__setattr__(a, "_index1", kept)
     return kept
 
@@ -73,22 +82,21 @@ def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
 def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The group inverse a# of an index <= 1 matrix.
 
-    Exact mode uses Cline's formula a# = F (G F)^-2 G on the full-rank
-    factorization a = F G (Cline 1965); G F is invertible iff the index is
-    at most 1.  Float mode decomposes a = U [[SK, SL], [O, O]] U*
+    Exact mode returns a# = F (G a F)^-1 G (Ben-Israel and Greville) through
+    _through, with F and G the bases of _bases: for a = F G0 with G0 the
+    RREF's nonzero rows, G a F = Q (G0 F)^2 with Q nonsingular, so this is
+    Cline's F (G0 F)^-2 G0 (Cline 1965), and G a F is nonsingular iff the
+    index is at most 1.  Float mode decomposes a = U [[SK, SL], [O, O]] U*
     (Hartwig-Spindelbock) and inverts that: the index is at most 1 iff SK
     is nonsingular.  Raises IndexTooLarge when the index exceeds 1.
     """
     a.require_square()
     if a.mode == EXACT:
-        # Cline's formula needs a = F G, so G is the RREF's nonzero rows
-        rref, pivots = exact_rref(a)
-        f, g = _pivot_columns(a, pivots), rref.block(0, len(pivots), 0, a.cols)
+        f, g = _bases(a)
         try:
-            m = (g @ f).inverse()
+            return _through(g, a, f)
         except SingularMatrix:
             raise IndexTooLarge("matrix has index greater than 1") from None
-        return f @ (m @ m) @ g
     from .hs import hs_decompose, predecessor_block_group_inverse
 
     try:

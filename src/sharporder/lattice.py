@@ -15,9 +15,9 @@ from .commutant import (
     block_choice_projector,
     center_choices,
 )
-from .core import (DEFAULT_TOL, EXACT, FLOAT, Matrix, _over, approx_eq, exact_rref, in_tau,
-                   is_projector)
+from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, _over, approx_eq, in_tau, is_projector
 from .errors import (
+    IndexTooLarge,
     NoEligibleEigenvalue,
     NonCommuting,
     NonSquare,
@@ -242,26 +242,17 @@ def max_chain(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
 
 
 _ZERO_2 = Matrix.zeros(2, 2, EXACT)
-_E1 = Matrix.exact([[1], [0]])
-
-
-def _kernel_vec_2(m: Matrix):
-    """A nonzero kernel vector of an exact 2x2 rank-1 matrix, as a 2x1 Matrix."""
-    red, pivots = exact_rref(m)
-    if pivots == [0]:
-        # the RREF's first row is [1 c] = [d c'] / d, so (-c, 1) = (-c', d) / d
-        d, ((_, (cr, ci)), _) = red._intform
-        return _over(2, 1, (((-cr, -ci),), ((d, 0),)), (d, 0))
-    # pivot in column 1 (or no pivot): e1 is in the kernel
-    return _E1
 
 
 def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The infimum of two 2x2 index <= 1 matrices under the sharp order.
 
-    Exact mode only.  Any nonzero common lower bound A satisfies
-    A(B1-B2) = (B1-B2)A = O, which in dimension 2 pins A down to a single
-    rank-1 candidate built from a shared eigenpair; otherwise the meet is O.
+    Exact mode only.  A common lower bound A satisfies AD = DA = O for
+    D = B1 - B2.  When D has rank 1, x spanning N(D) and y spanning N(D^T),
+    that makes a nonzero A equal to c x y^T; A has index 1, so y^T x is not
+    0, and A <= B1 fixes A = B1 x y^T / (y^T x).  So the meet is that one
+    candidate when it lies below both arguments, and O otherwise: also when
+    D is nonsingular, y^T x = 0 or the candidate has index 2.
     """
     if b1.mode != EXACT or b2.mode != EXACT:
         raise NotSupported("meet_in_c2 is exact-mode only")
@@ -275,22 +266,24 @@ def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     d = b1 - b2
     if d.rank() == 2:
         return _ZERO_2
-    x0 = _kernel_vec_2(d)
-    y0 = _kernel_vec_2(d.T)
-    w = b1 @ x0
-    # proportionality w = mu * x0
-    if not (w[0, 0] * x0[1, 0] - w[1, 0] * x0[0, 0]).is_zero():
+
+    def kernel(rows):
+        """(-q, p) for the first nonzero row (p, q) of a rank-1 2x2 matrix:
+        it spans the kernel, as every row is a multiple of (p, q)."""
+        (pr, pi), (qr, qi) = next(row for row in rows if row != ((0, 0), (0, 0)))
+        return (-qr, -qi), (pr, pi)
+
+    rows = d._intform[1]
+    x0, x1 = kernel(rows)
+    x = _over(2, 1, ((x0,), (x1,)), (1, 0))
+    y = _over(1, 2, (kernel(zip(*rows)),), (1, 0))
+    ((sr, si),), = (y @ x)._intform[1]
+    if not (sr or si):
         return _ZERO_2
-    mu = w[0, 0] / x0[0, 0] if not x0[0, 0].is_zero() else w[1, 0] / x0[1, 0]
-    if mu.is_zero():
+    db, num = (b1 @ x @ y)._intform
+    a = _over(2, 2, num, (db * sr, db * si))
+    try:
+        below = sharp_leq(a, b1, tol) and sharp_leq(a, b2, tol)
+    except IndexTooLarge:  # a nonzero nilpotent candidate lies below nothing
         return _ZERO_2
-    v = b1.T @ y0
-    if not approx_eq(v, y0.scale(mu)):
-        return _ZERO_2
-    inner = (y0.T @ x0)[0, 0]
-    if inner.is_zero():
-        return _ZERO_2
-    a = (x0 @ y0.T).scale(mu / inner)
-    if sharp_leq(a, b1, tol) and sharp_leq(a, b2, tol):
-        return a
-    return _ZERO_2
+    return a if below else _ZERO_2

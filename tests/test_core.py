@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,16 @@ def test_approx_eq_when_a_norm_overflows(x, y, want):
     with np.errstate(over="ignore"):
         assert not np.isfinite(x.fro())
         assert approx_eq(x, y) == want
+
+
+def test_overflowing_norms_decide_when_warnings_are_errors():
+    # numpy's overflow warning from the norms is an error here, and no
+    # errstate silences it: _fro reads the overflowed norm as inf, so both
+    # rules still decide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not approx_eq(Matrix.floating([[1e200, 0]]), Matrix.floating([[3e200, 0]]))
+        assert is_projector(Matrix.floating([[1, 1e300], [0, 0]]))
 
 
 def test_approx_eq_mode_mismatch():

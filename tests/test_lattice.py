@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from sharporder.oracle import (
     brute_common_lower_bounds,
     enumerate_index1,
     leq_unchecked,
+    predecessor_table,
     verify_glb,
 )
 
@@ -350,6 +352,23 @@ def test_meet_in_c2_comparable_arguments():
     a = Matrix.exact([[1, 0], [0, 0]])
     assert meet_in_c2(a, b) == a
     assert meet_in_c2(b, a) == a
+
+
+def test_meet_in_c2_on_the_gaussian_grid():
+    # every pair of index <= 1 members of the grid, singular ones included;
+    # B1 - B2 and its kernel vectors are Gaussian here, and criterion 9 sees
+    # only nonsingular real pairs
+    uni = enumerate_index1(2, [0, 1, -1, (0, 1)])
+    table = predecessor_table(uni)
+    assert len(uni) == 244
+    pairs = 0
+    for i, j in combinations(range(len(uni)), 2):
+        b1, b2 = uni[i], uni[j]
+        m = meet_in_c2(b1, b2)
+        assert verify_glb(m, b1, b2, uni, lower_bounds=[uni[k] for k in table[i] & table[j]])
+        assert meet_in_c2(b2, b1) == m
+        pairs += 1
+    assert pairs == 29646
 
 
 def test_meet_in_c2_against_oracle_sample():

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ def test_phi_inv_rejects_t_whose_norms_overflow():
     # the tau check still tells them apart
     b, d = _diag_context()
     with np.errstate(over="ignore"), pytest.raises(NotInTau):
+        phi_inv(Matrix.floating([[1, 1e300], [0, 0]]), d)
+
+
+def test_phi_inv_rejects_overflowing_t_when_warnings_are_errors():
+    # as above, with numpy's overflow warning raised as an error and no
+    # errstate around the call
+    b, d = _diag_context()
+    with warnings.catch_warnings(), pytest.raises(NotInTau):
+        warnings.simplefilter("error", RuntimeWarning)
         phi_inv(Matrix.floating([[1, 1e300], [0, 0]]), d)
 
 
