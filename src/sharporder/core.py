@@ -16,8 +16,10 @@ matrices can be shared freely across threads.  An exact matrix keeps facts
 derived from its value once they are first asked for (its QQi entries, the
 integer form of its square, its index verdict); each is a function of the
 value alone, so two threads that race on one only compute it twice, and
-none is read by ``==``, ``key()`` or hashing.  Float matrices keep nothing
-that a tolerance decides.
+none is read by ``==``, ``key()`` or hashing.  A float matrix likewise keeps
+its inverse and its singular values once they are first computed, but no
+verdict: every rank cut and comparison is made again at the tolerance of
+each call.
 """
 
 import cmath
@@ -61,8 +63,10 @@ class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
     # _sq and _index1 (exact only) stay unset until _int_square and
-    # ginv.index_le_one make them, so building a matrix does not pay for them
-    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1")
+    # ginv.index_le_one make them, _inv and _sv (float only) until inverse
+    # and _kept_sigma do, so building a matrix does not pay for them
+    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1",
+                 "_inv", "_sv")
 
     def __init__(self, rows, cols, mode, data):
         """data: a complex128 array no one else can write to (float mode), or
@@ -147,7 +151,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, mode=EXACT):
-        return cls.from_entries(n, n, ((i, i, 1) for i in range(n)), mode)
+        return cls.diag([1] * n, mode)
 
     @classmethod
     def diag(cls, values, mode=None):
@@ -155,6 +159,10 @@ class Matrix:
         if mode is None:
             mode = FLOAT if any(isinstance(v, (float, complex)) for v in values) else EXACT
         n = len(values)
+        if mode == FLOAT:
+            import numpy as np
+
+            return cls._wrap(np.diag(np.array([complex(v) for v in values], dtype=complex)))
         return cls.from_entries(n, n, ((i, i, v) for i, v in enumerate(values)), mode)
 
     # ------------------------------------------------------------------
@@ -327,12 +335,13 @@ class Matrix:
         singular values."""
         if self.mode == EXACT:
             return len(_bareiss(self._intform[1], self.rows, self.cols)[1])
-        return numerical_rank(singular_values(self), tol)
+        return numerical_rank(_kept_sigma(self), tol)
 
     def inverse(self):
         """Matrix inverse; raises SingularMatrix when not invertible.  Exact
         mode solves rows X = d I for self = rows / d with _solve (every
-        division exact by Cramer's rule)."""
+        division exact by Cramer's rule).  A float inverse is kept on self
+        once made; a singular matrix raises on every call."""
         self.require_square()
         n = self.rows
         if self.mode == EXACT:
@@ -342,16 +351,20 @@ class Matrix:
             return _over(n, n, x, (big_n, 0))
         if n == 0:
             return self
-        import numpy as np
+        kept = getattr(self, "_inv", None)
+        if kept is None:
+            import numpy as np
 
-        _require_finite(self._a, "inverse")
-        try:
-            inv = np.linalg.inv(self._a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from exc
-        if not np.all(np.isfinite(inv)):
-            raise SingularMatrix("non-finite inverse")
-        return Matrix._wrap(inv)
+            _require_finite(self._a, "inverse")
+            try:
+                inv = np.linalg.inv(self._a)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrix(str(exc)) from exc
+            if not np.all(np.isfinite(inv)):
+                raise SingularMatrix("non-finite inverse")
+            kept = Matrix._wrap(inv)
+            object.__setattr__(self, "_inv", kept)
+        return kept
 
 
 def _scalar_over(d):
@@ -711,14 +724,27 @@ def svd(m: Matrix):
 
 def singular_values(m: Matrix):
     """The sigma of svd(m), from LAPACK's values-only driver: what a rank
-    cut needs, without the singular vectors."""
-    if _empty_svd_input(m, "singular_values"):
-        return []
-    import numpy as np
+    cut needs, without the singular vectors.  A fresh list on every call."""
+    return list(_kept_sigma(m))
 
-    s = np.linalg.svd(m._a, compute_uv=False).tolist()
-    cut = _SVD_ZERO * s[0]
-    return [x if x > cut else 0.0 for x in s]
+
+def _kept_sigma(m: Matrix):
+    """The list singular_values(m) copies, computed on first use and kept
+    on m, so it is never handed out: a function of the value alone, since
+    only the fixed _SVD_ZERO cut is applied here and every tolerance cut is
+    made by the caller."""
+    kept = getattr(m, "_sv", None)
+    if kept is None:
+        if _empty_svd_input(m, "singular_values"):
+            kept = []
+        else:
+            import numpy as np
+
+            s = np.linalg.svd(m._a, compute_uv=False).tolist()
+            cut = _SVD_ZERO * s[0]
+            kept = [x if x > cut else 0.0 for x in s]
+        object.__setattr__(m, "_sv", kept)
+    return kept
 
 
 def _empty_svd_input(m: Matrix, what) -> bool:

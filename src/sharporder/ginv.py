@@ -97,14 +97,17 @@ def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
             return _through(g, a, f)
         except SingularMatrix:
             raise IndexTooLarge("matrix has index greater than 1") from None
-    from .hs import hs_decompose, predecessor_block_group_inverse
+    from .hs import _block_group_inverse, hs_decompose
 
     try:
         d = hs_decompose(a, tol)
     except ZeroMatrix:
         return Matrix.zeros(a.rows, a.cols, a.mode)
+    # predecessor_block_group_inverse with T = I, without its tau test of I:
+    # I is a projector commuting with SK by construction, and hs_decompose
+    # has already rejected non-finite input, so the test cannot fail
     try:
-        g = predecessor_block_group_inverse(d, Matrix.identity(d.r, a.mode), tol)
+        g = _block_group_inverse(d, Matrix.identity(d.r, a.mode), tol)
     except SingularK:
         raise IndexTooLarge("matrix has index greater than 1") from None
     # a matrix within the tolerance of O maps to O, once its index is known

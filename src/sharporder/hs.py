@@ -26,9 +26,12 @@ class HSDecomposition:
     _sk_sigma: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        s = self.sigma_matrix()
-        object.__setattr__(self, "_sk", s @ self.K)
-        object.__setattr__(self, "_sl", s @ self.L)
+        # Sigma K and Sigma L: the rows of K and L scaled by sigma
+        import numpy as np
+
+        s = np.array(self.sigma, dtype=float).reshape(-1, 1)
+        object.__setattr__(self, "_sk", Matrix._wrap(s * self.K.array))
+        object.__setattr__(self, "_sl", Matrix._wrap(s * self.L.array))
         object.__setattr__(self, "_sk_sigma", None)
 
     @property
@@ -128,6 +131,14 @@ def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_T
     """
     if not in_tau(t, d.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with SK")
+    return _block_group_inverse(d, t, tol)
+
+
+def _block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:
+    """predecessor_block_group_inverse for a t already known to be in tau,
+    unchecked: SingularK when SK is singular, else U [[H, H K^-1 L], [O, O]]
+    U* with H = (SK)^-1 T.  SK and K keep their inverses, so a decomposition
+    inverts each once."""
     if not d.index_le_one(tol):
         raise SingularK("SK singular: B has index greater than 1")
     head = d.sigma_k().inverse() @ t

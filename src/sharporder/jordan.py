@@ -8,6 +8,7 @@ candidate eigenvalues and the block sizes are recovered from rank sequences
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     DEFAULT_TOL,
@@ -104,8 +105,9 @@ class JordanSpec:
     def s(self):
         return len(self.eigenvalues)
 
-    @property
+    @cached_property
     def r(self):
+        """The size of J, summed on first read and kept."""
         return sum(e.dim for e in self.eigenvalues)
 
     @property

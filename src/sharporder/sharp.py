@@ -46,20 +46,21 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     raises IndexTooLarge otherwise, for the first argument first.  Exact
     mode compares integer forms: an exact matrix keeps its index verdict
     and its square once they are made, so a sweep that asks about one
-    matrix again pays for neither twice.  Float mode decides the index at
-    tol, forms A^2 once and compares by approx_eq.
+    matrix again pays for neither twice.  Float mode forms A^2 once, for
+    A's index (index_le_one's rule, rank(A^2) = rank(A) at tol) and for the
+    order, and compares by approx_eq.
     """
     a.require_square()
     b.require_square()
     _check_operands(a, b)
-    if not index_le_one(a, tol):
+    exact = a.mode == EXACT
+    a2 = _int_square(a) if exact else a @ a
+    if not (index_le_one(a, tol) if exact else a2.rank(tol) == a.rank(tol)):
         raise IndexTooLarge("first argument has index > 1")
     if not index_le_one(b, tol):
         raise IndexTooLarge("second argument has index > 1")
-    if a.mode == EXACT:
-        a2 = _int_square(a)
+    if exact:
         return _int_rep_eq(a2, _int_product(a, b)) and _int_rep_eq(a2, _int_product(b, a))
-    a2 = a @ a
     return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
 
 

@@ -258,6 +258,40 @@ def test_singular_inverse_raises():
         Matrix.exact([[1, 1], [1, 1]]).inverse()
 
 
+def test_float_diag_and_identity_match_from_entries():
+    for values in ([], [1], [2.5, 0, -1j, 3 + 4j], [1, 0, 0, 1, 1]):
+        n = len(values)
+        want = Matrix.from_entries(n, n, ((i, i, v) for i, v in enumerate(values)), FLOAT)
+        assert Matrix.diag(values, FLOAT).array.tobytes() == want.array.tobytes()
+        ones = Matrix.from_entries(n, n, ((i, i, 1) for i in range(n)), FLOAT)
+        assert Matrix.identity(n, FLOAT).array.tobytes() == ones.array.tobytes()
+
+
+def test_float_matrix_keeps_inverse_and_singular_values():
+    # the kept facts are those of a fresh matrix over a copy of the array,
+    # bit for bit, and later calls return them
+    rng = np.random.default_rng(29)
+    for n in (1, 3, 8):
+        m = Matrix.floating(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        inv, sigma = m.inverse(), singular_values(m)
+        fresh = Matrix.floating(m.array.copy())
+        assert inv.array.tobytes() == fresh.inverse().array.tobytes()
+        assert np.array(sigma).tobytes() == np.array(singular_values(fresh)).tobytes()
+        assert m.inverse() is inv and m.rank() == n
+        # the caller owns the list it was given
+        sigma[0] = -1.0
+        sigma.append(7.0)
+        assert singular_values(m) == singular_values(fresh)
+        assert singular_values(m) is not singular_values(m)
+
+
+def test_singular_float_inverse_raises_every_time():
+    s = Matrix.floating([[1, 2], [2, 4]])
+    for _ in range(3):
+        with pytest.raises(SingularMatrix):
+            s.inverse()
+
+
 def test_tolerance_validation():
     # rel >= 1 makes every matrix approx_eq to O; a rank factor >= 1 makes
     # every rank 0

@@ -11,14 +11,17 @@ from sharporder import (
     Tolerance,
     approx_eq,
     group_inverse,
+    hs_decompose,
     index_le_one,
     is_ep,
+    matrix_dumps,
     moore_penrose,
 )
 from sharporder.errors import IndexTooLarge
+from sharporder.hs import predecessor_block_group_inverse
 from sharporder.scalars import QQi
 
-from conftest import TOL8, rand_unimodular
+from conftest import TOL7, TOL8, float_context, rand_unimodular
 
 
 def _penrose_ok(a, x, tol=TOL8):
@@ -124,6 +127,34 @@ def test_group_inverse_index_too_large():
 def test_group_inverse_zero():
     assert group_inverse(Matrix.zeros(2, 2, EXACT)).is_zero()
     assert group_inverse(Matrix.zeros(2, 2, FLOAT)).is_zero()
+
+
+# (eigenvalue, Jordan block sizes) pairs and extra zero dimensions; a
+# singular B needs a diagonalizable core
+FLOAT_SHAPES = [
+    ([(2.0, [2, 1]), (-1.0, [1])], 0),
+    ([(1.5, [1, 1]), (1j, [1])], 1),
+    ([(3.0, [1]), (-2.5, [1, 1]), (0.5 + 1j, [1])], 2),
+    ([(4.0, [3, 2]), (-1.0 - 1j, [2, 2])], 0),
+    ([(2.0, [1] * 4), (-1.0, [1] * 3)], 3),
+]
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1.0], ids=["ep", "non-ep"])
+def test_float_group_inverse_is_the_block_inverse_with_identity(coupling):
+    # float group_inverse is predecessor_block_group_inverse with T = I
+    # without its tau test of I, so its bytes are that function's
+    for case, (pairs, extra) in enumerate(FLOAT_SHAPES):
+        b, _, _ = float_context(pairs, extra, seed=50 + case, coupling=coupling)
+        for tol in (TOL7, Tolerance()):
+            d = hs_decompose(b, tol)
+            want = predecessor_block_group_inverse(d, Matrix.identity(d.r, FLOAT), tol)
+            assert matrix_dumps(group_inverse(b, tol)) == matrix_dumps(want)
+    # index 2 still raises, and a matrix within tol.rel of O still maps to O
+    with pytest.raises(IndexTooLarge):
+        group_inverse(Matrix.floating([[0.0, 2.0], [0.0, 0.0]]))
+    tiny = Matrix.floating(1e-10 * np.eye(2))
+    assert tiny.rank() == 2 and group_inverse(tiny) == Matrix.zeros(2, 2, FLOAT)
 
 
 def _group_ok(a, x, tol=TOL8):

@@ -77,6 +77,10 @@ def test_random_invariants():
         assert d.validate(b, TOL8)
         assert d.r == b.rank(TOL8)
         assert index_le_one(b, TOL8) == d.index_le_one(TOL8)
+        # Sigma K and Sigma L scale the rows of K and L: the products with
+        # diag(sigma), entry for entry (a zero's sign may differ)
+        s = d.sigma_matrix()
+        assert d.sigma_k() == s @ d.K and d.sigma_l() == s @ d.L
 
 
 def test_json_round_trip():
