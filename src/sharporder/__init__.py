@@ -66,6 +66,7 @@ from .lattice import (
 from .equations import (
     SolutionFamily,
     count_solutions,
+    finite_solutions,
     solve_ep_commute_idempotent,
     solve_jordan_commuting_projectors,
     solve_xbx_family,

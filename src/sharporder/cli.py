@@ -12,18 +12,8 @@ import sys
 import click
 
 from .commutant import center_choices, projector_to_obj, sample_delta_projector
-from .core import (
-    DEFAULT_TOL,
-    Matrix,
-    Tolerance,
-    matrix_from_obj,
-    matrix_to_obj,
-)
-from .equations import (
-    count_solutions,
-    solve_ep_commute_idempotent,
-    verify_power_commute,
-)
+from .core import DEFAULT_TOL, Matrix, Tolerance, matrix_from_obj, matrix_to_obj
+from .equations import count_solutions, finite_solutions, verify_power_commute
 from .errors import MalformedInput, PrecondViolated, SharpOrderError
 from .ginv import group_inverse, moore_penrose
 from .hasse import hasse_dot
@@ -72,17 +62,17 @@ def _load_spec(path):
 
 
 def _tol_option(f):
-    f = click.option("--tol", type=float, default=DEFAULT_TOL.rel,
-                     show_default=True, help="relative comparison tolerance")(f)
-    f = click.option("--rank-threshold", type=float,
-                     default=DEFAULT_TOL.rank_threshold_factor, show_default=True,
-                     help="rank cutoff as a fraction of the top singular value")(f)
-    return f
+    """The --tol and --rank-threshold options, handed to the command as one
+    Tolerance named tol, and handle_errors around both: a bad value exits 2."""
+    @functools.wraps(f)
+    def with_tol(*args, tol, rank_threshold, **kwargs):
+        return f(*args, tol=Tolerance(rel=tol, rank_threshold_factor=rank_threshold), **kwargs)
 
-
-def _tol(kwargs):
-    return Tolerance(rel=kwargs.pop("tol"),
-                     rank_threshold_factor=kwargs.pop("rank_threshold"))
+    command = click.option("--tol", type=float, default=DEFAULT_TOL.rel, show_default=True,
+                           help="relative comparison tolerance")(handle_errors(with_tol))
+    return click.option("--rank-threshold", type=float,
+                        default=DEFAULT_TOL.rank_threshold_factor, show_default=True,
+                        help="rank cutoff as a fraction of the top singular value")(command)
 
 
 def _downset_setup(b_path, spec_path, tol):
@@ -114,9 +104,7 @@ def decompose():
 @decompose.command("hs")
 @click.option("--in", "in_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def decompose_hs(in_path, **kwargs):
-    tol = _tol(kwargs)
+def decompose_hs(in_path, tol):
     d = hs_decompose(_load_matrix(in_path), tol)
     _emit(hs_to_obj(d))
 
@@ -125,9 +113,7 @@ def decompose_hs(in_path, **kwargs):
 @click.argument("kind", type=click.Choice(["group", "mp"]))
 @click.option("--in", "in_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def inverse(kind, in_path, **kwargs):
-    tol = _tol(kwargs)
+def inverse(kind, in_path, tol):
     a = _load_matrix(in_path)
     out = group_inverse(a, tol) if kind == "group" else moore_penrose(a, tol)
     _emit(matrix_to_obj(out))
@@ -142,9 +128,7 @@ def check():
 @click.option("--a", "a_path", required=True, type=click.Path())
 @click.option("--b", "b_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def check_order(a_path, b_path, **kwargs):
-    tol = _tol(kwargs)
+def check_order(a_path, b_path, tol):
     leq = sharp_leq(_load_matrix(a_path), _load_matrix(b_path), tol)
     _emit({"leq": leq})
     sys.exit(0 if leq else 1)
@@ -170,9 +154,7 @@ def downset_classify(spec_path):
 @click.option("--b", "b_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def downset_boolean(b_path, spec_path, **kwargs):
-    tol = _tol(kwargs)
+def downset_boolean(b_path, spec_path, tol):
     _, spec, d = _downset_setup(b_path, spec_path, tol)
     centers = psi_choices(spec, center_choices(spec))
     _emit([matrix_to_obj(a) for a in phi_inv_stack(centers, d, tol)])
@@ -196,9 +178,7 @@ def downset_sample(spec_path, seed, count):
 @click.option("--b", "b_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def downset_chain(b_path, spec_path, **kwargs):
-    tol = _tol(kwargs)
+def downset_chain(b_path, spec_path, tol):
     _, spec, d = _downset_setup(b_path, spec_path, tol)
     _emit([matrix_to_obj(m) for m in max_chain(d, spec, tol)])
 
@@ -215,9 +195,7 @@ def witness():
 @witness.command("nonlattice")
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def witness_nonlattice(spec_path, **kwargs):
-    tol = _tol(kwargs)
+def witness_nonlattice(spec_path, tol):
     t1, t2, t3, t4 = non_lattice_witness(_load_spec(spec_path), tol)
     _emit({
         "T1": matrix_to_obj(t1),
@@ -253,9 +231,7 @@ def refute_conjecture():
 @click.option("--b1", "b1_path", required=True, type=click.Path())
 @click.option("--b2", "b2_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def meet2(b1_path, b2_path, **kwargs):
-    tol = _tol(kwargs)
+def meet2(b1_path, b2_path, tol):
     m = meet_in_c2(_load_matrix(b1_path), _load_matrix(b2_path), tol)
     _emit(matrix_to_obj(m))
 
@@ -273,9 +249,7 @@ def equations():
 @click.option("--b", "b_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def equations_count(b_path, spec_path, **kwargs):
-    tol = _tol(kwargs)
+def equations_count(b_path, spec_path, tol):
     _, spec, d = _downset_setup(b_path, spec_path, tol)
     _emit({"count": count_solutions(d, spec, tol)})
 
@@ -284,21 +258,13 @@ def equations_count(b_path, spec_path, **kwargs):
 @click.option("--b", "b_path", required=True, type=click.Path())
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
-@handle_errors
-def equations_solve(b_path, spec_path, **kwargs):
-    tol = _tol(kwargs)
+def equations_solve(b_path, spec_path, tol):
     b, spec, d = _downset_setup(b_path, spec_path, tol)
-    if any(e.t > 1 for e in spec.eigenvalues) or d.r < d.n - 1:
+    members = finite_solutions(d, spec, tol)
+    if members is None:
         _emit({"finite_count": None, "kind": "infinite_family",
                "free_part_shape": [spec.r, spec.r]})
         return
-    centers = psi_choices(spec, center_choices(spec))
-    if d.r == d.n:
-        members = Matrix.slices(d.embed_stack(centers))
-    else:
-        ws = (Matrix.zeros(d.n - d.r, d.n - d.r, b.mode), Matrix.identity(d.n - d.r, b.mode))
-        members = [solve_ep_commute_idempotent(d, t, w, tol)
-                   for t in Matrix.slices(centers) for w in ws]
     for s in members:
         if not verify_power_commute(s, b, 3, tol):
             raise PrecondViolated("materialized solution fails verification")

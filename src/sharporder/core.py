@@ -14,12 +14,12 @@ Two storage modes, never mixed inside one matrix:
 Values are immutable after construction and all operations are pure, so
 matrices can be shared freely across threads.  An exact matrix keeps facts
 derived from its value once they are first asked for (its QQi entries, the
-integer form of its square, its index verdict); each is a function of the
-value alone, so two threads that race on one only compute it twice, and
-none is read by ``==``, ``key()`` or hashing.  A float matrix likewise keeps
-its inverse and its singular values once they are first computed, but no
-verdict: every rank cut and comparison is made again at the tolerance of
-each call.
+integer form of its square, its index verdict, its inverse); each is a
+function of the value alone, so two threads that race on one only compute
+it twice, and none is read by ``==``, ``key()`` or hashing.  A float matrix
+likewise keeps its inverse and its singular values once they are first
+computed, but no verdict: every rank cut and comparison is made again at the
+tolerance of each call.
 """
 
 import cmath
@@ -63,8 +63,8 @@ class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
     # _sq and _index1 (exact only) stay unset until _int_square and
-    # ginv.index_le_one make them, _inv and _sv (float only) until inverse
-    # and _kept_sigma do, so building a matrix does not pay for them
+    # ginv.index_le_one make them, _inv until inverse does and _sv (float
+    # only) until _kept_sigma does, so building a matrix does not pay for them
     __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1",
                  "_inv", "_sv")
 
@@ -340,29 +340,30 @@ class Matrix:
     def inverse(self):
         """Matrix inverse; raises SingularMatrix when not invertible.  Exact
         mode solves rows X = d I for self = rows / d with _solve (every
-        division exact by Cramer's rule).  A float inverse is kept on self
-        once made; a singular matrix raises on every call."""
+        division exact by Cramer's rule).  The inverse is kept on self once
+        made, in both modes; a singular matrix raises on every call."""
         self.require_square()
         n = self.rows
-        if self.mode == EXACT:
-            d, rows = self._intform
-            x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0) for j in range(n))
-                                             for i in range(n)), n)
-            return _over(n, n, x, (big_n, 0))
-        if n == 0:
+        if n == 0 and self.mode == FLOAT:
             return self
         kept = getattr(self, "_inv", None)
         if kept is None:
-            import numpy as np
+            if self.mode == EXACT:
+                d, rows = self._intform
+                x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0)
+                                                       for j in range(n)) for i in range(n)), n)
+                kept = _over(n, n, x, (big_n, 0))
+            else:
+                import numpy as np
 
-            _require_finite(self._a, "inverse")
-            try:
-                inv = np.linalg.inv(self._a)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrix(str(exc)) from exc
-            if not np.all(np.isfinite(inv)):
-                raise SingularMatrix("non-finite inverse")
-            kept = Matrix._wrap(inv)
+                _require_finite(self._a, "inverse")
+                try:
+                    inv = np.linalg.inv(self._a)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularMatrix(str(exc)) from exc
+                if not np.all(np.isfinite(inv)):
+                    raise SingularMatrix("non-finite inverse")
+                kept = Matrix._wrap(inv)
             object.__setattr__(self, "_inv", kept)
         return kept
 

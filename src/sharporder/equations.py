@@ -10,7 +10,7 @@ commutant-projector poset of the Jordan form.
 from dataclasses import dataclass
 
 from .commutant import block_choice_projector, center_choices, delta_membership
-from .core import DEFAULT_TOL, Matrix, approx_eq, is_projector
+from .core import DEFAULT_TOL, Matrix, approx_eq, in_tau, is_projector, outside_tau
 from .errors import (
     HypothesisViolated,
     NotEP,
@@ -20,7 +20,7 @@ from .errors import (
 )
 from .hs import HSDecomposition
 from .jordan import JordanSpec
-from .sharp import in_tau
+from .sharp import psi, psi_choices
 
 
 JORDAN_COMMUTE_IDEMPOTENT = "jordan_commute_idempotent"
@@ -38,14 +38,26 @@ class SolutionFamily:
     members: tuple = None
 
 
+def _is_ep(hs: HSDecomposition, tol) -> bool:
+    """B is EP exactly when its L block vanishes."""
+    return not hs.L.cols or hs.L.is_zero(tol)
+
+
+def _is_finite(hs: HSDecomposition, spec: JordanSpec) -> bool:
+    """The block and rank conditions for finitely many solutions of
+    {BX = XB, X^2 = X}: one Jordan block per eigenvalue, and rank n or
+    n - 1 (where B must also be EP)."""
+    return all(e.t == 1 for e in spec.eigenvalues) and hs.r >= hs.n - 1
+
+
 def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,
                                 tol=DEFAULT_TOL) -> Matrix:
     """One solution S = U diag(T, W) U* of {BX = XB, X^2 = X} for EP B.
 
-    B is EP exactly when its L block vanishes; T ranges over projectors
-    commuting with the core block and W over projectors of size n - r.
+    T ranges over projectors commuting with the core block and W over
+    projectors of size n - r.
     """
-    if hs.L.cols and not hs.L.is_zero(tol):
+    if not _is_ep(hs, tol):
         raise NotEP("B is not EP (its L block is nonzero)")
     if not in_tau(t, hs.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with the core block")
@@ -80,15 +92,33 @@ def count_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL) -> i
     2^s when B is nonsingular with one Jordan block per eigenvalue;
     2^(s+1) when B is EP of rank n - 1 under the same block condition.
     """
-    if any(e.t > 1 for e in spec.eigenvalues):
-        raise HypothesisViolated("some eigenvalue has more than one Jordan block")
-    if hs.r == hs.n:
-        return 2 ** spec.s
-    if hs.r == hs.n - 1:
-        if hs.L.cols and not hs.L.is_zero(tol):
-            raise HypothesisViolated("B is singular but not EP")
-        return 2 ** (spec.s + 1)
-    raise HypothesisViolated("rank deficit exceeds one")
+    if not _is_finite(hs, spec):
+        raise HypothesisViolated("B needs one Jordan block per eigenvalue and rank >= n - 1")
+    if not _is_ep(hs, tol):
+        raise HypothesisViolated("B is singular but not EP")
+    return 2 ** (spec.s + hs.n - hs.r)
+
+
+def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
+    """The members U diag(T, W) U* of a finite family, or None: T over psi of
+    the Boolean center and, for each T, W = O then I of size n - r (one empty
+    W when r = n), in one batched product.  At rank n - 1 NotEP comes first,
+    then NotInTau at the first T outside tau, as in solve_ep_commute_idempotent.
+    """
+    import numpy as np
+
+    if not _is_finite(hs, spec):
+        return None
+    centers = psi_choices(spec, center_choices(spec))
+    ws = np.zeros((1, 0, 0), dtype=complex)
+    if hs.r < hs.n:
+        if not _is_ep(hs, tol):
+            raise NotEP("B is not EP (its L block is nonzero)")
+        if outside_tau(centers, hs.sigma_k().array, tol) is not None:
+            raise NotInTau("T is not an idempotent commuting with the core block")
+        ws = np.array([[[0]], [[1]]], dtype=complex)
+    x = np.repeat(centers, len(ws), axis=0)
+    return Matrix.slices(hs.embed_stack(x, z=np.tile(ws, (len(centers), 1, 1))))
 
 
 def verify_power_commute(s: Matrix, b: Matrix, kmax: int, tol=DEFAULT_TOL) -> bool:
@@ -125,8 +155,7 @@ def solve_jordan_commuting_projectors(p: Matrix, spec: JordanSpec,
         raise SingularityMismatch("P and spec modes differ")
     free_shape = (spec.r, spec.r)
     if all(e.t == 1 for e in spec.eigenvalues):
-        p_inv = p.inverse()
-        members = tuple(p @ block_choice_projector(spec, bits) @ p_inv
+        members = tuple(psi(block_choice_projector(spec, bits), p)
                         for bits in center_choices(spec))
         return SolutionFamily(JORDAN_COMMUTE_IDEMPOTENT, (p, spec), free_shape,
                               finite_count=2 ** spec.s, members=members)
@@ -138,4 +167,4 @@ def jordan_family_member(family: SolutionFamily, t: Matrix, tol=DEFAULT_TOL) -> 
     p, spec = family.base
     if not delta_membership(t, spec, tol):
         raise NotInTau("T is not a commutant projector for the spec")
-    return p @ t @ p.inverse()
+    return psi(t, p)

@@ -79,6 +79,12 @@ class HSDecomposition:
         top = max(self.sigma, default=0.0)
         return numerical_rank(self._sk_sigma, tol, top) == self.r
 
+    def require_index_le_one(self, tol=DEFAULT_TOL):
+        """SingularK unless index_le_one: the one guard of every map that
+        inverts SK (phi, phi_inv, extend_to_nonsingular, the group inverse)."""
+        if not self.index_le_one(tol):
+            raise SingularK("SK singular: B has index greater than 1")
+
     def validate(self, b: Matrix, tol=DEFAULT_TOL) -> bool:
         n, r = self.n, self.r
         ident = Matrix.identity(r, FLOAT)
@@ -139,8 +145,7 @@ def _block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matr
     unchecked: SingularK when SK is singular, else U [[H, H K^-1 L], [O, O]]
     U* with H = (SK)^-1 T.  SK and K keep their inverses, so a decomposition
     inverts each once."""
-    if not d.index_le_one(tol):
-        raise SingularK("SK singular: B has index greater than 1")
+    d.require_index_le_one(tol)
     head = d.sigma_k().inverse() @ t
     return d.embed(head, head @ d.K.inverse() @ d.L)
 

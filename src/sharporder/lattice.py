@@ -32,27 +32,29 @@ from .jordan import JordanSpec, build_jordan_matrix
 from .sharp import phi, phi_inv_stack, proj_leq, psi_choices, sharp_leq
 
 
+def _commuting_product(t1: Matrix, t2: Matrix, tol) -> Matrix:
+    """T1 T2, once T1 T2 and T2 T1 are found close; NonCommuting otherwise."""
+    t12 = t1 @ t2
+    if not approx_eq(t12, t2 @ t1, tol):
+        raise NonCommuting("projectors do not commute")
+    return t12
+
+
 def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """Infimum T1 T2 of two commuting projectors."""
-    if not approx_eq(t1 @ t2, t2 @ t1, tol):
-        raise NonCommuting("projectors do not commute")
-    return t1 @ t2
+    return _commuting_product(t1, t2, tol)
 
 
 def join_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """Supremum T1 + T2 - T1 T2 of two commuting projectors."""
-    if not approx_eq(t1 @ t2, t2 @ t1, tol):
-        raise NonCommuting("projectors do not commute")
-    return t1 + t2 - t1 @ t2
+    t12 = _commuting_product(t1, t2, tol)
+    return t1 + t2 - t12
 
 
 def matrix_meet(a1: Matrix, a2: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """The meet A1 B+ A2 of two predecessors of B whose projector images
     commute."""
-    t1 = phi(a1, hs, tol)
-    t2 = phi(a2, hs, tol)
-    if not approx_eq(t1 @ t2, t2 @ t1, tol):
-        raise NonCommuting("projector images do not commute")
+    _commuting_product(phi(a1, hs, tol), phi(a2, hs, tol), tol)
     b = hs_reconstruct(hs)
     return a1 @ moore_penrose(b, tol) @ a2
 

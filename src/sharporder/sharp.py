@@ -30,7 +30,6 @@ from .errors import (
     NotAPredecessor,
     NotInTau,
     ShapeMismatch,
-    SingularK,
 )
 from .ginv import index_le_one
 from .hs import HSDecomposition, predecessor_expand
@@ -64,13 +63,6 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
 
 
-def _require_index_le_one(hs: HSDecomposition, tol):
-    """SingularK unless SK is nonsingular, that is B has index <= 1 (the rank
-    cut of HSDecomposition.index_le_one)."""
-    if not hs.index_le_one(tol):
-        raise SingularK("SK singular: B has index greater than 1")
-
-
 def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """The projector T with A = U [[T SK, T SL], [O, O]] U*.
 
@@ -79,7 +71,7 @@ def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     the decomposed matrix, and SingularK if SK is singular.  The tau check
     and the reconstruction are 1-stacks of the kernels behind phi_inv_stack.
     """
-    _require_index_le_one(hs, tol)
+    hs.require_index_le_one(tol)
     sk = hs.sigma_k()
     m = hs.U.H @ a @ hs.U
     t = m.block(0, hs.r, 0, hs.r) @ sk.inverse()
@@ -94,7 +86,7 @@ def phi_inv(t: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """The predecessor A determined by a projector T in tau; raises SingularK,
     as phi does, when SK is singular, then NotInTau.  The 1-stack of
     phi_inv_stack."""
-    _require_index_le_one(hs, tol)
+    hs.require_index_le_one(tol)
     _check_operands(t, hs.sigma_k(), idempotent=True)
     return phi_inv_stack(t.array[None], hs, tol)[0]
 
@@ -105,7 +97,7 @@ def phi_inv_stack(ts, hs: HSDecomposition, tol=DEFAULT_TOL):
     every T is checked against tau, in order (outside_tau), and NotInTau is
     raised at the first that is not in it; then all are mapped in one
     batched product (predecessor_expand)."""
-    _require_index_le_one(hs, tol)
+    hs.require_index_le_one(tol)
     if ts.shape[1:] != (hs.r, hs.r):
         raise ShapeMismatch(f"{ts.shape[1]}x{ts.shape[2]} vs {hs.r}x{hs.r}")
     if outside_tau(ts, hs.sigma_k().array, tol) is not None:
@@ -114,7 +106,8 @@ def phi_inv_stack(ts, hs: HSDecomposition, tol=DEFAULT_TOL):
 
 
 def psi(t: Matrix, p: Matrix) -> Matrix:
-    """delta -> tau conjugation: T maps to P T P^-1."""
+    """delta -> tau conjugation: T maps to P T P^-1, the one conjugation by P
+    of a single matrix (P keeps its inverse, so each P is inverted once)."""
     return p @ t @ p.inverse()
 
 
@@ -148,7 +141,7 @@ def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
     return approx_eq(t1, t1 @ t2, tol) and approx_eq(t1, t2 @ t1, tol)
 
 
-def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):
+def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int):
     """All 2^l predecessors of B = P diag(J_1..J_l, O) P^-1 when every
     eigenvalue has exactly one Jordan block: flip each block to O or keep it.
     """
@@ -160,13 +153,12 @@ def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int, tol=DEFAULT_TOL):
     r = spec.r
     if r > n:
         raise ShapeMismatch("spec dimension exceeds n")
-    p_inv = p.inverse()
     entries = list(jordan_entries((e.lam, e.dim) for e in spec.eigenvalues))
     out = []
     for bits in center_choices(spec):
         keep = _block_diagonal(spec, bits)
         j = Matrix.from_entries(n, n, [(i, k, v) for i, k, v in entries if keep[i]], mode)
-        out.append(p @ j @ p_inv)
+        out.append(psi(j, p))
     return out
 
 
@@ -205,7 +197,7 @@ def successor_form(a: Matrix, p: Matrix, spec: JordanSpec, x: Matrix, tol=DEFAUL
     blocks = ((e.lam, k) for e in spec.eigenvalues for k in e.sizes)
     x_entries = ((r + i, r + j, x[i, j]) for i in range(n - r) for j in range(n - r))
     jx = Matrix.from_entries(n, n, chain(jordan_entries(blocks), x_entries), mode)
-    b = p @ jx @ p.inverse()
+    b = psi(jx, p)
     try:
         leq = sharp_leq(a, b, tol)
     except IndexTooLarge:
@@ -216,7 +208,6 @@ def successor_form(a: Matrix, p: Matrix, spec: JordanSpec, x: Matrix, tol=DEFAUL
 def extend_to_nonsingular(hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     """A nonsingular C with B sharp-below C:
     C = U [[SK, (Sigma - K^-1) L], [O, I]] U*."""
-    if not hs.index_le_one(tol):
-        raise SingularK("K singular: B has index greater than 1")
+    hs.require_index_le_one(tol)
     corner = (hs.sigma_matrix() - hs.K.inverse()) @ hs.L
     return hs.embed(hs.sigma_k(), corner, Matrix.identity(hs.n - hs.r, FLOAT))

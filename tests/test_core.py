@@ -285,6 +285,22 @@ def test_float_matrix_keeps_inverse_and_singular_values():
         assert singular_values(m) is not singular_values(m)
 
 
+def test_exact_matrix_keeps_inverse():
+    # the kept inverse is that of a fresh equal matrix, later calls return
+    # it, and equality, key() and hashing do not see it
+    for rows in ([[2]], [[1, 2], [3, 4]], [[(0, 1), 1, 0], [0, 2, "1/3"], [1, 0, (1, -1)]]):
+        m = Matrix.exact(rows)
+        inv = m.inverse()
+        fresh = Matrix.exact(rows)
+        assert m.inverse() is inv and inv == fresh.inverse()
+        assert m == fresh and len({m.key(), fresh.key()}) == 1
+        assert m @ inv == Matrix.identity(len(rows))
+    s = Matrix.exact([[1, 2], [2, 4]])
+    for _ in range(3):
+        with pytest.raises(SingularMatrix):
+            s.inverse()
+
+
 def test_singular_float_inverse_raises_every_time():
     s = Matrix.floating([[1, 2], [2, 4]])
     for _ in range(3):

@@ -8,6 +8,7 @@ from sharporder import (
     approx_eq,
     boolean_center,
     count_solutions,
+    finite_solutions,
     group_inverse,
     hs_decompose,
     make_spec,
@@ -19,6 +20,8 @@ from sharporder import (
     split_ep_solution,
     verify_power_commute,
 )
+from sharporder.commutant import center_choices
+from sharporder.core import matrix_dumps
 from sharporder.equations import jordan_family_member
 from sharporder.errors import (
     HypothesisViolated,
@@ -28,6 +31,7 @@ from sharporder.errors import (
     WNotProjector,
 )
 from sharporder.oracle import brute_commuting_idempotents, enumerate_index1
+from sharporder.sharp import psi_choices
 
 from conftest import TOL7, float_context, sample_tau
 
@@ -81,6 +85,41 @@ def test_solve_ep_guards():
     with pytest.raises(WNotProjector):
         solve_ep_commute_idempotent(dd, Matrix.identity(2, FLOAT),
                                     Matrix.floating([[0.5]]))
+
+
+@pytest.mark.parametrize("pairs, extra_zeros", [
+    ([(2.0, [1]), (-1.0, [1]), (3.0, [1])], 0),
+    ([(2.0, [2]), (1j, [1])], 0),
+    ([(2.0, [1]), (-1.0, [1]), (0.5 + 1j, [1])], 1),
+    ([(1.5, [1])], 1),
+])
+def test_finite_solutions_match_one_by_one(pairs, extra_zeros):
+    # the batched members are those of solve_ep_commute_idempotent, byte for
+    # byte and in its order: T over the center, then W = O, I
+    for seed in range(1, 6):
+        _, d, spec = float_context(pairs, extra_zeros, seed)
+        m = d.n - d.r
+        ws = [Matrix.zeros(m, m, FLOAT), Matrix.identity(m, FLOAT)][:m + 1]
+        centers = Matrix.slices(psi_choices(spec, center_choices(spec)))
+        expected = [solve_ep_commute_idempotent(d, t, w, TOL7) for t in centers for w in ws]
+        got = finite_solutions(d, spec, TOL7)
+        assert len(got) == 2 ** (spec.s + m) == count_solutions(d, spec, TOL7)
+        assert [matrix_dumps(s) for s in got] == [matrix_dumps(s) for s in expected]
+
+
+def test_finite_solutions_infinite_and_guards():
+    _, d, _ = _ep_context()
+    assert finite_solutions(d, make_spec([(2.0, [1, 1])], mode=FLOAT)) is None
+    dd = hs_decompose(Matrix.floating(np.diag([1.0, 0.0, 0.0])))
+    assert finite_solutions(dd, make_spec([(1.0, [1])], mode=FLOAT)) is None
+    # a P that puts T outside tau: NotInTau for EP B, NotEP, checked first,
+    # for a B that is not EP
+    spec = make_spec([(2.0, [1]), (1.0, [1])], P=Matrix.floating([[1, 1], [0, 1]]), mode=FLOAT)
+    with pytest.raises(NotInTau):
+        finite_solutions(d, spec)
+    nep = hs_decompose(Matrix.floating([[1.0, 0, 0], [0, 2.0, 1.0], [0, 0, 0]]))
+    with pytest.raises(NotEP):
+        finite_solutions(nep, spec)
 
 
 def test_count_solutions_cases():

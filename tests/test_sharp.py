@@ -36,6 +36,7 @@ from sharporder.errors import (
 )
 from sharporder import hs as hs_module
 from sharporder.hs import predecessor_block_group_inverse
+from sharporder.sharp import phi_inv_stack
 
 from conftest import TOL7, float_context, rand_unimodular, sample_predecessor
 
@@ -165,6 +166,26 @@ def test_phi_inv_rejects_singular_sigma_k(monkeypatch):
         max_chain(d, spec)
     assert not d.index_le_one() and not d.index_le_one(TOL7)
     assert len(calls) == 1
+
+
+def test_one_sigma_k_guard():
+    # every map that inverts SK raises the one SingularK of the decomposition
+    # on an index-2 B = diag(1) + [[0, 1], [0, 0]]
+    d = hs_decompose(Matrix.floating([[1, 0, 0], [0, 0, 1], [0, 0, 0]]))
+    assert d.r == 2 and not d.index_le_one()
+    ident = Matrix.identity(2, FLOAT)
+    calls = [lambda: phi(Matrix.zeros(3, 3, FLOAT), d),
+             lambda: phi_inv(ident, d),
+             lambda: phi_inv_stack(ident.array[None], d),
+             lambda: max_chain(d, make_spec([(1.0, [1]), (2.0, [1])], mode=FLOAT)),
+             lambda: extend_to_nonsingular(d),
+             lambda: predecessor_block_group_inverse(d, ident)]
+    messages = set()
+    for call in calls:
+        with pytest.raises(SingularK) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"SK singular: B has index greater than 1"}
 
 
 def test_phi_inv_edges():
