@@ -230,9 +230,9 @@ def refute_conjecture():
 @main.command()
 @click.option("--b1", "b1_path", required=True, type=click.Path())
 @click.option("--b2", "b2_path", required=True, type=click.Path())
-@_tol_option
-def meet2(b1_path, b2_path, tol):
-    m = meet_in_c2(_load_matrix(b1_path), _load_matrix(b2_path), tol)
+@handle_errors
+def meet2(b1_path, b2_path):
+    m = meet_in_c2(_load_matrix(b1_path), _load_matrix(b2_path))
     _emit(matrix_to_obj(m))
 
 

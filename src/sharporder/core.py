@@ -154,10 +154,8 @@ class Matrix:
         return cls.diag([1] * n, mode)
 
     @classmethod
-    def diag(cls, values, mode=None):
+    def diag(cls, values, mode=EXACT):
         values = list(values)
-        if mode is None:
-            mode = FLOAT if any(isinstance(v, (float, complex)) for v in values) else EXACT
         n = len(values)
         if mode == FLOAT:
             import numpy as np

@@ -1,9 +1,11 @@
 """Solution families for the matrix-equation systems tied to the sharp order:
 {BX = XB, X^2 = X} and {XBX = BX, X^2 = X}.
 
-For an EP matrix B the commuting idempotents are exactly U diag(T, W) U*
-with T a projector commuting with the core block and W any projector of
-complementary size; for nonsingular B they are P T P^-1 with T in the
+For B = U [[SK, SL], [O, O]] U* of index <= 1, EP or not, the commuting
+idempotents are exactly U [[T, TM - MW], [O, W]] U* with M = K^-1 L, T a
+projector commuting with the core block and W any projector of size n - r:
+Q diag(T, W) Q^-1 with Q = U [[I, -M], [O, I]], which carries B to
+U diag(SK, O) U*.  For nonsingular B they are P T P^-1 with T in the
 commutant-projector poset of the Jordan form.
 """
 
@@ -11,13 +13,7 @@ from dataclasses import dataclass
 
 from .commutant import block_choice_projector, center_choices, delta_membership
 from .core import DEFAULT_TOL, Matrix, approx_eq, in_tau, is_projector, outside_tau
-from .errors import (
-    HypothesisViolated,
-    NotEP,
-    NotInTau,
-    SingularityMismatch,
-    WNotProjector,
-)
+from .errors import HypothesisViolated, NotInTau, SingularityMismatch, WNotProjector
 from .hs import HSDecomposition
 from .jordan import JordanSpec
 from .sharp import psi, psi_choices
@@ -38,87 +34,79 @@ class SolutionFamily:
     members: tuple = None
 
 
-def _is_ep(hs: HSDecomposition, tol) -> bool:
-    """B is EP exactly when its L block vanishes."""
-    return not hs.L.cols or hs.L.is_zero(tol)
-
-
 def _is_finite(hs: HSDecomposition, spec: JordanSpec) -> bool:
     """The block and rank conditions for finitely many solutions of
-    {BX = XB, X^2 = X}: one Jordan block per eigenvalue, and rank n or
-    n - 1 (where B must also be EP)."""
+    {BX = XB, X^2 = X}: one Jordan block per eigenvalue, and rank n or n - 1."""
     return all(e.t == 1 for e in spec.eigenvalues) and hs.r >= hs.n - 1
+
+
+def _members(hs: HSDecomposition, ts, ws, tol):
+    """U [[T, TM - MW], [O, W]] U* with M = K^-1 L for each pair of slices of
+    a (k, r, r) stack T and a (k, n - r, n - r) stack W, in one batched
+    product: a (k, n, n) array.  SingularK when B has index greater than 1;
+    K keeps its inverse, so a decomposition inverts it once."""
+    hs.require_index_le_one(tol)
+    m = (hs.K.inverse() @ hs.L).array
+    return hs.embed_stack(ts, ts @ m - m @ ws, ws)
 
 
 def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,
                                 tol=DEFAULT_TOL) -> Matrix:
-    """One solution S = U diag(T, W) U* of {BX = XB, X^2 = X} for EP B.
+    """One solution U [[T, TM - MW], [O, W]] U* of {BX = XB, X^2 = X}; B need
+    not be EP (for EP B, M = O and the solution is U diag(T, W) U*).
 
     T ranges over projectors commuting with the core block and W over
-    projectors of size n - r.
+    projectors of size n - r.  The 1-stack of finite_solutions' product.
     """
-    if not _is_ep(hs, tol):
-        raise NotEP("B is not EP (its L block is nonzero)")
     if not in_tau(t, hs.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with the core block")
     if not w.is_square or w.rows != hs.n - hs.r:
         raise WNotProjector(f"W must be {hs.n - hs.r} square")
     if not is_projector(w, tol):
         raise WNotProjector("W is not idempotent")
-    return hs.embed(t, z=w)
+    return Matrix.slices(_members(hs, t.array[None], w.array[None], tol))[0]
 
 
 def split_ep_solution(hs: HSDecomposition, s: Matrix, tol=DEFAULT_TOL):
-    """Decompose a claimed solution into its (T, W) parts, validating that
-    the off-diagonal couplings vanish."""
+    """Decompose a claimed solution S into its (T, W) parts, the diagonal
+    blocks of U* S U: they are checked as solve_ep_commute_idempotent checks
+    them, and S must be the solution they give.  B need not be EP."""
     m = hs.U.H @ s @ hs.U
     r, n = hs.r, hs.n
     t = m.block(0, r, 0, r)
     w = m.block(r, n, r, n)
-    off1 = m.block(0, r, r, n)
-    off2 = m.block(r, n, 0, r)
-    if not (off1.is_zero(tol) and off2.is_zero(tol)):
-        raise NotInTau("solution couples the core and null slices")
-    if not in_tau(t, hs.sigma_k(), tol):
-        raise NotInTau("core part is not an idempotent commuting with the core block")
-    if n > r and not is_projector(w, tol):
-        raise WNotProjector("null-slice part is not idempotent")
+    if not approx_eq(s, solve_ep_commute_idempotent(hs, t, w, tol), tol):
+        raise NotInTau("solution is not U [[T, TM - MW], [O, W]] U* of its diagonal blocks")
     return t, w
 
 
 def count_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL) -> int:
-    """Number of solutions of {BX = XB, X^2 = X} in the finite cases.
-
-    2^s when B is nonsingular with one Jordan block per eigenvalue;
-    2^(s+1) when B is EP of rank n - 1 under the same block condition.
-    """
+    """Number of solutions of {BX = XB, X^2 = X} in the finite cases, for a
+    spec of the core block: 2^s when B is nonsingular with one Jordan block
+    per eigenvalue, 2^(s+1) when B has rank n - 1 under the same block
+    condition, EP or not.  SingularK when B has index greater than 1."""
     if not _is_finite(hs, spec):
         raise HypothesisViolated("B needs one Jordan block per eigenvalue and rank >= n - 1")
-    if not _is_ep(hs, tol):
-        raise HypothesisViolated("B is singular but not EP")
+    hs.require_index_le_one(tol)
     return 2 ** (spec.s + hs.n - hs.r)
 
 
 def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
-    """The members U diag(T, W) U* of a finite family, or None: T over psi of
-    the Boolean center and, for each T, W = O then I of size n - r (one empty
-    W when r = n), in one batched product.  At rank n - 1 NotEP comes first,
-    then NotInTau at the first T outside tau, as in solve_ep_commute_idempotent.
+    """The members U [[T, TM - MW], [O, W]] U* of a finite family, or None: T
+    over psi of the Boolean center and, for each T, W = O then I of size
+    n - r (one empty W when r = n), in one batched product.  NotInTau at
+    the first T outside tau, as in solve_ep_commute_idempotent.
     """
     import numpy as np
 
     if not _is_finite(hs, spec):
         return None
     centers = psi_choices(spec, center_choices(spec))
-    ws = np.zeros((1, 0, 0), dtype=complex)
-    if hs.r < hs.n:
-        if not _is_ep(hs, tol):
-            raise NotEP("B is not EP (its L block is nonzero)")
-        if outside_tau(centers, hs.sigma_k().array, tol) is not None:
-            raise NotInTau("T is not an idempotent commuting with the core block")
-        ws = np.array([[[0]], [[1]]], dtype=complex)
+    if outside_tau(centers, hs.sigma_k().array, tol) is not None:
+        raise NotInTau("T is not an idempotent commuting with the core block")
+    ws = np.array([[[0]], [[1]]] if hs.r < hs.n else [np.zeros((0, 0))], dtype=complex)
     x = np.repeat(centers, len(ws), axis=0)
-    return Matrix.slices(hs.embed_stack(x, z=np.tile(ws, (len(centers), 1, 1))))
+    return Matrix.slices(_members(hs, x, np.tile(ws, (len(centers), 1, 1)), tol))
 
 
 def verify_power_commute(s: Matrix, b: Matrix, kmax: int, tol=DEFAULT_TOL) -> bool:

@@ -90,10 +90,6 @@ class MultiplicityExceedsOne(SharpOrderError):
     code = "multiplicity_exceeds_one"
 
 
-class NotEP(SharpOrderError):
-    code = "not_ep"
-
-
 class WNotProjector(SharpOrderError):
     code = "w_not_projector"
 

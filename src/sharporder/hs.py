@@ -23,7 +23,6 @@ class HSDecomposition:
     r: int
     _sk: Matrix = field(init=False, repr=False, compare=False)
     _sl: Matrix = field(init=False, repr=False, compare=False)
-    _sk_sigma: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Sigma K and Sigma L: the rows of K and L scaled by sigma
@@ -32,7 +31,6 @@ class HSDecomposition:
         s = np.array(self.sigma, dtype=float).reshape(-1, 1)
         object.__setattr__(self, "_sk", Matrix._wrap(s * self.K.array))
         object.__setattr__(self, "_sl", Matrix._wrap(s * self.L.array))
-        object.__setattr__(self, "_sk_sigma", None)
 
     @property
     def n(self):
@@ -71,13 +69,10 @@ class HSDecomposition:
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
         """SK nonsingular, cut against sigma_1 of B: an SK of rounding noise
-        is O however well conditioned it is on its own scale.  The singular
-        values of SK are computed on first use and kept, so each call only
-        cuts them."""
-        if self._sk_sigma is None:
-            object.__setattr__(self, "_sk_sigma", singular_values(self._sk))
+        is O however well conditioned it is on its own scale.  SK keeps its
+        singular values, so each call after the first only cuts them."""
         top = max(self.sigma, default=0.0)
-        return numerical_rank(self._sk_sigma, tol, top) == self.r
+        return numerical_rank(singular_values(self._sk), tol, top) == self.r
 
     def require_index_le_one(self, tol=DEFAULT_TOL):
         """SingularK unless index_le_one: the one guard of every map that

@@ -246,7 +246,7 @@ def max_chain(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
 _ZERO_2 = Matrix.zeros(2, 2, EXACT)
 
 
-def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
+def meet_in_c2(b1: Matrix, b2: Matrix) -> Matrix:
     """The infimum of two 2x2 index <= 1 matrices under the sharp order.
 
     Exact mode only.  A common lower bound A satisfies AD = DA = O for
@@ -261,9 +261,9 @@ def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     if b1.rows != 2 or b2.rows != 2 or not (b1.is_square and b2.is_square):
         raise NonSquare("arguments must be 2x2")
     # sharp_leq raises IndexTooLarge for b1, then for b2, and is True for b1 = b2
-    if sharp_leq(b1, b2, tol):
+    if sharp_leq(b1, b2):
         return b1
-    if sharp_leq(b2, b1, tol):
+    if sharp_leq(b2, b1):
         return b2
     d = b1 - b2
     if d.rank() == 2:
@@ -285,7 +285,7 @@ def meet_in_c2(b1: Matrix, b2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     db, num = (b1 @ x @ y)._intform
     a = _over(2, 2, num, (db * sr, db * si))
     try:
-        below = sharp_leq(a, b1, tol) and sharp_leq(a, b2, tol)
+        below = sharp_leq(a, b1) and sharp_leq(a, b2)
     except IndexTooLarge:  # a nonzero nilpotent candidate lies below nothing
         return _ZERO_2
     return a if below else _ZERO_2

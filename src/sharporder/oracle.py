@@ -6,7 +6,7 @@ clever algorithms elsewhere can be checked against something unambiguous.
 
 from itertools import product
 
-from .core import DEFAULT_TOL, EXACT, Matrix, _cleared, _over, approx_eq
+from .core import EXACT, Matrix, _cleared, _over, approx_eq
 from .errors import BudgetExceeded, NotSupported
 from .ginv import index_le_one
 
@@ -27,11 +27,11 @@ def enumerate_index1(n: int, grid, cap=DEFAULT_CAP):
     return out
 
 
-def leq_unchecked(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
+def leq_unchecked(a: Matrix, b: Matrix) -> bool:
     """The order predicate A^2 = AB = BA without re-validating the index
     preconditions; for universes already filtered by enumerate_index1."""
     a2 = a @ a
-    return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
+    return approx_eq(a2, a @ b) and approx_eq(a2, b @ a)
 
 
 def predecessor_table(universe):

@@ -362,18 +362,23 @@ def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_lo
 
 
 def test_non_ep_b_equations_and_boolean(runner, tmp_path):
-    # B = [[1, 1], [0, 0]] has index 1 but is not EP: the finite-family
-    # equations reject it (solve as not_ep, count as a violated hypothesis),
-    # while its down-set is still computed
+    # B = [[1, 1], [0, 0]] has index 1 but is not EP: its commuting
+    # idempotents are O, I - B, B and I (B is idempotent, so BB# = B), and
+    # its down-set is computed too
     b, spec = tmp_path / "b.json", tmp_path / "spec.json"
     b.write_text(json.dumps(matrix_to_obj(Matrix.floating([[1, 1], [0, 0]]))))
     spec.write_text(json.dumps(spec_to_obj(make_spec([(1.0, [1])], P=Matrix.floating([[1]]),
                                                      mode=FLOAT))))
     args = ["--b", str(b), "--spec", str(spec)]
-    for command, code in (["solve", "not_ep"], ["count", "hypothesis_violated"]):
-        res = runner.invoke(main, ["equations", command, *args])
-        assert (res.exit_code, res.stdout) == (3, "")
-        assert json.loads(res.stderr) == {"error": code}
+    res = runner.invoke(main, ["equations", "count", *args])
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert json.loads(res.stdout) == {"count": 4}
+    res = runner.invoke(main, ["equations", "solve", *args])
+    assert (res.exit_code, res.stderr) == (0, "")
+    out = json.loads(res.stdout)
+    got = np.array([matrix_from_obj(m).array for m in out["solutions"]])
+    want = np.array([[[0, 0], [0, 0]], [[0, -1], [0, 1]], [[1, 1], [0, 0]], [[1, 0], [0, 1]]])
+    assert out["count"] == 4 and np.abs(got - want).max() <= 1e-9
     res = runner.invoke(main, ["downset", "boolean", *args])
     assert (res.exit_code, res.stderr) == (0, "")
     assert len(json.loads(res.stdout)) == 2

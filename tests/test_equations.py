@@ -23,17 +23,19 @@ from sharporder import (
 from sharporder.commutant import center_choices
 from sharporder.core import matrix_dumps
 from sharporder.equations import jordan_family_member
-from sharporder.errors import (
-    HypothesisViolated,
-    NotEP,
-    NotInTau,
-    SingularityMismatch,
-    WNotProjector,
-)
+from sharporder.errors import (HypothesisViolated, NotInTau, SingularityMismatch, SingularK,
+                               WNotProjector)
 from sharporder.oracle import brute_commuting_idempotents, enumerate_index1
 from sharporder.sharp import psi_choices
 
 from conftest import TOL7, float_context, sample_tau
+
+
+def _non_ep_2x2(top):
+    """B = [[top, 1], [0, 0]], index 1 and not EP, with the spec of its
+    1 x 1 core block."""
+    b = Matrix.floating([[top, 1.0], [0, 0]])
+    return b, hs_decompose(b), make_spec([(top, [1])], P=Matrix.floating([[1]]), mode=FLOAT)
 
 
 def _ep_context():
@@ -72,12 +74,12 @@ def test_solve_ep_solutions_satisfy_system():
 
 
 def test_solve_ep_guards():
+    # B need not be EP: T = I and W = I give I for this B with L nonzero
     b = Matrix.floating([[1.0, 1.0, 0], [0, 0, 0], [0, 0, 0]])
     d = hs_decompose(b)
     assert not d.L.is_zero(TOL7)
-    with pytest.raises(NotEP):
-        solve_ep_commute_idempotent(d, Matrix.identity(1, FLOAT),
-                                    Matrix.identity(2, FLOAT))
+    i = solve_ep_commute_idempotent(d, Matrix.identity(1, FLOAT), Matrix.identity(2, FLOAT))
+    assert approx_eq(i, Matrix.identity(3, FLOAT), TOL7)
     _, dd, _ = _ep_context()
     with pytest.raises(NotInTau):
         solve_ep_commute_idempotent(dd, Matrix.floating([[0.5, 0], [0, 0]]),
@@ -112,14 +114,77 @@ def test_finite_solutions_infinite_and_guards():
     assert finite_solutions(d, make_spec([(2.0, [1, 1])], mode=FLOAT)) is None
     dd = hs_decompose(Matrix.floating(np.diag([1.0, 0.0, 0.0])))
     assert finite_solutions(dd, make_spec([(1.0, [1])], mode=FLOAT)) is None
-    # a P that puts T outside tau: NotInTau for EP B, NotEP, checked first,
-    # for a B that is not EP
+    # a P that puts T outside tau: NotInTau, for EP B and for a B that is not
     spec = make_spec([(2.0, [1]), (1.0, [1])], P=Matrix.floating([[1, 1], [0, 1]]), mode=FLOAT)
     with pytest.raises(NotInTau):
         finite_solutions(d, spec)
     nep = hs_decompose(Matrix.floating([[1.0, 0, 0], [0, 2.0, 1.0], [0, 0, 0]]))
-    with pytest.raises(NotEP):
+    with pytest.raises(NotInTau):
         finite_solutions(nep, spec)
+
+
+@pytest.mark.parametrize("top", [1.0, 2.0])
+def test_non_ep_2x2_family(top):
+    # the members are O, I - BB#, BB# and I, in that order; for top = 1, B is
+    # idempotent and BB# = B
+    b, d, spec = _non_ep_2x2(top)
+    assert not d.L.is_zero(TOL7)
+    bb = b @ group_inverse(b, TOL7)
+    ident = Matrix.identity(2, FLOAT)
+    got = finite_solutions(d, spec, TOL7)
+    assert count_solutions(d, spec, TOL7) == len(got) == 4
+    for s, want in zip(got, [Matrix.zeros(2, 2, FLOAT), ident - bb, bb, ident]):
+        assert approx_eq(s, want, TOL7)
+    # every commuting idempotent on the grid {-1, 0, 1, 2} is a member
+    found = brute_commuting_idempotents(Matrix.exact([[int(top), 1], [0, 0]]),
+                                        enumerate_index1(2, [-1, 0, 1, 2]))
+    assert len(found) == (4 if top == 1.0 else 2)
+    for s in found:
+        assert any(approx_eq(s.to_float(), m, TOL7) for m in got)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_non_ep_oblique_w(seed):
+    # n - r = 2 or 3 and B not EP: T from tau, W an oblique projector
+    pairs = [(2.0, [1]), (-1.0, [1]), (0.5 + 1j, [1])][:1 + seed % 3]
+    b, d, spec = float_context(pairs, 2 + seed % 2, seed, coupling=1.0)
+    assert not d.L.is_zero(TOL7)
+    rng = np.random.default_rng(seed)
+    m = d.n - d.r
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    w = Matrix.floating(np.outer(v, u) / (u @ v))
+    assert not approx_eq(w, w.H, TOL7)
+    t = sample_tau(spec, seed)
+    x = solve_ep_commute_idempotent(d, t, w, TOL7)
+    assert approx_eq(x @ b, b @ x, TOL7) and approx_eq(x @ x, x, TOL7)
+    t2, w2 = split_ep_solution(d, x, TOL7)
+    assert approx_eq(t2, t, TOL7) and approx_eq(w2, w, TOL7)
+    # without the TM - MW corner, U diag(T, W) U* is no solution for this B
+    with pytest.raises(NotInTau):
+        split_ep_solution(d, d.embed(t, z=w), TOL7)
+
+
+def test_finite_solutions_check_tau_at_full_rank():
+    # a P that is not a similarity of the core block of a nonsingular B puts
+    # T outside tau: NotInTau, where two of the four would not commute with B
+    b = Matrix.floating(np.diag([1.0, 2.0]))
+    spec = make_spec([(2.0, [1]), (1.0, [1])], P=Matrix.floating([[1, 1], [0, 1]]), mode=FLOAT)
+    with pytest.raises(NotInTau):
+        finite_solutions(hs_decompose(b), spec)
+
+
+def test_index_two_b_has_no_family():
+    # rank n - 1 and index 2 (not EP either): no count and no member, where a
+    # count of 2^(s+1) would be wrong
+    d = hs_decompose(Matrix.floating([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 0]]))
+    assert d.r == d.n - 1 and not d.index_le_one()
+    spec = make_spec([(2.0, [1]), (1.0, [1])], P=Matrix.identity(2, FLOAT), mode=FLOAT)
+    o1, o2 = Matrix.zeros(1, 1, FLOAT), Matrix.zeros(2, 2, FLOAT)
+    for call in (lambda: count_solutions(d, spec), lambda: solve_ep_commute_idempotent(d, o2, o1),
+                 lambda: split_ep_solution(d, Matrix.zeros(3, 3, FLOAT))):
+        with pytest.raises(SingularK):
+            call()
 
 
 def test_count_solutions_cases():

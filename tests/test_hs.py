@@ -127,3 +127,13 @@ def test_hs_from_obj_rejects_inconsistent_blocks():
                 dict(obj, sigma="ab")):
         with pytest.raises(MalformedInput):
             hs_from_obj(bad)
+
+
+def test_index_le_one_runs_one_svd_of_sigma_k(monkeypatch):
+    # SK keeps its singular values, so a second index decision only cuts them
+    d = hs_decompose(Matrix.floating([[1.0, 2.0, 0], [0, 3.0, 1.0], [0, 0, 0]]))
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or real(a, **kw))
+    assert d.index_le_one() and d.index_le_one(TOL8)
+    assert len(calls) == 1 and np.array_equal(calls[0], d.sigma_k().array)

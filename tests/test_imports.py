@@ -1,11 +1,13 @@
 """Every module-level import of a library module is used by that module,
-and no library module holds mutable state at module level.
+no library module holds mutable state at module level, and every error
+class of errors.py is raised somewhere.
 
 Deleting code tends to leave its imports behind; this catches them.  The
 package's __init__.py imports names to re-export them, so it is left out.
 A module-level dict, list or set is where a global cache grows; a value
 keeps what it derives from itself instead (an exact Matrix keeps its
-square and its index verdict), so there is none to clear or cap."""
+square and its index verdict), so there is none to clear or cap.  An error class that no module raises
+is a code, and a CLI exit, that can no longer happen."""
 
 import ast
 from pathlib import Path
@@ -74,3 +76,40 @@ def test_module_containers_finds_a_cache():
     source = ("_CACHE = {}\n_SEEN: set = set()\nA = B = [x for x in ()]\nN = 4\nT = (1, 2)\n"
               "M = dict(a=1)\nP = frozenset()\ndef f():\n    local = []\n")
     assert module_containers(source) == ["A", "B", "M", "_CACHE", "_SEEN"]
+
+
+def unraised_errors(errors_source, sources):
+    """The SharpOrderError subclasses that errors_source defines but that no
+    raise statement of the other sources names: raise E, raise E(...), or
+    either with a from clause."""
+    subclasses = {"SharpOrderError"}
+    for node in ast.parse(errors_source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in subclasses for b in node.bases):
+            subclasses.add(node.name)
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return sorted(subclasses - {"SharpOrderError"} - raised)
+
+
+def test_every_error_is_raised():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "errors.py"]
+    assert unraised_errors((SRC / "errors.py").read_text(), sources) == []
+
+
+def test_unraised_errors_finds_a_leftover():
+    errors = ("class SharpOrderError(Exception):\n    pass\n"
+              "class NotEP(SharpOrderError):\n    code = 'not_ep'\n"
+              "class Shape(SharpOrderError):\n    pass\n"
+              "class Ragged(Shape):\n    pass\n"
+              "class Bare(SharpOrderError):\n    pass\n"
+              "class Other(ValueError):\n    pass\n")
+    sources = ["def f(x):\n    if x:\n        raise Shape('no') from None\n    raise Bare\n",
+               "from .errors import NotEP, Ragged\ntry:\n    pass\nexcept NotEP:\n"
+               "    raise ValueError(Ragged)\n"]
+    assert unraised_errors(errors, sources) == ["NotEP", "Ragged"]
