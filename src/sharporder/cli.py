@@ -82,7 +82,7 @@ def _downset_setup(b_path, spec_path, tol):
     d = hs_decompose(b, tol)
     if spec.P is None:
         raise PrecondViolated("spec must carry the similarity matrix P")
-    if spec.r != d.r or not validate_similarity(spec.P, spec, d.sigma_k(), tol):
+    if not validate_similarity(spec.P, spec, d.sigma_k(), tol):
         raise PrecondViolated("spec does not describe the core block of B")
     return b, spec, d
 

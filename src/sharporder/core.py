@@ -17,13 +17,15 @@ derived from its value once they are first asked for (its QQi entries, the
 integer form of its square, its index verdict, its inverse); each is a
 function of the value alone, so two threads that race on one only compute
 it twice, and none is read by ``==``, ``key()`` or hashing.  A float matrix
-likewise keeps its inverse and its singular values once they are first
-computed, but no verdict: every rank cut and comparison is made again at the
-tolerance of each call.
+likewise keeps its inverse, its singular values, its SVD and its
+Hartwig-Spindelbock decomposition (kept by :func:`sharporder.hs.hs_decompose`)
+once they are first computed, but no verdict: every rank cut and comparison
+is made again at the tolerance of each call.
 """
 
 import cmath
 import json
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -63,10 +65,11 @@ class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
     # _sq and _index1 (exact only) stay unset until _int_square and
-    # ginv.index_le_one make them, _inv until inverse does and _sv (float
-    # only) until _kept_sigma does, so building a matrix does not pay for them
+    # ginv.index_le_one make them, _inv until inverse does, and _sv, _svd and
+    # _hs (float only) until _kept_sigma, svd and hs.hs_decompose do, so
+    # building a matrix does not pay for them
     __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1",
-                 "_inv", "_sv")
+                 "_inv", "_sv", "_svd", "_hs")
 
     def __init__(self, rows, cols, mode, data):
         """data: a complex128 array no one else can write to (float mode), or
@@ -393,6 +396,15 @@ def _fro(a):
         return inf
 
 
+# the overflow _fro reads as inf is decided, so numpy's warning of it is
+# noise on stderr: ignored when it comes from this module (whose only dot is
+# _fro's).  The filter goes last, so a caller's own filter, "error" among
+# them, still wins; filtering costs the finite path nothing, where an
+# errstate block would double _fro's time
+warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
+                        rf"{__name__}\Z", append=True)
+
+
 # ----------------------------------------------------------------------
 # the exact kernel: an exact matrix is stored as Gaussian integers over one
 # denominator, and every exact result is computed in that form.
@@ -701,24 +713,32 @@ def svd(m: Matrix):
     Returns (U, sigma, V) with U (rows x rows) and V (cols x cols) unitary,
     sigma descending of length min(rows, cols), and m = U diag(sigma) V^H.
     Right singular vectors are phased so their first significant component
-    is real positive; U is phased to match wherever sigma > 0.
+    is real positive; U is phased to match wherever sigma > 0.  Computed on
+    first use and kept on m, like _kept_sigma: later calls return the same
+    read-only U and V and a fresh copy of sigma.
     """
-    nr, nc = m.rows, m.cols
-    if _empty_svd_input(m, "svd"):
-        return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
-    import numpy as np
+    kept = getattr(m, "_svd", None)
+    if kept is None:
+        nr, nc = m.rows, m.cols
+        if _empty_svd_input(m, "svd"):
+            kept = Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
+        else:
+            import numpy as np
 
-    u, s, vh = np.linalg.svd(m._a, full_matrices=True)
-    s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
-    v = vh.conj().T
-    # columns of V are unit vectors, so each has an entry above 1e-12
-    first = np.argmax(np.abs(v) > 1e-12, axis=0)
-    ph = v[first, np.arange(nc)]
-    ph = ph / np.abs(ph)
-    v = v * ph.conj()
-    k = len(s)
-    u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
-    return Matrix._wrap(u), [float(x) for x in s], Matrix._wrap(v)
+            u, s, vh = np.linalg.svd(m._a, full_matrices=True)
+            s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
+            v = vh.conj().T
+            # columns of V are unit vectors, so each has an entry above 1e-12
+            first = np.argmax(np.abs(v) > 1e-12, axis=0)
+            ph = v[first, np.arange(nc)]
+            ph = ph / np.abs(ph)
+            v = v * ph.conj()
+            k = len(s)
+            u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
+            kept = Matrix._wrap(u), [float(x) for x in s], Matrix._wrap(v)
+        object.__setattr__(m, "_svd", kept)
+    u, sigma, v = kept
+    return u, list(sigma), v
 
 
 def singular_values(m: Matrix):

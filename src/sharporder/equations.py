@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .commutant import block_choice_projector, center_choices, delta_membership
 from .core import DEFAULT_TOL, Matrix, approx_eq, in_tau, is_projector, outside_tau
-from .errors import HypothesisViolated, NotInTau, SingularityMismatch, WNotProjector
+from .errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
+                     WNotProjector)
 from .hs import HSDecomposition
 from .jordan import JordanSpec
 from .sharp import psi, psi_choices
@@ -36,7 +37,11 @@ class SolutionFamily:
 
 def _is_finite(hs: HSDecomposition, spec: JordanSpec) -> bool:
     """The block and rank conditions for finitely many solutions of
-    {BX = XB, X^2 = X}: one Jordan block per eigenvalue, and rank n or n - 1."""
+    {BX = XB, X^2 = X}: one Jordan block per eigenvalue, and rank n or n - 1.
+    PrecondViolated first when the spec is not of the core block's size r:
+    count_solutions and finite_solutions both make that check here."""
+    if spec.r != hs.r:
+        raise PrecondViolated("spec does not describe the core block of B")
     return all(e.t == 1 for e in spec.eigenvalues) and hs.r >= hs.n - 1
 
 

@@ -2,6 +2,11 @@
 
 Float mode only: the singular values are algebraic irrationals in general,
 so exact-mode pipelines enter through Jordan data instead.
+
+B keeps its decomposition, as it keeps its SVD: the down-set [O, B] of one B
+is studied through this one decomposition, so hs_decompose, the float group
+inverse and every down-set query on B share one SVD, and the inverses and
+singular values that SK and K keep.
 """
 
 import sys
@@ -93,7 +98,9 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
     """Decompose a nonzero square float matrix.
 
     Construction: SVD b = W diag(sigma, 0) V*, then [K L] is the first r rows
-    of V* W and U = W.
+    of V* W and U = W.  The result is kept on b and returned again while
+    the rank cut of each call's tolerance gives its r; a call whose cut
+    gives another r builds and keeps that r's decomposition instead.
     """
     b.require_square()
     if b.mode != FLOAT:
@@ -103,14 +110,18 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
     r = numerical_rank(sigma, tol)
     if r == 0:
         raise ZeroMatrix("the zero matrix has no Hartwig-Spindelbock decomposition")
-    kl = (v.H @ w).block(0, r, 0, n)
-    return HSDecomposition(
-        U=w,
-        sigma=tuple(sigma[:r]),
-        K=kl.block(0, r, 0, r),
-        L=kl.block(0, r, r, n),
-        r=r,
-    )
+    kept = getattr(b, "_hs", None)
+    if kept is None or kept.r != r:
+        kl = (v.H @ w).block(0, r, 0, n)
+        kept = HSDecomposition(
+            U=w,
+            sigma=tuple(sigma[:r]),
+            K=kl.block(0, r, 0, r),
+            L=kl.block(0, r, r, n),
+            r=r,
+        )
+        object.__setattr__(b, "_hs", kept)
+    return kept
 
 
 def hs_reconstruct(d: HSDecomposition) -> Matrix:

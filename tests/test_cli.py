@@ -293,6 +293,37 @@ def test_equations(runner, files):
     assert out["count"] == 8 and len(out["solutions"]) == 8
 
 
+@pytest.mark.parametrize("command", ["count", "solve", "chain", "boolean"])
+def test_spec_of_another_size_exit_3(runner, files, tmp_path, command):
+    # B = diag(1, 2, 0) has a 2 x 2 core block; a spec of three eigenvalues
+    # describes none of it
+    spec = tmp_path / "spec3.json"
+    spec.write_text(json.dumps(spec_to_obj(make_spec(
+        [(1.0, [1]), (2.0, [1]), (3.0, [1])], P=Matrix.identity(3, FLOAT), mode=FLOAT))))
+    group = "downset" if command in ("chain", "boolean") else "equations"
+    res = runner.invoke(main, [group, command, "--b", files["B"], "--spec", str(spec)])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "precondition_violated"}
+
+
+def test_overflowing_norm_prints_no_warning(tmp_path):
+    # the norm of diag(1e200, 1e200) overflows where the group inverse asks
+    # whether B is within the tolerance of O, and the answer is still right;
+    # numpy's overflow warning must not reach stderr.  A child process runs
+    # under the default warning filters, which pytest's error filter does
+    # not reach
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(matrix_to_obj(Matrix.floating(np.diag([1e200, 1e200])))))
+    src = str(Path(sharporder.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "sharporder.cli", "inverse", "group",
+                           "--in", str(path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert matrix_from_obj(json.loads(proc.stdout)) == Matrix.floating(np.diag([1e-200, 1e-200]))
+
+
 def test_hasse(runner, files, tmp_path):
     out = str(tmp_path / "g.dot")
     res = runner.invoke(main, ["hasse", "--spec", files["spec"],

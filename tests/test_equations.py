@@ -23,8 +23,8 @@ from sharporder import (
 from sharporder.commutant import center_choices
 from sharporder.core import matrix_dumps
 from sharporder.equations import jordan_family_member
-from sharporder.errors import (HypothesisViolated, NotInTau, SingularityMismatch, SingularK,
-                               WNotProjector)
+from sharporder.errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
+                               SingularK, WNotProjector)
 from sharporder.oracle import brute_commuting_idempotents, enumerate_index1
 from sharporder.sharp import psi_choices
 
@@ -121,6 +121,20 @@ def test_finite_solutions_infinite_and_guards():
     nep = hs_decompose(Matrix.floating([[1.0, 0, 0], [0, 2.0, 1.0], [0, 0, 0]]))
     with pytest.raises(NotInTau):
         finite_solutions(nep, spec)
+
+
+@pytest.mark.parametrize("eigenvalues", [[1.0], [1.0, 2.0, 3.0]], ids=["r1", "r3"])
+def test_spec_of_another_size_is_rejected(eigenvalues):
+    # B = diag(1, 2, 0) has a 2 x 2 core block and 8 commuting idempotents;
+    # a spec of one or three eigenvalues describes no core block of it, where
+    # a count of 4 or 16 would be wrong
+    d = hs_decompose(Matrix.floating(np.diag([1.0, 2.0, 0.0])))
+    k = len(eigenvalues)
+    spec = make_spec([(lam, [1]) for lam in eigenvalues], P=Matrix.identity(k, FLOAT),
+                     mode=FLOAT)
+    for call in (count_solutions, finite_solutions):
+        with pytest.raises(PrecondViolated, match="core block"):
+            call(d, spec)
 
 
 @pytest.mark.parametrize("top", [1.0, 2.0])

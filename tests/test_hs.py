@@ -5,14 +5,17 @@ from sharporder import (
     EXACT,
     FLOAT,
     Matrix,
+    Tolerance,
     approx_eq,
+    group_inverse,
     hs_decompose,
     hs_from_obj,
     hs_reconstruct,
     hs_to_obj,
     index_le_one,
+    moore_penrose,
 )
-from sharporder.core import matrix_to_obj
+from sharporder.core import DEFAULT_TOL, matrix_to_obj, svd
 from sharporder.errors import MalformedInput, NotSupported, ZeroMatrix
 
 from conftest import TOL8
@@ -137,3 +140,67 @@ def test_index_le_one_runs_one_svd_of_sigma_k(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or real(a, **kw))
     assert d.index_le_one() and d.index_le_one(TOL8)
     assert len(calls) == 1 and np.array_equal(calls[0], d.sigma_k().array)
+
+
+def _bytes(*ms):
+    return [m.array.tobytes() for m in ms]
+
+
+def _hs_bytes(d):
+    return _bytes(d.U, d.K, d.L) + [np.array(d.sigma).tobytes(), d.r]
+
+
+def test_float_matrix_keeps_its_svd_and_decomposition():
+    # the kept facts are those of a fresh matrix over a copy of the array,
+    # bit for bit, and so are the inverses built on them; later calls
+    # return the kept U, V and decomposition
+    rng = np.random.default_rng(31)
+    for n, r in ((1, 1), (3, 2), (6, 4)):
+        g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        h = rng.standard_normal((r, n)) + 1j * rng.standard_normal((r, n))
+        b = Matrix.floating(g @ h)
+        for _ in range(2):
+            u, sigma, v = svd(b)
+            d, gi, mp = hs_decompose(b, TOL8), group_inverse(b, TOL8), moore_penrose(b, TOL8)
+        fresh = Matrix.floating(b.array.copy())
+        fu, fsigma, fv = svd(fresh)
+        assert _bytes(u, v) == _bytes(fu, fv)
+        assert np.array(sigma).tobytes() == np.array(fsigma).tobytes()
+        assert d.r == r and _hs_bytes(d) == _hs_bytes(hs_decompose(fresh, TOL8))
+        assert _bytes(gi, mp) == _bytes(group_inverse(fresh, TOL8), moore_penrose(fresh, TOL8))
+        assert svd(b)[0] is u and svd(b)[2] is v and hs_decompose(b, TOL8) is d
+        # the caller owns the sigma list it was given
+        sigma[0] = -1.0
+        sigma.append(7.0)
+        assert svd(b)[1] == fsigma and svd(b)[1] is not svd(b)[1]
+
+
+COARSE = Tolerance(rank_threshold_factor=1e-4)
+
+
+@pytest.mark.parametrize("order", [(DEFAULT_TOL, COARSE), (COARSE, DEFAULT_TOL)],
+                         ids=["default-first", "coarse-first"])
+def test_kept_decomposition_follows_each_calls_rank_cut(order):
+    # sigma_2 = 1e-6 counts under the default cut (1e-10 sigma_1) but not
+    # under a 1e-4 cut: each call gets the r of its own tolerance, whatever
+    # was asked of B before, and the decomposition of a fresh matrix
+    b = Matrix.floating(np.diag([1.0, 1e-6, 0.0]))
+    want_r = {DEFAULT_TOL: 2, COARSE: 1}
+    for tol in order + order:
+        d = hs_decompose(b, tol)
+        assert d.r == want_r[tol]
+        assert _hs_bytes(d) == _hs_bytes(hs_decompose(Matrix.floating(b.array.copy()), tol))
+
+
+def test_repeated_queries_on_one_b_run_no_svd(monkeypatch):
+    # after one group inverse, B's SVD, its decomposition and the inverses
+    # and singular values of SK and K are all kept: a further decomposition
+    # and group inverse at the same tolerance run no LAPACK SVD
+    b = Matrix.floating([[2.0, 1.0, 1.0], [0, 3.0, 1.0], [0, 0, 0]])
+    first = group_inverse(b, TOL8)
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or real(a, **kw))
+    assert hs_decompose(b, TOL8).r == 2
+    assert _bytes(group_inverse(b, TOL8)) == _bytes(first)
+    assert calls == []
