@@ -328,8 +328,11 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
                 t = _delta_rows(spec, s, keep)
                 break
         elif s.rank(tol) == spec.r:
+            import numpy as np
+
+            e = np.diag(np.array(keep, dtype=complex))
             return CommutantProjector.from_matrix(
-                spec, s @ Matrix.diag(keep, FLOAT) @ s.inverse(), tol)
+                spec, Matrix._wrap(s.array @ e @ s.inverse().array), tol)
     if not _idempotent_on_heads(spec, t):
         raise NotInDelta("matrix is not idempotent")
     return CommutantProjector(spec, None, t)

@@ -17,7 +17,7 @@ derived from its value once they are first asked for (its QQi entries, the
 integer form of its square, its index verdict, its inverse); each is a
 function of the value alone, so two threads that race on one only compute
 it twice, and none is read by ``==``, ``key()`` or hashing.  A float matrix
-likewise keeps its inverse, its singular values, its SVD and its
+likewise keeps its square, its inverse, its singular values, its SVD and its
 Hartwig-Spindelbock decomposition (kept by :func:`sharporder.hs.hs_decompose`)
 once they are first computed, but no verdict: every rank cut and comparison
 is made again at the tolerance of each call.
@@ -64,8 +64,8 @@ DEFAULT_TOL = Tolerance()
 class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
-    # _sq and _index1 (exact only) stay unset until _int_square and
-    # ginv.index_le_one make them, _inv until inverse does, and _sv, _svd and
+    # _sq stays unset until _square makes it, _index1 (exact only) until
+    # ginv.index_le_one does, _inv until inverse does, and _sv, _svd and
     # _hs (float only) until _kept_sigma, svd and hs.hs_decompose do, so
     # building a matrix does not pay for them
     __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1",
@@ -154,6 +154,10 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, mode=EXACT):
+        if mode == FLOAT:
+            import numpy as np
+
+            return cls._wrap(np.eye(n, dtype=complex))
         return cls.diag([1] * n, mode)
 
     @classmethod
@@ -409,7 +413,7 @@ warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
 # the exact kernel: an exact matrix is stored as Gaussian integers over one
 # denominator, and every exact result is computed in that form.
 # _int_product multiplies (row by row, skipping zero entries of the left
-# factor), _int_square keeps a square, _int_sum adds and subtracts, _bareiss
+# factor), _square keeps a square, _int_sum adds and subtracts, _bareiss
 # eliminates (forward only: the one elimination, whose echelon form gives
 # the rank and the bases behind both generalized inverses), _solve solves,
 # _int_rep_eq compares, _cleared turns entries given as scalars into
@@ -463,13 +467,14 @@ def _int_product(a: Matrix, b: Matrix):
     return d1 * d2, tuple(rows)
 
 
-def _int_square(a: Matrix):
-    """Integer form of a @ a for an exact a, made by _int_product on first
-    use and kept on a: the index test and every predicate that squares an
-    operand start from it."""
+def _square(a: Matrix):
+    """a @ a, made on first use and kept on a: the integer form (by
+    _int_product) of an exact a, the float Matrix of a float one.  The
+    index test and every predicate that squares an operand start from it,
+    so a fixed B is squared once however often it is compared."""
     sq = getattr(a, "_sq", None)
     if sq is None:
-        sq = _int_product(a, a)
+        sq = _int_product(a, a) if a.mode == EXACT else a @ a
         object.__setattr__(a, "_sq", sq)
     return sq
 
@@ -624,11 +629,24 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
     return _close(x._a, y._a, tol)
 
 
-def _close(x, y, tol):
+def _close(x, y, tol, nx=None, d=None):
     """approx_eq's float rule on two complex arrays: ||x - y||_F <= rel *
     max(1, ||x||_F, ||y||_F), decided on scaled copies when a norm
-    overflows; MalformedInput if either holds NaN or an infinity."""
-    nx, ny = _fro(x), _fro(y)
+    overflows; MalformedInput if either holds NaN or an infinity.
+
+    Its sufficient form ||x - y||_F <= rel * max(1, ||x||_F) accepts first,
+    on nx = ||x||_F and d = ||x - y||_F (taken here unless the caller has
+    them), so ||y||_F is taken only on a near miss.  A finite ||x||_F bounds
+    every part of x below 2^512, so x - y cannot overflow, and a non-finite
+    y makes d non-finite and takes the full rule."""
+    if nx is None:
+        nx = _fro(x)
+    if isfinite(nx):
+        if d is None:
+            d = _fro(x - y)
+        if d <= tol.rel * max(1.0, nx):
+            return True
+    ny = _fro(y)
     if not (isfinite(nx) and isfinite(ny)):
         _require_finite(x, "approx_eq")
         _require_finite(y, "approx_eq")
@@ -637,7 +655,7 @@ def _close(x, y, tol):
         s = max(float(abs(p).max()) for p in (x.real, x.imag, y.real, y.imag))
         x, y = x / s, y / s
         return _fro(x - y) <= tol.rel * max(1.0 / s, _fro(x), _fro(y))
-    return _fro(x - y) <= tol.rel * max(1.0, nx, ny)
+    return d <= tol.rel * max(1.0, nx, ny)
 
 
 def _check_operands(x: Matrix, y: Matrix, idempotent=False):
@@ -658,7 +676,7 @@ def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
     m; float mode is the 1-stack of _projector_flags."""
     _check_operands(m, m, idempotent=True)
     if m.mode == EXACT:
-        return _int_rep_eq(m._intform, _int_square(m))
+        return _int_rep_eq(m._intform, _square(m))
     return _projector_flags(m._a[None], tol)[0]
 
 
@@ -670,15 +688,32 @@ def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     _check_operands(t, sk, idempotent=True)
     if t.mode == FLOAT:
         return outside_tau(t._a[None], sk._a, tol) is None
-    return (_int_rep_eq(t._intform, _int_square(t))
+    return (_int_rep_eq(t._intform, _square(t))
             and _int_rep_eq(_int_product(t, sk), _int_product(sk, t)))
+
+
+def _fros(xs):
+    """[_fro(x) for x in xs], bit for bit, for a (k, ., .) complex stack of
+    C-contiguous slices: one batched dot product per part, which numpy's
+    matmul runs as _fro's dot (a one-slice stack takes _fro itself, which
+    is faster there).  An overflowed norm reads inf, as in _fro."""
+    import numpy as np
+
+    if len(xs) == 1:
+        return [_fro(xs[0])]
+    x = xs.reshape(len(xs), 1, xs.shape[1] * xs.shape[2])
+    xr, xi = x.real, x.imag
+    with np.errstate(over="ignore"):
+        return np.sqrt(xr @ xr.transpose(0, 2, 1) + xi @ xi.transpose(0, 2, 1)).ravel().tolist()
 
 
 def _projector_flags(ts, tol):
     """Whether each slice T of a (k, r, r) complex stack is a projector, by
-    is_projector's float rule ||T T - T||_F <= rel * max(1, ||T||_F^2); the
-    products T T in one batched product."""
-    return [_fro(d) <= tol.rel * max(1.0, _fro(t) ** 2) for t, d in zip(ts, ts @ ts - ts)]
+    is_projector's float rule ||T T - T||_F <= rel * max(1, ||T||_F^2),
+    accepted on ||T T - T||_F <= rel before ||T||_F is taken; the products
+    T T in one batched product, their norms by one _fros."""
+    return [d <= tol.rel or d <= tol.rel * max(1.0, _fro(t) ** 2)
+            for t, d in zip(ts, _fros(ts @ ts - ts))]
 
 
 def outside_tau(ts, sk, tol=DEFAULT_TOL):
@@ -694,8 +729,12 @@ def outside_tau(ts, sk, tol=DEFAULT_TOL):
     idem = _projector_flags(ts, tol)
     first = idem.index(False) if not all(idem) else len(ts)
     head = ts[:first]
-    for i, (x, y) in enumerate(zip(head @ sk, sk @ head)):
-        if not _close(x, y, tol):
+    xs, ys = head @ sk, sk @ head
+    nx = _fros(xs)
+    # x - y cannot overflow where every ||x|| is finite (see _close)
+    ds = _fros(xs - ys) if all(map(isfinite, nx)) else [None] * len(nx)
+    for i, (x, y, n, d) in enumerate(zip(xs, ys, nx, ds)):
+        if not _close(x, y, tol, n, d):
             return i
     return None if first == len(ts) else first
 

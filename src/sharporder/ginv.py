@@ -5,9 +5,9 @@ from .core import (
     EXACT,
     Matrix,
     _bareiss,
-    _int_square,
     _over,
     _solve,
+    _square,
     approx_eq,
     numerical_rank,
     svd,
@@ -62,19 +62,21 @@ def _through(l: Matrix, a: Matrix, r: Matrix) -> Matrix:
 
 
 def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
-    """True iff rank(a^2) = rank(a), i.e. the group inverse exists.
+    """True iff rank(a^2) = rank(a), i.e. the group inverse exists; a^2 is
+    a's kept square (_square).
 
     An exact verdict does not depend on the tolerance: it is decided once,
-    by eliminating the rows of a's kept square (_int_square) and ranking a,
-    and kept on a, so a checked matrix answers again with one attribute
-    read.  A float verdict depends on tol and is decided on every call."""
+    by eliminating the rows of the square and ranking a, and kept on a, so
+    a checked matrix answers again with one attribute read.  A float
+    verdict depends on tol and is decided on every call, by cutting the
+    singular values that a and its square keep."""
     a.require_square()
     if a.mode != EXACT:
-        return (a @ a).rank(tol) == a.rank(tol)
+        return _square(a).rank(tol) == a.rank(tol)
     kept = getattr(a, "_index1", None)
     if kept is None:
         n = a.rows
-        kept = len(_bareiss(_int_square(a)[1], n, n)[1]) == a.rank()
+        kept = len(_bareiss(_square(a)[1], n, n)[1]) == a.rank()
         object.__setattr__(a, "_index1", kept)
     return kept
 

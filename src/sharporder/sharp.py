@@ -18,7 +18,7 @@ from .core import (
     _check_operands,
     _int_product,
     _int_rep_eq,
-    _int_square,
+    _square,
     approx_eq,
     in_tau,
     outside_tau,
@@ -45,20 +45,20 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     raises IndexTooLarge otherwise, for the first argument first.  Exact
     mode compares integer forms: an exact matrix keeps its index verdict
     and its square once they are made, so a sweep that asks about one
-    matrix again pays for neither twice.  Float mode forms A^2 once, for
-    A's index (index_le_one's rule, rank(A^2) = rank(A) at tol) and for the
-    order, and compares by approx_eq.
+    matrix again pays for neither twice.  Float mode keeps the squares too
+    (index_le_one's rule, rank(A^2) = rank(A), cuts their kept singular
+    values at tol on every call), so a fixed B is squared and decomposed
+    once over any number of calls; it compares by approx_eq.
     """
     a.require_square()
     b.require_square()
     _check_operands(a, b)
-    exact = a.mode == EXACT
-    a2 = _int_square(a) if exact else a @ a
-    if not (index_le_one(a, tol) if exact else a2.rank(tol) == a.rank(tol)):
+    a2 = _square(a)
+    if not index_le_one(a, tol):
         raise IndexTooLarge("first argument has index > 1")
     if not index_le_one(b, tol):
         raise IndexTooLarge("second argument has index > 1")
-    if exact:
+    if a.mode == EXACT:
         return _int_rep_eq(a2, _int_product(a, b)) and _int_rep_eq(a2, _int_product(b, a))
     return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
 
@@ -72,9 +72,9 @@ def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     and the reconstruction are 1-stacks of the kernels behind phi_inv_stack.
     """
     hs.require_index_le_one(tol)
-    sk = hs.sigma_k()
-    m = hs.U.H @ a @ hs.U
-    t = m.block(0, hs.r, 0, hs.r) @ sk.inverse()
+    sk, u, r = hs.sigma_k(), hs.U.array, hs.r
+    _check_operands(a, hs.U)
+    t = Matrix._wrap((u.conj().T @ a.array @ u)[:r, :r] @ sk.inverse().array)
     if not in_tau(t, sk, tol):
         raise NotAPredecessor("extracted block is not a commuting projector")
     if not approx_eq(Matrix.slices(predecessor_expand(hs, t.array[None]))[0], a, tol):
@@ -123,7 +123,7 @@ def psi_choices(spec: JordanSpec, choices):
     p_inv = p.inverse()
     keep = [_block_diagonal(spec, bits) for bits in choices]
     e = np.zeros((len(keep), r, r), dtype=complex)
-    e[:, range(r), range(r)] = keep
+    e.reshape(len(keep), r * r)[:, ::r + 1] = keep
     return p.array @ e @ p_inv.array
 
 

@@ -314,12 +314,18 @@ def test_from_matrix_float_expands_to_the_cleaned_grid():
     assert cp.expand() != noisy
 
 
+# a (case, seed) pair whose first float S is exactly singular (its exact twin
+# has rank r - 1), yet np.linalg.inv returns a finite inverse of it (largest
+# entry about 1.8e16 with the LAPACK these tests were written on): the rank
+# cut alone makes the sampler draw again
+SINGULAR_S = (1, 59)
 # (block sizes per eigenvalue, seeds): two of the float benchmark's shapes,
 # one with 1x1 cells only and one with tall and wide cells, and two small ones
-FLOAT_CASES = [([[1] * 5, [1] * 4, [1] * 3], range(6)), ([[4, 3, 2], [3, 2], [2]], range(6)),
+FLOAT_CASES = [([[1] * 5, [1] * 4, [1] * 3], range(6)),
+               ([[4, 3, 2], [3, 2], [2]], [*range(6), SINGULAR_S[1]]),
                ([[2, 1], [1]], range(6)), ([[2], [1]], range(12, 18))]
 # the (case, seed) pairs whose first float S fails the rank cut
-RANK_CUT_REDRAWS = {(1, 1), (2, 0)}
+RANK_CUT_REDRAWS = {(1, 1), (2, 0), SINGULAR_S}
 # a (case, seed) pair whose T has a zero with its sign bit set in a cell's
 # first row, which the scatter must keep
 NEGATIVE_ZERO = (3, 15)
@@ -342,6 +348,22 @@ def _replayed_t(spec, seed, tol):
         s = Matrix.identity(spec.r, FLOAT) + random_commutant_element(spec, rng)
         if s.rank(tol) == spec.r:
             return s @ block_choice_projector(spec, bits) @ s.inverse(), draws > 1
+
+
+def test_the_redrawn_float_s_is_exactly_singular():
+    # SINGULAR_S's first S, drawn in both modes from one seed: the float one
+    # is the exact one's to_float(), and the exact one has rank r - 1 (the
+    # redraw and the sampled bits are checked by the grid-reference test)
+    case, seed = SINGULAR_S
+    sizes = FLOAT_CASES[case][0]
+    firsts = []
+    for spec in (make_spec(list(zip((2, -1, 3), sizes))),
+                 make_spec(list(zip((2.0, -1.0, 3.0), sizes)), mode=FLOAT)):
+        rng = random.Random(seed)
+        [rng.randint(0, 1) for _ in spec.block_sizes]
+        firsts.append(Matrix.identity(spec.r, spec.mode) + random_commutant_element(spec, rng))
+    exact_s, float_s = firsts
+    assert exact_s.to_float() == float_s and exact_s.rank() == spec.r - 1
 
 
 def test_draws_match_randint():

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import warnings
+from math import inf, isfinite
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sharporder import (
     singular_values,
     svd,
 )
-from sharporder.core import numerical_rank
+from sharporder.core import _fro, _fros, numerical_rank
 from sharporder.errors import (
     MalformedInput,
     ModeMismatch,
@@ -207,6 +208,20 @@ def test_fro_bit_equal_to_numpy_norm():
         for v in views:
             assert v.fro() == float(np.linalg.norm(v.array))
     assert Matrix.zeros(0, 4, FLOAT).fro() == 0.0
+
+
+def test_stacked_norms_equal_fro_bit_for_bit():
+    # one batched dot per part for a whole stack, as _fro's dot per slice; a
+    # slice whose norm overflows reads inf, also where warnings are errors
+    rng = np.random.default_rng(19)
+    for k, r in [(0, 3), (3, 0), (1, 3), (12, 16), (12, 5)]:
+        xs = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+        assert _fros(xs) == [_fro(x) for x in xs]
+    xs[1] *= 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norms = _fros(xs)
+    assert norms == [_fro(x) for x in xs] and norms[1] == inf and isfinite(norms[0])
 
 
 def test_approx_eq_examples():

@@ -88,7 +88,9 @@ def test_index_verdict_kept_in_exact_mode_only():
     f = Matrix.floating([[1e-6, 1, 0], [0, 0, 0], [0, 0, 1]])
     loose = Tolerance(rank_threshold_factor=1e-4)
     assert index_le_one(f) and not index_le_one(f, loose) and index_le_one(f)
-    assert not hasattr(f, "_index1") and not hasattr(f, "_sq")
+    # a float matrix keeps its square (a value, cut again at each call's
+    # tolerance), never the verdict
+    assert not hasattr(f, "_index1")
 
 
 def test_group_inverse_nonsingular_is_inverse():

@@ -77,6 +77,24 @@ def test_kept_square_and_index_leave_equality_alone():
         "first argument has index > 1"]
 
 
+def test_float_b_is_squared_and_decomposed_once(monkeypatch):
+    # B keeps its square and the square its singular values: k order tests
+    # against one B make one SVD of B^2, while each fresh A gets its own
+    q = np.eye(4) + np.eye(4, k=1)
+    qi = np.linalg.inv(q)
+    b = Matrix.floating(q @ np.diag([2.0, 3.0, -1.0, 0.0]) @ qi)
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a) or real(a, **kw))
+    below = [[2, 0, 0, 0], [0, 3, 0, 0], [2, 3, 0, 0], [0, 0, -1, 0], [2, 0, -1, 0]]
+    for d in below:
+        assert sharp_leq(Matrix.floating(q @ np.diag(np.array(d, dtype=float)) @ qi), b, TOL7)
+    b2 = b.array @ b.array
+    assert sum(np.array_equal(a, b2) for a in calls) == 1
+    assert len(calls) == 2 * len(below) + 2  # A and A^2 each, B and B^2 once
+    assert b._sq.array.tobytes() == b2.tobytes()
+
+
 def test_sharp_leq_index_guard():
     with pytest.raises(IndexTooLarge):
         sharp_leq(Matrix.exact([[0, 1], [0, 0]]), Matrix.identity(2, EXACT))
