@@ -19,8 +19,9 @@ from .ginv import group_inverse, moore_penrose
 from .hasse import hasse_dot
 from .hs import hs_decompose, hs_to_obj
 from .jordan import spec_from_obj, validate_similarity
-from .lattice import classify_downset, max_chain, meet_in_c2, non_lattice_witness
-from .sharp import conjecture_refutation, phi_inv_stack, proj_leq, psi_choices, sharp_leq
+from .lattice import (classify_downset, max_chain, meet_in_c2, non_lattice_witness,
+                      witness_relations)
+from .sharp import conjecture_refutation, phi_inv_stack, psi_choices, sharp_leq
 
 
 def _emit(obj):
@@ -196,23 +197,9 @@ def witness():
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
 def witness_nonlattice(spec_path, tol):
-    t1, t2, t3, t4 = non_lattice_witness(_load_spec(spec_path), tol)
-    _emit({
-        "T1": matrix_to_obj(t1),
-        "T2": matrix_to_obj(t2),
-        "T3": matrix_to_obj(t3),
-        "T4": matrix_to_obj(t4),
-        "relations": {
-            "T1_leq_T3": proj_leq(t1, t3, tol),
-            "T1_leq_T4": proj_leq(t1, t4, tol),
-            "T2_leq_T3": proj_leq(t2, t3, tol),
-            "T2_leq_T4": proj_leq(t2, t4, tol),
-            "T1_T2_incomparable": not proj_leq(t1, t2, tol)
-                and not proj_leq(t2, t1, tol),
-            "T3_T4_incomparable": not proj_leq(t3, t4, tol)
-                and not proj_leq(t4, t3, tol),
-        },
-    })
+    quad = non_lattice_witness(_load_spec(spec_path), tol)
+    out = {f"T{i}": matrix_to_obj(t) for i, t in enumerate(quad, 1)}
+    _emit({**out, "relations": witness_relations(*quad, tol)})
 
 
 @main.group()

@@ -21,6 +21,7 @@ from .core import (
     Matrix,
     _int_product,
     _int_rep_eq,
+    _kept,
     _over,
     _scalar_over,
     _solve,
@@ -58,16 +59,17 @@ def _layout(spec: JordanSpec):
     cells: the cell shape and the top-left entry of its Toeplitz core X in the
     r x r matrix, at the top of a tall cell ([X; O]) and the right of a wide
     one ([O X]).  Kept on the spec, as a float spec's P is unhashable."""
-    out = vars(spec).get("_cullen")
-    if out is None:
-        out, off = [], 0
-        for e in spec.eigenvalues:
-            starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
-            out.append([[(e.sizes[i], e.sizes[k], starts[i],
-                          starts[k] + e.sizes[k] - min(e.sizes[i], e.sizes[k]))
-                         for k in range(e.t)] for i in range(e.t)])
-            off += e.dim
-        object.__setattr__(spec, "_cullen", out)
+    return _kept(spec, "_cullen", _cullen_layout)
+
+
+def _cullen_layout(spec: JordanSpec):
+    out, off = [], 0
+    for e in spec.eigenvalues:
+        starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
+        out.append([[(e.sizes[i], e.sizes[k], starts[i],
+                      starts[k] + e.sizes[k] - min(e.sizes[i], e.sizes[k]))
+                     for k in range(e.t)] for i in range(e.t)])
+        off += e.dim
     return out
 
 
@@ -89,17 +91,20 @@ def _scattered(spec: JordanSpec, values, first=False):
     flattened r x r matrix.  One scatter over index arrays kept on the spec."""
     import numpy as np
 
-    ix = vars(spec).get("_cullen_index")
-    if ix is None:
-        r, k = spec.r, count()
-        cells = [(i0, j0, [(next(k), i0 * r + j0 + d) for d in range(min(nr, nc))])
-                 for nr, nc, i0, j0 in _places(spec)]
-        ix = tuple(map(np.array, zip(*((c, x, i * r + j)
-                                       for i, j, (c, x) in _cell_entries(cells)))))
-        object.__setattr__(spec, "_cullen_index", ix)
+    ix = _kept(spec, "_cullen_index", _cullen_index)
     a = np.zeros(spec.r ** 2, dtype=complex)
     a[ix[2]] = np.asarray(values)[ix[1 if first else 0]]
     return Matrix._wrap(a.reshape(spec.r, spec.r))
+
+
+def _cullen_index(spec: JordanSpec):
+    import numpy as np
+
+    r, k = spec.r, count()
+    cells = [(i0, j0, [(next(k), i0 * r + j0 + d) for d in range(min(nr, nc))])
+             for nr, nc, i0, j0 in _places(spec)]
+    return tuple(map(np.array, zip(*((c, x, i * r + j)
+                                     for i, j, (c, x) in _cell_entries(cells)))))
 
 
 class CommutantProjector:
@@ -125,9 +130,7 @@ class CommutantProjector:
         cell (i, k), sizes[i] x sizes[k], lists the min(sizes[i], sizes[k])
         coefficients of its Toeplitz core, the core's first row.  The core
         is on top of a tall cell and on the right of a wide one."""
-        if self._blocks is None:
-            object.__setattr__(self, "_blocks", self.read(self.spec, self._matrix)._blocks)
-        return self._blocks
+        return _kept(self, "_blocks", _read_blocks)
 
     def __eq__(self, other):
         return ((self.spec, self.blocks) == (other.spec, other.blocks)
@@ -140,15 +143,7 @@ class CommutantProjector:
         return f"CommutantProjector(spec={self.spec!r}, blocks={self.blocks!r})"
 
     def expand(self) -> Matrix:
-        if self._matrix is None:
-            spec = self.spec
-            if not _fits(spec, self.blocks):
-                raise ShapeMismatch("grid shape does not match the spec's block sizes")
-            cells = zip((c for grid in self.blocks for row in grid for c in row), _places(spec))
-            entries = _cell_entries((i0, j0, c) for c, (_, _, i0, j0) in cells)
-            object.__setattr__(self, "_matrix",
-                               Matrix.from_entries(spec.r, spec.r, entries, spec.mode))
-        return self._matrix
+        return _kept(self, "_matrix", _expand)
 
     @classmethod
     def from_matrix(cls, spec: JordanSpec, t: Matrix, tol=DEFAULT_TOL):
@@ -194,6 +189,19 @@ class CommutantProjector:
 
         return cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
                                      for place_row in places) for places in _layout(spec)))
+
+
+def _read_blocks(cp: CommutantProjector):
+    return cp.read(cp.spec, cp._matrix)._blocks
+
+
+def _expand(cp: CommutantProjector) -> Matrix:
+    spec = cp.spec
+    if not _fits(spec, cp.blocks):
+        raise ShapeMismatch("grid shape does not match the spec's block sizes")
+    cells = zip((c for grid in cp.blocks for row in grid for c in row), _places(spec))
+    entries = _cell_entries((i0, j0, c) for c, (_, _, i0, j0) in cells)
+    return Matrix.from_entries(spec.r, spec.r, entries, spec.mode)
 
 
 def admissible_ranks(q: int, p: int):

@@ -12,15 +12,15 @@ Two storage modes, never mixed inside one matrix:
   callers never load it.
 
 Values are immutable after construction and all operations are pure, so
-matrices can be shared freely across threads.  An exact matrix keeps facts
-derived from its value once they are first asked for (its QQi entries, the
-integer form of its square, its index verdict, its inverse); each is a
-function of the value alone, so two threads that race on one only compute
-it twice, and none is read by ``==``, ``key()`` or hashing.  A float matrix
-likewise keeps its square, its inverse, its singular values, its SVD and its
-Hartwig-Spindelbock decomposition (kept by :func:`sharporder.hs.hs_decompose`)
-once they are first computed, but no verdict: every rank cut and comparison
-is made again at the tolerance of each call.
+matrices can be shared freely across threads.  An exact matrix keeps no
+entries, and keeps facts derived from its value once they are first asked
+for (the integer form of its square, its index verdict, its inverse); each
+is a function of the value alone, so two threads that race on one only
+compute it twice, and none is read by ``==``, ``key()`` or hashing.  A float
+matrix likewise keeps its square, its inverse, its singular values, its SVD
+and its Hartwig-Spindelbock decompositions (kept by hs.hs_decompose) once
+they are first computed, but no verdict: every rank cut and comparison is
+made again at the tolerance of each call.  _kept writes every kept fact.
 """
 
 import cmath
@@ -61,14 +61,25 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _kept(obj, name, make):
+    """obj.<name>, set to make(obj) first if it is unset or None: the one
+    writer of a fact an immutable value keeps.  The hot callers pass a
+    module-level function, so they build no closure per call."""
+    value = getattr(obj, name, None)
+    if value is None:
+        value = make(obj)
+        object.__setattr__(obj, name, value)
+    return value
+
+
 class Matrix:
     """Immutable dense complex matrix in exact or float mode."""
 
+    # only the slot of the mode's representation is set, _a or _intform;
     # _sq stays unset until _square makes it, _index1 (exact only) until
     # ginv.index_le_one does, _inv until inverse does, and _sv, _svd and
-    # _hs (float only) until _kept_sigma, svd and hs.hs_decompose do, so
-    # building a matrix does not pay for them
-    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_qqi", "_sq", "_index1",
+    # _hs (float only) until _sigma, svd and hs.hs_decompose do
+    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_sq", "_index1",
                  "_inv", "_sv", "_svd", "_hs")
 
     def __init__(self, rows, cols, mode, data):
@@ -77,9 +88,7 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_a", data if mode == FLOAT else None)
-        object.__setattr__(self, "_intform", None if mode == FLOAT else data)
-        object.__setattr__(self, "_qqi", None)
+        object.__setattr__(self, "_a" if mode == FLOAT else "_intform", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -177,21 +186,14 @@ class Matrix:
         i, j = ij
         if self.mode == FLOAT:
             return complex(self._a[i, j])
-        return self._entries()[i][j]
+        d, rows = self._intform
+        return _scalar_over(d)(rows[i][j])
 
     def row(self, i):
         if self.mode == FLOAT:
             return [complex(x) for x in self._a[i]]
-        return list(self._entries()[i])
-
-    def _entries(self):
-        """The QQi rows of an exact matrix: built from the integer form when
-        an entry is first read, and kept."""
-        if self._qqi is None:
-            d, rows = self._intform
-            scalar = _scalar_over(d)
-            object.__setattr__(self, "_qqi", tuple(tuple(map(scalar, row)) for row in rows))
-        return self._qqi
+        d, rows = self._intform
+        return list(map(_scalar_over(d), rows[i]))
 
     def block(self, i0, i1, j0, j1):
         """Submatrix with rows [i0, i1) and columns [j0, j1)."""
@@ -340,7 +342,7 @@ class Matrix:
         singular values."""
         if self.mode == EXACT:
             return len(_bareiss(self._intform[1], self.rows, self.cols)[1])
-        return numerical_rank(_kept_sigma(self), tol)
+        return numerical_rank(_kept(self, "_sv", _sigma), tol)
 
     def inverse(self):
         """Matrix inverse; raises SingularMatrix when not invertible.  Exact
@@ -351,26 +353,26 @@ class Matrix:
         n = self.rows
         if n == 0 and self.mode == FLOAT:
             return self
-        kept = getattr(self, "_inv", None)
-        if kept is None:
-            if self.mode == EXACT:
-                d, rows = self._intform
-                x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0)
-                                                       for j in range(n)) for i in range(n)), n)
-                kept = _over(n, n, x, (big_n, 0))
-            else:
-                import numpy as np
+        return _kept(self, "_inv", _inverse)
 
-                _require_finite(self._a, "inverse")
-                try:
-                    inv = np.linalg.inv(self._a)
-                except np.linalg.LinAlgError as exc:
-                    raise SingularMatrix(str(exc)) from exc
-                if not np.all(np.isfinite(inv)):
-                    raise SingularMatrix("non-finite inverse")
-                kept = Matrix._wrap(inv)
-            object.__setattr__(self, "_inv", kept)
-        return kept
+
+def _inverse(m: Matrix):
+    n = m.rows
+    if m.mode == EXACT:
+        d, rows = m._intform
+        x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0)
+                                               for j in range(n)) for i in range(n)), n)
+        return _over(n, n, x, (big_n, 0))
+    import numpy as np
+
+    _require_finite(m._a, "inverse")
+    try:
+        inv = np.linalg.inv(m._a)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(str(exc)) from exc
+    if not np.all(np.isfinite(inv)):
+        raise SingularMatrix("non-finite inverse")
+    return Matrix._wrap(inv)
 
 
 def _scalar_over(d):
@@ -472,11 +474,11 @@ def _square(a: Matrix):
     _int_product) of an exact a, the float Matrix of a float one.  The
     index test and every predicate that squares an operand start from it,
     so a fixed B is squared once however often it is compared."""
-    sq = getattr(a, "_sq", None)
-    if sq is None:
-        sq = _int_product(a, a) if a.mode == EXACT else a @ a
-        object.__setattr__(a, "_sq", sq)
-    return sq
+    return _kept(a, "_sq", _make_square)
+
+
+def _make_square(a: Matrix):
+    return _int_product(a, a) if a.mode == EXACT else a @ a
 
 
 def _int_sum(a: Matrix, b: Matrix, sign):
@@ -753,56 +755,50 @@ def svd(m: Matrix):
     sigma descending of length min(rows, cols), and m = U diag(sigma) V^H.
     Right singular vectors are phased so their first significant component
     is real positive; U is phased to match wherever sigma > 0.  Computed on
-    first use and kept on m, like _kept_sigma: later calls return the same
+    first use and kept on m, like _sigma: later calls return the same
     read-only U and V and a fresh copy of sigma.
     """
-    kept = getattr(m, "_svd", None)
-    if kept is None:
-        nr, nc = m.rows, m.cols
-        if _empty_svd_input(m, "svd"):
-            kept = Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
-        else:
-            import numpy as np
-
-            u, s, vh = np.linalg.svd(m._a, full_matrices=True)
-            s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
-            v = vh.conj().T
-            # columns of V are unit vectors, so each has an entry above 1e-12
-            first = np.argmax(np.abs(v) > 1e-12, axis=0)
-            ph = v[first, np.arange(nc)]
-            ph = ph / np.abs(ph)
-            v = v * ph.conj()
-            k = len(s)
-            u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
-            kept = Matrix._wrap(u), [float(x) for x in s], Matrix._wrap(v)
-        object.__setattr__(m, "_svd", kept)
-    u, sigma, v = kept
+    u, sigma, v = _kept(m, "_svd", _svd)
     return u, list(sigma), v
+
+
+def _svd(m: Matrix):
+    nr, nc = m.rows, m.cols
+    if _empty_svd_input(m, "svd"):
+        return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
+    import numpy as np
+
+    u, s, vh = np.linalg.svd(m._a, full_matrices=True)
+    s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
+    v = vh.conj().T
+    # columns of V are unit vectors, so each has an entry above 1e-12
+    first = np.argmax(np.abs(v) > 1e-12, axis=0)
+    ph = v[first, np.arange(nc)]
+    ph = ph / np.abs(ph)
+    v = v * ph.conj()
+    k = len(s)
+    u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
+    return Matrix._wrap(u), [float(x) for x in s], Matrix._wrap(v)
 
 
 def singular_values(m: Matrix):
     """The sigma of svd(m), from LAPACK's values-only driver: what a rank
     cut needs, without the singular vectors.  A fresh list on every call."""
-    return list(_kept_sigma(m))
+    return list(_kept(m, "_sv", _sigma))
 
 
-def _kept_sigma(m: Matrix):
-    """The list singular_values(m) copies, computed on first use and kept
-    on m, so it is never handed out: a function of the value alone, since
-    only the fixed _SVD_ZERO cut is applied here and every tolerance cut is
-    made by the caller."""
-    kept = getattr(m, "_sv", None)
-    if kept is None:
-        if _empty_svd_input(m, "singular_values"):
-            kept = []
-        else:
-            import numpy as np
+def _sigma(m: Matrix):
+    """The list singular_values(m) copies, kept on m in _sv, so it is never
+    handed out: a function of the value alone, since only the fixed
+    _SVD_ZERO cut is applied here and every tolerance cut is made by the
+    caller."""
+    if _empty_svd_input(m, "singular_values"):
+        return []
+    import numpy as np
 
-            s = np.linalg.svd(m._a, compute_uv=False).tolist()
-            cut = _SVD_ZERO * s[0]
-            kept = [x if x > cut else 0.0 for x in s]
-        object.__setattr__(m, "_sv", kept)
-    return kept
+    s = np.linalg.svd(m._a, compute_uv=False).tolist()
+    cut = _SVD_ZERO * s[0]
+    return [x if x > cut else 0.0 for x in s]
 
 
 def _empty_svd_input(m: Matrix, what) -> bool:
@@ -862,7 +858,8 @@ def scalar_from_obj(obj, mode=None):
 
 
 def matrix_to_obj(m: Matrix):
-    flat = m._a.ravel().tolist() if m.mode == FLOAT else [x for row in m._entries() for x in row]
+    flat = (m._a.ravel().tolist() if m.mode == FLOAT
+            else map(_scalar_over(m._intform[0]), chain.from_iterable(m._intform[1])))
     return {"mode": m.mode, "rows": m.rows, "cols": m.cols,
             "entries": [scalar_to_obj(x) for x in flat]}
 

@@ -5,6 +5,7 @@ from .core import (
     EXACT,
     Matrix,
     _bareiss,
+    _kept,
     _over,
     _solve,
     _square,
@@ -73,12 +74,12 @@ def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
     a.require_square()
     if a.mode != EXACT:
         return _square(a).rank(tol) == a.rank(tol)
-    kept = getattr(a, "_index1", None)
-    if kept is None:
-        n = a.rows
-        kept = len(_bareiss(_square(a)[1], n, n)[1]) == a.rank()
-        object.__setattr__(a, "_index1", kept)
-    return kept
+    return _kept(a, "_index1", _exact_index_le_one)
+
+
+def _exact_index_le_one(a: Matrix) -> bool:
+    n = a.rows
+    return len(_bareiss(_square(a)[1], n, n)[1]) == a.rank()
 
 
 def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:

@@ -7,7 +7,7 @@ ellipsis node standing in for the rest of each antichain.
 """
 
 from .commutant import sample_delta_projector
-from .core import DEFAULT_TOL, EXACT, approx_eq
+from .core import DEFAULT_TOL, approx_eq
 from .errors import BudgetExceeded, MalformedInput
 from .jordan import JordanSpec
 from .lattice import boolean_center
@@ -17,18 +17,11 @@ MAX_NODES = 64
 
 
 def _dedupe(mats, tol):
+    """mats without each matrix that is approx_eq to one kept before it
+    (in exact mode, equal to it)."""
     out = []
-    seen = set()
     for m in mats:
-        if m.mode == EXACT:
-            k = m.key()
-            if k in seen:
-                continue
-            seen.add(k)
-            out.append(m)
-        else:
-            if any(approx_eq(m, x, tol) for x in out):
-                continue
+        if not any(approx_eq(m, x, tol) for x in out):
             out.append(m)
     return out
 
@@ -64,13 +57,13 @@ def hasse_skeleton(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TO
     return nodes, sampled_factors
 
 
-def hasse_dot(spec: JordanSpec, seed=0, antichain_samples=3,
-              max_nodes=MAX_NODES, tol=DEFAULT_TOL) -> str:
+def hasse_dot(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TOL) -> str:
     """The DOT digraph of the skeleton; edges are covering relations among
-    the emitted nodes, directed low to high."""
+    the emitted nodes, directed low to high.  BudgetExceeded when the
+    skeleton has more than MAX_NODES nodes and ellipses."""
     nodes, sampled_factors = hasse_skeleton(spec, seed, antichain_samples, tol)
-    if len(nodes) + len(sampled_factors) > max_nodes:
-        raise BudgetExceeded(f"skeleton exceeds {max_nodes} nodes")
+    if len(nodes) + len(sampled_factors) > MAX_NODES:
+        raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")
     n = len(nodes)
     mats = [x[0] for x in nodes]
     ranks = [m.rank(tol) for m in mats]

@@ -12,7 +12,7 @@ singular values that SK and K keep.
 import sys
 from dataclasses import dataclass, field
 
-from .core import (DEFAULT_TOL, FLOAT, Matrix, approx_eq, in_tau, matrix_from_obj,
+from .core import (DEFAULT_TOL, FLOAT, Matrix, _kept, approx_eq, in_tau, matrix_from_obj,
                    matrix_to_obj, numerical_rank, singular_values, svd)
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
 
@@ -98,9 +98,9 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
     """Decompose a nonzero square float matrix.
 
     Construction: SVD b = W diag(sigma, 0) V*, then [K L] is the first r rows
-    of V* W and U = W.  The result is kept on b and returned again while
-    the rank cut of each call's tolerance gives its r; a call whose cut
-    gives another r builds and keeps that r's decomposition instead.
+    of V* W and U = W.  b keeps one decomposition per rank: a call returns
+    the one of the r that its tolerance's rank cut gives, built and kept on
+    the first call that gives that r.
     """
     b.require_square()
     if b.mode != FLOAT:
@@ -110,18 +110,17 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
     r = numerical_rank(sigma, tol)
     if r == 0:
         raise ZeroMatrix("the zero matrix has no Hartwig-Spindelbock decomposition")
-    kept = getattr(b, "_hs", None)
-    if kept is None or kept.r != r:
+    kept = _kept(b, "_hs", lambda _: {})
+    if r not in kept:
         kl = (v.H @ w).block(0, r, 0, n)
-        kept = HSDecomposition(
+        kept[r] = HSDecomposition(
             U=w,
             sigma=tuple(sigma[:r]),
             K=kl.block(0, r, 0, r),
             L=kl.block(0, r, r, n),
             r=r,
         )
-        object.__setattr__(b, "_hs", kept)
-    return kept
+    return kept[r]
 
 
 def hs_reconstruct(d: HSDecomposition) -> Matrix:

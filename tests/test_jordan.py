@@ -18,10 +18,12 @@ from sharporder.errors import (
     IncompleteSpectrum,
     InvalidSpec,
     MalformedInput,
+    ModeMismatch,
     NotSupported,
     ZeroEigenvalue,
 )
 from sharporder.core import matrix_to_obj
+from sharporder.jordan import EigenBlocks, JordanSpec
 from sharporder.scalars import QQi
 
 from conftest import rand_exact_spec, rand_unimodular
@@ -49,6 +51,12 @@ def test_spec_validation():
         make_spec([(1, [1, 2])])  # not descending
     with pytest.raises(InvalidSpec):
         make_spec([(1, [1]), (1, [2])])  # repeated eigenvalue
+    for pairs, kwargs in (([(1, [])], {}), ([(0, [1])], {"mode": FLOAT}), ([], {}),
+                          ([(1, [2])], {"P": Matrix.identity(3)})):
+        with pytest.raises(InvalidSpec):
+            make_spec(pairs, **kwargs)
+    with pytest.raises(ModeMismatch):
+        JordanSpec((EigenBlocks(QQi(1), (1,)), EigenBlocks(2j, (1,))))
 
 
 @pytest.mark.parametrize("sizes", [[2.5], [True], [1, False], "21", ["2", "1"],
@@ -79,6 +87,8 @@ def test_weyr_mixed_sizes():
     m = Matrix.exact([[2, 1, 0], [0, 2, 0], [0, 0, 2]])
     spec = weyr_structure(m, [2])
     assert spec.eigenvalues[0].sizes == (2, 1)
+    # a candidate that is no eigenvalue adds nothing
+    assert weyr_structure(Matrix.diag([2, 3]), [2, 5, 3]) == make_spec([(2, [1]), (3, [1])])
 
 
 def test_weyr_errors():
@@ -99,6 +109,12 @@ def test_validate_similarity_examples():
     assert validate_similarity(p, spec2, Matrix.diag([3, 3], EXACT))
     assert not validate_similarity(Matrix.identity(2, EXACT), spec,
                                    Matrix.diag([5, 5], EXACT))
+    assert not validate_similarity(Matrix.identity(3, EXACT), spec, m)
+    assert not validate_similarity(Matrix.zeros(2, 2), spec, m)
+    # full rank at the rank threshold, but the inverse overflows to inf
+    tiny = Matrix.floating(np.diag([1e-300, 1e-309]))
+    spec_f = make_spec([(1, [1]), (2, [1])], mode=FLOAT)
+    assert not validate_similarity(tiny, spec_f, Matrix.floating(np.diag([1.0, 2.0])))
 
 
 def test_weyr_round_trip_random():

@@ -8,29 +8,58 @@ it shares nothing with the integer forms the library compares.
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharporder import EXACT, FLOAT, Matrix, Tolerance, delta_membership, make_spec
+from sharporder import EXACT, FLOAT, Matrix, Tolerance, delta_membership, hs_decompose, make_spec
 from sharporder.commutant import (
     CommutantProjector,
     block_choice_projector,
+    projector_from_obj,
     projector_to_obj,
     random_commutant_element,
     sample_delta_projector,
 )
 from sharporder.core import in_tau, is_projector
+from sharporder.equations import (
+    jordan_family_member,
+    solve_ep_commute_idempotent,
+    solve_jordan_commuting_projectors,
+    solve_xbx_family,
+)
 from sharporder.errors import (
     IndexTooLarge,
     MalformedInput,
     ModeMismatch,
     NonSquare,
+    NotAPredecessor,
+    NotInTau,
+    NotSupported,
+    PrecondViolated,
     ShapeMismatch,
+    SingularityMismatch,
+    WNotProjector,
 )
 from sharporder.ginv import index_le_one
+from sharporder.hs import hs_from_obj
+from sharporder.lattice import (
+    complement_in_downset,
+    interval_iso_backward,
+    interval_iso_forward,
+    meet_in_c2,
+)
+from sharporder.oracle import verify_glb
 from sharporder.scalars import QQI_ZERO
-from sharporder.sharp import proj_leq, sharp_leq
+from sharporder.sharp import (
+    jordan_predecessors,
+    phi,
+    phi_inv_stack,
+    proj_leq,
+    sharp_leq,
+    successor_form,
+)
 
 part = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 entry = st.one_of(
@@ -188,6 +217,11 @@ def test_sharp_leq_matches_definition(pair):
 E2, E3, F2 = Matrix.identity(2), Matrix.identity(3), Matrix.identity(2, FLOAT)
 WIDE, WIDE_F = Matrix.zeros(2, 3), Matrix.zeros(2, 3, FLOAT)
 SPEC, SPEC_F = make_spec([(1, [1, 1])]), make_spec([(1, [1, 1])], mode=FLOAT)
+# for the constructions on the predicates: one block per eigenvalue, and the
+# decomposition of diag(1, 0), whose core block SK is [1]
+SPEC_2 = make_spec([(1, [1]), (2, [1])])
+HS_F = hs_decompose(Matrix.floating([[1, 0], [0, 0]]))
+NOT_IDEMPOTENT = Matrix.exact([[2, 0], [0, 0]])
 
 RAISES = [
     (is_projector, (WIDE,), NonSquare),
@@ -217,6 +251,26 @@ RAISES = [
     # reached: a T that is not idempotent, and a T1 with T1 = T1 T2
     (in_tau, (Matrix.exact([[2, 0], [0, 0]]), F2), ModeMismatch),
     (proj_leq, (Matrix.exact([[1, 0, 0], [0, 0, 0]]), Matrix.zeros(3, 3)), ShapeMismatch),
+    # the preconditions of the constructions built on the predicates
+    (CommutantProjector.from_matrix, (SPEC, E3), ShapeMismatch),
+    (projector_from_obj, ({},), MalformedInput),
+    (hs_from_obj, ({},), MalformedInput),
+    (solve_ep_commute_idempotent, (HS_F, Matrix.identity(1, FLOAT), F2), WNotProjector),
+    (solve_xbx_family, (HS_F, Matrix.floating([[2]])), NotInTau),
+    (solve_jordan_commuting_projectors, (F2, SPEC_2), SingularityMismatch),
+    (jordan_family_member, (solve_jordan_commuting_projectors(E2, SPEC_2), NOT_IDEMPOTENT),
+     NotInTau),
+    (complement_in_downset, (E3, 2), ShapeMismatch),
+    (interval_iso_forward, (NOT_IDEMPOTENT, E2), PrecondViolated),
+    (interval_iso_backward, (Matrix.zeros(2, 2), E2), PrecondViolated),
+    (meet_in_c2, (E3, E3), NonSquare),
+    (verify_glb, (F2, E2, E2, []), NotSupported),
+    # T = [1] is in tau, but U [[T SK, T SL], [O, O]] U* is diag(1, 0), not I
+    (phi, (F2, HS_F), NotAPredecessor),
+    (phi_inv_stack, (np.zeros((1, 2, 2), dtype=complex), HS_F), ShapeMismatch),
+    (jordan_predecessors, (E3, SPEC_2, 2), ShapeMismatch),
+    (jordan_predecessors, (Matrix.identity(1), SPEC_2, 1), ShapeMismatch),
+    (successor_form, (E3, E3, SPEC_2, E2), ShapeMismatch),
 ]
 
 
@@ -227,13 +281,20 @@ def test_predicate_errors(fn, args, exc):
         fn(*args)
 
 
+def test_index_two_results_are_false():
+    # an index-2 candidate is no glb, and an index-2 B = diag(J, X) lies
+    # above nothing
+    nil = Matrix.exact([[0, 1], [0, 0]])
+    assert verify_glb(nil, E2, E2, []) is False
+    a = Matrix.diag([1, 2, 0, 0])
+    assert successor_form(a, Matrix.identity(4), SPEC_2, nil)[1] is False
+
+
 def test_shape_checked_before_integer_forms():
     a, b = Matrix.exact([[1, 0], [0, 0]]), Matrix.exact([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     for fn in (proj_leq, sharp_leq, in_tau):
         with pytest.raises(ShapeMismatch):
             fn(a, b)
-    # no QQi entry is built before the ShapeMismatch
-    assert a._qqi is None and b._qqi is None
 
 
 # ----------------------------------------------------------------------
