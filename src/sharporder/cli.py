@@ -11,17 +11,11 @@ import sys
 
 import click
 
-from .commutant import center_choices, projector_to_obj, sample_delta_projector
 from .core import DEFAULT_TOL, Matrix, Tolerance, matrix_from_obj, matrix_to_obj
-from .equations import count_solutions, finite_solutions, verify_power_commute
 from .errors import MalformedInput, PrecondViolated, SharpOrderError
-from .ginv import group_inverse, moore_penrose
-from .hasse import hasse_dot
-from .hs import hs_decompose, hs_to_obj
-from .jordan import spec_from_obj, validate_similarity
-from .lattice import (classify_downset, max_chain, meet_in_c2, non_lattice_witness,
-                      witness_relations)
-from .sharp import conjecture_refutation, phi_inv_stack, psi_choices, sharp_leq
+
+# Each command imports the modules it runs in its own body, so a process
+# loads and compiles only those: a CLI process runs one command.
 
 
 def _emit(obj):
@@ -59,6 +53,8 @@ def _load_matrix(path) -> Matrix:
 
 
 def _load_spec(path):
+    from .jordan import spec_from_obj
+
     return spec_from_obj(_load_json(path))
 
 
@@ -78,6 +74,9 @@ def _tol_option(f):
 
 def _downset_setup(b_path, spec_path, tol):
     """Shared plumbing: decompose B, check the spec matches its core block."""
+    from .hs import hs_decompose
+    from .jordan import validate_similarity
+
     b = _load_matrix(b_path)
     spec = _load_spec(spec_path)
     d = hs_decompose(b, tol)
@@ -106,6 +105,8 @@ def decompose():
 @click.option("--in", "in_path", required=True, type=click.Path())
 @_tol_option
 def decompose_hs(in_path, tol):
+    from .hs import hs_decompose, hs_to_obj
+
     d = hs_decompose(_load_matrix(in_path), tol)
     _emit(hs_to_obj(d))
 
@@ -115,6 +116,8 @@ def decompose_hs(in_path, tol):
 @click.option("--in", "in_path", required=True, type=click.Path())
 @_tol_option
 def inverse(kind, in_path, tol):
+    from .ginv import group_inverse, moore_penrose
+
     a = _load_matrix(in_path)
     out = group_inverse(a, tol) if kind == "group" else moore_penrose(a, tol)
     _emit(matrix_to_obj(out))
@@ -130,6 +133,8 @@ def check():
 @click.option("--b", "b_path", required=True, type=click.Path())
 @_tol_option
 def check_order(a_path, b_path, tol):
+    from .sharp import sharp_leq
+
     leq = sharp_leq(_load_matrix(a_path), _load_matrix(b_path), tol)
     _emit({"leq": leq})
     sys.exit(0 if leq else 1)
@@ -148,6 +153,8 @@ def downset():
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @handle_errors
 def downset_classify(spec_path):
+    from .lattice import classify_downset
+
     _emit(classify_downset(_load_spec(spec_path)).to_obj())
 
 
@@ -156,6 +163,9 @@ def downset_classify(spec_path):
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
 def downset_boolean(b_path, spec_path, tol):
+    from .commutant import center_choices
+    from .sharp import phi_inv_stack, psi_choices
+
     _, spec, d = _downset_setup(b_path, spec_path, tol)
     centers = psi_choices(spec, center_choices(spec))
     _emit([matrix_to_obj(a) for a in phi_inv_stack(centers, d, tol)])
@@ -167,6 +177,8 @@ def downset_boolean(b_path, spec_path, tol):
 @click.option("--count", type=int, default=1, show_default=True)
 @handle_errors
 def downset_sample(spec_path, seed, count):
+    from .commutant import projector_to_obj, sample_delta_projector
+
     if count < 0:
         raise MalformedInput("--count must not be negative")
     spec = _load_spec(spec_path)
@@ -180,6 +192,8 @@ def downset_sample(spec_path, seed, count):
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
 def downset_chain(b_path, spec_path, tol):
+    from .lattice import max_chain
+
     _, spec, d = _downset_setup(b_path, spec_path, tol)
     _emit([matrix_to_obj(m) for m in max_chain(d, spec, tol)])
 
@@ -197,6 +211,8 @@ def witness():
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
 def witness_nonlattice(spec_path, tol):
+    from .lattice import non_lattice_witness, witness_relations
+
     quad = non_lattice_witness(_load_spec(spec_path), tol)
     out = {f"T{i}": matrix_to_obj(t) for i, t in enumerate(quad, 1)}
     _emit({**out, "relations": witness_relations(*quad, tol)})
@@ -210,6 +226,8 @@ def refute():
 @refute.command("conjecture")
 @handle_errors
 def refute_conjecture():
+    from .sharp import conjecture_refutation
+
     b, a, report = conjecture_refutation()
     _emit({"B": matrix_to_obj(b), "A": matrix_to_obj(a), "report": report})
 
@@ -219,6 +237,8 @@ def refute_conjecture():
 @click.option("--b2", "b2_path", required=True, type=click.Path())
 @handle_errors
 def meet2(b1_path, b2_path):
+    from .lattice import meet_in_c2
+
     m = meet_in_c2(_load_matrix(b1_path), _load_matrix(b2_path))
     _emit(matrix_to_obj(m))
 
@@ -237,6 +257,8 @@ def equations():
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
 def equations_count(b_path, spec_path, tol):
+    from .equations import count_solutions
+
     _, spec, d = _downset_setup(b_path, spec_path, tol)
     _emit({"count": count_solutions(d, spec, tol)})
 
@@ -246,6 +268,8 @@ def equations_count(b_path, spec_path, tol):
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @_tol_option
 def equations_solve(b_path, spec_path, tol):
+    from .equations import finite_solutions, verify_power_commute
+
     b, spec, d = _downset_setup(b_path, spec_path, tol)
     members = finite_solutions(d, spec, tol)
     if members is None:
@@ -269,6 +293,8 @@ def equations_solve(b_path, spec_path, tol):
 @click.option("--antichain-samples", type=int, default=3, show_default=True)
 @handle_errors
 def hasse_cmd(spec_path, out_path, seed, antichain_samples):
+    from .hasse import hasse_dot
+
     dot = hasse_dot(_load_spec(spec_path), seed=seed,
                     antichain_samples=antichain_samples)
     try:

@@ -19,6 +19,7 @@ from .core import (
     EXACT,
     FLOAT,
     Matrix,
+    _Frozen,
     _int_product,
     _int_rep_eq,
     _kept,
@@ -107,7 +108,7 @@ def _cullen_index(spec: JordanSpec):
                                      for i, j, (c, x) in _cell_entries(cells)))))
 
 
-class CommutantProjector:
+class CommutantProjector(_Frozen):
     """A projector commuting with J, stored per eigenvalue as a t_j x t_j
     grid of its cells' core coefficients (see blocks).  One made by
     from_matrix keeps the matrix it checked and reads `blocks` when first
@@ -116,13 +117,10 @@ class CommutantProjector:
     (spec, blocks)."""
 
     __slots__ = ("spec", "_blocks", "_matrix")
+    _fields = ("spec", "blocks")
 
     def __init__(self, spec: JordanSpec, blocks, _matrix=None):
-        for name, value in (("spec", spec), ("_blocks", blocks), ("_matrix", _matrix)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CommutantProjector is immutable")
+        super().__init__(spec=spec, _blocks=blocks, _matrix=_matrix)
 
     @property
     def blocks(self):
@@ -131,16 +129,6 @@ class CommutantProjector:
         coefficients of its Toeplitz core, the core's first row.  The core
         is on top of a tall cell and on the right of a wide one."""
         return _kept(self, "_blocks", _read_blocks)
-
-    def __eq__(self, other):
-        return ((self.spec, self.blocks) == (other.spec, other.blocks)
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash((self.spec, self.blocks))
-
-    def __repr__(self):
-        return f"CommutantProjector(spec={self.spec!r}, blocks={self.blocks!r})"
 
     def expand(self) -> Matrix:
         return _kept(self, "_matrix", _expand)

@@ -26,7 +26,6 @@ made again at the tolerance of each call.  _kept writes every kept fact.
 import cmath
 import json
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, inf, isfinite, lcm, sqrt
@@ -44,18 +43,53 @@ from .scalars import QQi, frac_str
 EXACT = "exact"
 FLOAT = "float"
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Frozen:
+    """Base of the immutable value classes.  eq, hash and repr read the
+    attributes named in _fields, in order, and == compares values of one
+    class only.  __init__ sets the slots it is given; after it no attribute
+    is set but by _kept, and none is deleted.  A subclass lists its fields
+    and the facts it keeps in __slots__, and validates in its __init__."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, **slots):
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Tolerance(_Frozen):
     """Relative comparison tolerance and rank-decision threshold."""
 
-    rel: float = 1e-9
-    rank_threshold_factor: float = 1e-10
+    __slots__ = _fields = ("rel", "rank_threshold_factor")
 
-    def __post_init__(self):
+    def __init__(self, rel: float = 1e-9, rank_threshold_factor: float = 1e-10):
         # rel >= 1 makes every matrix approx_eq to O, a factor >= 1 makes
         # every rank 0; a NaN fails both comparisons
-        if not (0 < self.rel < 1 and 0 < self.rank_threshold_factor < 1):
+        if not (0 < rel < 1 and 0 < rank_threshold_factor < 1):
             raise MalformedInput("tolerances must be finite and in (0, 1)")
+        super().__init__(rel=rel, rank_threshold_factor=rank_threshold_factor)
 
 
 DEFAULT_TOL = Tolerance()

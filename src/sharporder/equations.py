@@ -9,10 +9,8 @@ U diag(SK, O) U*.  For nonsingular B they are P T P^-1 with T in the
 commutant-projector poset of the Jordan form.
 """
 
-from dataclasses import dataclass
-
 from .commutant import block_choice_projector, center_choices, delta_membership
-from .core import DEFAULT_TOL, Matrix, approx_eq, in_tau, is_projector, outside_tau
+from .core import DEFAULT_TOL, Matrix, _Frozen, approx_eq, in_tau, is_projector, outside_tau
 from .errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
                      WNotProjector)
 from .hs import HSDecomposition
@@ -23,16 +21,16 @@ from .sharp import psi, psi_choices
 JORDAN_COMMUTE_IDEMPOTENT = "jordan_commute_idempotent"
 
 
-@dataclass(frozen=True)
-class SolutionFamily:
+class SolutionFamily(_Frozen):
     """A parameterized family of solutions; members is only populated when
     the family is finite."""
 
-    kind: str
-    base: object
-    free_part_shape: tuple
-    finite_count: int = None
-    members: tuple = None
+    __slots__ = _fields = ("kind", "base", "free_part_shape", "finite_count", "members")
+
+    def __init__(self, kind: str, base, free_part_shape: tuple, finite_count: int = None,
+                 members: tuple = None):
+        super().__init__(kind=kind, base=base, free_part_shape=free_part_shape,
+                         finite_count=finite_count, members=members)
 
 
 def _is_finite(hs: HSDecomposition, spec: JordanSpec) -> bool:

@@ -10,32 +10,26 @@ singular values that SK and K keep.
 """
 
 import sys
-from dataclasses import dataclass, field
 
-from .core import (DEFAULT_TOL, FLOAT, Matrix, _kept, approx_eq, in_tau, matrix_from_obj,
+from .core import (DEFAULT_TOL, FLOAT, Matrix, _Frozen, _kept, approx_eq, in_tau, matrix_from_obj,
                    matrix_to_obj, numerical_rank, singular_values, svd)
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
 
 
-@dataclass(frozen=True)
-class HSDecomposition:
+class HSDecomposition(_Frozen):
     """(U, sigma, K, L, r) with U unitary, KK* + LL* = I_r, r = rank(B)."""
 
-    U: Matrix
-    sigma: tuple
-    K: Matrix
-    L: Matrix
-    r: int
-    _sk: Matrix = field(init=False, repr=False, compare=False)
-    _sl: Matrix = field(init=False, repr=False, compare=False)
+    # _sk and _sl, Sigma K and Sigma L, are made from the fields
+    _fields = ("U", "sigma", "K", "L", "r")
+    __slots__ = _fields + ("_sk", "_sl")
 
-    def __post_init__(self):
+    def __init__(self, U: Matrix, sigma: tuple, K: Matrix, L: Matrix, r: int):
         # Sigma K and Sigma L: the rows of K and L scaled by sigma
         import numpy as np
 
-        s = np.array(self.sigma, dtype=float).reshape(-1, 1)
-        object.__setattr__(self, "_sk", Matrix._wrap(s * self.K.array))
-        object.__setattr__(self, "_sl", Matrix._wrap(s * self.L.array))
+        s = np.array(sigma, dtype=float).reshape(-1, 1)
+        super().__init__(U=U, sigma=sigma, K=K, L=L, r=r, _sk=Matrix._wrap(s * K.array),
+                         _sl=Matrix._wrap(s * L.array))
 
     @property
     def n(self):

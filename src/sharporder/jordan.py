@@ -7,14 +7,14 @@ candidate eigenvalues and the block sizes are recovered from rank sequences
 """
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
 
 from .core import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
     Matrix,
+    _Frozen,
+    _kept,
     approx_eq,
     matrix_from_obj,
     matrix_to_obj,
@@ -33,23 +33,21 @@ from .errors import (
 from .scalars import QQi
 
 
-@dataclass(frozen=True)
-class EigenBlocks:
+class EigenBlocks(_Frozen):
     """One distinct eigenvalue with its descending Jordan block sizes."""
 
-    lam: object  # QQi (exact) or complex (float)
-    sizes: tuple
+    __slots__ = _fields = ("lam", "sizes")  # lam: QQi (exact) or complex (float)
 
-    def __post_init__(self):
+    def __init__(self, lam, sizes: tuple):
         # operator.index takes ints (numpy's too) and refuses 2.5 or "2"
         # rather than truncating them; bool, an int subclass, is ruled out
-        if any(isinstance(s, bool) for s in self.sizes):
+        if any(isinstance(s, bool) for s in sizes):
             raise InvalidSpec("block sizes must be integers, not booleans")
         try:
-            sizes = tuple(map(operator.index, self.sizes))
+            sizes = tuple(map(operator.index, sizes))
         except TypeError as exc:
             raise InvalidSpec(f"block sizes must be integers: {exc}") from None
-        object.__setattr__(self, "sizes", sizes)
+        super().__init__(lam=lam, sizes=sizes)
         if not sizes or any(s < 1 for s in sizes):
             raise InvalidSpec("block sizes must be positive")
         if list(sizes) != sorted(sizes, reverse=True):
@@ -74,17 +72,17 @@ class EigenBlocks:
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
-class JordanSpec:
+class JordanSpec(_Frozen):
     """Distinct nonzero eigenvalues with block sizes, plus an optional
     similarity matrix P mapping J to the target (target = P J P^-1)."""
 
-    eigenvalues: tuple
-    P: Matrix = None
+    # _r is kept by r, _cullen and _cullen_index by the commutant code
+    _fields = ("eigenvalues", "P")
+    __slots__ = _fields + ("_r", "_cullen", "_cullen_index")
 
-    def __post_init__(self):
-        eigs = tuple(self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", eigs)
+    def __init__(self, eigenvalues: tuple, P: Matrix = None):
+        eigs = tuple(eigenvalues)
+        super().__init__(eigenvalues=eigs, P=P)
         if not eigs:
             raise InvalidSpec("at least one eigenvalue required")
         modes = {e.mode for e in eigs}
@@ -104,15 +102,19 @@ class JordanSpec:
     def s(self):
         return len(self.eigenvalues)
 
-    @cached_property
+    @property
     def r(self):
         """The size of J, summed on first read and kept."""
-        return sum(e.dim for e in self.eigenvalues)
+        return _kept(self, "_r", _size)
 
     @property
     def block_sizes(self):
         """All Jordan block sizes in global (eigenvalue-major) order."""
         return [k for e in self.eigenvalues for k in e.sizes]
+
+
+def _size(spec: JordanSpec):
+    return sum(e.dim for e in spec.eigenvalues)
 
 
 def make_spec(pairs, P=None, mode=EXACT) -> JordanSpec:

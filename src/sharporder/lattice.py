@@ -7,15 +7,14 @@ a bounded poset with an infinite mid-rank antichain (two blocks), or not
 a lattice at all (three or more blocks).
 """
 
-from dataclasses import dataclass, field
-
 from .commutant import (
     CommutantProjector,
     admissible_ranks,
     block_choice_projector,
     center_choices,
 )
-from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, _over, approx_eq, in_tau, is_projector
+from .core import (DEFAULT_TOL, EXACT, FLOAT, Matrix, _Frozen, _over, approx_eq, in_tau,
+                   is_projector)
 from .errors import (
     IndexTooLarge,
     NoEligibleEigenvalue,
@@ -76,17 +75,19 @@ BOUNDED_INFINITE_ANTICHAIN = "bounded_infinite_antichain"
 NON_LATTICE = "non_lattice"
 
 
-@dataclass(frozen=True)
-class DownsetDescriptor:
+class DownsetDescriptor(_Frozen):
     """Symbolic shape of [O, B], factored per eigenvalue of the core block."""
 
-    s: int
-    factors: tuple = field(default=())
-    is_lattice: bool = False
-    is_distributive: bool = False
-    is_boolean: bool = False
-    boolean_center_size: int = 0
-    max_chain_length: int = 0
+    __slots__ = _fields = ("s", "factors", "is_lattice", "is_distributive", "is_boolean",
+                           "boolean_center_size", "max_chain_length")
+
+    def __init__(self, s: int, factors: tuple = (), is_lattice: bool = False,
+                 is_distributive: bool = False, is_boolean: bool = False,
+                 boolean_center_size: int = 0, max_chain_length: int = 0):
+        super().__init__(s=s, factors=factors, is_lattice=is_lattice,
+                         is_distributive=is_distributive, is_boolean=is_boolean,
+                         boolean_center_size=boolean_center_size,
+                         max_chain_length=max_chain_length)
 
     def to_obj(self):
         return {

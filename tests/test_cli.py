@@ -37,6 +37,7 @@ def files(tmp_path):
         "b1": write("b1.json", matrix_to_obj(Matrix.exact([[1, 0], [0, 2]]))),
         "b2": write("b2.json", matrix_to_obj(Matrix.exact([[1, 0], [0, 3]]))),
         "wspec": write("wspec.json", spec_to_obj(make_spec([(1, [1, 1, 1])]))),
+        "fwspec": write("fwspec.json", spec_to_obj(make_spec([(1.0, [1, 1, 1])], mode=FLOAT))),
         "bad": write("bad.json", {"nope": True}),
         "nilpotent": write("nil.json",
                            matrix_to_obj(Matrix.floating([[0, 1], [0, 0]]))),
@@ -372,15 +373,29 @@ def test_byte_identical_repeat(runner, files):
 
 
 # runs the CLI in a fresh interpreter, then prints whether numpy was imported
-# as the last line of stdout
+# and, as JSON, the sorted sharporder.* modules it loaded: the last two lines
+# of stdout
 _IMPORT_PROBE = """
-import runpy, sys
+import json, runpy, sys
 sys.argv[0] = "sharporder.cli"
 try:
     runpy.run_module("sharporder.cli", run_name="__main__")
 finally:
     print("numpy" in sys.modules)
+    print(json.dumps(sorted(m for m in sys.modules if m.startswith("sharporder."))))
 """
+
+
+def run_fresh(argv, cwd):
+    """(exit code, stdout, stderr, whether numpy was loaded, the sharporder
+    modules loaded) of the CLI run on argv in a fresh interpreter."""
+    src = str(Path(sharporder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+    *out, flag, modules = proc.stdout.splitlines(keepends=True)
+    return proc.returncode, "".join(out), proc.stderr, flag == "True\n", json.loads(modules)
 
 
 @pytest.mark.parametrize("args, code, numpy_loaded", [
@@ -398,19 +413,73 @@ finally:
         "malformed", "decompose-float"])
 def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_loaded):
     argv = [a.format(**files) for a in args]
-    src = str(Path(sharporder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=files["tmp"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    *out, flag = proc.stdout.splitlines()
-    assert proc.returncode == code
-    assert flag == str(numpy_loaded)
+    got, out, err, loaded, _ = run_fresh(argv, files["tmp"])
+    assert got == code
+    assert loaded == numpy_loaded
     if code:
-        assert out == [] and json.loads(proc.stderr) == {"error": "malformed_input"}
+        assert out == "" and json.loads(err) == {"error": "malformed_input"}
     else:
-        assert proc.stderr == ""
-        assert json.loads("\n".join(out)) == json.loads(runner.invoke(main, argv).output)
+        assert err == ""
+        assert json.loads(out) == json.loads(runner.invoke(main, argv).output)
+
+
+# the modules each command loads besides sharporder.cli: its own, and what
+# they import.  sharp imports commutant, ginv, hs and jordan, and lattice
+# imports sharp
+_SHARP = ("commutant", "core", "errors", "ginv", "hs", "jordan", "scalars", "sharp")
+_LATTICE = _SHARP + ("lattice",)
+
+
+@pytest.mark.parametrize("args, code, modules", [
+    (["decompose", "hs", "--in", "{b1}"], 3, ("core", "errors", "hs", "scalars")),
+    (["decompose", "hs", "--in", "{B}"], 0, ("core", "errors", "hs", "scalars")),
+    (["inverse", "mp", "--in", "{b1}"], 0, ("core", "errors", "ginv", "scalars")),
+    (["inverse", "group", "--in", "{b1}"], 0, ("core", "errors", "ginv", "scalars")),
+    (["inverse", "mp", "--in", "{B}"], 0, ("core", "errors", "ginv", "scalars")),
+    # the float group inverse decomposes B
+    (["inverse", "group", "--in", "{B}"], 0, ("core", "errors", "ginv", "hs", "scalars")),
+    (["check", "order", "--a", "{b1}", "--b", "{b1}"], 0, _SHARP),
+    (["check", "order", "--a", "{A}", "--b", "{B}"], 0, _SHARP),
+    (["downset", "classify", "--spec", "{wspec}"], 0, _LATTICE),
+    (["downset", "classify", "--spec", "{spec}"], 0, _LATTICE),
+    (["downset", "boolean", "--b", "{b1}", "--spec", "{wspec}"], 3, _SHARP),
+    (["downset", "boolean", "--b", "{B}", "--spec", "{spec}"], 0, _SHARP),
+    (["downset", "sample", "--spec", "{wspec}", "--seed", "3"], 0,
+     ("commutant", "core", "errors", "jordan", "scalars")),
+    (["downset", "sample", "--spec", "{spec}", "--seed", "3"], 0,
+     ("commutant", "core", "errors", "jordan", "scalars")),
+    (["downset", "chain", "--b", "{b1}", "--spec", "{wspec}"], 3, _LATTICE),
+    (["downset", "chain", "--b", "{B}", "--spec", "{spec}"], 0, _LATTICE),
+    (["witness", "nonlattice", "--spec", "{wspec}"], 0, _LATTICE),
+    (["witness", "nonlattice", "--spec", "{fwspec}"], 0, _LATTICE),
+    (["refute", "conjecture"], 0, _SHARP),
+    (["meet2", "--b1", "{b1}", "--b2", "{b2}"], 0, _LATTICE),
+    (["meet2", "--b1", "{A}", "--b2", "{B}"], 3, _LATTICE),
+    (["equations", "count", "--b", "{b1}", "--spec", "{wspec}"], 3, _SHARP + ("equations",)),
+    (["equations", "count", "--b", "{B}", "--spec", "{spec}"], 0, _SHARP + ("equations",)),
+    (["equations", "solve", "--b", "{b1}", "--spec", "{wspec}"], 3, _SHARP + ("equations",)),
+    (["equations", "solve", "--b", "{B}", "--spec", "{spec}"], 0, _SHARP + ("equations",)),
+    (["hasse", "--spec", "{wspec}", "--out", "{tmp}/g.dot"], 0, _LATTICE + ("hasse",)),
+    (["hasse", "--spec", "{spec}", "--out", "{tmp}/g.dot"], 0, _LATTICE + ("hasse",)),
+], ids=["hs-exact", "hs-float", "inverse-mp-exact", "inverse-group-exact", "inverse-mp-float",
+        "inverse-group-float", "order-exact", "order-float", "classify-exact", "classify-float",
+        "boolean-exact", "boolean-float", "sample-exact", "sample-float", "chain-exact",
+        "chain-float", "witness-exact", "witness-float", "refute", "meet2-exact", "meet2-float",
+        "count-exact", "count-float", "solve-exact", "solve-float", "hasse-exact", "hasse-float"])
+def test_each_command_in_a_fresh_interpreter(runner, files, args, code, modules):
+    # a CliRunner test passes without a command's own import once another
+    # test has imported the module; a fresh interpreter has imported nothing
+    argv = [a.format(**files) for a in args]
+    got, out, err, _, loaded = run_fresh(argv, files["tmp"])
+    res = runner.invoke(main, argv)
+    assert (got, out, err) == (res.exit_code, res.stdout, res.stderr)
+    assert got == code
+    assert loaded == sorted(f"sharporder.{m}" for m in modules)
+    # only the equations commands load equations, only hasse loads hasse,
+    # and no command loads the brute-force oracle
+    assert ("sharporder.equations" in loaded) == (argv[0] == "equations")
+    assert ("sharporder.hasse" in loaded) == (argv[0] == "hasse")
+    assert "sharporder.oracle" not in loaded
 
 
 def test_non_ep_b_equations_and_boolean(runner, tmp_path):

@@ -1,11 +1,10 @@
-"""Every module-level import of a library module is used by that module,
-no library module holds mutable state at module level, every error class
-of errors.py is raised somewhere, and every fact a value keeps is written
-by core._kept.
+"""Every import of a library module is used where it is made (in the
+module, or in the function that makes it), no library module holds mutable
+state at module level, every error class of errors.py is raised somewhere,
+and every fact a value keeps is written by core._kept.
 
-Deleting code tends to leave its imports behind; this catches them.  The
-package's __init__.py imports names to re-export them, so it is left out.
-A module-level dict, list or set is where a global cache grows; a value
+Deleting code tends to leave its imports behind; this catches them, also
+in the CLI, whose commands each import what they run.  A module-level dict, list or set is where a global cache grows; a value
 keeps what it derives from itself instead (an exact Matrix keeps its
 square and its index verdict), so there is none to clear or cap.  An
 error class that no module raises is a code, and a CLI exit, that can no
@@ -20,21 +19,36 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "sharporder"
 
 
-def unused_imports(source):
-    """The names that the module-level imports of source bind but that no
-    expression of source reads."""
-    tree = ast.parse(source)
+_SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imported(node):
+    """The names that the imports of node's scope bind: in its statements
+    and their blocks, not in the functions or classes it defines."""
     bound = set()
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound |= {a.asname or a.name for a in node.names}
-    return sorted(bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in child.names}
+        elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+            bound |= {a.asname or a.name for a in child.names}
+        elif not isinstance(child, _SCOPES + (ast.ClassDef, ast.Lambda)):
+            bound |= _imported(child)
+    return bound
 
 
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
+def unused_imports(source):
+    """The names that an import of source binds but that no expression of
+    its scope reads: of the module for a module-level import, of the
+    function (nested functions included) for one inside a function."""
+    unused = set()
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, _SCOPES):
+            unused |= _imported(scope) - {n.id for n in ast.walk(scope)
+                                          if isinstance(n, ast.Name)}
+    return sorted(unused)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 
@@ -42,6 +56,20 @@ def test_module_imports_are_used(path):
 def test_unused_imports_finds_a_leftover():
     source = "import numpy as np\nimport os.path\nfrom math import gcd, lcm\nx = lcm(os.sep)\n"
     assert unused_imports(source) == ["gcd", "np"]
+    # a function's import is used only by a read in that function: h reads
+    # hs_decompose, which f imports, and f never reads group_inverse
+    source = ("import json\n"
+              "def f(x):\n"
+              "    from .hs import hs_decompose, hs_to_obj\n"
+              "    if x:\n"
+              "        import numpy as np\n"
+              "        from .ginv import group_inverse\n"
+              "    def g():\n"
+              "        return json.dumps(hs_to_obj(np))\n"
+              "    return g\n"
+              "def h(x):\n"
+              "    return hs_decompose(x)\n")
+    assert unused_imports(source) == ["group_inverse", "hs_decompose"]
 
 
 # what makes a dict, list or set: a display, a comprehension, or a call of
