@@ -3,6 +3,9 @@
 Exit codes: 0 success (and "true" for check-style commands), 1 for a
 negative check result, 2 for malformed input, 3 for violated preconditions.
 Machine-readable errors go to stderr as {"error": code}.
+
+A process runs one command, so each command imports the modules it runs in
+its own body: a process loads and compiles those only.
 """
 
 import functools
@@ -13,9 +16,6 @@ import click
 
 from .core import DEFAULT_TOL, Matrix, Tolerance, matrix_from_obj, matrix_to_obj
 from .errors import MalformedInput, PrecondViolated, SharpOrderError
-
-# Each command imports the modules it runs in its own body, so a process
-# loads and compiles only those: a CLI process runs one command.
 
 
 def _emit(obj):
