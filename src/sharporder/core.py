@@ -43,6 +43,7 @@ from .scalars import QQi, frac_str
 EXACT = "exact"
 FLOAT = "float"
 
+
 class _Frozen:
     """Base of the immutable value classes.  eq, hash and repr read the
     attributes named in _fields, in order, and == compares values of one

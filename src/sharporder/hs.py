@@ -19,7 +19,6 @@ from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatri
 class HSDecomposition(_Frozen):
     """(U, sigma, K, L, r) with U unitary, KK* + LL* = I_r, r = rank(B)."""
 
-    # _sk and _sl, Sigma K and Sigma L, are made from the fields
     _fields = ("U", "sigma", "K", "L", "r")
     __slots__ = _fields + ("_sk", "_sl")
 

@@ -4,9 +4,10 @@ state at module level, every error class of errors.py is raised somewhere,
 and every fact a value keeps is written by core._kept.
 
 Deleting code tends to leave its imports behind; this catches them, also
-in the CLI, whose commands each import what they run.  A module-level dict, list or set is where a global cache grows; a value
-keeps what it derives from itself instead (an exact Matrix keeps its
-square and its index verdict), so there is none to clear or cap.  An
+in the CLI, whose commands each import what they run.  A module-level
+dict, list or set is where a global cache grows; a value keeps what it
+derives from itself instead (an exact Matrix keeps its square and its
+index verdict), so there is none to clear or cap.  An
 error class that no module raises is a code, and a CLI exit, that can no
 longer happen.  A kept fact written by hand repeats the check, the make
 and the write that core._kept does once."""
