@@ -18,6 +18,7 @@ from .core import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    ExactMatrix,
     Matrix,
     _Frozen,
     _int_product,
@@ -276,7 +277,7 @@ def _idempotent_on_heads(spec: JordanSpec, t: Matrix) -> bool:
     the commutant too, and the rows I fix a commutant element."""
     d, rows = t._intform
     top = tuple(rows[row[0][2]] for grid in _layout(spec) for row in grid)
-    heads = Matrix(len(top), spec.r, EXACT, (d, top))
+    heads = ExactMatrix(len(top), spec.r, (d, top))
     return _int_rep_eq(heads._intform, _int_product(heads, t))
 
 

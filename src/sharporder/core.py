@@ -1,26 +1,22 @@
-"""Dual-mode dense complex matrices.
+"""Dense complex matrices in two backends, one class each, never mixed.
 
-Two storage modes, never mixed inside one matrix:
+ExactMatrix (mode ``exact``) stores Gaussian rationals as one reduced integer
+form, Gaussian integers over their least positive common denominator; every
+exact operation runs on that form, an entry is read as a
+:class:`~sharporder.scalars.QQi`, and every predicate is decided exactly.
+FloatMatrix (mode ``float``) holds a complex128 numpy array, imported on
+first float use so exact-only callers never load numpy, and its predicates
+are tolerance-aware.  Their base, Matrix, holds the constructors and the one
+operand check; no method tests the mode.
 
-* ``exact``  -- Gaussian rationals, stored as one reduced integer form: Gaussian
-  integers over their least positive common denominator.  Every exact
-  operation runs on that form; an entry is read as a
-  :class:`~sharporder.scalars.QQi`, built on the first read.  All predicates
-  are decided exactly.
-* ``float``  -- entries are complex128 in a numpy array; predicates are
-  tolerance-aware.  numpy is imported on first float use, so exact-only
-  callers never load it.
-
-Values are immutable after construction and all operations are pure, so
-matrices can be shared freely across threads.  An exact matrix keeps no
-entries, and keeps facts derived from its value once they are first asked
-for (the integer form of its square, its index verdict, its inverse); each
-is a function of the value alone, so two threads that race on one only
-compute it twice, and none is read by ``==``, ``key()`` or hashing.  A float
-matrix likewise keeps its square, its inverse, its singular values, its SVD
-and its Hartwig-Spindelbock decompositions (kept by hs.hs_decompose) once
-they are first computed, but no verdict: every rank cut and comparison is
-made again at the tolerance of each call.  _kept writes every kept fact.
+Values are immutable and operations pure, so matrices can be shared across
+threads.  A fact derived from a value (its square and inverse; an exact
+matrix's index verdict; a float matrix's singular values, SVD and
+Hartwig-Spindelbock decompositions) is kept once made, by _kept: each is a
+function of the value alone, so two threads that race on one only make it
+twice, and none is read by ``==``, ``key()`` or hashing.  A float matrix
+keeps no verdict: every rank cut and comparison is made again at the
+tolerance of each call.
 """
 
 import cmath
@@ -107,26 +103,20 @@ def _kept(obj, name, make):
     return value
 
 
-class Matrix:
-    """Immutable dense complex matrix in exact or float mode."""
+class Matrix(_Frozen):
+    """Immutable dense complex matrix: an ExactMatrix or a FloatMatrix.
+    +, @, ==, key, rank and inverse make the shared checks here and call
+    their class's kernel; perfbench/tracer.py wraps @, ==, key, rank and
+    inverse by name on this class, so they are not defined on a subclass."""
 
-    # only the slot of the mode's representation is set, _a or _intform;
-    # _sq stays unset until _square makes it, _index1 (exact only) until
-    # ginv.index_le_one does, _inv until inverse does, and _sv, _svd and
-    # _hs (float only) until _sigma, svd and hs.hs_decompose do
-    __slots__ = ("rows", "cols", "mode", "_a", "_intform", "_sq", "_index1",
-                 "_inv", "_sv", "_svd", "_hs")
+    __slots__ = ("rows", "cols")
 
-    def __init__(self, rows, cols, mode, data):
-        """data: a complex128 array no one else can write to (float mode), or
-        the reduced integer form (d, rows) that _over writes (exact mode)."""
+    def __init__(self, rows, cols, rep):
+        """rep: the value of the class's one representation slot, _rep, which
+        no one else can write to."""
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_a" if mode == FLOAT else "_intform", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        object.__setattr__(self, self._rep, rep)
 
     # ------------------------------------------------------------------
     # constructors
@@ -143,8 +133,8 @@ class Matrix:
         return cls.from_entries(len(rows), c, ((i, j, x) for i, row in enumerate(rows)
                                                for j, x in enumerate(row)), EXACT)
 
-    @classmethod
-    def floating(cls, rows):
+    @staticmethod
+    def floating(rows):
         """Float matrix from anything numpy can turn into a complex array
         (always a copy, so later writes to the input cannot reach it)."""
         import numpy as np
@@ -157,40 +147,28 @@ class Matrix:
             a = a.reshape(1, -1)
         if a.ndim != 2:
             raise ShapeMismatch("expected a 2-d array")
-        return cls._wrap(a)
+        return Matrix._wrap(a)
 
-    @classmethod
-    def _wrap(cls, a):
+    @staticmethod
+    def _wrap(a):
         """Float matrix around a complex128 2-d array that no one else can
         write to (a fresh result, or a view of a read-only one); no copy."""
         a.setflags(write=False)
-        return cls(a.shape[0], a.shape[1], FLOAT, a)
+        return FloatMatrix(a.shape[0], a.shape[1], a)
 
-    @classmethod
-    def slices(cls, stack):
+    @staticmethod
+    def slices(stack):
         """The float matrices of the slices of a (k, rows, cols) complex128
         stack that no one else can write to: views of the stack, which is
         made read-only, not copied."""
         stack.setflags(write=False)
-        return [cls(stack.shape[1], stack.shape[2], FLOAT, a) for a in stack]
+        return [FloatMatrix(stack.shape[1], stack.shape[2], a) for a in stack]
 
-    @classmethod
-    def from_entries(cls, rows, cols, entries, mode):
-        """A rows x cols matrix, zero except for the (i, j, value) entries;
-        the one place a zero matrix is filled."""
-        if mode == FLOAT:
-            import numpy as np
-
-            a = np.zeros((rows, cols), dtype=complex)
-            for i, j, v in entries:
-                a[i, j] = complex(v)
-            return cls._wrap(a)
-        entries = list(entries)
-        d, values = _cleared(v for _, _, v in entries)
-        data = [[(0, 0)] * cols for _ in range(rows)]
-        for (i, j, _), p in zip(entries, values):
-            data[i][j] = p
-        return _over(rows, cols, tuple(map(tuple, data)), (d, 0))
+    @staticmethod
+    def from_entries(rows, cols, entries, mode):
+        """A rows x cols matrix of the class of mode, zero except for the
+        (i, j, value) entries; the one place a zero matrix is filled."""
+        return _backend(mode)._filled(rows, cols, entries)
 
     @classmethod
     def zeros(cls, rows, cols, mode=EXACT):
@@ -198,51 +176,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, mode=EXACT):
-        if mode == FLOAT:
-            import numpy as np
-
-            return cls._wrap(np.eye(n, dtype=complex))
         return cls.diag([1] * n, mode)
 
     @classmethod
     def diag(cls, values, mode=EXACT):
         values = list(values)
         n = len(values)
-        if mode == FLOAT:
-            import numpy as np
-
-            return cls._wrap(np.diag(np.array([complex(v) for v in values], dtype=complex)))
         return cls.from_entries(n, n, ((i, i, v) for i, v in enumerate(values)), mode)
 
     # ------------------------------------------------------------------
-    # element access
-
-    def __getitem__(self, ij):
-        i, j = ij
-        if self.mode == FLOAT:
-            return complex(self._a[i, j])
-        d, rows = self._intform
-        return _scalar_over(d)(rows[i][j])
-
-    def row(self, i):
-        if self.mode == FLOAT:
-            return [complex(x) for x in self._a[i]]
-        d, rows = self._intform
-        return list(map(_scalar_over(d), rows[i]))
-
-    def block(self, i0, i1, j0, j1):
-        """Submatrix with rows [i0, i1) and columns [j0, j1)."""
-        if self.mode == FLOAT:
-            return Matrix._wrap(self._a[i0:i1, j0:j1])
-        d, rows = self._intform
-        return _over(i1 - i0, j1 - j0, tuple(rows[i][j0:j1] for i in range(i0, i1)), (d, 0))
-
-    @property
-    def array(self):
-        """The underlying complex128 array (float mode only, read-only)."""
-        if self.mode != FLOAT:
-            raise ModeMismatch("no array backing in exact mode")
-        return self._a
+    # the shared interface
 
     @property
     def is_square(self):
@@ -252,162 +195,296 @@ class Matrix:
         if not self.is_square:
             raise NonSquare(f"{self.rows}x{self.cols} matrix is not square")
 
-    # ------------------------------------------------------------------
-    # arithmetic
-
-    def _check_same(self, other):
-        if self.mode != other.mode:
+    def _check(self, other, fits):
+        """The one operand check, made before any entry is read: ModeMismatch
+        unless other is of self's class, then ShapeMismatch unless fits."""
+        if other.__class__ is not self.__class__:
             raise ModeMismatch(f"{self.mode} vs {other.mode}")
-        if (self.rows, self.cols) != (other.rows, other.cols):
+        if not fits:
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.row(i)[j]
+
     def __add__(self, other):
-        self._check_same(other)
-        if self.mode == FLOAT:
-            return Matrix._wrap(self._a + other._a)
-        return _int_sum(self, other, 1)
+        self._check(other, self.rows == other.rows and self.cols == other.cols)
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        self._check_same(other)
-        if self.mode == FLOAT:
-            return Matrix._wrap(self._a - other._a)
-        return _int_sum(self, other, -1)
+        self._check(other, self.rows == other.rows and self.cols == other.cols)
+        return self._sum(other, -1)
+
+    def __matmul__(self, other):
+        self._check(other, self.cols == other.rows)
+        return self._matmul(other)
+
+    def __eq__(self, other):
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (other.__class__ is self.__class__ and self.rows == other.rows
+                and self.cols == other.cols and self._same(other))
+
+    def key(self):
+        """Hashable identity key (exact mode only), for dedup in tests and
+        oracles: the shape and the canonical integer form, all plain ints."""
+        return self._key()
+
+    def rank(self, tol=DEFAULT_TOL):
+        """Exact mode: the number of pivots of the forward elimination.
+        Float mode: numerical_rank of the kept singular values at tol."""
+        return self._rank(tol)
+
+    def inverse(self):
+        """Matrix inverse, kept on self once made; SingularMatrix, on every
+        call, when not invertible.  Exact mode solves rows X = d I for self =
+        rows / d with _solve (every division exact by Cramer's rule)."""
+        self.require_square()
+        return _kept(self, "_inv", self.__class__._invert)
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols}, {self.mode})"
+
+
+class ExactMatrix(Matrix):
+    """A Gaussian-rational matrix, stored as its reduced integer form."""
+
+    mode = EXACT
+    # _intform is the reduced integer form (d, rows) that _over writes; _sq
+    # stays unset until _square makes it, _index1 until ginv.index_le_one
+    # does, and _inv until inverse does
+    _rep = "_intform"
+    __slots__ = ("_intform", "_sq", "_index1", "_inv")
+
+    @staticmethod
+    def _filled(rows, cols, entries):
+        entries = list(entries)
+        d, values = _cleared(v for _, _, v in entries)
+        data = [[(0, 0)] * cols for _ in range(rows)]
+        for (i, j, _), p in zip(entries, values):
+            data[i][j] = p
+        return _over(rows, cols, tuple(map(tuple, data)), (d, 0))
+
+    def row(self, i):
+        d, rows = self._intform
+        return list(map(_scalar_over(d), rows[i]))
+
+    def block(self, i0, i1, j0, j1):
+        """Submatrix with rows [i0, i1) and columns [j0, j1)."""
+        d, rows = self._intform
+        return _over(i1 - i0, j1 - j0, tuple(rows[i][j0:j1] for i in range(i0, i1)), (d, 0))
+
+    @property
+    def array(self):
+        """The underlying complex128 array: float mode only."""
+        raise ModeMismatch("no array backing in exact mode")
+
+    def _sum(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        d1, ra = self._intform
+        d2, rb = other._intform
+        d = lcm(d1, d2)
+        m1, m2 = d // d1, sign * (d // d2)
+        rows = tuple(tuple((xr * m1 + yr * m2, xi * m1 + yi * m2)
+                           for (xr, xi), (yr, yi) in zip(p, q)) for p, q in zip(ra, rb))
+        return _over(self.rows, self.cols, rows, (d, 0))
 
     def __neg__(self):
-        if self.mode == FLOAT:
-            return Matrix._wrap(-self._a)
         # rows / -d: the writer moves the sign onto the rows
         d, rows = self._intform
         return _over(self.rows, self.cols, rows, (-d, 0))
 
     def scale(self, s):
-        if self.mode == FLOAT:
-            return Matrix._wrap(complex(s) * self._a)
         e, ((sr, si),) = _cleared([s])
         d, rows = self._intform
         return _over(self.rows, self.cols,
                      tuple(tuple((xr * sr - xi * si, xr * si + xi * sr) for xr, xi in row)
                            for row in rows), (d * e, 0))
 
-    def __matmul__(self, other):
-        if self.mode != other.mode:
-            raise ModeMismatch(f"{self.mode} vs {other.mode}")
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"inner dims {self.cols} vs {other.rows}")
-        if self.mode == FLOAT:
-            return Matrix._wrap(self._a @ other._a)
+    def _matmul(self, other):
         d, rows = _int_product(self, other)
         return _over(self.rows, other.cols, rows, (d, 0))
 
     @property
     def H(self):
         """Conjugate transpose."""
-        if self.mode == FLOAT:
-            return Matrix._wrap(self._a.conj().T)
         d, rows = self._intform
-        return Matrix(self.cols, self.rows, EXACT,
-                      (d, tuple(tuple((xr, -xi) for xr, xi in row)
-                                for row in _transpose(rows, self.cols))))
+        return ExactMatrix(self.cols, self.rows,
+                           (d, tuple(tuple((xr, -xi) for xr, xi in row)
+                                     for row in _transpose(rows, self.cols))))
 
     @property
     def T(self):
-        if self.mode == FLOAT:
-            return Matrix._wrap(self._a.T)
         d, rows = self._intform
-        return Matrix(self.cols, self.rows, EXACT, (d, _transpose(rows, self.cols)))
+        return ExactMatrix(self.cols, self.rows, (d, _transpose(rows, self.cols)))
 
     def trace(self):
         self.require_square()
-        if self.mode == FLOAT:
-            return complex(self._a.trace())
         d, rows = self._intform
         re, im = map(sum, zip((0, 0), *(rows[i][i] for i in range(self.rows))))
         return QQi(Fraction(re, d), Fraction(im, d))
 
     def fro(self):
         """Frobenius norm as a float (both modes)."""
-        if self.mode == FLOAT:
-            return _fro(self._a)
         d, rows = self._intform
-        # int / int rounds once, as float() of the exact Fraction sum did
+        # int / int is correctly rounded: the exact sum of squares, rounded once
         return (sum(xr * xr + xi * xi for row in rows for xr, xi in row) / (d * d)) ** 0.5
 
     def is_zero(self, tol=DEFAULT_TOL):
-        if self.mode == EXACT:
-            return not any(chain.from_iterable(chain.from_iterable(self._intform[1])))
+        return not any(chain.from_iterable(chain.from_iterable(self._intform[1])))
+
+    def to_float(self):
+        d, rows = self._intform
+        return Matrix.floating([[complex(xr / d, xi / d) for xr, xi in row] for row in rows])
+
+    # kernels, on operands already checked; the tolerance is unused
+
+    def _same(self, other, tol=None):
+        return self._intform == other._intform
+
+    _near = _same
+
+    def _key(self):
+        return (self.rows, self.cols, *self._intform)
+
+    def _rank(self, tol):
+        return len(_bareiss(self._intform[1], self.rows, self.cols)[1])
+
+    def _invert(self):
+        n = self.rows
+        d, rows = self._intform
+        x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0)
+                                               for j in range(n)) for i in range(n)), n)
+        return _over(n, n, x, (big_n, 0))
+
+    def _squared(self):
+        return self._matmul(self)
+
+    def _is_product(self, y, z, tol):
+        """self = y z, on integer forms."""
+        return _int_rep_eq(self._intform, _int_product(y, z))
+
+    def _is_projector(self, tol):
+        # both forms are canonical, so equal matrices hold equal forms
+        return self._intform == _square(self)._intform
+
+    def _in_tau(self, sk, tol):
+        return (self._is_projector(tol)
+                and _int_rep_eq(_int_product(self, sk), _int_product(sk, self)))
+
+
+class FloatMatrix(Matrix):
+    """A complex128 matrix over a read-only numpy array, with the interface
+    of ExactMatrix; comparisons and rank cuts are made at a tolerance."""
+
+    mode = FLOAT
+    # _a is the complex128 array; _sq stays unset until _square makes it,
+    # _inv until inverse does, and _sv, _svd and _hs until _sigma, svd and
+    # hs.hs_decompose do
+    _rep = "_a"
+    __slots__ = ("_a", "_sq", "_inv", "_sv", "_svd", "_hs")
+
+    @staticmethod
+    def _filled(rows, cols, entries):
+        import numpy as np
+
+        a = np.zeros((rows, cols), dtype=complex)
+        for i, j, v in entries:
+            a[i, j] = complex(v)
+        return Matrix._wrap(a)
+
+    def row(self, i):
+        return [complex(x) for x in self._a[i]]
+
+    def block(self, i0, i1, j0, j1):
+        return Matrix._wrap(self._a[i0:i1, j0:j1])
+
+    @property
+    def array(self):
+        """The underlying complex128 array, read-only."""
+        return self._a
+
+    def _sum(self, other, sign):
+        return Matrix._wrap(self._a + other._a if sign > 0 else self._a - other._a)
+
+    def __neg__(self):
+        return Matrix._wrap(-self._a)
+
+    def scale(self, s):
+        return Matrix._wrap(complex(s) * self._a)
+
+    def _matmul(self, other):
+        return Matrix._wrap(self._a @ other._a)
+
+    @property
+    def H(self):
+        return Matrix._wrap(self._a.conj().T)
+
+    @property
+    def T(self):
+        return Matrix._wrap(self._a.T)
+
+    def trace(self):
+        self.require_square()
+        return complex(self._a.trace())
+
+    def fro(self):
+        return _fro(self._a)
+
+    def is_zero(self, tol=DEFAULT_TOL):
         norm = self.fro()
         if not isfinite(norm):
             _require_finite(self._a, "is_zero")
         return norm <= tol.rel
 
     def to_float(self):
-        if self.mode == FLOAT:
-            return self
-        d, rows = self._intform
-        return Matrix.floating([[complex(xr / d, xi / d) for xr, xi in row] for row in rows])
+        return self
 
-    # ------------------------------------------------------------------
-    # comparisons / hashing helpers
+    # kernels, on operands already checked
 
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.mode, self.rows, self.cols) != (other.mode, other.rows, other.cols):
-            return False
-        if self.mode == FLOAT:
-            return bool((self._a == other._a).all())
-        return self._intform == other._intform
+    def _same(self, other):
+        return bool((self._a == other._a).all())
 
-    def key(self):
-        """Hashable identity key (exact mode only), for dedup in tests/oracles:
-        the shape and the integer form, which is canonical, so hashing stays
-        on plain ints."""
-        if self.mode != EXACT:
-            raise ModeMismatch("key() is exact-mode only")
-        return (self.rows, self.cols, *self._intform)
+    def _near(self, other, tol):
+        return _close(self._a, other._a, tol)
 
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {self.mode})"
+    def _key(self):
+        raise ModeMismatch("key() is exact-mode only")
 
-    # ------------------------------------------------------------------
-    # linear algebra
-
-    def rank(self, tol=DEFAULT_TOL):
-        """Exact mode: row-reduction rank. Float mode: numerical_rank of the
-        singular values."""
-        if self.mode == EXACT:
-            return len(_bareiss(self._intform[1], self.rows, self.cols)[1])
+    def _rank(self, tol):
         return numerical_rank(_kept(self, "_sv", _sigma), tol)
 
-    def inverse(self):
-        """Matrix inverse; raises SingularMatrix when not invertible.  Exact
-        mode solves rows X = d I for self = rows / d with _solve (every
-        division exact by Cramer's rule).  The inverse is kept on self once
-        made, in both modes; a singular matrix raises on every call."""
-        self.require_square()
-        n = self.rows
-        if n == 0 and self.mode == FLOAT:
+    def _invert(self):
+        if not self.rows:
             return self
-        return _kept(self, "_inv", _inverse)
+        import numpy as np
+
+        _require_finite(self._a, "inverse")
+        try:
+            inv = np.linalg.inv(self._a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(str(exc)) from exc
+        if not np.all(np.isfinite(inv)):
+            raise SingularMatrix("non-finite inverse")
+        return Matrix._wrap(inv)
+
+    def _squared(self):
+        return self @ self
+
+    def _is_product(self, y, z, tol):
+        """self = y z, by approx_eq's rule."""
+        return _close(self._a, (y @ z)._a, tol)
+
+    def _is_projector(self, tol):
+        return _projector_flags(self._a[None], tol)[0]
+
+    def _in_tau(self, sk, tol):
+        return outside_tau(self._a[None], sk._a, tol) is None
 
 
-def _inverse(m: Matrix):
-    n = m.rows
-    if m.mode == EXACT:
-        d, rows = m._intform
-        x, big_n = _solve(rows, n, tuple(tuple((d, 0) if j == i else (0, 0)
-                                               for j in range(n)) for i in range(n)), n)
-        return _over(n, n, x, (big_n, 0))
-    import numpy as np
-
-    _require_finite(m._a, "inverse")
-    try:
-        inv = np.linalg.inv(m._a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.all(np.isfinite(inv)):
-        raise SingularMatrix("non-finite inverse")
-    return Matrix._wrap(inv)
+def _backend(mode):
+    """The class of a mode string: the one place a mode string picks one."""
+    return FloatMatrix if mode == FLOAT else ExactMatrix
 
 
 def _scalar_over(d):
@@ -447,14 +524,8 @@ warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
 
 
 # ----------------------------------------------------------------------
-# the exact kernel: an exact matrix is stored as Gaussian integers over one
-# denominator, and every exact result is computed in that form.
-# _int_product multiplies (row by row, skipping zero entries of the left
-# factor), _square keeps a square, _int_sum adds and subtracts, _bareiss
-# eliminates (forward only: the one elimination, whose echelon form gives
-# the rank and the bases behind both generalized inverses), _solve solves,
-# _int_rep_eq compares, _cleared turns entries given as scalars into
-# integers, and _over, the one writer, reduces a form to the canonical one
+# the exact kernel: every exact result is computed on integer forms (d,
+# rows), Gaussian integers over one denominator, and written by _over
 
 
 def _parts(x):
@@ -505,27 +576,10 @@ def _int_product(a: Matrix, b: Matrix):
 
 
 def _square(a: Matrix):
-    """a @ a, made on first use and kept on a: the integer form (by
-    _int_product) of an exact a, the float Matrix of a float one.  The
-    index test and every predicate that squares an operand start from it,
-    so a fixed B is squared once however often it is compared."""
-    return _kept(a, "_sq", _make_square)
-
-
-def _make_square(a: Matrix):
-    return _int_product(a, a) if a.mode == EXACT else a @ a
-
-
-def _int_sum(a: Matrix, b: Matrix, sign):
-    """a + b (sign 1) or a - b (sign -1), over the lcm of the two
-    denominators."""
-    d1, ra = a._intform
-    d2, rb = b._intform
-    d = lcm(d1, d2)
-    m1, m2 = d // d1, sign * (d // d2)
-    rows = tuple(tuple((xr * m1 + yr * m2, xi * m1 + yi * m2) for (xr, xi), (yr, yi) in zip(p, q))
-                 for p, q in zip(ra, rb))
-    return _over(a.rows, a.cols, rows, (d, 0))
+    """a @ a, made on first use and kept on a: the index test and every
+    predicate that squares an operand start from it, so a fixed B is
+    squared once however often it is compared."""
+    return _kept(a, "_sq", a.__class__._squared)
 
 
 def _transpose(rows, nc):
@@ -648,7 +702,7 @@ def _over(nr, nc, rows, d):
         if g > 1:
             dr //= g
             rows = tuple(tuple((tr // g, ti // g) for tr, ti in row) for row in rows)
-    return Matrix(nr, nc, EXACT, (dr, rows))
+    return ExactMatrix(nr, nc, (dr, rows))
 
 
 # ----------------------------------------------------------------------
@@ -657,13 +711,8 @@ def _over(nr, nc, rows, d):
 
 def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
     """Entrywise equality (exact) or relative Frobenius closeness (float)."""
-    if x.mode != y.mode:
-        raise ModeMismatch(f"{x.mode} vs {y.mode}")
-    if (x.rows, x.cols) != (y.rows, y.cols):
-        raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
-    if x.mode == EXACT:
-        return x._intform == y._intform
-    return _close(x._a, y._a, tol)
+    x._check(y, x.rows == y.rows and x.cols == y.cols)
+    return x._near(y, tol)
 
 
 def _close(x, y, tol, nx=None, d=None):
@@ -696,25 +745,19 @@ def _close(x, y, tol, nx=None, d=None):
 
 
 def _check_operands(x: Matrix, y: Matrix, idempotent=False):
-    """The one check of a product predicate's operands, made before any
-    entry is read: NonSquare when x is to be idempotent and is not square,
-    then ModeMismatch, then ShapeMismatch unless x and y are square of one
-    size."""
+    """A product predicate's operand check: NonSquare when x is to be
+    idempotent and is not square, then Matrix._check, with x and y square
+    of one size."""
     if idempotent:
         x.require_square()
-    if x.mode != y.mode:
-        raise ModeMismatch(f"{x.mode} vs {y.mode}")
-    if not x.rows == x.cols == y.rows == y.cols:
-        raise ShapeMismatch(f"{x.rows}x{x.cols} vs {y.rows}x{y.cols}")
+    x._check(y, x.rows == x.cols == y.rows == y.cols)
 
 
 def is_projector(m: Matrix, tol=DEFAULT_TOL) -> bool:
-    """True iff m^2 = m.  Exact mode compares the integer forms of m m and
-    m; float mode is the 1-stack of _projector_flags."""
+    """True iff m^2 = m.  Exact mode compares the integer forms of m and its
+    kept square; float mode is the 1-stack of _projector_flags."""
     _check_operands(m, m, idempotent=True)
-    if m.mode == EXACT:
-        return _int_rep_eq(m._intform, _square(m))
-    return _projector_flags(m._a[None], tol)[0]
+    return m._is_projector(tol)
 
 
 def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
@@ -723,10 +766,7 @@ def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     decides both on integer forms, a T that is not idempotent before SK is
     looked at; float mode is the 1-stack of outside_tau."""
     _check_operands(t, sk, idempotent=True)
-    if t.mode == FLOAT:
-        return outside_tau(t._a[None], sk._a, tol) is None
-    return (_int_rep_eq(t._intform, _square(t))
-            and _int_rep_eq(_int_product(t, sk), _int_product(sk, t)))
+    return t._in_tau(sk, tol)
 
 
 def _fros(xs):
@@ -749,8 +789,22 @@ def _projector_flags(ts, tol):
     is_projector's float rule ||T T - T||_F <= rel * max(1, ||T||_F^2),
     accepted on ||T T - T||_F <= rel before ||T||_F is taken; the products
     T T in one batched product, their norms by one _fros."""
-    return [d <= tol.rel or d <= tol.rel * max(1.0, _fro(t) ** 2)
-            for t, d in zip(ts, _fros(ts @ ts - ts))]
+    tts = ts @ ts
+    return [d <= tol.rel or _near_projector(t, tt, d, tol)
+            for t, tt, d in zip(ts, tts, _fros(tts - ts))]
+
+
+def _near_projector(t, tt, d, tol):
+    """The full rule for one slice T, with tt = T T and d = ||T T - T||_F.
+    Where ||T||_F overflows, rel * ||T||_F^2 would pass every finite d, so a
+    finite T is decided there by approx_eq's rule between T T and T (an
+    infinite T T is not T)."""
+    import numpy as np
+
+    norm = _fro(t)
+    if isfinite(norm) or not np.isfinite(t).all():
+        return d <= tol.rel * max(1.0, norm ** 2)
+    return bool(np.isfinite(tt).all()) and _close(tt, t, tol)
 
 
 def outside_tau(ts, sk, tol=DEFAULT_TOL):
@@ -893,10 +947,8 @@ def scalar_from_obj(obj, mode=None):
 
 
 def matrix_to_obj(m: Matrix):
-    flat = (m._a.ravel().tolist() if m.mode == FLOAT
-            else map(_scalar_over(m._intform[0]), chain.from_iterable(m._intform[1])))
     return {"mode": m.mode, "rows": m.rows, "cols": m.cols,
-            "entries": [scalar_to_obj(x) for x in flat]}
+            "entries": [scalar_to_obj(x) for i in range(m.rows) for x in m.row(i)]}
 
 
 def matrix_from_obj(obj) -> Matrix:

@@ -79,7 +79,7 @@ def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
 
 def _exact_index_le_one(a: Matrix) -> bool:
     n = a.rows
-    return len(_bareiss(_square(a)[1], n, n)[1]) == a.rank()
+    return len(_bareiss(_square(a)._intform[1], n, n)[1]) == a.rank()
 
 
 def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:

@@ -52,10 +52,7 @@ class EigenBlocks(_Frozen):
             raise InvalidSpec("block sizes must be positive")
         if list(sizes) != sorted(sizes, reverse=True):
             raise InvalidSpec("block sizes must be descending")
-        if self.mode == EXACT:
-            if self.lam.is_zero():
-                raise InvalidSpec("eigenvalues must be nonzero")
-        elif self.lam == 0:
+        if self.lam == 0:
             raise InvalidSpec("eigenvalues must be nonzero")
 
     @property

@@ -16,8 +16,6 @@ from .core import (
     FLOAT,
     Matrix,
     _check_operands,
-    _int_product,
-    _int_rep_eq,
     _square,
     approx_eq,
     in_tau,
@@ -42,13 +40,13 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     Both arguments must be square (NonSquare), then of one mode
     (ModeMismatch) and one size (ShapeMismatch), as for every product
     predicate, and have index <= 1 (the order is only defined there);
-    raises IndexTooLarge otherwise, for the first argument first.  Exact
-    mode compares integer forms: an exact matrix keeps its index verdict
-    and its square once they are made, so a sweep that asks about one
-    matrix again pays for neither twice.  Float mode keeps the squares too
-    (index_le_one's rule, rank(A^2) = rank(A), cuts their kept singular
-    values at tol on every call), so a fixed B is squared and decomposed
-    once over any number of calls; it compares by approx_eq.
+    raises IndexTooLarge otherwise, for the first argument first.  The
+    class's _is_product decides A^2 = AB = BA.  An exact matrix keeps its
+    index verdict and its square once they are made, so a sweep that asks
+    about one matrix again pays for neither twice.  A float matrix keeps
+    its square too (index_le_one's rule, rank(A^2) = rank(A), cuts their
+    kept singular values at tol on every call), so a fixed B is squared and
+    decomposed once over any number of calls.
     """
     a.require_square()
     b.require_square()
@@ -58,9 +56,7 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
         raise IndexTooLarge("first argument has index > 1")
     if not index_le_one(b, tol):
         raise IndexTooLarge("second argument has index > 1")
-    if a.mode == EXACT:
-        return _int_rep_eq(a2, _int_product(a, b)) and _int_rep_eq(a2, _int_product(b, a))
-    return approx_eq(a2, a @ b, tol) and approx_eq(a2, b @ a, tol)
+    return a2._is_product(a, b, tol) and a2._is_product(b, a, tol)
 
 
 def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
@@ -132,13 +128,10 @@ def psi_inv(t: Matrix, p: Matrix) -> Matrix:
 
 
 def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
-    """Projector order: T1 = T1 T2 = T2 T1, decided on integer forms in
-    exact mode and by approx_eq in float mode."""
+    """Projector order: T1 = T1 T2 = T2 T1, decided by the class's
+    _is_product."""
     _check_operands(t1, t2)
-    if t1.mode == EXACT:
-        r1 = t1._intform
-        return _int_rep_eq(r1, _int_product(t1, t2)) and _int_rep_eq(r1, _int_product(t2, t1))
-    return approx_eq(t1, t1 @ t2, tol) and approx_eq(t1, t2 @ t1, tol)
+    return t1._is_product(t1, t2, tol) and t1._is_product(t2, t1, tol)
 
 
 def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int):

@@ -29,7 +29,7 @@ from sharporder.commutant import (
     block_choice_projector,
     random_commutant_element,
 )
-from sharporder.core import scalar_from_obj, scalar_to_obj
+from sharporder.core import in_tau, scalar_from_obj, scalar_to_obj
 from sharporder.errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta,
                                ShapeMismatch)
 from sharporder.sharp import proj_leq
@@ -563,3 +563,26 @@ def test_projector_json_rejects_a_non_idempotent_grid(mode):
     # a wrong shape is still malformed input, reported before idempotence
     with pytest.raises(MalformedInput):
         projector_from_obj({"spec": projector_to_obj(cp)["spec"], "blocks": []})
+
+
+@pytest.mark.parametrize("rows, idempotent", [
+    ([[2, 1e200], [0, 0]], False),
+    ([[1, 1e160], [0, 1e-3]], False),
+    ([[1, 1e200], [0, 0]], True),
+])
+def test_projectors_whose_norm_overflows(rows, idempotent):
+    # ||T||_F overflows, so the bound rel * ||T||_F^2 would pass every finite
+    # ||T T - T||_F; every float projector check decides by approx_eq's rule
+    # between T T and T there.  J = I for two 1x1 blocks of one eigenvalue,
+    # so every 2x2 matrix is in its commutant
+    t = Matrix.floating(rows)
+    spec = make_spec([(1, [1, 1])], mode=FLOAT)
+    assert is_projector(t) == idempotent
+    assert in_tau(t, Matrix.identity(2, FLOAT)) == idempotent
+    assert delta_membership(t, spec) == idempotent
+    obj = projector_to_obj(CommutantProjector.read(spec, t))
+    if idempotent:
+        assert projector_from_obj(obj).expand() == t
+    else:
+        with pytest.raises(NotInDelta):
+            projector_from_obj(obj)

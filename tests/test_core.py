@@ -317,18 +317,23 @@ def test_exact_matrix_keeps_inverse():
 
 
 def _set_slots(m):
-    return {s for s in Matrix.__slots__ if hasattr(m, s)}
+    return {s for s in Matrix.__slots__ + type(m).__slots__ if hasattr(m, s)}
 
 
 def test_exact_matrix_stores_only_its_integer_form():
     # an entry is made from the integer form on every read, and reading
     # entries keeps nothing on the matrix
     m = Matrix.exact([[(0, 1), "1/2"], [3, 0]])
-    assert _set_slots(m) == {"rows", "cols", "mode", "_intform"}
+    assert _set_slots(m) == {"rows", "cols", "_intform"}
     assert m[0, 1] == QQi("1/2") and m.row(1) == [QQi(3), QQi(0)]
     assert matrix_to_obj(m)["entries"][0] == ["0/1", "1/1"]
-    assert _set_slots(m) == {"rows", "cols", "mode", "_intform"}
-    assert _set_slots(Matrix.identity(2, FLOAT)) == {"rows", "cols", "mode", "_a"}
+    assert _set_slots(m) == {"rows", "cols", "_intform"}
+    # a fresh float matrix holds only its array, and neither class has a
+    # slot for the other's representation; the mode is the class's
+    f = Matrix.floating([[1, 2j], [0, 3]])
+    assert _set_slots(f) == {"rows", "cols", "_a"}
+    assert "_a" not in type(m).__slots__ and "_intform" not in type(f).__slots__
+    assert (m.mode, f.mode) == (EXACT, FLOAT) and "mode" not in Matrix.__slots__
 
 
 E2, F2 = Matrix.identity(2), Matrix.identity(2, FLOAT)
@@ -387,12 +392,33 @@ entry = st.integers(min_value=-4, max_value=4)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_rank_agrees_across_modes_and_transpose(nr, nc, data):
-    rows = data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
-                              min_size=nr, max_size=nr))
-    m = Matrix.exact(rows)
+    def draw():
+        return Matrix.exact(data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                                               min_size=nr, max_size=nr)))
+
+    m = draw()
     rk = m.rank()
     assert m.T.rank() == rk
     assert m.to_float().rank() == rk
+    # every method of the shared interface gives on m.to_float() the float
+    # image of its exact result, within the tolerance
+    o, s = draw(), QQi("1/3", -2)
+    f, g = m.to_float(), o.to_float()
+    k = min(nr, nc)
+    for exact, image in [(m + o, f + g), (m - o, f - g), (-m, -f), (m.scale(s), f.scale(complex(s))),
+                         (m @ o.H, f @ g.H), (m.H, f.H), (m.T, f.T),
+                         (m.block(1 % nr, nr, 0, k), f.block(1 % nr, nr, 0, k))]:
+        assert approx_eq(exact.to_float(), image)
+    assert approx_eq(m, o) == approx_eq(f, g)
+    for x in (m, m @ m.H, m.block(0, k, 0, k), m.block(0, k, 0, k) @ o.block(0, k, 0, k)):
+        xf = x.to_float()
+        assert xf.rank() == x.rank() and xf.is_zero() == x.is_zero()
+        assert abs(xf.fro() - x.fro()) <= 1e-12 * x.fro()
+        if x.is_square:
+            assert abs(xf.trace() - complex(x.trace())) <= 1e-12 * x.fro()
+            assert is_projector(xf) == is_projector(x)
+            if x.rank() == x.rows:
+                assert approx_eq(x.inverse().to_float(), xf.inverse())
 
 
 def test_projector_rank_equals_trace():

@@ -27,7 +27,7 @@ from sharporder import (
     matrix_to_obj,
     moore_penrose,
 )
-from sharporder.core import _bareiss, _solve
+from sharporder.core import ExactMatrix, _bareiss, _solve
 from sharporder.errors import IndexTooLarge, SingularMatrix
 from sharporder.ginv import index_le_one
 from sharporder.scalars import QQi
@@ -382,7 +382,7 @@ def test_moore_penrose_matches_sympy_pinv(nr, nc, k):
 def test_index_le_one_matches_sympy(m):
     dm = _to_sympy(m)
     # a fresh copy keeps no verdict yet, so this call decides by elimination
-    fresh = Matrix(m.rows, m.cols, EXACT, m._intform)
+    fresh = ExactMatrix(m.rows, m.cols, m._intform)
     assert not hasattr(fresh, "_index1")
     assert index_le_one(fresh) == (dm.matmul(dm).rank() == dm.rank())
 

@@ -3,6 +3,7 @@ defining module holds, and each imported on its first read only (PEP 562),
 so that `import sharporder` loads no submodule."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -81,3 +82,25 @@ def test_import_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert json.loads(proc.stdout) == ["sharporder"]
+
+
+# perfbench/tracer.py wraps its traced functions and Matrix methods by name
+# and skips a name the package no longer has, whose span then reads 0 with
+# no error.  core.rref_exact traces core.exact_rref, which the forward-only
+# elimination replaced; it is the one stale name allowed, until the tracer
+# drops it
+STALE_SPANS = {"core.rref_exact"}
+
+
+def test_traced_names_resolve():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert {span for span, module, attr in tracer.FUNCTIONS
+            if not hasattr(importlib.import_module(f"sharporder.{module}"), attr)} <= STALE_SPANS
+    # on the base, and not overridden, or the wrapper is never called
+    matrix = importlib.import_module("sharporder.core").Matrix
+    assert [attr for attr, _, _ in tracer.METHODS if attr not in matrix.__dict__] == []
+    assert [(cls.__name__, attr) for cls in matrix.__subclasses__()
+            for attr, _, _ in tracer.METHODS if attr in cls.__dict__] == []

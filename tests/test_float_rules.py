@@ -6,7 +6,8 @@ form of their rule that needs one norm fewer: ||x - y|| <= rel * max(1, ||x||)
 for closeness and ||T T - T|| <= rel for idempotence.  Only a near miss or
 a non-finite norm takes the full rule.  The reference below is the full
 rule alone, as each predicate decided it before the acceptance was added:
-three norms per closeness test and two per idempotence test.  Every verdict
+three norms per closeness test and two per idempotence test, and where
+||T|| overflows, the closeness rule between T T and T.  Every verdict
 must agree, and every error must be of the same type.  Warnings are errors
 here, as in the rest of the suite, and count as outcomes: an overflow or an
 inf - inf that only the one-norm form meets fails the test."""
@@ -50,7 +51,12 @@ def ref_close(x, y, tol):
 
 
 def ref_is_projector(t, tol):
-    return ref_fro(t @ t - t) <= tol.rel * max(1.0, ref_fro(t) ** 2)
+    nt = ref_fro(t)
+    if isfinite(nt) or not np.isfinite(t).all():
+        return ref_fro(t @ t - t) <= tol.rel * max(1.0, nt ** 2)
+    # ||T|| overflowed: approx_eq's rule between T T and T
+    tt = t @ t
+    return bool(np.isfinite(tt).all()) and ref_close(tt, t, tol)
 
 
 def ref_in_tau(t, sk, tol):
