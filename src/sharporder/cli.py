@@ -1,42 +1,30 @@
 """Command-line front end: JSON in/out plus DOT rendering.
 
 Exit codes: 0 success (and "true" for check-style commands), 1 for a
-negative check result, 2 for malformed input, 3 for violated preconditions.
-Machine-readable errors go to stderr as {"error": code}.
+negative check result, 2 for malformed input or a usage error, 3 for
+violated preconditions.  Machine-readable errors go to stderr as
+{"error": code}; a usage error prints argparse's message there.
 
 A process runs one command, so each command imports the modules it runs in
-its own body: a process loads and compiles those only.
+its own body: a process loads and compiles those only.  The parser is the
+standard library's argparse, which loads faster than a third-party one.
 """
 
-import functools
+import argparse
 import json
 import sys
-
-import click
 
 from .core import DEFAULT_TOL, Matrix, Tolerance, matrix_from_obj, matrix_to_obj
 from .errors import MalformedInput, PrecondViolated, SharpOrderError
 
 
 def _emit(obj):
-    click.echo(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True))
 
 
 def _fail(exc: SharpOrderError, code: int):
-    click.echo(json.dumps({"error": exc.code}, sort_keys=True), err=True)
+    print(json.dumps({"error": exc.code}, sort_keys=True), file=sys.stderr)
     sys.exit(code)
-
-
-def handle_errors(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except MalformedInput as exc:
-            _fail(exc, 2)
-        except SharpOrderError as exc:
-            _fail(exc, 3)
-    return wrapper
 
 
 def _load_json(path):
@@ -58,20 +46,6 @@ def _load_spec(path):
     return spec_from_obj(_load_json(path))
 
 
-def _tol_option(f):
-    """The --tol and --rank-threshold options, handed to the command as one
-    Tolerance named tol, and handle_errors around both: a bad value exits 2."""
-    @functools.wraps(f)
-    def with_tol(*args, tol, rank_threshold, **kwargs):
-        return f(*args, tol=Tolerance(rel=tol, rank_threshold_factor=rank_threshold), **kwargs)
-
-    command = click.option("--tol", type=float, default=DEFAULT_TOL.rel, show_default=True,
-                           help="relative comparison tolerance")(handle_errors(with_tol))
-    return click.option("--rank-threshold", type=float,
-                        default=DEFAULT_TOL.rank_threshold_factor, show_default=True,
-                        help="rank cutoff as a fraction of the top singular value")(command)
-
-
 def _downset_setup(b_path, spec_path, tol):
     """Shared plumbing: decompose B, check the spec matches its core block."""
     from .hs import hs_decompose
@@ -87,23 +61,10 @@ def _downset_setup(b_path, spec_path, tol):
     return b, spec, d
 
 
-@click.group()
-def main():
-    """Computations around the sharp partial order on index <= 1 matrices."""
-
-
 # ----------------------------------------------------------------------
-# decompose / inverse / check
+# the command bodies, each called with its options by their dest names
 
 
-@main.group()
-def decompose():
-    """Matrix decompositions."""
-
-
-@decompose.command("hs")
-@click.option("--in", "in_path", required=True, type=click.Path())
-@_tol_option
 def decompose_hs(in_path, tol):
     from .hs import hs_decompose, hs_to_obj
 
@@ -111,10 +72,6 @@ def decompose_hs(in_path, tol):
     _emit(hs_to_obj(d))
 
 
-@main.command()
-@click.argument("kind", type=click.Choice(["group", "mp"]))
-@click.option("--in", "in_path", required=True, type=click.Path())
-@_tol_option
 def inverse(kind, in_path, tol):
     from .ginv import group_inverse, moore_penrose
 
@@ -123,15 +80,6 @@ def inverse(kind, in_path, tol):
     _emit(matrix_to_obj(out))
 
 
-@main.group()
-def check():
-    """Predicates with exit-code results."""
-
-
-@check.command("order")
-@click.option("--a", "a_path", required=True, type=click.Path())
-@click.option("--b", "b_path", required=True, type=click.Path())
-@_tol_option
 def check_order(a_path, b_path, tol):
     from .sharp import sharp_leq
 
@@ -140,28 +88,12 @@ def check_order(a_path, b_path, tol):
     sys.exit(0 if leq else 1)
 
 
-# ----------------------------------------------------------------------
-# downset
-
-
-@main.group()
-def downset():
-    """Structure of the down-set [O, B]."""
-
-
-@downset.command("classify")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@handle_errors
 def downset_classify(spec_path):
     from .lattice import classify_downset
 
     _emit(classify_downset(_load_spec(spec_path)).to_obj())
 
 
-@downset.command("boolean")
-@click.option("--b", "b_path", required=True, type=click.Path())
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@_tol_option
 def downset_boolean(b_path, spec_path, tol):
     from .commutant import center_choices
     from .sharp import phi_inv_stack, psi_choices
@@ -171,11 +103,6 @@ def downset_boolean(b_path, spec_path, tol):
     _emit([matrix_to_obj(a) for a in phi_inv_stack(centers, d, tol)])
 
 
-@downset.command("sample")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=1, show_default=True)
-@handle_errors
 def downset_sample(spec_path, seed, count):
     from .commutant import projector_to_obj, sample_delta_projector
 
@@ -187,10 +114,6 @@ def downset_sample(spec_path, seed, count):
     _emit(out)
 
 
-@downset.command("chain")
-@click.option("--b", "b_path", required=True, type=click.Path())
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@_tol_option
 def downset_chain(b_path, spec_path, tol):
     from .lattice import max_chain
 
@@ -198,18 +121,6 @@ def downset_chain(b_path, spec_path, tol):
     _emit([matrix_to_obj(m) for m in max_chain(d, spec, tol)])
 
 
-# ----------------------------------------------------------------------
-# witnesses and counterexamples
-
-
-@main.group()
-def witness():
-    """Constructive witnesses."""
-
-
-@witness.command("nonlattice")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@_tol_option
 def witness_nonlattice(spec_path, tol):
     from .lattice import non_lattice_witness, witness_relations
 
@@ -218,13 +129,6 @@ def witness_nonlattice(spec_path, tol):
     _emit({**out, "relations": witness_relations(*quad, tol)})
 
 
-@main.group()
-def refute():
-    """Counterexamples."""
-
-
-@refute.command("conjecture")
-@handle_errors
 def refute_conjecture():
     from .sharp import conjecture_refutation
 
@@ -232,10 +136,6 @@ def refute_conjecture():
     _emit({"B": matrix_to_obj(b), "A": matrix_to_obj(a), "report": report})
 
 
-@main.command()
-@click.option("--b1", "b1_path", required=True, type=click.Path())
-@click.option("--b2", "b2_path", required=True, type=click.Path())
-@handle_errors
 def meet2(b1_path, b2_path):
     from .lattice import meet_in_c2
 
@@ -243,19 +143,6 @@ def meet2(b1_path, b2_path):
     _emit(matrix_to_obj(m))
 
 
-# ----------------------------------------------------------------------
-# equations
-
-
-@main.group()
-def equations():
-    """Solution families of {BX=XB, X^2=X} and related systems."""
-
-
-@equations.command("count")
-@click.option("--b", "b_path", required=True, type=click.Path())
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@_tol_option
 def equations_count(b_path, spec_path, tol):
     from .equations import count_solutions
 
@@ -263,10 +150,6 @@ def equations_count(b_path, spec_path, tol):
     _emit({"count": count_solutions(d, spec, tol)})
 
 
-@equations.command("solve")
-@click.option("--b", "b_path", required=True, type=click.Path())
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@_tol_option
 def equations_solve(b_path, spec_path, tol):
     from .equations import finite_solutions, verify_power_commute
 
@@ -282,16 +165,6 @@ def equations_solve(b_path, spec_path, tol):
     _emit({"count": len(members), "solutions": [matrix_to_obj(s) for s in members]})
 
 
-# ----------------------------------------------------------------------
-# hasse
-
-
-@main.command("hasse")
-@click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--antichain-samples", type=int, default=3, show_default=True)
-@handle_errors
 def hasse_cmd(spec_path, out_path, seed, antichain_samples):
     from .hasse import hasse_dot
 
@@ -303,6 +176,126 @@ def hasse_cmd(spec_path, out_path, seed, antichain_samples):
     except OSError as exc:
         raise MalformedInput(f"cannot write {out_path}: {exc}") from exc
     _emit({"written": out_path})
+
+
+# ----------------------------------------------------------------------
+# the parser
+
+
+_TOL = "TOL"
+
+# name and description of each group
+_GROUPS = (
+    ("decompose", "Matrix decompositions."),
+    ("check", "Predicates with exit-code results."),
+    ("downset", "Structure of the down-set [O, B]."),
+    ("witness", "Constructive witnesses."),
+    ("refute", "Counterexamples."),
+    ("equations", "Solution families of {BX=XB, X^2=X} and related systems."),
+)
+
+# group (None: a top-level command), name, options (see _add_options),
+# description, body
+_COMMANDS = (
+    ("decompose", "hs", ("--in", _TOL), "Hartwig-Spindelboeck decomposition of a matrix.",
+     decompose_hs),
+    (None, "inverse", ("kind", "--in", _TOL), "Group or Moore-Penrose inverse of a matrix.",
+     inverse),
+    ("check", "order", ("--a", "--b", _TOL), "Whether A <= B: exit 0 if so, 1 if not.",
+     check_order),
+    ("downset", "classify", ("--spec",), "Lattice structure of [O, B] from the Jordan data.",
+     downset_classify),
+    ("downset", "boolean", ("--b", "--spec", _TOL), "The Boolean centre of [O, B].",
+     downset_boolean),
+    ("downset", "sample", ("--spec", "--seed=0", "--count=1"),
+     "Seeded random projectors commuting with J.", downset_sample),
+    ("downset", "chain", ("--b", "--spec", _TOL), "A maximal chain from O to B.",
+     downset_chain),
+    ("witness", "nonlattice", ("--spec", _TOL), "Four matrices showing [O, B] is no lattice.",
+     witness_nonlattice),
+    ("refute", "conjecture", (), "A predecessor of B = I that is not diagonal.",
+     refute_conjecture),
+    (None, "meet2", ("--b1", "--b2"), "The meet of two 2x2 matrices.", meet2),
+    ("equations", "count", ("--b", "--spec", _TOL), "Number of solutions of BX=XB, X^2=X.",
+     equations_count),
+    ("equations", "solve", ("--b", "--spec", _TOL), "The solutions of BX=XB, X^2=X.",
+     equations_solve),
+    (None, "hasse", ("--spec", "--out", "--seed=0", "--antichain-samples=3"),
+     "Hasse-diagram skeleton of [O, B] as DOT.", hasse_cmd),
+)
+
+
+def _add_options(parser, options):
+    """Add a command's options: "kind", the inverse's kind; "--x", a
+    required path, handed to the body as x_path; "--x=N", an int with
+    default N; _TOL, --tol and --rank-threshold, handed to the body as one
+    Tolerance named tol."""
+    for option in options:
+        name, _, default = option.partition("=")
+        if option == "kind":
+            parser.add_argument(option, choices=("group", "mp"))
+        elif option == _TOL:
+            parser.add_argument("--tol", type=float, default=DEFAULT_TOL.rel,
+                                help="relative comparison tolerance (default: %(default)s)")
+            parser.add_argument("--rank-threshold", type=float,
+                                default=DEFAULT_TOL.rank_threshold_factor,
+                                help="rank cutoff as a fraction of the top singular value "
+                                     "(default: %(default)s)")
+        elif default:
+            parser.add_argument(name, type=int, default=int(default),
+                                help="(default: %(default)s)")
+        else:
+            parser.add_argument(name, dest=f"{name[2:]}_path", required=True, metavar="PATH")
+
+
+def _parser(prog, first):
+    """The parser of the commands under first, the first argument, when it
+    names a group or a top-level command, else of all 13; a command's parser
+    names its body.  The parse is the same either way: building the other
+    commands' parsers would only cost each process a few milliseconds."""
+    def commands(parser):
+        return parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    root = argparse.ArgumentParser(prog=prog, allow_abbrev=False, description=(
+        "Computations around the sharp partial order on index <= 1 matrices."))
+    top = commands(root)
+    groups = {}
+    for group, name, options, help, body in (
+            [row for row in _COMMANDS if (row[0] or row[1]) == first] or _COMMANDS):
+        if group is not None and group not in groups:
+            about = dict(_GROUPS)[group]
+            groups[group] = commands(top.add_parser(group, help=about, description=about,
+                                                    allow_abbrev=False))
+        parser = groups[group] if group else top
+        command = parser.add_parser(name, help=help, description=help, allow_abbrev=False)
+        _add_options(command, options)
+        command.set_defaults(body=body)
+    return root
+
+
+def main(args=None, prog_name=None):
+    """Run the command that args (by default sys.argv[1:]) name, and exit
+    with its code."""
+    args = sys.argv[1:] if args is None else list(args)
+    kwargs = vars(_parser(prog_name or main.name, args[0] if args else None).parse_args(args))
+    del kwargs["command"]
+    body = kwargs.pop("body")
+    try:
+        if "tol" in kwargs:
+            kwargs["tol"] = Tolerance(rel=kwargs["tol"],
+                                      rank_threshold_factor=kwargs.pop("rank_threshold"))
+        body(**kwargs)
+    except MalformedInput as exc:
+        _fail(exc, 2)
+    except SharpOrderError as exc:
+        _fail(exc, 3)
+    sys.exit(0)
+
+
+# click.testing.CliRunner().invoke(main, argv) runs main.main(args=argv,
+# prog_name=main.name), so a test can run a command in the process
+main.main = main
+main.name = "sharporder"
 
 
 if __name__ == "__main__":

@@ -483,8 +483,13 @@ class FloatMatrix(Matrix):
 
 
 def _backend(mode):
-    """The class of a mode string: the one place a mode string picks one."""
-    return FloatMatrix if mode == FLOAT else ExactMatrix
+    """The class of a mode string: the one place a mode string picks one.
+    MalformedInput for a string that is neither mode."""
+    if mode == FLOAT:
+        return FloatMatrix
+    if mode == EXACT:
+        return ExactMatrix
+    raise MalformedInput(f"unknown mode {mode!r}")
 
 
 def _scalar_over(d):
@@ -514,13 +519,17 @@ def _fro(a):
         return inf
 
 
-# the overflow _fro reads as inf is decided, so numpy's warning of it is
-# noise on stderr: ignored when it comes from this module (whose only dot is
-# _fro's).  The filter goes last, so a caller's own filter, "error" among
-# them, still wins; filtering costs the finite path nothing, where an
-# errstate block would double _fro's time
+# the overflow _fro reads as inf is decided, and so is the square of a
+# finite T that overflows in _projector_flags, so numpy's warnings of them
+# are noise on stderr: ignored when they come from this module, whose only
+# dot is _fro's (the matmul filter quiets this module's other float products
+# too).  The filters go last, so a caller's own filter, "error" among them,
+# still wins; filtering costs the finite path nothing, where an errstate
+# block would double _fro's time
 warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
                         rf"{__name__}\Z", append=True)
+warnings.filterwarnings("ignore", "(overflow|invalid value) encountered in matmul",
+                        RuntimeWarning, rf"{__name__}\Z", append=True)
 
 
 # ----------------------------------------------------------------------
@@ -788,8 +797,19 @@ def _projector_flags(ts, tol):
     """Whether each slice T of a (k, r, r) complex stack is a projector, by
     is_projector's float rule ||T T - T||_F <= rel * max(1, ||T||_F^2),
     accepted on ||T T - T||_F <= rel before ||T||_F is taken; the products
-    T T in one batched product, their norms by one _fros."""
-    tts = ts @ ts
+    T T in one batched product, their norms by one _fros.  Where a finite
+    T T overflows, it holds an infinity or NaN, which _near_projector
+    rejects, so numpy's warning of it is not raised where warnings are
+    errors (and the module's filter ignores it elsewhere)."""
+    try:
+        tts = ts @ ts
+    except RuntimeWarning:
+        import numpy as np
+
+        if not np.isfinite(ts).all():
+            raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            tts = ts @ ts
     return [d <= tol.rel or _near_projector(t, tt, d, tol)
             for t, tt, d in zip(ts, tts, _fros(tts - ts))]
 
@@ -956,16 +976,14 @@ def matrix_from_obj(obj) -> Matrix:
         mode, rows, cols, entries = obj["mode"], obj["rows"], obj["cols"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad matrix object: {exc}") from exc
-    if mode not in (EXACT, FLOAT):
-        raise MalformedInput(f"unknown mode {mode!r}")
+    backend = _backend(mode)
     # bool is an int subclass, so JSON true must be ruled out by type
     if not all(type(n) is int and n >= 0 for n in (rows, cols)):
         raise MalformedInput("rows and cols must be non-negative integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MalformedInput("entries length does not match rows*cols")
     flat = [scalar_from_obj(e, mode) for e in entries]
-    return Matrix.from_entries(rows, cols, ((k // cols, k % cols, x) for k, x in enumerate(flat)),
-                               mode)
+    return backend._filled(rows, cols, ((k // cols, k % cols, x) for k, x in enumerate(flat)))
 
 
 def matrix_dumps(m: Matrix) -> str:

@@ -372,9 +372,9 @@ def test_byte_identical_repeat(runner, files):
     assert a == b
 
 
-# runs the CLI in a fresh interpreter, then prints whether numpy was imported
-# and, as JSON, the sorted sharporder.* modules it loaded: the last two lines
-# of stdout
+# runs the CLI in a fresh interpreter, then prints whether numpy and click
+# were imported and, as JSON, the sorted sharporder.* modules it loaded: the
+# last three lines of stdout
 _IMPORT_PROBE = """
 import json, runpy, sys
 sys.argv[0] = "sharporder.cli"
@@ -382,20 +382,23 @@ try:
     runpy.run_module("sharporder.cli", run_name="__main__")
 finally:
     print("numpy" in sys.modules)
+    print("click" in sys.modules)
     print(json.dumps(sorted(m for m in sys.modules if m.startswith("sharporder."))))
 """
 
 
 def run_fresh(argv, cwd):
-    """(exit code, stdout, stderr, whether numpy was loaded, the sharporder
-    modules loaded) of the CLI run on argv in a fresh interpreter."""
+    """(exit code, stdout, stderr, whether numpy was loaded, whether click
+    was loaded, the sharporder modules loaded) of the CLI run on argv in a
+    fresh interpreter."""
     src = str(Path(sharporder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
-    *out, flag, modules = proc.stdout.splitlines(keepends=True)
-    return proc.returncode, "".join(out), proc.stderr, flag == "True\n", json.loads(modules)
+    *out, numpy_flag, click_flag, modules = proc.stdout.splitlines(keepends=True)
+    return (proc.returncode, "".join(out), proc.stderr, numpy_flag == "True\n",
+            click_flag == "True\n", json.loads(modules))
 
 
 @pytest.mark.parametrize("args, code, numpy_loaded", [
@@ -413,7 +416,7 @@ def run_fresh(argv, cwd):
         "malformed", "decompose-float"])
 def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_loaded):
     argv = [a.format(**files) for a in args]
-    got, out, err, loaded, _ = run_fresh(argv, files["tmp"])
+    got, out, err, loaded, _, _ = run_fresh(argv, files["tmp"])
     assert got == code
     assert loaded == numpy_loaded
     if code:
@@ -470,16 +473,63 @@ def test_each_command_in_a_fresh_interpreter(runner, files, args, code, modules)
     # a CliRunner test passes without a command's own import once another
     # test has imported the module; a fresh interpreter has imported nothing
     argv = [a.format(**files) for a in args]
-    got, out, err, _, loaded = run_fresh(argv, files["tmp"])
+    got, out, err, _, click_loaded, loaded = run_fresh(argv, files["tmp"])
     res = runner.invoke(main, argv)
     assert (got, out, err) == (res.exit_code, res.stdout, res.stderr)
     assert got == code
+    assert not click_loaded
     assert loaded == sorted(f"sharporder.{m}" for m in modules)
     # only the equations commands load equations, only hasse loads hasse,
     # and no command loads the brute-force oracle
     assert ("sharporder.equations" in loaded) == (argv[0] == "equations")
     assert ("sharporder.hasse" in loaded) == (argv[0] == "hasse")
     assert "sharporder.oracle" not in loaded
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["frobnicate"],
+    ["downset"],
+    ["inverse", "mp"],
+    ["check", "order", "--a", "{A}", "--b", "{B}", "--tol", "abc"],
+    # no option is matched by a prefix of its name
+    ["decompose", "hs", "--in", "{B}", "--rank", "1e-6"],
+], ids=["no-command", "unknown-command", "no-subcommand", "missing-option", "tol-not-a-number",
+        "abbreviated-option"])
+def test_usage_error_exit_2(runner, files, args):
+    # argparse's usage and message on stderr, the same message in a fresh
+    # interpreter and in the process (the usage is wrapped to the terminal),
+    # and nothing on stdout
+    argv = [a.format(**files) for a in args]
+    got, out, err, _, click_loaded, _ = run_fresh(argv, files["tmp"])
+    res = runner.invoke(main, argv)
+    assert (got, out) == (res.exit_code, res.stdout) == (2, "")
+    assert err.startswith("usage: sharporder") and res.stderr.startswith("usage: sharporder")
+    assert err.splitlines()[-1] == res.stderr.splitlines()[-1]
+    assert ": error: " in err
+    assert not click_loaded
+
+
+def test_help_lists_every_command(runner):
+    top = runner.invoke(main, ["--help"])
+    assert (top.exit_code, top.stderr) == (0, "")
+    for name in ("decompose", "inverse", "check", "downset", "witness", "refute", "meet2",
+                 "equations", "hasse"):
+        assert f"    {name}" in top.stdout
+    for name in ("inverse", "meet2", "hasse"):
+        res = runner.invoke(main, [name, "--help"])
+        assert res.exit_code == 0 and res.stdout.startswith(f"usage: sharporder {name}")
+    for group, names in [("decompose", ["hs"]), ("check", ["order"]),
+                         ("downset", ["classify", "boolean", "sample", "chain"]),
+                         ("witness", ["nonlattice"]), ("refute", ["conjecture"]),
+                         ("equations", ["count", "solve"])]:
+        res = runner.invoke(main, [group, "-h"])
+        assert (res.exit_code, res.stderr) == (0, "")
+        assert all(f"    {name}" in res.stdout for name in names)
+        for name in names:
+            res = runner.invoke(main, [group, name, "--help"])
+            assert res.exit_code == 0
+            assert res.stdout.startswith(f"usage: sharporder {group} {name}")
 
 
 def test_non_ep_b_equations_and_boolean(runner, tmp_path):

@@ -569,12 +569,14 @@ def test_projector_json_rejects_a_non_idempotent_grid(mode):
     ([[2, 1e200], [0, 0]], False),
     ([[1, 1e160], [0, 1e-3]], False),
     ([[1, 1e200], [0, 0]], True),
+    ([[1e160, 0], [0, 0]], False),
 ])
 def test_projectors_whose_norm_overflows(rows, idempotent):
     # ||T||_F overflows, so the bound rel * ||T||_F^2 would pass every finite
     # ||T T - T||_F; every float projector check decides by approx_eq's rule
-    # between T T and T there.  J = I for two 1x1 blocks of one eigenvalue,
-    # so every 2x2 matrix is in its commutant
+    # between T T and T there.  For diag(1e160, 0), T T itself overflows,
+    # which numpy must not warn of.  J = I for two 1x1 blocks of one
+    # eigenvalue, so every 2x2 matrix is in its commutant
     t = Matrix.floating(rows)
     spec = make_spec([(1, [1, 1])], mode=FLOAT)
     assert is_projector(t) == idempotent

@@ -353,6 +353,7 @@ E2, F2 = Matrix.identity(2), Matrix.identity(2, FLOAT)
     pytest.param(lambda: QQi("1/0"), MalformedInput, id="qqi-zero-denominator"),
     pytest.param(lambda: QQi.coerce(1j), MalformedInput, id="qqi-float-complex"),
     pytest.param(lambda: QQi(1) / 0, ZeroDivisionError, id="qqi-divide-by-zero"),
+    pytest.param(lambda: Matrix.zeros(2, 2, "flaot"), MalformedInput, id="unknown-mode"),
 ])
 def test_matrix_and_scalar_errors(make, exc):
     with pytest.raises(exc):
