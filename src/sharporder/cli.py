@@ -248,20 +248,22 @@ def _add_options(parser, options):
             parser.add_argument(name, dest=f"{name[2:]}_path", required=True, metavar="PATH")
 
 
-def _parser(prog, first):
-    """The parser of the commands under first, the first argument, when it
-    names a group or a top-level command, else of all 13; a command's parser
-    names its body.  The parse is the same either way: building the other
-    commands' parsers would only cost each process a few milliseconds."""
+def _parser(prog, args):
+    """The parser of what args name: of one command when they name it (a
+    top-level command, or a group and one of its commands), of a group's
+    commands when they name the group only, else of all 13; a command's
+    parser names its body.  The parse is the same either way: building the
+    other commands' parsers would only cost each process some time."""
     def commands(parser):
         return parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
+    named = [row for row in _COMMANDS if [row[0] or row[1]] == args[:1]]
+    rows = [row for row in named if row[0] is None or args[1:2] == [row[1]]] or named or _COMMANDS
     root = argparse.ArgumentParser(prog=prog, allow_abbrev=False, description=(
         "Computations around the sharp partial order on index <= 1 matrices."))
     top = commands(root)
     groups = {}
-    for group, name, options, help, body in (
-            [row for row in _COMMANDS if (row[0] or row[1]) == first] or _COMMANDS):
+    for group, name, options, help, body in rows:
         if group is not None and group not in groups:
             about = dict(_GROUPS)[group]
             groups[group] = commands(top.add_parser(group, help=about, description=about,
@@ -273,11 +275,25 @@ def _parser(prog, first):
     return root
 
 
+def _join_float_options(args):
+    """args with each --tol and --rank-threshold joined to the value after
+    it, as --tol=-1e-3: argparse reads a separate value that starts with "-"
+    and is no plain decimal as an option, and a joined one as the value, so
+    the tolerance check rejects a negative one as malformed input."""
+    out = []
+    for arg in args:
+        if out and out[-1] in ("--tol", "--rank-threshold"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(args=None, prog_name=None):
     """Run the command that args (by default sys.argv[1:]) name, and exit
     with its code."""
-    args = sys.argv[1:] if args is None else list(args)
-    kwargs = vars(_parser(prog_name or main.name, args[0] if args else None).parse_args(args))
+    args = _join_float_options(sys.argv[1:] if args is None else args)
+    kwargs = vars(_parser(prog_name or main.name, args).parse_args(args))
     del kwargs["command"]
     body = kwargs.pop("body")
     try:

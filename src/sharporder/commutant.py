@@ -93,10 +93,12 @@ def _scattered(spec: JordanSpec, values, first=False):
     flattened r x r matrix.  One scatter over index arrays kept on the spec."""
     import numpy as np
 
+    from .floatmatrix import _wrap
+
     ix = _kept(spec, "_cullen_index", _cullen_index)
     a = np.zeros(spec.r ** 2, dtype=complex)
     a[ix[2]] = np.asarray(values)[ix[1 if first else 0]]
-    return Matrix._wrap(a.reshape(spec.r, spec.r))
+    return _wrap(a.reshape(spec.r, spec.r))
 
 
 def _cullen_index(spec: JordanSpec):
@@ -264,6 +266,18 @@ def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
     return Matrix.diag(_block_diagonal(spec, bits), spec.mode)
 
 
+def block_choice_stack(spec: JordanSpec, choices):
+    """The block-choice projectors of choices (each a list of bits, one per
+    Jordan block) as one (k, r, r) complex stack."""
+    import numpy as np
+
+    r = spec.r
+    keep = [_block_diagonal(spec, bits) for bits in choices]
+    e = np.zeros((len(keep), r, r), dtype=complex)
+    e.reshape(len(keep), r * r)[:, ::r + 1] = keep
+    return e
+
+
 def center_choices(spec: JordanSpec):
     """The block choices of the 2^s central projectors, one bit per Jordan
     block: bit j of the mask keeps or drops every block of eigenvalue j."""
@@ -325,11 +339,11 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
                 t = _delta_rows(spec, s, keep)
                 break
         elif s.rank(tol) == spec.r:
-            import numpy as np
+            from .floatmatrix import _wrap
 
-            e = np.diag(np.array(keep, dtype=complex))
-            return CommutantProjector.from_matrix(
-                spec, Matrix._wrap(s.array @ e @ s.inverse().array), tol)
+            # E = diag(keep): the columns of I that keep keeps
+            e = ident.array * keep
+            return CommutantProjector.from_matrix(spec, _wrap(s.array @ e @ s.inverse().array), tol)
     if not _idempotent_on_heads(spec, t):
         raise NotInDelta("matrix is not idempotent")
     return CommutantProjector(spec, None, t)

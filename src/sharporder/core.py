@@ -4,10 +4,15 @@ ExactMatrix (mode ``exact``) stores Gaussian rationals as one reduced integer
 form, Gaussian integers over their least positive common denominator; every
 exact operation runs on that form, an entry is read as a
 :class:`~sharporder.scalars.QQi`, and every predicate is decided exactly.
-FloatMatrix (mode ``float``) holds a complex128 numpy array, imported on
-first float use so exact-only callers never load numpy, and its predicates
-are tolerance-aware.  Their base, Matrix, holds the constructors and the one
-operand check; no method tests the mode.
+FloatMatrix (mode ``float``) holds a complex128 numpy array, and its
+predicates are tolerance-aware.  Their base, Matrix, holds the constructors
+and the one operand check; no method tests the mode.
+
+This module holds Matrix, ExactMatrix with the exact kernel, the predicates'
+operand checks, the SVD and the JSON codec.  FloatMatrix and its tolerance
+rules live in sharporder.floatmatrix, which this module imports on first
+float use (a float constructor, the mode lookup of a float mode string, an
+SVD), as it imports numpy: exact-only callers compile neither.
 
 Values are immutable and operations pure, so matrices can be shared across
 threads.  A fact derived from a value (its square and inverse; an exact
@@ -21,10 +26,9 @@ tolerance of each call.
 
 import cmath
 import json
-import warnings
 from fractions import Fraction
 from itertools import chain
-from math import gcd, inf, isfinite, lcm, sqrt
+from math import gcd, lcm
 
 from .errors import (
     MalformedInput,
@@ -139,6 +143,8 @@ class Matrix(_Frozen):
         (always a copy, so later writes to the input cannot reach it)."""
         import numpy as np
 
+        from .floatmatrix import _wrap
+
         if isinstance(rows, (list, tuple)) and len(
                 {len(r) if isinstance(r, (list, tuple, np.ndarray)) else None for r in rows}) > 1:
             raise ShapeMismatch("ragged rows")
@@ -147,22 +153,7 @@ class Matrix(_Frozen):
             a = a.reshape(1, -1)
         if a.ndim != 2:
             raise ShapeMismatch("expected a 2-d array")
-        return Matrix._wrap(a)
-
-    @staticmethod
-    def _wrap(a):
-        """Float matrix around a complex128 2-d array that no one else can
-        write to (a fresh result, or a view of a read-only one); no copy."""
-        a.setflags(write=False)
-        return FloatMatrix(a.shape[0], a.shape[1], a)
-
-    @staticmethod
-    def slices(stack):
-        """The float matrices of the slices of a (k, rows, cols) complex128
-        stack that no one else can write to: views of the stack, which is
-        made read-only, not copied."""
-        stack.setflags(write=False)
-        return [FloatMatrix(stack.shape[1], stack.shape[2], a) for a in stack]
+        return _wrap(a)
 
     @staticmethod
     def from_entries(rows, cols, entries, mode):
@@ -373,122 +364,16 @@ class ExactMatrix(Matrix):
                 and _int_rep_eq(_int_product(self, sk), _int_product(sk, self)))
 
 
-class FloatMatrix(Matrix):
-    """A complex128 matrix over a read-only numpy array, with the interface
-    of ExactMatrix; comparisons and rank cuts are made at a tolerance."""
-
-    mode = FLOAT
-    # _a is the complex128 array; _sq stays unset until _square makes it,
-    # _inv until inverse does, and _sv, _svd and _hs until _sigma, svd and
-    # hs.hs_decompose do
-    _rep = "_a"
-    __slots__ = ("_a", "_sq", "_inv", "_sv", "_svd", "_hs")
-
-    @staticmethod
-    def _filled(rows, cols, entries):
-        import numpy as np
-
-        a = np.zeros((rows, cols), dtype=complex)
-        for i, j, v in entries:
-            a[i, j] = complex(v)
-        return Matrix._wrap(a)
-
-    def row(self, i):
-        return [complex(x) for x in self._a[i]]
-
-    def block(self, i0, i1, j0, j1):
-        return Matrix._wrap(self._a[i0:i1, j0:j1])
-
-    @property
-    def array(self):
-        """The underlying complex128 array, read-only."""
-        return self._a
-
-    def _sum(self, other, sign):
-        return Matrix._wrap(self._a + other._a if sign > 0 else self._a - other._a)
-
-    def __neg__(self):
-        return Matrix._wrap(-self._a)
-
-    def scale(self, s):
-        return Matrix._wrap(complex(s) * self._a)
-
-    def _matmul(self, other):
-        return Matrix._wrap(self._a @ other._a)
-
-    @property
-    def H(self):
-        return Matrix._wrap(self._a.conj().T)
-
-    @property
-    def T(self):
-        return Matrix._wrap(self._a.T)
-
-    def trace(self):
-        self.require_square()
-        return complex(self._a.trace())
-
-    def fro(self):
-        return _fro(self._a)
-
-    def is_zero(self, tol=DEFAULT_TOL):
-        norm = self.fro()
-        if not isfinite(norm):
-            _require_finite(self._a, "is_zero")
-        return norm <= tol.rel
-
-    def to_float(self):
-        return self
-
-    # kernels, on operands already checked
-
-    def _same(self, other):
-        return bool((self._a == other._a).all())
-
-    def _near(self, other, tol):
-        return _close(self._a, other._a, tol)
-
-    def _key(self):
-        raise ModeMismatch("key() is exact-mode only")
-
-    def _rank(self, tol):
-        return numerical_rank(_kept(self, "_sv", _sigma), tol)
-
-    def _invert(self):
-        if not self.rows:
-            return self
-        import numpy as np
-
-        _require_finite(self._a, "inverse")
-        try:
-            inv = np.linalg.inv(self._a)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix(str(exc)) from exc
-        if not np.all(np.isfinite(inv)):
-            raise SingularMatrix("non-finite inverse")
-        return Matrix._wrap(inv)
-
-    def _squared(self):
-        return self @ self
-
-    def _is_product(self, y, z, tol):
-        """self = y z, by approx_eq's rule."""
-        return _close(self._a, (y @ z)._a, tol)
-
-    def _is_projector(self, tol):
-        return _projector_flags(self._a[None], tol)[0]
-
-    def _in_tau(self, sk, tol):
-        return outside_tau(self._a[None], sk._a, tol) is None
-
-
 def _backend(mode):
-    """The class of a mode string: the one place a mode string picks one.
-    MalformedInput for a string that is neither mode."""
-    if mode == FLOAT:
-        return FloatMatrix
+    """The class of a mode string: the one place a mode string picks one,
+    and so where a float one first imports the float backend.  MalformedInput
+    for a string that is neither mode."""
     if mode == EXACT:
         return ExactMatrix
+    if mode == FLOAT:
+        from .floatmatrix import FloatMatrix
+
+        return FloatMatrix
     raise MalformedInput(f"unknown mode {mode!r}")
 
 
@@ -497,39 +382,6 @@ def _scalar_over(d):
     to the QQi (re + im i) / d.  Equal pairs share one QQi."""
     made = {}
     return lambda p: made.get(p) or made.setdefault(p, QQi(Fraction(p[0], d), Fraction(p[1], d)))
-
-
-def _require_finite(a, what):
-    """Reject a complex array holding NaN or an infinity."""
-    import numpy as np
-
-    if not np.isfinite(a).all():
-        raise MalformedInput(f"{what} of a matrix with non-finite entries")
-
-
-def _fro(a):
-    """Frobenius norm of a complex array, summed term for term as
-    numpy.linalg.norm sums it, so the two agree bit for bit; inf when the
-    sums overflow, also where numpy's overflow warning is an error."""
-    x = a.ravel(order="K")
-    xr, xi = x.real, x.imag
-    try:
-        return sqrt(xr.dot(xr) + xi.dot(xi))
-    except RuntimeWarning:
-        return inf
-
-
-# the overflow _fro reads as inf is decided, and so is the square of a
-# finite T that overflows in _projector_flags, so numpy's warnings of them
-# are noise on stderr: ignored when they come from this module, whose only
-# dot is _fro's (the matmul filter quiets this module's other float products
-# too).  The filters go last, so a caller's own filter, "error" among them,
-# still wins; filtering costs the finite path nothing, where an errstate
-# block would double _fro's time
-warnings.filterwarnings("ignore", "overflow encountered in dot", RuntimeWarning,
-                        rf"{__name__}\Z", append=True)
-warnings.filterwarnings("ignore", "(overflow|invalid value) encountered in matmul",
-                        RuntimeWarning, rf"{__name__}\Z", append=True)
 
 
 # ----------------------------------------------------------------------
@@ -724,35 +576,6 @@ def approx_eq(x: Matrix, y: Matrix, tol=DEFAULT_TOL) -> bool:
     return x._near(y, tol)
 
 
-def _close(x, y, tol, nx=None, d=None):
-    """approx_eq's float rule on two complex arrays: ||x - y||_F <= rel *
-    max(1, ||x||_F, ||y||_F), decided on scaled copies when a norm
-    overflows; MalformedInput if either holds NaN or an infinity.
-
-    Its sufficient form ||x - y||_F <= rel * max(1, ||x||_F) accepts first,
-    on nx = ||x||_F and d = ||x - y||_F (taken here unless the caller has
-    them), so ||y||_F is taken only on a near miss.  A finite ||x||_F bounds
-    every part of x below 2^512, so x - y cannot overflow, and a non-finite
-    y makes d non-finite and takes the full rule."""
-    if nx is None:
-        nx = _fro(x)
-    if isfinite(nx):
-        if d is None:
-            d = _fro(x - y)
-        if d <= tol.rel * max(1.0, nx):
-            return True
-    ny = _fro(y)
-    if not (isfinite(nx) and isfinite(ny)):
-        _require_finite(x, "approx_eq")
-        _require_finite(y, "approx_eq")
-        # a norm overflowed: the same rule on copies scaled by the largest
-        # part of an entry, ||x/s - y/s|| <= rel * max(1/s, ||x/s||, ||y/s||)
-        s = max(float(abs(p).max()) for p in (x.real, x.imag, y.real, y.imag))
-        x, y = x / s, y / s
-        return _fro(x - y) <= tol.rel * max(1.0 / s, _fro(x), _fro(y))
-    return d <= tol.rel * max(1.0, nx, ny)
-
-
 def _check_operands(x: Matrix, y: Matrix, idempotent=False):
     """A product predicate's operand check: NonSquare when x is to be
     idempotent and is not square, then Matrix._check, with x and y square
@@ -776,78 +599,6 @@ def in_tau(t: Matrix, sk: Matrix, tol=DEFAULT_TOL) -> bool:
     looked at; float mode is the 1-stack of outside_tau."""
     _check_operands(t, sk, idempotent=True)
     return t._in_tau(sk, tol)
-
-
-def _fros(xs):
-    """[_fro(x) for x in xs], bit for bit, for a (k, ., .) complex stack of
-    C-contiguous slices: one batched dot product per part, which numpy's
-    matmul runs as _fro's dot (a one-slice stack takes _fro itself, which
-    is faster there).  An overflowed norm reads inf, as in _fro."""
-    import numpy as np
-
-    if len(xs) == 1:
-        return [_fro(xs[0])]
-    x = xs.reshape(len(xs), 1, xs.shape[1] * xs.shape[2])
-    xr, xi = x.real, x.imag
-    with np.errstate(over="ignore"):
-        return np.sqrt(xr @ xr.transpose(0, 2, 1) + xi @ xi.transpose(0, 2, 1)).ravel().tolist()
-
-
-def _projector_flags(ts, tol):
-    """Whether each slice T of a (k, r, r) complex stack is a projector, by
-    is_projector's float rule ||T T - T||_F <= rel * max(1, ||T||_F^2),
-    accepted on ||T T - T||_F <= rel before ||T||_F is taken; the products
-    T T in one batched product, their norms by one _fros.  Where a finite
-    T T overflows, it holds an infinity or NaN, which _near_projector
-    rejects, so numpy's warning of it is not raised where warnings are
-    errors (and the module's filter ignores it elsewhere)."""
-    try:
-        tts = ts @ ts
-    except RuntimeWarning:
-        import numpy as np
-
-        if not np.isfinite(ts).all():
-            raise
-        with np.errstate(over="ignore", invalid="ignore"):
-            tts = ts @ ts
-    return [d <= tol.rel or _near_projector(t, tt, d, tol)
-            for t, tt, d in zip(ts, tts, _fros(tts - ts))]
-
-
-def _near_projector(t, tt, d, tol):
-    """The full rule for one slice T, with tt = T T and d = ||T T - T||_F.
-    Where ||T||_F overflows, rel * ||T||_F^2 would pass every finite d, so a
-    finite T is decided there by approx_eq's rule between T T and T (an
-    infinite T T is not T)."""
-    import numpy as np
-
-    norm = _fro(t)
-    if isfinite(norm) or not np.isfinite(t).all():
-        return d <= tol.rel * max(1.0, norm ** 2)
-    return bool(np.isfinite(tt).all()) and _close(tt, t, tol)
-
-
-def outside_tau(ts, sk, tol=DEFAULT_TOL):
-    """The index of the first slice T of a (k, r, r) complex stack that is not
-    in tau(SK), for an r x r complex array SK, or None if every slice is.
-
-    in_tau's float rules, unchanged, on every slice: T is a projector
-    (_projector_flags), then T SK and SK T are close (_close, which raises
-    MalformedInput for non-finite entries).  The products are batched, those
-    with SK only for the slices before the first that is not a projector, and
-    the first slice to fail either rule decides: the result and the error are
-    those of in_tau called on each slice in turn."""
-    idem = _projector_flags(ts, tol)
-    first = idem.index(False) if not all(idem) else len(ts)
-    head = ts[:first]
-    xs, ys = head @ sk, sk @ head
-    nx = _fros(xs)
-    # x - y cannot overflow where every ||x|| is finite (see _close)
-    ds = _fros(xs - ys) if all(map(isfinite, nx)) else [None] * len(nx)
-    for i, (x, y, n, d) in enumerate(zip(xs, ys, nx, ds)):
-        if not _close(x, y, tol, n, d):
-            return i
-    return None if first == len(ts) else first
 
 
 # ----------------------------------------------------------------------
@@ -877,6 +628,8 @@ def _svd(m: Matrix):
         return Matrix.identity(nr, FLOAT), [], Matrix.identity(nc, FLOAT)
     import numpy as np
 
+    from .floatmatrix import _wrap
+
     u, s, vh = np.linalg.svd(m._a, full_matrices=True)
     s = np.where(s > _SVD_ZERO * s[0], s, 0.0)
     v = vh.conj().T
@@ -887,7 +640,7 @@ def _svd(m: Matrix):
     v = v * ph.conj()
     k = len(s)
     u[:, :k] = u[:, :k] * np.where(s > 0.0, ph[:k].conj(), 1.0)
-    return Matrix._wrap(u), [float(x) for x in s], Matrix._wrap(v)
+    return _wrap(u), [float(x) for x in s], _wrap(v)
 
 
 def singular_values(m: Matrix):
@@ -917,6 +670,8 @@ def _empty_svd_input(m: Matrix, what) -> bool:
         raise NotSupported(f"{what} is float-mode only; exact pipelines use Jordan data")
     if m.rows == 0 or m.cols == 0:
         return True
+    from .floatmatrix import _require_finite
+
     _require_finite(m._a, what)
     return False
 

@@ -7,12 +7,19 @@ projector commuting with the core block and W any projector of size n - r:
 Q diag(T, W) Q^-1 with Q = U [[I, -M], [O, I]], which carries B to
 U diag(SK, O) U*.  For nonsingular B they are P T P^-1 with T in the
 commutant-projector poset of the Jordan form.
+
+The families but the Jordan one are built on a Hartwig-Spindelbock
+decomposition, which is float only, so this module imports numpy and the
+float backend at module level.
 """
 
+import numpy as np
+
 from .commutant import block_choice_projector, center_choices, delta_membership
-from .core import DEFAULT_TOL, Matrix, _Frozen, approx_eq, in_tau, is_projector, outside_tau
+from .core import DEFAULT_TOL, Matrix, _Frozen, approx_eq, in_tau, is_projector
 from .errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
                      WNotProjector)
+from .floatmatrix import outside_tau, slices
 from .hs import HSDecomposition
 from .jordan import JordanSpec
 from .sharp import psi, psi_choices
@@ -67,7 +74,7 @@ def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,
         raise WNotProjector(f"W must be {hs.n - hs.r} square")
     if not is_projector(w, tol):
         raise WNotProjector("W is not idempotent")
-    return Matrix.slices(_members(hs, t.array[None], w.array[None], tol))[0]
+    return slices(_members(hs, t.array[None], w.array[None], tol))[0]
 
 
 def split_ep_solution(hs: HSDecomposition, s: Matrix, tol=DEFAULT_TOL):
@@ -100,8 +107,6 @@ def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
     n - r (one empty W when r = n), in one batched product.  NotInTau at
     the first T outside tau, as in solve_ep_commute_idempotent.
     """
-    import numpy as np
-
     if not _is_finite(hs, spec):
         return None
     centers = psi_choices(spec, center_choices(spec))
@@ -109,7 +114,7 @@ def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
         raise NotInTau("T is not an idempotent commuting with the core block")
     ws = np.array([[[0]], [[1]]] if hs.r < hs.n else [np.zeros((0, 0))], dtype=complex)
     x = np.repeat(centers, len(ws), axis=0)
-    return Matrix.slices(_members(hs, x, np.tile(ws, (len(centers), 1, 1)), tol))
+    return slices(_members(hs, x, np.tile(ws, (len(centers), 1, 1)), tol))
 
 
 def verify_power_commute(s: Matrix, b: Matrix, kmax: int, tol=DEFAULT_TOL) -> bool:

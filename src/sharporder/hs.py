@@ -1,7 +1,9 @@
 """Hartwig-Spindelbock decomposition B = U [[SK, SL], [O, O]] U*.
 
 Float mode only: the singular values are algebraic irrationals in general,
-so exact-mode pipelines enter through Jordan data instead.
+so exact-mode pipelines enter through Jordan data instead.  This module
+therefore imports numpy and the float backend at module level, and the
+modules that serve both modes import it only where a float path needs it.
 
 B keeps its decomposition, as it keeps its SVD: the down-set [O, B] of one B
 is studied through this one decomposition, so hs_decompose, the float group
@@ -11,9 +13,12 @@ singular values that SK and K keep.
 
 import sys
 
+import numpy as np
+
 from .core import (DEFAULT_TOL, FLOAT, Matrix, _Frozen, _kept, approx_eq, in_tau, matrix_from_obj,
                    matrix_to_obj, numerical_rank, singular_values, svd)
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
+from .floatmatrix import _wrap, slices
 
 
 class HSDecomposition(_Frozen):
@@ -24,11 +29,9 @@ class HSDecomposition(_Frozen):
 
     def __init__(self, U: Matrix, sigma: tuple, K: Matrix, L: Matrix, r: int):
         # Sigma K and Sigma L: the rows of K and L scaled by sigma
-        import numpy as np
-
         s = np.array(sigma, dtype=float).reshape(-1, 1)
-        super().__init__(U=U, sigma=sigma, K=K, L=L, r=r, _sk=Matrix._wrap(s * K.array),
-                         _sl=Matrix._wrap(s * L.array))
+        super().__init__(U=U, sigma=sigma, K=K, L=L, r=r, _sk=_wrap(s * K.array),
+                         _sl=_wrap(s * L.array))
 
     @property
     def n(self):
@@ -47,14 +50,12 @@ class HSDecomposition(_Frozen):
     def embed(self, x: Matrix, y: Matrix = None, z: Matrix = None) -> Matrix:
         """U [[X, Y], [O, Z]] U* with X r x r, Y r x (n-r) and Z (n-r) x (n-r);
         None stands for a zero block.  The 1-stack of embed_stack."""
-        return Matrix.slices(self.embed_stack(*(None if m is None else m.array[None]
-                                                for m in (x, y, z))))[0]
+        return slices(self.embed_stack(*(None if m is None else m.array[None]
+                                         for m in (x, y, z))))[0]
 
     def embed_stack(self, x, y=None, z=None):
         """embed of each slice of (k, ., .) complex stacks X, Y and Z, in one
         batched product: a (k, n, n) array."""
-        import numpy as np
-
         r = self.r
         inner = np.zeros((len(x), self.n, self.n), dtype=complex)
         inner[:, :r, :r] = x
@@ -119,12 +120,6 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
 def hs_reconstruct(d: HSDecomposition) -> Matrix:
     """B from its decomposition."""
     return d.embed(d.sigma_k(), d.sigma_l())
-
-
-def predecessor_expand(d: HSDecomposition, ts):
-    """A = U [[T SK, T SL], [O, O]] U* for each projector T commuting with SK
-    of a (k, r, r) complex stack, in one batched product: a (k, n, n) array."""
-    return d.embed_stack(ts @ d.sigma_k().array, ts @ d.sigma_l().array)
 
 
 def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:

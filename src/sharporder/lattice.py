@@ -5,14 +5,13 @@ projectors commuting with the Jordan form J of the core block, which
 factors across eigenvalues.  Each factor is a 2-chain (one Jordan block),
 a bounded poset with an infinite mid-rank antichain (two blocks), or not
 a lattice at all (three or more blocks).
+
+The module-level imports are those of the exact 2x2 meet and the projector
+order: core, ginv and sharp.  Each function that needs commutant, hs or
+jordan imports it where it runs, so meet2 loads none of them; HSDecomposition
+(hs) and JordanSpec (jordan) are named in quoted annotations only.
 """
 
-from .commutant import (
-    CommutantProjector,
-    admissible_ranks,
-    block_choice_projector,
-    center_choices,
-)
 from .core import (DEFAULT_TOL, EXACT, FLOAT, Matrix, _Frozen, _over, approx_eq, in_tau,
                    is_projector)
 from .errors import (
@@ -26,8 +25,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .ginv import moore_penrose
-from .hs import HSDecomposition, hs_reconstruct
-from .jordan import JordanSpec, build_jordan_matrix
 from .sharp import phi, phi_inv_stack, proj_leq, psi_choices, sharp_leq
 
 
@@ -50,9 +47,11 @@ def join_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     return t1 + t2 - t12
 
 
-def matrix_meet(a1: Matrix, a2: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
+def matrix_meet(a1: Matrix, a2: Matrix, hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
     """The meet A1 B+ A2 of two predecessors of B whose projector images
     commute."""
+    from .hs import hs_reconstruct
+
     _commuting_product(phi(a1, hs, tol), phi(a2, hs, tol), tol)
     b = hs_reconstruct(hs)
     return a1 @ moore_penrose(b, tol) @ a2
@@ -101,13 +100,15 @@ class DownsetDescriptor(_Frozen):
         }
 
 
-def classify_downset(spec: JordanSpec) -> DownsetDescriptor:
+def classify_downset(spec: "JordanSpec") -> DownsetDescriptor:
     """Classify [O, B] from the Jordan structure of the core block.
 
     Lattice iff every eigenvalue has at most two Jordan blocks; Boolean iff
     every eigenvalue has exactly one (then the whole down-set has 2^s
     elements); any eigenvalue with two blocks already breaks distributivity.
     """
+    from .commutant import admissible_ranks
+
     factors = []
     for e in spec.eigenvalues:
         if e.t == 1:
@@ -138,9 +139,11 @@ def classify_downset(spec: JordanSpec) -> DownsetDescriptor:
     )
 
 
-def boolean_center(spec: JordanSpec):
+def boolean_center(spec: "JordanSpec"):
     """The 2^s central projectors: per eigenvalue, D_j is O or the full
     identity of that eigenvalue's slice."""
+    from .commutant import CommutantProjector, block_choice_projector, center_choices
+
     return [CommutantProjector.read(spec, block_choice_projector(spec, bits))
             for bits in center_choices(spec)]
 
@@ -149,7 +152,7 @@ def boolean_center(spec: JordanSpec):
 # the non-lattice witness
 
 
-def non_lattice_witness(spec: JordanSpec, tol=DEFAULT_TOL):
+def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
     """Four projectors (T1, T2, T3, T4) commuting with J such that T1 and T2
     have no join and T3 and T4 have no meet.
 
@@ -157,6 +160,8 @@ def non_lattice_witness(spec: JordanSpec, tol=DEFAULT_TOL):
     such eigenvalue (in spec order) is used, and the construction lives in
     its three largest blocks.
     """
+    from .jordan import build_jordan_matrix
+
     off = 0
     for e in spec.eigenvalues:
         if e.t >= 3:
@@ -235,7 +240,7 @@ def interval_iso_backward(q: Matrix, t1: Matrix, tol=DEFAULT_TOL) -> Matrix:
     return q - t1
 
 
-def max_chain(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
+def max_chain(hs: "HSDecomposition", spec: "JordanSpec", tol=DEFAULT_TOL):
     """A maximal chain O < A_1 < ... < A_l = B, one step per Jordan block.
 
     A_i is phi_inv of P E_i P^-1, with E_i the identity on the first i

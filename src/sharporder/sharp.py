@@ -5,22 +5,17 @@ For a fixed B with Hartwig-Spindelbock data (U, Sigma, K, L, r), every
 A below B corresponds to a unique projector T commuting with Sigma K
 (the map phi); conjugating by the Jordan similarity P moves between those
 projectors and projectors commuting with the Jordan form itself (psi).
+
+The order itself (sharp_leq, proj_leq) needs only core and ginv, which this
+module imports at module level; an exact comparison loads nothing else.  The
+float maps import the float backend where they run, and the Jordan
+constructions commutant and jordan.  HSDecomposition (hs) and JordanSpec
+(jordan) are named in quoted annotations only, so they import nothing.
 """
 
 from itertools import chain
 
-from .commutant import _block_diagonal, center_choices
-from .core import (
-    DEFAULT_TOL,
-    EXACT,
-    FLOAT,
-    Matrix,
-    _check_operands,
-    _square,
-    approx_eq,
-    in_tau,
-    outside_tau,
-)
+from .core import DEFAULT_TOL, EXACT, FLOAT, Matrix, _check_operands, _square, approx_eq, in_tau
 from .errors import (
     IndexTooLarge,
     ModeMismatch,
@@ -30,8 +25,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .ginv import index_le_one
-from .hs import HSDecomposition, predecessor_expand
-from .jordan import JordanSpec, jordan_entries
 
 
 def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
@@ -59,7 +52,7 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
     return a2._is_product(a, b, tol) and a2._is_product(b, a, tol)
 
 
-def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
+def phi(a: Matrix, hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
     """The projector T with A = U [[T SK, T SL], [O, O]] U*.
 
     Computed as the leading r x r block of U* A U times (SK)^-1, then
@@ -67,18 +60,20 @@ def phi(a: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     the decomposed matrix, and SingularK if SK is singular.  The tau check
     and the reconstruction are 1-stacks of the kernels behind phi_inv_stack.
     """
+    from .floatmatrix import _wrap, slices
+
     hs.require_index_le_one(tol)
     sk, u, r = hs.sigma_k(), hs.U.array, hs.r
     _check_operands(a, hs.U)
-    t = Matrix._wrap((u.conj().T @ a.array @ u)[:r, :r] @ sk.inverse().array)
+    t = _wrap((u.conj().T @ a.array @ u)[:r, :r] @ sk.inverse().array)
     if not in_tau(t, sk, tol):
         raise NotAPredecessor("extracted block is not a commuting projector")
-    if not approx_eq(Matrix.slices(predecessor_expand(hs, t.array[None]))[0], a, tol):
+    if not approx_eq(slices(predecessor_expand(hs, t.array[None]))[0], a, tol):
         raise NotAPredecessor("reconstruction from T does not match A")
     return t
 
 
-def phi_inv(t: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
+def phi_inv(t: Matrix, hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
     """The predecessor A determined by a projector T in tau; raises SingularK,
     as phi does, when SK is singular, then NotInTau.  The 1-stack of
     phi_inv_stack."""
@@ -87,18 +82,26 @@ def phi_inv(t: Matrix, hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
     return phi_inv_stack(t.array[None], hs, tol)[0]
 
 
-def phi_inv_stack(ts, hs: HSDecomposition, tol=DEFAULT_TOL):
+def phi_inv_stack(ts, hs: "HSDecomposition", tol=DEFAULT_TOL):
     """phi_inv of each slice T of a (k, r, r) complex stack, as k float
     matrices (views of one read-only array).  SingularK comes first; then
     every T is checked against tau, in order (outside_tau), and NotInTau is
     raised at the first that is not in it; then all are mapped in one
     batched product (predecessor_expand)."""
+    from .floatmatrix import outside_tau, slices
+
     hs.require_index_le_one(tol)
     if ts.shape[1:] != (hs.r, hs.r):
         raise ShapeMismatch(f"{ts.shape[1]}x{ts.shape[2]} vs {hs.r}x{hs.r}")
     if outside_tau(ts, hs.sigma_k().array, tol) is not None:
         raise NotInTau("T is not an idempotent commuting with SK")
-    return Matrix.slices(predecessor_expand(hs, ts))
+    return slices(predecessor_expand(hs, ts))
+
+
+def predecessor_expand(hs: "HSDecomposition", ts):
+    """A = U [[T SK, T SL], [O, O]] U* for each projector T commuting with SK
+    of a (k, r, r) complex stack, in one batched product: a (k, n, n) array."""
+    return hs.embed_stack(ts @ hs.sigma_k().array, ts @ hs.sigma_l().array)
 
 
 def psi(t: Matrix, p: Matrix) -> Matrix:
@@ -107,20 +110,16 @@ def psi(t: Matrix, p: Matrix) -> Matrix:
     return p @ t @ p.inverse()
 
 
-def psi_choices(spec: JordanSpec, choices):
+def psi_choices(spec: "JordanSpec", choices):
     """psi of the 0/1 block-choice projectors E of choices (each a list of
     bits, one per Jordan block), as one (k, r, r) complex stack P E P^-1
     formed by one batched product.  P is the spec's similarity matrix, or
     the identity when the spec carries none."""
-    import numpy as np
+    from .commutant import block_choice_stack
 
-    r = spec.r
-    p = spec.P if spec.P is not None else Matrix.identity(r, FLOAT)
+    p = spec.P if spec.P is not None else Matrix.identity(spec.r, FLOAT)
     p_inv = p.inverse()
-    keep = [_block_diagonal(spec, bits) for bits in choices]
-    e = np.zeros((len(keep), r, r), dtype=complex)
-    e.reshape(len(keep), r * r)[:, ::r + 1] = keep
-    return p.array @ e @ p_inv.array
+    return p.array @ block_choice_stack(spec, choices) @ p_inv.array
 
 
 def psi_inv(t: Matrix, p: Matrix) -> Matrix:
@@ -134,10 +133,13 @@ def proj_leq(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> bool:
     return t1._is_product(t1, t2, tol) and t1._is_product(t2, t1, tol)
 
 
-def jordan_predecessors(p: Matrix, spec: JordanSpec, n: int):
+def jordan_predecessors(p: Matrix, spec: "JordanSpec", n: int):
     """All 2^l predecessors of B = P diag(J_1..J_l, O) P^-1 when every
     eigenvalue has exactly one Jordan block: flip each block to O or keep it.
     """
+    from .commutant import _block_diagonal, center_choices
+    from .jordan import jordan_entries
+
     if any(e.t > 1 for e in spec.eigenvalues):
         raise MultiplicityExceedsOne("every eigenvalue must have one Jordan block")
     mode = spec.mode
@@ -173,13 +175,15 @@ def conjecture_refutation():
     return b, a, report
 
 
-def successor_form(a: Matrix, p: Matrix, spec: JordanSpec, x: Matrix, tol=DEFAULT_TOL):
+def successor_form(a: Matrix, p: Matrix, spec: "JordanSpec", x: Matrix, tol=DEFAULT_TOL):
     """The necessary shape of any B above A = P diag(J_1..J_t, O) P^-1:
     B = P diag(J_1..J_t, X) P^-1.
 
     The shape is necessary but not sufficient; callers decide validity with
     sharp_leq (returned as the second element).
     """
+    from .jordan import jordan_entries
+
     mode = spec.mode
     r = spec.r
     n = p.rows
@@ -198,7 +202,7 @@ def successor_form(a: Matrix, p: Matrix, spec: JordanSpec, x: Matrix, tol=DEFAUL
     return b, leq
 
 
-def extend_to_nonsingular(hs: HSDecomposition, tol=DEFAULT_TOL) -> Matrix:
+def extend_to_nonsingular(hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
     """A nonsingular C with B sharp-below C:
     C = U [[SK, (Sigma - K^-1) L], [O, I]] U*."""
     hs.require_index_le_one(tol)

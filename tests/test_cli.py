@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import sharporder
 from sharporder import EXACT, FLOAT, Matrix, make_spec
-from sharporder.cli import main
+from sharporder.cli import _parser, main
 from sharporder.core import matrix_from_obj, matrix_to_obj
 from sharporder.jordan import spec_to_obj
 
@@ -372,9 +372,9 @@ def test_byte_identical_repeat(runner, files):
     assert a == b
 
 
-# runs the CLI in a fresh interpreter, then prints whether numpy and click
-# were imported and, as JSON, the sorted sharporder.* modules it loaded: the
-# last three lines of stdout
+# runs the CLI in a fresh interpreter, then prints whether numpy, the float
+# backend and click were imported and, as JSON, the sorted sharporder.*
+# modules it loaded: the last four lines of stdout
 _IMPORT_PROBE = """
 import json, runpy, sys
 sys.argv[0] = "sharporder.cli"
@@ -382,23 +382,24 @@ try:
     runpy.run_module("sharporder.cli", run_name="__main__")
 finally:
     print("numpy" in sys.modules)
+    print("sharporder.floatmatrix" in sys.modules)
     print("click" in sys.modules)
     print(json.dumps(sorted(m for m in sys.modules if m.startswith("sharporder."))))
 """
 
 
 def run_fresh(argv, cwd):
-    """(exit code, stdout, stderr, whether numpy was loaded, whether click
-    was loaded, the sharporder modules loaded) of the CLI run on argv in a
-    fresh interpreter."""
+    """(exit code, stdout, stderr, whether numpy was loaded, whether the
+    float backend was loaded, whether click was loaded, the sharporder
+    modules loaded) of the CLI run on argv in a fresh interpreter."""
     src = str(Path(sharporder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True, timeout=120)
-    *out, numpy_flag, click_flag, modules = proc.stdout.splitlines(keepends=True)
+    *out, numpy_flag, float_flag, click_flag, modules = proc.stdout.splitlines(keepends=True)
     return (proc.returncode, "".join(out), proc.stderr, numpy_flag == "True\n",
-            click_flag == "True\n", json.loads(modules))
+            float_flag == "True\n", click_flag == "True\n", json.loads(modules))
 
 
 @pytest.mark.parametrize("args, code, numpy_loaded", [
@@ -416,9 +417,10 @@ def run_fresh(argv, cwd):
         "malformed", "decompose-float"])
 def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_loaded):
     argv = [a.format(**files) for a in args]
-    got, out, err, loaded, _, _ = run_fresh(argv, files["tmp"])
+    got, out, err, loaded, float_loaded, _, _ = run_fresh(argv, files["tmp"])
     assert got == code
-    assert loaded == numpy_loaded
+    # the float backend imports numpy, and nothing else does on exact input
+    assert loaded == float_loaded == numpy_loaded
     if code:
         assert out == "" and json.loads(err) == {"error": "malformed_input"}
     else:
@@ -427,43 +429,56 @@ def test_numpy_loaded_only_by_float_commands(runner, files, args, code, numpy_lo
 
 
 # the modules each command loads besides sharporder.cli: its own, and what
-# they import.  sharp imports commutant, ginv, hs and jordan, and lattice
-# imports sharp
-_SHARP = ("commutant", "core", "errors", "ginv", "hs", "jordan", "scalars", "sharp")
+# they import.  sharp imports ginv, lattice imports sharp, hs and equations
+# import the float backend (floatmatrix), and a float input loads it
+_SHARP = ("core", "errors", "ginv", "scalars", "sharp")
 _LATTICE = _SHARP + ("lattice",)
+_HS = ("core", "errors", "floatmatrix", "hs", "scalars")
+_SETUP = _SHARP + ("floatmatrix", "hs", "jordan")
+_EQUATIONS = _SETUP + ("commutant", "equations")
+# the commands that decompose B, float only, load the float backend on exact
+# input too; every other command loads it for float input only
+_FLOAT_ONLY = (["decompose", "hs"], ["downset", "boolean"], ["downset", "chain"],
+               ["equations", "count"], ["equations", "solve"])
+_FLOAT_FILES = ("{A}", "{B}", "{spec}", "{fwspec}")
 
 
 @pytest.mark.parametrize("args, code, modules", [
-    (["decompose", "hs", "--in", "{b1}"], 3, ("core", "errors", "hs", "scalars")),
-    (["decompose", "hs", "--in", "{B}"], 0, ("core", "errors", "hs", "scalars")),
+    (["decompose", "hs", "--in", "{b1}"], 3, _HS),
+    (["decompose", "hs", "--in", "{B}"], 0, _HS),
     (["inverse", "mp", "--in", "{b1}"], 0, ("core", "errors", "ginv", "scalars")),
     (["inverse", "group", "--in", "{b1}"], 0, ("core", "errors", "ginv", "scalars")),
-    (["inverse", "mp", "--in", "{B}"], 0, ("core", "errors", "ginv", "scalars")),
+    (["inverse", "mp", "--in", "{B}"], 0, ("core", "errors", "floatmatrix", "ginv", "scalars")),
     # the float group inverse decomposes B
-    (["inverse", "group", "--in", "{B}"], 0, ("core", "errors", "ginv", "hs", "scalars")),
+    (["inverse", "group", "--in", "{B}"], 0, _HS + ("ginv",)),
     (["check", "order", "--a", "{b1}", "--b", "{b1}"], 0, _SHARP),
-    (["check", "order", "--a", "{A}", "--b", "{B}"], 0, _SHARP),
-    (["downset", "classify", "--spec", "{wspec}"], 0, _LATTICE),
-    (["downset", "classify", "--spec", "{spec}"], 0, _LATTICE),
-    (["downset", "boolean", "--b", "{b1}", "--spec", "{wspec}"], 3, _SHARP),
-    (["downset", "boolean", "--b", "{B}", "--spec", "{spec}"], 0, _SHARP),
+    (["check", "order", "--a", "{A}", "--b", "{B}"], 0, _SHARP + ("floatmatrix",)),
+    (["downset", "classify", "--spec", "{wspec}"], 0, _LATTICE + ("commutant", "jordan")),
+    (["downset", "classify", "--spec", "{spec}"], 0,
+     _LATTICE + ("commutant", "floatmatrix", "jordan")),
+    (["downset", "boolean", "--b", "{b1}", "--spec", "{wspec}"], 3, _SETUP + ("commutant",)),
+    (["downset", "boolean", "--b", "{B}", "--spec", "{spec}"], 0, _SETUP + ("commutant",)),
     (["downset", "sample", "--spec", "{wspec}", "--seed", "3"], 0,
      ("commutant", "core", "errors", "jordan", "scalars")),
     (["downset", "sample", "--spec", "{spec}", "--seed", "3"], 0,
-     ("commutant", "core", "errors", "jordan", "scalars")),
-    (["downset", "chain", "--b", "{b1}", "--spec", "{wspec}"], 3, _LATTICE),
-    (["downset", "chain", "--b", "{B}", "--spec", "{spec}"], 0, _LATTICE),
-    (["witness", "nonlattice", "--spec", "{wspec}"], 0, _LATTICE),
-    (["witness", "nonlattice", "--spec", "{fwspec}"], 0, _LATTICE),
+     ("commutant", "core", "errors", "floatmatrix", "jordan", "scalars")),
+    # an exact B fails before the chain's Jordan data is looked at
+    (["downset", "chain", "--b", "{b1}", "--spec", "{wspec}"], 3, _SETUP + ("lattice",)),
+    (["downset", "chain", "--b", "{B}", "--spec", "{spec}"], 0,
+     _SETUP + ("commutant", "lattice")),
+    (["witness", "nonlattice", "--spec", "{wspec}"], 0, _LATTICE + ("jordan",)),
+    (["witness", "nonlattice", "--spec", "{fwspec}"], 0, _LATTICE + ("floatmatrix", "jordan")),
     (["refute", "conjecture"], 0, _SHARP),
     (["meet2", "--b1", "{b1}", "--b2", "{b2}"], 0, _LATTICE),
-    (["meet2", "--b1", "{A}", "--b2", "{B}"], 3, _LATTICE),
-    (["equations", "count", "--b", "{b1}", "--spec", "{wspec}"], 3, _SHARP + ("equations",)),
-    (["equations", "count", "--b", "{B}", "--spec", "{spec}"], 0, _SHARP + ("equations",)),
-    (["equations", "solve", "--b", "{b1}", "--spec", "{wspec}"], 3, _SHARP + ("equations",)),
-    (["equations", "solve", "--b", "{B}", "--spec", "{spec}"], 0, _SHARP + ("equations",)),
-    (["hasse", "--spec", "{wspec}", "--out", "{tmp}/g.dot"], 0, _LATTICE + ("hasse",)),
-    (["hasse", "--spec", "{spec}", "--out", "{tmp}/g.dot"], 0, _LATTICE + ("hasse",)),
+    (["meet2", "--b1", "{A}", "--b2", "{B}"], 3, _LATTICE + ("floatmatrix",)),
+    (["equations", "count", "--b", "{b1}", "--spec", "{wspec}"], 3, _EQUATIONS),
+    (["equations", "count", "--b", "{B}", "--spec", "{spec}"], 0, _EQUATIONS),
+    (["equations", "solve", "--b", "{b1}", "--spec", "{wspec}"], 3, _EQUATIONS),
+    (["equations", "solve", "--b", "{B}", "--spec", "{spec}"], 0, _EQUATIONS),
+    (["hasse", "--spec", "{wspec}", "--out", "{tmp}/g.dot"], 0,
+     _LATTICE + ("commutant", "hasse", "jordan")),
+    (["hasse", "--spec", "{spec}", "--out", "{tmp}/g.dot"], 0,
+     _LATTICE + ("commutant", "floatmatrix", "hasse", "jordan")),
 ], ids=["hs-exact", "hs-float", "inverse-mp-exact", "inverse-group-exact", "inverse-mp-float",
         "inverse-group-float", "order-exact", "order-float", "classify-exact", "classify-float",
         "boolean-exact", "boolean-float", "sample-exact", "sample-float", "chain-exact",
@@ -473,17 +488,21 @@ def test_each_command_in_a_fresh_interpreter(runner, files, args, code, modules)
     # a CliRunner test passes without a command's own import once another
     # test has imported the module; a fresh interpreter has imported nothing
     argv = [a.format(**files) for a in args]
-    got, out, err, _, click_loaded, loaded = run_fresh(argv, files["tmp"])
+    got, out, err, numpy_loaded, float_loaded, click_loaded, loaded = run_fresh(
+        argv, files["tmp"])
     res = runner.invoke(main, argv)
     assert (got, out, err) == (res.exit_code, res.stdout, res.stderr)
     assert got == code
     assert not click_loaded
     assert loaded == sorted(f"sharporder.{m}" for m in modules)
     # only the equations commands load equations, only hasse loads hasse,
-    # and no command loads the brute-force oracle
+    # no command loads the brute-force oracle, and only the float-only
+    # commands load the float backend, and numpy, on exact input
     assert ("sharporder.equations" in loaded) == (argv[0] == "equations")
     assert ("sharporder.hasse" in loaded) == (argv[0] == "hasse")
     assert "sharporder.oracle" not in loaded
+    float_input = any(a in _FLOAT_FILES for a in args)
+    assert float_loaded == numpy_loaded == (float_input or argv[:2] in _FLOAT_ONLY)
 
 
 @pytest.mark.parametrize("args", [
@@ -501,13 +520,46 @@ def test_usage_error_exit_2(runner, files, args):
     # interpreter and in the process (the usage is wrapped to the terminal),
     # and nothing on stdout
     argv = [a.format(**files) for a in args]
-    got, out, err, _, click_loaded, _ = run_fresh(argv, files["tmp"])
+    got, out, err, _, _, click_loaded, _ = run_fresh(argv, files["tmp"])
     res = runner.invoke(main, argv)
     assert (got, out) == (res.exit_code, res.stdout) == (2, "")
     assert err.startswith("usage: sharporder") and res.stderr.startswith("usage: sharporder")
     assert err.splitlines()[-1] == res.stderr.splitlines()[-1]
     assert ": error: " in err
     assert not click_loaded
+
+
+@pytest.mark.parametrize("value", [["-1e-3"], ["-1"], ["=-1e-3"]], ids=["exponent", "integer",
+                                                                      "joined"])
+@pytest.mark.parametrize("option", ["--tol", "--rank-threshold"])
+def test_negative_tolerance_exit_2(runner, files, option, value):
+    # argparse reads a separate "-1e-3" as an option, not as the value; the
+    # CLI joins it to its option, so every spelling reaches the tolerance
+    # check and writes the JSON error
+    opt = [option + value[0]] if value[0].startswith("=") else [option, *value]
+    argv = ["check", "order", "--a", files["A"], "--b", files["B"], *opt]
+    got, out, err, _, _, _, _ = run_fresh(argv, files["tmp"])
+    res = runner.invoke(main, argv)
+    assert (got, out, err) == (res.exit_code, res.stdout, res.stderr)
+    assert (got, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed_input"}
+
+
+def test_parser_builds_the_named_command_only(capsys):
+    # a group and one of its commands build that command's parser alone; the
+    # group alone (as for its --help) builds all of its commands
+    narrow = _parser("sharporder", ["downset", "sample", "--spec", "s.json"])
+    assert narrow.parse_args(["downset", "sample", "--spec", "s.json"]).seed == 0
+    with pytest.raises(SystemExit):
+        narrow.parse_args(["downset", "chain", "--b", "b.json", "--spec", "s.json"])
+    err = capsys.readouterr().err
+    assert "invalid choice: 'chain'" in err and "sample" in err and "classify" not in err
+    group = _parser("sharporder", ["downset", "--help"])
+    with pytest.raises(SystemExit):
+        group.parse_args(["downset", "nope"])
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nope'" in err
+    assert all(name in err for name in ("classify", "boolean", "sample", "chain"))
 
 
 def test_help_lists_every_command(runner):

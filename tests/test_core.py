@@ -24,7 +24,8 @@ from sharporder import (
     singular_values,
     svd,
 )
-from sharporder.core import _fro, _fros, numerical_rank
+from sharporder.core import numerical_rank
+from sharporder.floatmatrix import _fro, _fros
 from sharporder.errors import (
     MalformedInput,
     ModeMismatch,

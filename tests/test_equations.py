@@ -25,6 +25,7 @@ from sharporder.core import matrix_dumps
 from sharporder.equations import jordan_family_member
 from sharporder.errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
                                SingularK, WNotProjector)
+from sharporder.floatmatrix import slices
 from sharporder.oracle import brute_commuting_idempotents, enumerate_index1
 from sharporder.sharp import psi_choices
 
@@ -102,7 +103,7 @@ def test_finite_solutions_match_one_by_one(pairs, extra_zeros):
         _, d, spec = float_context(pairs, extra_zeros, seed)
         m = d.n - d.r
         ws = [Matrix.zeros(m, m, FLOAT), Matrix.identity(m, FLOAT)][:m + 1]
-        centers = Matrix.slices(psi_choices(spec, center_choices(spec)))
+        centers = slices(psi_choices(spec, center_choices(spec)))
         expected = [solve_ep_commute_idempotent(d, t, w, TOL7) for t in centers for w in ws]
         got = finite_solutions(d, spec, TOL7)
         assert len(got) == 2 ** (spec.s + m) == count_solutions(d, spec, TOL7)

@@ -73,15 +73,31 @@ def test_star_import_binds_every_public_name():
     assert sorted(set(namespace) - {"__builtins__"}) == NAMES
 
 
-def test_import_loads_no_submodule():
+def _loaded_in_fresh_interpreter(statement):
+    """The sorted sharporder and numpy modules that statement loads in a
+    fresh interpreter."""
     src = str(Path(sharporder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import json, sys, sharporder; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sharporder'))))")
+    code = (f"import json, sys; {statement}; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('sharporder') or m == 'numpy')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    assert json.loads(proc.stdout) == ["sharporder"]
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_in_fresh_interpreter("import sharporder") == ["sharporder"]
+
+
+def test_core_loads_no_float_backend():
+    # the float backend and numpy are imported on first float use only
+    assert _loaded_in_fresh_interpreter("import sharporder.core") == [
+        "sharporder", "sharporder.core", "sharporder.errors", "sharporder.scalars"]
+    assert _loaded_in_fresh_interpreter(
+        "from sharporder import FLOAT, Matrix; Matrix.zeros(1, 1, FLOAT)") == [
+        "numpy", "sharporder", "sharporder.core", "sharporder.errors", "sharporder.floatmatrix",
+        "sharporder.scalars"]
 
 
 # perfbench/tracer.py wraps its traced functions and Matrix methods by name

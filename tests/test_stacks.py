@@ -28,8 +28,9 @@ from sharporder import (
     sample_delta_projector,
 )
 from sharporder.commutant import _block_diagonal, center_choices
-from sharporder.core import in_tau, outside_tau
+from sharporder.core import in_tau
 from sharporder.errors import MalformedInput, NotAPredecessor, NotInTau, SingularK
+from sharporder.floatmatrix import outside_tau
 from sharporder.sharp import phi_inv_stack, psi_choices
 
 from conftest import TOL7, float_context
