@@ -15,7 +15,21 @@ import json
 import sys
 
 from .core import DEFAULT_TOL, Matrix, Tolerance, matrix_from_obj, matrix_to_obj
-from .errors import MalformedInput, PrecondViolated, SharpOrderError
+from .errors import BudgetExceeded, MalformedInput, PrecondViolated, SharpOrderError
+
+# the dense work one command may ask for, checked once its input is parsed
+# and before anything is built: a command that builds r x r matrices from a
+# spec takes r <= MAX_R, and a command writes at most MAX_ENTRIES entries
+MAX_R = 128
+MAX_ENTRIES = 2 ** 20
+
+
+def _budget(r=0, entries=0):
+    """BudgetExceeded when r exceeds MAX_R or entries MAX_ENTRIES."""
+    if r > MAX_R:
+        raise BudgetExceeded(f"the spec's Jordan matrix is larger than {MAX_R}x{MAX_R}")
+    if entries > MAX_ENTRIES:
+        raise BudgetExceeded(f"the output would have more than {MAX_ENTRIES} entries")
 
 
 def _emit(obj):
@@ -46,13 +60,17 @@ def _load_spec(path):
     return spec_from_obj(_load_json(path))
 
 
-def _downset_setup(b_path, spec_path, tol):
-    """Shared plumbing: decompose B, check the spec matches its core block."""
+def _downset_setup(b_path, spec_path, tol, written=None):
+    """Shared plumbing: load B and the spec, check the entries the command
+    will write, written(n, spec) for an n x n B, against the budget, then
+    decompose B and check that the spec matches its core block."""
     from .hs import hs_decompose
     from .jordan import validate_similarity
 
     b = _load_matrix(b_path)
     spec = _load_spec(spec_path)
+    if written is not None:
+        _budget(entries=written(b.rows, spec))
     d = hs_decompose(b, tol)
     if spec.P is None:
         raise PrecondViolated("spec must carry the similarity matrix P")
@@ -98,7 +116,7 @@ def downset_boolean(b_path, spec_path, tol):
     from .commutant import center_choices
     from .sharp import phi_inv_stack, psi_choices
 
-    _, spec, d = _downset_setup(b_path, spec_path, tol)
+    _, spec, d = _downset_setup(b_path, spec_path, tol, lambda n, spec: 2 ** spec.s * n * n)
     centers = psi_choices(spec, center_choices(spec))
     _emit([matrix_to_obj(a) for a in phi_inv_stack(centers, d, tol)])
 
@@ -109,6 +127,7 @@ def downset_sample(spec_path, seed, count):
     if count < 0:
         raise MalformedInput("--count must not be negative")
     spec = _load_spec(spec_path)
+    _budget(spec.r, spec.r ** 2 * count)
     out = [projector_to_obj(sample_delta_projector(spec, seed + i))
            for i in range(count)]
     _emit(out)
@@ -124,7 +143,9 @@ def downset_chain(b_path, spec_path, tol):
 def witness_nonlattice(spec_path, tol):
     from .lattice import non_lattice_witness, witness_relations
 
-    quad = non_lattice_witness(_load_spec(spec_path), tol)
+    spec = _load_spec(spec_path)
+    _budget(spec.r)
+    quad = non_lattice_witness(spec, tol)
     out = {f"T{i}": matrix_to_obj(t) for i, t in enumerate(quad, 1)}
     _emit({**out, "relations": witness_relations(*quad, tol)})
 
@@ -151,9 +172,10 @@ def equations_count(b_path, spec_path, tol):
 
 
 def equations_solve(b_path, spec_path, tol):
-    from .equations import finite_solutions, verify_power_commute
+    from .equations import _finite_count, finite_solutions, verify_power_commute
 
-    b, spec, d = _downset_setup(b_path, spec_path, tol)
+    b, spec, d = _downset_setup(b_path, spec_path, tol,
+                                lambda n, spec: (_finite_count(n, spec) or 0) * n * n)
     members = finite_solutions(d, spec, tol)
     if members is None:
         _emit({"finite_count": None, "kind": "infinite_family",
@@ -168,8 +190,9 @@ def equations_solve(b_path, spec_path, tol):
 def hasse_cmd(spec_path, out_path, seed, antichain_samples):
     from .hasse import hasse_dot
 
-    dot = hasse_dot(_load_spec(spec_path), seed=seed,
-                    antichain_samples=antichain_samples)
+    spec = _load_spec(spec_path)
+    _budget(spec.r)
+    dot = hasse_dot(spec, seed=seed, antichain_samples=antichain_samples)
     try:
         with open(out_path, "w") as fh:
             fh.write(dot)

@@ -6,12 +6,13 @@ diagonal block a grid of upper-triangular Toeplitz cores padded per the
 Cullen shape rules (Gantmacher, The Theory of Matrices, ch. VIII).  A grid
 holds only its cores' coefficients: the cell shapes depend on the block
 sizes alone, so a spec's layout is made once, by _layout, and kept on it.
-Exact mode fills and checks grids on integer rows, float mode with numpy
-index arrays made on the spec's first float use."""
+So is its chart (_chart), which maps the coefficients to the matrix
+entries, in both modes: _spread writes every commutant element from its
+coefficients, and _gather reads every grid off its cells' first rows."""
 
 import random
 from contextlib import suppress
-from itertools import count, islice
+from itertools import chain, islice
 from math import lcm
 
 from .core import (
@@ -21,6 +22,7 @@ from .core import (
     ExactMatrix,
     Matrix,
     _Frozen,
+    _cleared,
     _int_product,
     _int_rep_eq,
     _kept,
@@ -37,23 +39,6 @@ from .errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, Shap
                      SingularMatrix)
 from .jordan import JordanSpec, build_jordan_matrix, spec_from_obj, spec_to_obj
 from .scalars import QQi
-
-
-def _cell_entries(cells):
-    """The (i, j, value) entries of Toeplitz cores: each cell (i0, j0, coeffs)
-    puts coeffs[d] on the d-th superdiagonal of a len(coeffs)-square core
-    whose top-left entry is (i0, j0)."""
-    return ((i0 + x, j0 + x + d, c) for i0, j0, coeffs in cells
-            for d, c in enumerate(coeffs) for x in range(len(coeffs) - d))
-
-
-def _int_rows(r, cells):
-    """The r x r integer rows that hold the Toeplitz cores of cells, whose
-    coefficients are (re, im) int pairs, and zeros elsewhere."""
-    rows = [[(0, 0)] * r for _ in range(r)]
-    for i, j, c in _cell_entries(cells):
-        rows[i][j] = c
-    return tuple(map(tuple, rows))
 
 
 def _layout(spec: JordanSpec):
@@ -82,33 +67,62 @@ def _fits(spec: JordanSpec, blocks):
         [[min(nr, nc) for nr, nc, _, _ in row] for row in grid] for grid in _layout(spec)]
 
 
-def _places(spec: JordanSpec):
-    """The (rows, cols, i0, j0) of every Cullen cell, in layout order."""
-    return [place for grid in _layout(spec) for row in grid for place in row]
+def _chart(spec: JordanSpec):
+    """The Cullen chart (coef, dst, head), kept on the spec: with the core
+    coefficients numbered in layout order, the entry at flat index dst[e]
+    holds coefficient coef[e], and coefficient c is the entry at flat index
+    head[c], in its cell's first row.  Lists for an exact spec, so exact
+    code loads no numpy; numpy index arrays for a float one."""
+    return _kept(spec, "_cullen_index", _cullen_chart)
 
 
-def _scattered(spec: JordanSpec, values, first=False):
-    """The float matrix of the Toeplitz cores whose coefficients are values, in
-    layout order, or with first, the first rows of the cells of values, a
-    flattened r x r matrix.  One scatter over index arrays kept on the spec."""
+def _cullen_chart(spec: JordanSpec):
+    r, coef, dst, head = spec.r, [], [], []
+    for nr, nc, i0, j0 in (place for grid in _layout(spec) for row in grid for place in row):
+        k = min(nr, nc)
+        # coefficient c of the cell fills the core's c-th superdiagonal
+        for c in range(k):
+            for x in range(k - c):
+                coef.append(len(head) + c)
+                dst.append((i0 + x) * r + j0 + x + c)
+        head += range(i0 * r + j0, i0 * r + j0 + k)
+    if spec.mode == EXACT:
+        return coef, dst, head
+    import numpy as np
+
+    return tuple(map(np.array, (coef, dst, head)))
+
+
+def _spread(spec: JordanSpec, values, d=1):
+    """The commutant element whose core coefficients, in layout order, are
+    values: (re, im) int pairs over the denominator d for an exact spec,
+    complex numbers for a float one.  The one writer of a commutant element."""
+    coef, dst, _ = _chart(spec)
+    r = spec.r
+    if spec.mode == EXACT:
+        flat = [(0, 0)] * (r * r)
+        for c, k in zip(coef, dst):
+            flat[k] = values[c]
+        return _over(r, r, tuple(tuple(flat[i:i + r]) for i in range(0, r * r, r)), (d, 0))
     import numpy as np
 
     from .floatmatrix import _wrap
 
-    ix = _kept(spec, "_cullen_index", _cullen_index)
-    a = np.zeros(spec.r ** 2, dtype=complex)
-    a[ix[2]] = np.asarray(values)[ix[1 if first else 0]]
-    return _wrap(a.reshape(spec.r, spec.r))
+    a = np.zeros(r * r, dtype=complex)
+    a[dst] = np.asarray(values)[coef]
+    return _wrap(a.reshape(r, r))
 
 
-def _cullen_index(spec: JordanSpec):
-    import numpy as np
-
-    r, k = spec.r, count()
-    cells = [(i0, j0, [(next(k), i0 * r + j0 + d) for d in range(min(nr, nc))])
-             for nr, nc, i0, j0 in _places(spec)]
-    return tuple(map(np.array, zip(*((c, x, i * r + j)
-                                     for i, j, (c, x) in _cell_entries(cells)))))
+def _gather(spec: JordanSpec, t: Matrix):
+    """(values, d): the core coefficients of the r x r matrix t in layout
+    order, read off its cells' first rows, as (re, im) int pairs over t's
+    denominator d, or a complex array and d = 1.  The one reader of a grid:
+    _spread(spec, *_gather(spec, t)) is the element t's first rows span."""
+    head = _chart(spec)[2]
+    if t.mode == EXACT:
+        flat = list(chain.from_iterable(t._intform[1]))
+        return [flat[k] for k in head], t._intform[0]
+    return t.array.ravel()[head], 1
 
 
 class CommutantProjector(_Frozen):
@@ -141,45 +155,32 @@ class CommutantProjector(_Frozen):
         """Keep t if it is an idempotent in the commutant of J, else raise
         NotInDelta; its Cullen grid is read only when asked for.
 
-        t must equal the grid its cores' first rows span (Toeplitz cores,
+        t must equal the element its cores' first rows span (Toeplitz cores,
         zero padding on the right side, nothing coupling distinct
-        eigenvalues).  Exact mode spans it on t's integer rows and compares
-        int tuples; float mode spans it with _scattered, the bits of
-        read(spec, t).expand(), compares that with t by approx_eq, and keeps it."""
+        eigenvalues): _spread(spec, *_gather(spec, t)), the bits of
+        read(spec, t).expand(), compared with t by approx_eq.  Exact mode
+        keeps t itself, float mode the span, which drops t's noise."""
         if not t.is_square or t.rows != spec.r:
             raise ShapeMismatch(f"expected a {spec.r}x{spec.r} matrix")
         if t.mode != spec.mode:
             raise ModeMismatch(f"{t.mode} matrix for a {spec.mode} spec")
         if not is_projector(t, tol):
             raise NotInDelta("matrix is not idempotent")
-        if t.mode == EXACT:
-            rows = t._intform[1]
-            ok = rows == _int_rows(spec.r, [(i0, j0, rows[i0][j0:j0 + min(nr, nc)])
-                                            for nr, nc, i0, j0 in _places(spec)])
-        else:
-            t, noisy = _scattered(spec, t.array.ravel(), first=True), t
-            ok = approx_eq(t, noisy, tol)
-        if not ok:
+        span = _spread(spec, *_gather(spec, t))
+        if not approx_eq(span, t, tol):
             raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
-        return cls(spec, None, t)
+        return cls(spec, None, t if t.mode == EXACT else span)
 
     @classmethod
     def read(cls, spec: JordanSpec, t: Matrix):
-        """The Cullen grid of an r x r matrix t, unchecked: each cell's core
-        coefficients sliced from the cell's first row, in a projector that
-        holds only the grid.  Of an exact t, only those coefficients are
-        made into QQi."""
-        if t.mode == EXACT:
-            d, rows = t._intform
-            scalar = _scalar_over(d)
-        else:
-            rows, scalar = t.array, complex
-
-        def cell(nr, nc, i0, j0):
-            return tuple(map(scalar, rows[i0][j0:j0 + min(nr, nc)]))
-
-        return cls(spec, tuple(tuple(tuple(cell(*place) for place in place_row)
-                                     for place_row in places) for places in _layout(spec)))
+        """The Cullen grid of an r x r matrix t, unchecked: the core
+        coefficients that _gather reads off each cell's first row, in a
+        projector that holds only the grid.  Of an exact t, only those
+        coefficients are made into QQi."""
+        values, d = _gather(spec, t)
+        it = iter(map(_scalar_over(d), values) if t.mode == EXACT else values.tolist())
+        return cls(spec, tuple(tuple(tuple(tuple(islice(it, min(nr, nc))) for nr, nc, _, _ in row)
+                                     for row in grid) for grid in _layout(spec)))
 
 
 def _read_blocks(cp: CommutantProjector):
@@ -190,9 +191,11 @@ def _expand(cp: CommutantProjector) -> Matrix:
     spec = cp.spec
     if not _fits(spec, cp.blocks):
         raise ShapeMismatch("grid shape does not match the spec's block sizes")
-    cells = zip((c for grid in cp.blocks for row in grid for c in row), _places(spec))
-    entries = _cell_entries((i0, j0, c) for c, (_, _, i0, j0) in cells)
-    return Matrix.from_entries(spec.r, spec.r, entries, spec.mode)
+    values = [c for grid in cp.blocks for row in grid for cell in row for c in cell]
+    d = 1
+    if spec.mode == EXACT:
+        d, values = _cleared(values)
+    return _spread(spec, values, d)
 
 
 def admissible_ranks(q: int, p: int):
@@ -237,19 +240,15 @@ def _draws(rng: random.Random, count):
 def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     """A random element of the commutant algebra of J, with Gaussian-integer
     core coefficients drawn from [-2, 2] (_draws) in layout order, real part
-    first.  Exact mode writes them as integer rows; float mode scatters them,
-    with the bits of the exact element's to_float()."""
-    places = _places(spec)
-    sizes = [min(nr, nc) for nr, nc, _, _ in places]
-    parts = _draws(rng, 2 * sum(sizes))
+    first, and written by _spread: in float mode with the bits of the exact
+    element's to_float()."""
+    parts = _draws(rng, 2 * len(_chart(spec)[2]))
     if spec.mode == FLOAT:
         import numpy as np
 
         # (re, im) float pairs read as complex128: complex(re, im), bit for bit
-        return _scattered(spec, np.array(parts, dtype=float).view(complex))
-    pairs = zip(parts[::2], parts[1::2])
-    return _over(spec.r, spec.r, _int_rows(spec.r, [
-        (i0, j0, list(islice(pairs, k))) for (_, _, i0, j0), k in zip(places, sizes)]), (1, 0))
+        return _spread(spec, np.array(parts, dtype=float).view(complex))
+    return _spread(spec, list(zip(parts[::2], parts[1::2])))
 
 
 def _block_diagonal(spec: JordanSpec, bits):
@@ -300,19 +299,17 @@ def _delta_rows(spec: JordanSpec, s: Matrix, keep) -> Matrix:
     element S (its denominator does not change T) and the 0/1 diagonal keep
     of E.  Per eigenvalue block, the rows I of T, which hold the grid, solve
     T[I, :] S = (S E)[I, :] by one _solve of S^T: SingularMatrix if S is."""
-    rows, cells, o = s._intform[1], [], 0
+    rows, coeffs, o = s._intform[1], [], 0
     for e, grid in zip(spec.eigenvalues, _layout(spec)):
         span = range(o, o + e.dim)
         x, n = _solve(tuple(tuple(rows[i][j] for i in span) for j in span), e.dim,
                       tuple(tuple(rows[row[0][2]][j] if keep[j] else (0, 0) for row in grid)
                             for j in span), e.t)
-        cells += [(n, i0, j0, [x[j - o][q] for j in range(j0, j0 + min(nr, nc))])
-                  for q, row in enumerate(grid) for nr, nc, i0, j0 in row]
+        coeffs += [(n, x[j - o][q]) for q, row in enumerate(grid)
+                   for nr, nc, _, j0 in row for j in range(j0, j0 + min(nr, nc))]
         o += e.dim
-    d = lcm(*(n for n, _, _, _ in cells))
-    return _over(spec.r, spec.r, _int_rows(spec.r, [
-        (i0, j0, [(xr * (d // n), xi * (d // n)) for xr, xi in c]) for n, i0, j0, c in cells]),
-        (d, 0))
+    d = lcm(*(n for n, _ in coeffs))
+    return _spread(spec, [(xr * (d // n), xi * (d // n)) for n, (xr, xi) in coeffs], d)
 
 
 def sample_delta_projector(spec: JordanSpec, seed: int,

@@ -47,7 +47,16 @@ def _is_finite(hs: HSDecomposition, spec: JordanSpec) -> bool:
     count_solutions and finite_solutions both make that check here."""
     if spec.r != hs.r:
         raise PrecondViolated("spec does not describe the core block of B")
-    return all(e.t == 1 for e in spec.eigenvalues) and hs.r >= hs.n - 1
+    return _finite_count(hs.n, spec) is not None
+
+
+def _finite_count(n, spec: JordanSpec):
+    """The number of solutions of {BX = XB, X^2 = X} for an n x n B whose
+    core block spec describes, when it is finite, else None: 2^(s + n - r)
+    when each eigenvalue has one Jordan block and r >= n - 1."""
+    if all(e.t == 1 for e in spec.eigenvalues) and spec.r >= n - 1:
+        return 2 ** (spec.s + n - spec.r)
+    return None
 
 
 def _members(hs: HSDecomposition, ts, ws, tol):
@@ -98,7 +107,7 @@ def count_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL) -> i
     if not _is_finite(hs, spec):
         raise HypothesisViolated("B needs one Jordan block per eigenvalue and rank >= n - 1")
     hs.require_index_le_one(tol)
-    return 2 ** (spec.s + hs.n - hs.r)
+    return _finite_count(hs.n, spec)
 
 
 def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):

@@ -60,7 +60,11 @@ def hasse_skeleton(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TO
 def hasse_dot(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TOL) -> str:
     """The DOT digraph of the skeleton; edges are covering relations among
     the emitted nodes, directed low to high.  BudgetExceeded when the
-    skeleton has more than MAX_NODES nodes and ellipses."""
+    skeleton has more than MAX_NODES nodes and ellipses: before anything is
+    built when its 2^s central nodes and one ellipsis per eigenvalue with
+    two or more blocks are too many already."""
+    if 2 ** spec.s + sum(e.t >= 2 for e in spec.eigenvalues) > MAX_NODES:
+        raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")
     nodes, sampled_factors = hasse_skeleton(spec, seed, antichain_samples, tol)
     if len(nodes) + len(sampled_factors) > MAX_NODES:
         raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")

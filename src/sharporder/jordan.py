@@ -73,7 +73,8 @@ class JordanSpec(_Frozen):
     """Distinct nonzero eigenvalues with block sizes, plus an optional
     similarity matrix P mapping J to the target (target = P J P^-1)."""
 
-    # _r is kept by r, _cullen and _cullen_index by the commutant code
+    # _r is kept by r; _cullen (the Cullen layout) and _cullen_index (the
+    # Cullen chart) by the commutant code
     _fields = ("eigenvalues", "P")
     __slots__ = _fields + ("_r", "_cullen", "_cullen_index")
 

@@ -141,10 +141,12 @@ def classify_downset(spec: "JordanSpec") -> DownsetDescriptor:
 
 def boolean_center(spec: "JordanSpec"):
     """The 2^s central projectors: per eigenvalue, D_j is O or the full
-    identity of that eigenvalue's slice."""
+    identity of that eigenvalue's slice.  Each keeps its 0/1 block diagonal,
+    which is in the commutant by construction; its grid is read when asked
+    for."""
     from .commutant import CommutantProjector, block_choice_projector, center_choices
 
-    return [CommutantProjector.read(spec, block_choice_projector(spec, bits))
+    return [CommutantProjector(spec, None, block_choice_projector(spec, bits))
             for bits in center_choices(spec)]
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,54 @@ def test_hasse_unwritable_out_exit_2(runner, files, tmp_path):
     assert json.loads(res.stderr) == {"error": "malformed_input"}
     assert res.stdout == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, pairs", [
+    (["witness", "nonlattice"], [(1, [10 ** 400, 1, 1])]),
+    (["downset", "sample"], [(1, [100000])]),
+    (["downset", "sample"], [(1, [1000])]),
+    (["hasse", "--out", "{tmp}/g.dot"], [(1, [1000])]),
+    (["downset", "sample", f"--count={2 ** 63}"], [(2, [2, 1]), (3, [1])]),
+    (["downset", "sample", "--count=65537"], [(2, [2, 1]), (3, [1])]),
+    (["hasse", "--out", "{tmp}/g.dot"], [(k, [1]) for k in range(1, 21)]),
+], ids=["witness-huge-size", "sample-size-100000", "sample-size-1000", "hasse-size-1000",
+        "sample-count-2**63", "sample-count-over-entries", "hasse-s-20"])
+def test_work_bounds_refuse_at_once(runner, tmp_path, argv, pairs):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_obj(make_spec(pairs))))
+    start = time.perf_counter()
+    res = runner.invoke(main, [a.format(tmp=tmp_path) for a in argv] + ["--spec", str(spec)])
+    assert time.perf_counter() - start < 1
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert json.loads(res.stderr) == {"error": "budget_exceeded"}
+    assert not (tmp_path / "g.dot").exists()
+    # classify needs the sizes only, and answers for any
+    assert runner.invoke(main, ["downset", "classify", "--spec", str(spec)]).exit_code == 0
+
+
+@pytest.mark.parametrize("command", [["downset", "boolean"], ["equations", "solve"]])
+def test_written_entries_bound(runner, tmp_path, command):
+    # B = diag(1..13), one block per eigenvalue: 2^13 matrices of 13 x 13,
+    # 1,384,448 entries, refused before B is decomposed or P checked
+    b, spec = tmp_path / "b.json", tmp_path / "spec.json"
+    b.write_text(json.dumps(matrix_to_obj(Matrix.floating(np.diag(np.arange(1.0, 14))))))
+    spec.write_text(json.dumps(spec_to_obj(make_spec(
+        [(float(k), [1]) for k in range(1, 14)], P=Matrix.identity(13, FLOAT), mode=FLOAT))))
+    start = time.perf_counter()
+    res = runner.invoke(main, command + ["--b", str(b), "--spec", str(spec)])
+    assert time.perf_counter() - start < 1
+    assert (res.exit_code, res.stdout) == (3, "")
+    assert json.loads(res.stderr) == {"error": "budget_exceeded"}
+
+
+def test_work_bounds_are_inclusive():
+    from sharporder.cli import MAX_ENTRIES, MAX_R, _budget
+    from sharporder.errors import BudgetExceeded
+
+    _budget(MAX_R, MAX_ENTRIES)
+    for r, entries in ((MAX_R + 1, 0), (0, MAX_ENTRIES + 1)):
+        with pytest.raises(BudgetExceeded):
+            _budget(r, entries)
 
 
 def test_byte_identical_repeat(runner, files):

@@ -545,6 +545,23 @@ def test_grid_round_trips_through_its_matrix_and_json(cp):
             projector_from_obj(obj)
 
 
+@given(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_chart_spreads_and_gathers_both_modes_alike(sizes, rnd):
+    # one chart in both modes: the gather reads back the coefficients that
+    # the scatter wrote, and the exact and float scatters agree bit for bit
+    pairs = [(lam, sorted(k, reverse=True)) for lam, k in zip((1, 2, 3), sizes)]
+    exact, fl = make_spec(pairs), make_spec(pairs, mode=FLOAT)
+    v = [(rnd.randint(-3, 3), rnd.randint(-3, 3))
+         for _ in range(sum(min(i, k) for s in sizes for i in s for k in s))]
+    assert commutant._gather(exact, commutant._spread(exact, v)) == (v, 1)
+    vf = np.array([complex(*p) for p in v])
+    got, d = commutant._gather(fl, commutant._spread(fl, vf))
+    assert d == 1 and got.tobytes() == vf.tobytes()
+    assert (commutant._spread(exact, v).to_float().array.tobytes()
+            == commutant._spread(fl, vf).array.tobytes())
+
+
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_projector_json_rejects_a_non_idempotent_grid(mode):
     spec = make_spec([(2, [2, 1]), (3, [1])], mode=mode)

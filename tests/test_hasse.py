@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from sharporder import FLOAT, hasse_dot, make_spec
@@ -37,6 +39,17 @@ def test_node_budget():
     pairs = [(k, [1]) for k in range(2, 9)]  # s = 7 -> 128 center nodes
     with pytest.raises(BudgetExceeded):
         hasse_dot(make_spec(pairs))
+
+
+def test_node_budget_refuses_before_building():
+    # 2^20 central nodes: refused from the count, before any is built
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        hasse_dot(make_spec([(k, [1]) for k in range(1, 21)]))
+    assert time.perf_counter() - start < 1
+    # 64 central nodes and one ellipsis
+    with pytest.raises(BudgetExceeded):
+        hasse_dot(make_spec([(k, [1]) for k in range(1, 6)] + [(6, [1, 1])]))
 
 
 def test_skeleton_roles():
