@@ -19,7 +19,8 @@ from .errors import BudgetExceeded, MalformedInput, PrecondViolated, SharpOrderE
 
 # the dense work one command may ask for, checked once its input is parsed
 # and before anything is built: a command that builds r x r matrices from a
-# spec takes r <= MAX_R, and a command writes at most MAX_ENTRIES entries
+# spec takes r <= MAX_R, and a command writes or draws at most MAX_ENTRIES
+# entries
 MAX_R = 128
 MAX_ENTRIES = 2 ** 20
 
@@ -113,7 +114,7 @@ def downset_classify(spec_path):
 
 
 def downset_boolean(b_path, spec_path, tol):
-    from .commutant import center_choices
+    from .jordan import center_choices
     from .sharp import phi_inv_stack, psi_choices
 
     _, spec, d = _downset_setup(b_path, spec_path, tol, lambda n, spec: 2 ** spec.s * n * n)
@@ -191,7 +192,10 @@ def hasse_cmd(spec_path, out_path, seed, antichain_samples):
     from .hasse import hasse_dot
 
     spec = _load_spec(spec_path)
-    _budget(spec.r)
+    # each sampled factor (an eigenvalue with two or more blocks) draws
+    # antichain_samples r x r projectors
+    sampled = sum(e.t >= 2 for e in spec.eigenvalues)
+    _budget(spec.r, antichain_samples * sampled * spec.r ** 2)
     dot = hasse_dot(spec, seed=seed, antichain_samples=antichain_samples)
     try:
         with open(out_path, "w") as fh:

@@ -8,11 +8,16 @@ holds only its cores' coefficients: the cell shapes depend on the block
 sizes alone, so a spec's layout is made once, by _layout, and kept on it.
 So is its chart (_chart), which maps the coefficients to the matrix
 entries, in both modes: _spread writes every commutant element from its
-coefficients, and _gather reads every grid off its cells' first rows."""
+coefficients, and _gather reads every grid off its cells' first rows.
+
+Exact work is done per eigenvalue block, on the first rows I of the Jordan
+blocks, which fix a commutant element: the sampler solves only where its
+block choice is mixed (_conjugated), and T^2 = T and the projector order
+are decided on T[I, :] (_idempotent_on_heads, _below_on_heads)."""
 
 import random
 from contextlib import suppress
-from itertools import chain, islice
+from itertools import accumulate, chain, groupby, islice
 from math import lcm
 
 from .core import (
@@ -22,6 +27,7 @@ from .core import (
     ExactMatrix,
     Matrix,
     _Frozen,
+    _bareiss,
     _cleared,
     _int_product,
     _int_rep_eq,
@@ -29,6 +35,7 @@ from .core import (
     _over,
     _scalar_over,
     _solve,
+    _transpose,
     approx_eq,
     in_tau,
     is_projector,
@@ -37,7 +44,8 @@ from .core import (
 )
 from .errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta, ShapeMismatch,
                      SingularMatrix)
-from .jordan import JordanSpec, build_jordan_matrix, spec_from_obj, spec_to_obj
+from .jordan import (JordanSpec, _block_diagonal, build_jordan_matrix, spec_from_obj,
+                     spec_to_obj)
 from .scalars import QQi
 
 
@@ -77,20 +85,38 @@ def _chart(spec: JordanSpec):
 
 
 def _cullen_chart(spec: JordanSpec):
-    r, coef, dst, head = spec.r, [], [], []
-    for nr, nc, i0, j0 in (place for grid in _layout(spec) for row in grid for place in row):
-        k = min(nr, nc)
+    lists = _chart_lists((place for grid in _layout(spec) for row in grid for place in row),
+                         spec.r)
+    if spec.mode == EXACT:
+        return lists
+    import numpy as np
+
+    return tuple(map(np.array, lists))
+
+
+def _chart_lists(places, n, o=0):
+    """(coef, dst, head) of the Cullen cells at places, as _chart has them,
+    with flat indices into the n x n matrix whose top-left entry is the
+    layout's (o, o), and the cells' coefficients numbered from 0."""
+    coef, dst, head = [], [], []
+    for nr, nc, i0, j0 in places:
+        i0, j0, k = i0 - o, j0 - o, min(nr, nc)
         # coefficient c of the cell fills the core's c-th superdiagonal
         for c in range(k):
             for x in range(k - c):
                 coef.append(len(head) + c)
-                dst.append((i0 + x) * r + j0 + x + c)
-        head += range(i0 * r + j0, i0 * r + j0 + k)
-    if spec.mode == EXACT:
-        return coef, dst, head
-    import numpy as np
+                dst.append((i0 + x) * n + j0 + x + c)
+        head += range(i0 * n + j0, i0 * n + j0 + k)
+    return coef, dst, head
 
-    return tuple(map(np.array, (coef, dst, head)))
+
+def _chart_rows(n, coef, dst, values):
+    """The n x n rows, as tuples of (re, im) int pairs, that hold values[coef[e]]
+    at flat index dst[e] and zeros elsewhere."""
+    flat = [(0, 0)] * (n * n)
+    for c, k in zip(coef, dst):
+        flat[k] = values[c]
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
 
 
 def _spread(spec: JordanSpec, values, d=1):
@@ -100,10 +126,7 @@ def _spread(spec: JordanSpec, values, d=1):
     coef, dst, _ = _chart(spec)
     r = spec.r
     if spec.mode == EXACT:
-        flat = [(0, 0)] * (r * r)
-        for c, k in zip(coef, dst):
-            flat[k] = values[c]
-        return _over(r, r, tuple(tuple(flat[i:i + r]) for i in range(0, r * r, r)), (d, 0))
+        return _over(r, r, _chart_rows(r, coef, dst, values), (d, 0))
     import numpy as np
 
     from .floatmatrix import _wrap
@@ -251,99 +274,173 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     return _spread(spec, list(zip(parts[::2], parts[1::2])))
 
 
-def _block_diagonal(spec: JordanSpec, bits):
-    """The 0/1 diagonal of the block-choice projector: each block's bit,
-    repeated over the block's rows."""
-    sizes = spec.block_sizes
-    if len(bits) != len(sizes):
-        raise ShapeMismatch("one bit per Jordan block required")
-    return [1 if b else 0 for b, s in zip(bits, sizes) for _ in range(s)]
-
-
 def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
     """The diagonal idempotent with one 0/1 choice per Jordan block."""
     return Matrix.diag(_block_diagonal(spec, bits), spec.mode)
 
 
-def block_choice_stack(spec: JordanSpec, choices):
-    """The block-choice projectors of choices (each a list of bits, one per
-    Jordan block) as one (k, r, r) complex stack."""
-    import numpy as np
-
-    r = spec.r
-    keep = [_block_diagonal(spec, bits) for bits in choices]
-    e = np.zeros((len(keep), r, r), dtype=complex)
-    e.reshape(len(keep), r * r)[:, ::r + 1] = keep
-    return e
-
-
-def center_choices(spec: JordanSpec):
-    """The block choices of the 2^s central projectors, one bit per Jordan
-    block: bit j of the mask keeps or drops every block of eigenvalue j."""
-    for mask in range(2 ** spec.s):
-        yield [(mask >> j) & 1 for j, e in enumerate(spec.eigenvalues) for _ in e.sizes]
+def _heads(spec: JordanSpec, t: Matrix) -> ExactMatrix:
+    """The rows I of an exact T, the first row of each Jordan block, over
+    T's denominator.  They fix a commutant element: they hold its grid."""
+    d, rows = t._intform
+    top = tuple(rows[row[0][2]] for grid in _layout(spec) for row in grid)
+    return ExactMatrix(len(top), spec.r, (d, top))
 
 
 def _idempotent_on_heads(spec: JordanSpec, t: Matrix) -> bool:
-    """T^2 = T for an exact T in the commutant of J, decided on its rows I
-    (the first row of each Jordan block): T[I, :] T = T[I, :].  T^2 is in
-    the commutant too, and the rows I fix a commutant element."""
-    d, rows = t._intform
-    top = tuple(rows[row[0][2]] for grid in _layout(spec) for row in grid)
-    heads = ExactMatrix(len(top), spec.r, (d, top))
+    """T^2 = T for an exact T in the commutant of J, decided on its rows I:
+    T[I, :] T = T[I, :].  T^2 is in the commutant too, and the rows I fix a
+    commutant element."""
+    heads = _heads(spec, t)
     return _int_rep_eq(heads._intform, _int_product(heads, t))
 
 
-def _delta_rows(spec: JordanSpec, s: Matrix, keep) -> Matrix:
-    """T = (S E) S^-1, written from its Cullen grid, for an exact commutant
-    element S (its denominator does not change T) and the 0/1 diagonal keep
-    of E.  Per eigenvalue block, the rows I of T, which hold the grid, solve
-    T[I, :] S = (S E)[I, :] by one _solve of S^T: SingularMatrix if S is."""
-    rows, coeffs, o = s._intform[1], [], 0
+def _below_on_heads(spec: JordanSpec, a: Matrix, b: Matrix) -> bool:
+    """The projector order A = A B = B A for exact A and B in the commutant
+    of J, decided on the rows I: A[I, :] B = A[I, :] = B[I, :] A, as A B and
+    B A are in the commutant too."""
+    ha = _heads(spec, a)
+    return (_int_rep_eq(ha._intform, _int_product(ha, b))
+            and _int_rep_eq(ha._intform, _int_product(_heads(spec, b), a)))
+
+
+def _eigen_charts(spec: JordanSpec):
+    """Per eigenvalue, kept on the spec, the part of the chart that exact
+    sampling works on, as a tuple (o, dim, c0, c1, coef, dst, tops, heads,
+    diag, classes):
+
+    - the eigenvalue's dim x dim block starts at (o, o), and its core
+      coefficients are c0 .. c1 - 1 in layout order;
+    - (coef, dst) is the eigenvalue's chart on its dim x dim block, with its
+      coefficients numbered from 0 (_chart_lists);
+    - its coefficient c0 + c is entry (heads[q], j) for (j, q) = tops[c]:
+      heads are its first rows I, and q the block whose first row holds it;
+    - diag lists the leading coefficient of each diagonal cell, and classes,
+      per distinct block size p, the m_p x m_p leading coefficients of the
+      cells between the blocks of size p (_size_classes_invertible)."""
+    return _kept(spec, "_cullen_parts", _cullen_parts)
+
+
+def _cullen_parts(spec: JordanSpec):
+    out, o, c0 = [], 0, 0
     for e, grid in zip(spec.eigenvalues, _layout(spec)):
-        span = range(o, o + e.dim)
-        x, n = _solve(tuple(tuple(rows[i][j] for i in span) for j in span), e.dim,
-                      tuple(tuple(rows[row[0][2]][j] if keep[j] else (0, 0) for row in grid)
-                            for j in span), e.t)
-        coeffs += [(n, x[j - o][q]) for q, row in enumerate(grid)
-                   for nr, nc, _, j0 in row for j in range(j0, j0 + min(nr, nc))]
-        o += e.dim
-    d = lcm(*(n for n, _ in coeffs))
-    return _spread(spec, [(xr * (d // n), xi * (d // n)) for n, (xr, xi) in coeffs], d)
+        places = [place for row in grid for place in row]
+        coef, dst, head = _chart_lists(places, e.dim, o)
+        # cell (i, k)'s leading coefficient is lead[i * t + k], and c1 = lead[-1]
+        lead = list(accumulate((min(nr, nc) for nr, nc, _, _ in places), initial=c0))
+        heads = [row[0][2] - o for row in grid]
+        block = {h: q for q, h in enumerate(heads)}
+        classes = [[[lead[i * e.t + k] for k in same] for i in same]
+                   for same in (list(g) for _, g in groupby(range(e.t), e.sizes.__getitem__))]
+        out.append((o, e.dim, c0, lead[-1], coef, dst,
+                    [(h % e.dim, block[h // e.dim]) for h in head], heads,
+                    [lead[i * (e.t + 1)] for i in range(e.t)], classes))
+        o, c0 = o + e.dim, lead[-1]
+    return out
+
+
+def _size_classes_invertible(s, classes) -> bool:
+    """Whether an exact commutant element with core coefficients s is
+    invertible on one eigenvalue, from its classes (_eigen_charts): iff
+    each size class's matrix of leading coefficients is nonsingular.
+
+    Modulo its radical, the commutant of one eigenvalue's blocks is the sum
+    over the distinct block sizes p of the full matrix algebras M_{m_p}, m_p
+    blocks having size p (Gantmacher, The Theory of Matrices, Vol. 1, ch.
+    VIII 2).  The map from an element to its matrices of leading
+    coefficients of same-size cells is multiplicative, since a product of
+    cells through a block of another size is zero or a strictly triangular
+    core; its kernel is an ideal of nilpotent elements.  So an element is a
+    unit iff its image is."""
+    return all(len(_bareiss([[s[c] for c in row] for row in cls], len(cls), len(cls))[1])
+               == len(cls) for cls in classes)
+
+
+def _delta_rows(s, keep, o, dim, c0, c1, coef, dst, tops, heads, *_):
+    """(n, values): the core coefficients c0 .. c1 - 1 of T = (S E) S^-1 on
+    one eigenvalue (_eigen_charts' part o ..), as (re, im) ints over n, for
+    the exact commutant element S with core coefficients s and the 0/1
+    diagonal keep of E.  The rows I of T, which hold its grid, solve
+    T[I, :] S = (S E)[I, :] by one _solve of the block's S^T: SingularMatrix
+    if it is singular.  T^2 = T is then checked on those rows: NotInDelta if
+    it fails."""
+    st = _transpose(_chart_rows(dim, coef, dst, s[c0:c1]), dim)
+    x, n = _solve(st, dim, tuple(tuple(row[h] for h in heads) if keep[o + j] else
+                                 ((0, 0),) * len(heads) for j, row in enumerate(st)),
+                  len(heads))
+    values = [x[j][q] for j, q in tops]
+    rows = _chart_rows(dim, coef, dst, values)
+    top = ExactMatrix(len(heads), dim, (n, tuple(rows[h] for h in heads)))
+    if not _int_rep_eq(top._intform, _int_product(top, ExactMatrix(dim, dim, (n, rows)))):
+        raise NotInDelta("matrix is not idempotent")
+    return n, values
+
+
+def _conjugated(spec: JordanSpec, c, keep) -> Matrix:
+    """T = S E S^-1 for S = I + C, C the exact commutant element with core
+    coefficients c (layout order, (re, im) ints), and the 0/1 diagonal keep
+    of E; SingularMatrix if S is singular.  T is block diagonal like S:
+    where E is O or I on an eigenvalue, so is T, and only whether S is
+    invertible there is decided (_size_classes_invertible); the other
+    eigenvalues are solved by _delta_rows.  T is written by _spread."""
+    s, mixed, ones = list(c), [], []
+    for part in _eigen_charts(spec):
+        o, dim, *_, diag, classes = part
+        for i in diag:
+            s[i] = (s[i][0] + 1, s[i][1])
+        kept = keep[o:o + dim]
+        if min(kept) != max(kept):
+            mixed.append(part)
+        elif not _size_classes_invertible(s, classes):
+            raise SingularMatrix("exact matrix is singular")
+        elif kept[0]:
+            ones += diag
+    solved = [_delta_rows(s, keep, *part) for part in mixed]
+    d = lcm(*(n for n, _ in solved))
+    values = [(0, 0)] * len(s)
+    for i in ones:
+        values[i] = (d, 0)
+    for (_, _, c0, c1, *_), (n, part) in zip(mixed, solved):
+        values[c0:c1] = [(xr * (d // n), xi * (d // n)) for xr, xi in part]
+    return _spread(spec, values, d)
 
 
 def sample_delta_projector(spec: JordanSpec, seed: int,
                            block_choices=None, tol=DEFAULT_TOL) -> CommutantProjector:
     """A random projector commuting with J: conjugate a 0/1 block-diagonal
-    idempotent E by a random invertible commutant element S.  Deterministic
-    for a fixed seed; may not reach every projector (the sets are infinite).
+    idempotent E by a random invertible commutant element S = I + C, C from
+    random_commutant_element.  Deterministic for a fixed seed; may not reach
+    every projector (the sets are infinite).
 
-    Exact mode solves for the rows of T = (S E) S^-1 that hold its Cullen
-    grid (_delta_rows) and writes T from the grid, so T and T^2 are in the
-    commutant: T^2 = T is checked on those rows alone.  Float mode forms T
-    by products and checks it with from_matrix: BLAS gives some zeros of
-    S E a sign that a column mask would not, and those signs reach T.  A
-    singular S, found by a block's elimination or by the float rank cut
+    Exact mode draws C's core coefficients as random_commutant_element does
+    and adds 1 to the leading one of each diagonal cell, so the r x r S is
+    never formed; it works one eigenvalue at a time (_conjugated).  Where E
+    is O or I on an eigenvalue, as it always is on one with a single block,
+    that part of T is O or I and nothing is solved; elsewhere the rows of T
+    that hold its grid are solved for and T^2 = T is checked on them.  Float
+    mode forms T by products and checks it with from_matrix: BLAS gives some
+    zeros of S E a sign that a column mask would not, and those signs reach
+    T.  A singular S, found on any eigenvalue or by the float rank cut
     (np.linalg.inv can succeed where the cut fails), is drawn again whole."""
     rng = random.Random(seed)
     keep = _block_diagonal(spec, [rng.randint(0, 1) for _ in spec.block_sizes]
                            if block_choices is None else list(block_choices))
-    ident = Matrix.identity(spec.r, spec.mode)
+    if spec.mode == EXACT:
+        count = len(_chart(spec)[2])
+        while True:
+            parts = _draws(rng, 2 * count)
+            with suppress(SingularMatrix):
+                return CommutantProjector(
+                    spec, None, _conjugated(spec, list(zip(parts[::2], parts[1::2])), keep))
+    from .floatmatrix import _wrap
+
+    ident = Matrix.identity(spec.r, FLOAT)
     while True:
         s = ident + random_commutant_element(spec, rng)
-        if s.mode == EXACT:
-            with suppress(SingularMatrix):
-                t = _delta_rows(spec, s, keep)
-                break
-        elif s.rank(tol) == spec.r:
-            from .floatmatrix import _wrap
-
+        if s.rank(tol) == spec.r:
             # E = diag(keep): the columns of I that keep keeps
             e = ident.array * keep
             return CommutantProjector.from_matrix(spec, _wrap(s.array @ e @ s.inverse().array), tol)
-    if not _idempotent_on_heads(spec, t):
-        raise NotInDelta("matrix is not idempotent")
-    return CommutantProjector(spec, None, t)
 
 
 # ----------------------------------------------------------------------

@@ -15,13 +15,13 @@ float backend at module level.
 
 import numpy as np
 
-from .commutant import block_choice_projector, center_choices, delta_membership
+from .commutant import block_choice_projector, delta_membership
 from .core import DEFAULT_TOL, Matrix, _Frozen, approx_eq, in_tau, is_projector
 from .errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
                      WNotProjector)
 from .floatmatrix import outside_tau, slices
 from .hs import HSDecomposition
-from .jordan import JordanSpec
+from .jordan import JordanSpec, center_choices
 from .sharp import psi, psi_choices
 
 

@@ -27,6 +27,7 @@ from .errors import (
     MalformedInput,
     ModeMismatch,
     NotSupported,
+    ShapeMismatch,
     SingularMatrix,
     ZeroEigenvalue,
 )
@@ -73,10 +74,11 @@ class JordanSpec(_Frozen):
     """Distinct nonzero eigenvalues with block sizes, plus an optional
     similarity matrix P mapping J to the target (target = P J P^-1)."""
 
-    # _r is kept by r; _cullen (the Cullen layout) and _cullen_index (the
-    # Cullen chart) by the commutant code
+    # _r is kept by r; _cullen (the Cullen layout), _cullen_index (the
+    # Cullen chart) and _cullen_parts (its parts per eigenvalue) by the
+    # commutant code
     _fields = ("eigenvalues", "P")
-    __slots__ = _fields + ("_r", "_cullen", "_cullen_index")
+    __slots__ = _fields + ("_r", "_cullen", "_cullen_index", "_cullen_parts")
 
     def __init__(self, eigenvalues: tuple, P: Matrix = None):
         eigs = tuple(eigenvalues)
@@ -136,6 +138,39 @@ def build_jordan_matrix(spec: JordanSpec) -> Matrix:
     """The block-diagonal Jordan matrix J described by the spec."""
     blocks = ((e.lam, k) for e in spec.eigenvalues for k in e.sizes)
     return Matrix.from_entries(spec.r, spec.r, jordan_entries(blocks), spec.mode)
+
+
+# ----------------------------------------------------------------------
+# block choices: one 0/1 bit per Jordan block, the diagonal idempotents E
+# that commute with J
+
+
+def _block_diagonal(spec: JordanSpec, bits):
+    """The 0/1 diagonal of the block-choice projector: each block's bit,
+    repeated over the block's rows."""
+    sizes = spec.block_sizes
+    if len(bits) != len(sizes):
+        raise ShapeMismatch("one bit per Jordan block required")
+    return [1 if b else 0 for b, s in zip(bits, sizes) for _ in range(s)]
+
+
+def block_choice_stack(spec: JordanSpec, choices):
+    """The block-choice projectors of choices (each a list of bits, one per
+    Jordan block) as one (k, r, r) complex stack."""
+    import numpy as np
+
+    r = spec.r
+    keep = [_block_diagonal(spec, bits) for bits in choices]
+    e = np.zeros((len(keep), r, r), dtype=complex)
+    e.reshape(len(keep), r * r)[:, ::r + 1] = keep
+    return e
+
+
+def center_choices(spec: JordanSpec):
+    """The block choices of the 2^s central projectors, one bit per Jordan
+    block: bit j of the mask keeps or drops every block of eigenvalue j."""
+    for mask in range(2 ** spec.s):
+        yield [(mask >> j) & 1 for j, e in enumerate(spec.eigenvalues) for _ in e.sizes]
 
 
 def weyr_structure(m: Matrix, candidate_eigenvalues) -> JordanSpec:

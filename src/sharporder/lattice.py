@@ -12,6 +12,8 @@ jordan imports it where it runs, so meet2 loads none of them; HSDecomposition
 (hs) and JordanSpec (jordan) are named in quoted annotations only.
 """
 
+from functools import partial
+
 from .core import (DEFAULT_TOL, EXACT, FLOAT, Matrix, _Frozen, _over, approx_eq, in_tau,
                    is_projector)
 from .errors import (
@@ -144,7 +146,8 @@ def boolean_center(spec: "JordanSpec"):
     identity of that eigenvalue's slice.  Each keeps its 0/1 block diagonal,
     which is in the commutant by construction; its grid is read when asked
     for."""
-    from .commutant import CommutantProjector, block_choice_projector, center_choices
+    from .commutant import CommutantProjector, block_choice_projector
+    from .jordan import center_choices
 
     return [CommutantProjector(spec, None, block_choice_projector(spec, bits))
             for bits in center_choices(spec)]
@@ -161,9 +164,15 @@ def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
     Requires some eigenvalue with at least three Jordan blocks; the first
     such eigenvalue (in spec order) is used, and the construction lives in
     its three largest blocks.
-    """
-    from .jordan import build_jordan_matrix
 
+    The quad is checked before it is returned: each T is in the commutant
+    of J and idempotent, and witness_relations all hold.  An exact quad is
+    checked on the rows I of each T that fix a commutant element (the first
+    row of each Jordan block): T is in the commutant iff it is the element
+    its Cullen grid spans, then T^2 = T on T[I, :] T, and each order test
+    on those rows (commutant._below_on_heads).  A float quad is checked by
+    in_tau against J and by witness_relations, at tol.
+    """
     off = 0
     for e in spec.eigenvalues:
         if e.t >= 3:
@@ -190,9 +199,19 @@ def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
         t4 = ones(a + b, a - 1, 1, -1) + ic
     quad = tuple(Matrix.from_entries(spec.r, spec.r, shared + third, spec.mode)
                  for third in ([], y, ic, t4))
-    j = build_jordan_matrix(spec)
-    if not (all(in_tau(t, j, tol) for t in quad)
-            and all(witness_relations(*quad, tol).values())):
+    if spec.mode == EXACT:
+        from .commutant import _below_on_heads, _gather, _idempotent_on_heads, _spread
+
+        valid = (all(_spread(spec, *_gather(spec, t)) == t and _idempotent_on_heads(spec, t)
+                     for t in quad)
+                 and all(_relations(partial(_below_on_heads, spec), *quad).values()))
+    else:
+        from .jordan import build_jordan_matrix
+
+        j = build_jordan_matrix(spec)
+        valid = (all(in_tau(t, j, tol) for t in quad)
+                 and all(witness_relations(*quad, tol).values()))
+    if not valid:
         raise PrecondViolated("witness construction failed validation")
     return quad
 
@@ -201,13 +220,18 @@ def witness_relations(t1: Matrix, t2: Matrix, t3: Matrix, t4: Matrix, tol=DEFAUL
     """The six relations that make (T1, T2, T3, T4) a witness: T1 and T2
     both lie below T3 and T4, and each pair is incomparable.  A dict from
     the relation's name to whether it holds."""
+    return _relations(partial(proj_leq, tol=tol), t1, t2, t3, t4)
+
+
+def _relations(leq, t1, t2, t3, t4):
+    """witness_relations with the projector order leq(a, b)."""
     return {
-        "T1_leq_T3": proj_leq(t1, t3, tol),
-        "T1_leq_T4": proj_leq(t1, t4, tol),
-        "T2_leq_T3": proj_leq(t2, t3, tol),
-        "T2_leq_T4": proj_leq(t2, t4, tol),
-        "T1_T2_incomparable": not proj_leq(t1, t2, tol) and not proj_leq(t2, t1, tol),
-        "T3_T4_incomparable": not proj_leq(t3, t4, tol) and not proj_leq(t4, t3, tol),
+        "T1_leq_T3": leq(t1, t3),
+        "T1_leq_T4": leq(t1, t4),
+        "T2_leq_T3": leq(t2, t3),
+        "T2_leq_T4": leq(t2, t4),
+        "T1_T2_incomparable": not leq(t1, t2) and not leq(t2, t1),
+        "T3_T4_incomparable": not leq(t3, t4) and not leq(t4, t3),
     }
 
 

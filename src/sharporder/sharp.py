@@ -115,7 +115,7 @@ def psi_choices(spec: "JordanSpec", choices):
     bits, one per Jordan block), as one (k, r, r) complex stack P E P^-1
     formed by one batched product.  P is the spec's similarity matrix, or
     the identity when the spec carries none."""
-    from .commutant import block_choice_stack
+    from .jordan import block_choice_stack
 
     p = spec.P if spec.P is not None else Matrix.identity(spec.r, FLOAT)
     p_inv = p.inverse()
@@ -137,8 +137,7 @@ def jordan_predecessors(p: Matrix, spec: "JordanSpec", n: int):
     """All 2^l predecessors of B = P diag(J_1..J_l, O) P^-1 when every
     eigenvalue has exactly one Jordan block: flip each block to O or keep it.
     """
-    from .commutant import _block_diagonal, center_choices
-    from .jordan import jordan_entries
+    from .jordan import _block_diagonal, center_choices, jordan_entries
 
     if any(e.t > 1 for e in spec.eigenvalues):
         raise MultiplicityExceedsOne("every eigenvalue must have one Jordan block")

@@ -373,8 +373,11 @@ def test_hasse_unwritable_out_exit_2(runner, files, tmp_path):
     (["downset", "sample", f"--count={2 ** 63}"], [(2, [2, 1]), (3, [1])]),
     (["downset", "sample", "--count=65537"], [(2, [2, 1]), (3, [1])]),
     (["hasse", "--out", "{tmp}/g.dot"], [(k, [1]) for k in range(1, 21)]),
+    # 70,000 samples of 4 x 4 projectors: 1,120,000 entries drawn
+    (["hasse", "--out", "{tmp}/g.dot", "--antichain-samples=70000"], [(1, [2, 2])]),
 ], ids=["witness-huge-size", "sample-size-100000", "sample-size-1000", "hasse-size-1000",
-        "sample-count-2**63", "sample-count-over-entries", "hasse-s-20"])
+        "sample-count-2**63", "sample-count-over-entries", "hasse-s-20",
+        "hasse-samples-over-entries"])
 def test_work_bounds_refuse_at_once(runner, tmp_path, argv, pairs):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(spec_to_obj(make_spec(pairs))))
@@ -505,17 +508,19 @@ _FLOAT_FILES = ("{A}", "{B}", "{spec}", "{fwspec}")
     (["downset", "classify", "--spec", "{wspec}"], 0, _LATTICE + ("commutant", "jordan")),
     (["downset", "classify", "--spec", "{spec}"], 0,
      _LATTICE + ("commutant", "floatmatrix", "jordan")),
-    (["downset", "boolean", "--b", "{b1}", "--spec", "{wspec}"], 3, _SETUP + ("commutant",)),
-    (["downset", "boolean", "--b", "{B}", "--spec", "{spec}"], 0, _SETUP + ("commutant",)),
+    # the Boolean center and the maximal chain take their block choices
+    # from jordan, and load no commutant code
+    (["downset", "boolean", "--b", "{b1}", "--spec", "{wspec}"], 3, _SETUP),
+    (["downset", "boolean", "--b", "{B}", "--spec", "{spec}"], 0, _SETUP),
     (["downset", "sample", "--spec", "{wspec}", "--seed", "3"], 0,
      ("commutant", "core", "errors", "jordan", "scalars")),
     (["downset", "sample", "--spec", "{spec}", "--seed", "3"], 0,
      ("commutant", "core", "errors", "floatmatrix", "jordan", "scalars")),
     # an exact B fails before the chain's Jordan data is looked at
     (["downset", "chain", "--b", "{b1}", "--spec", "{wspec}"], 3, _SETUP + ("lattice",)),
-    (["downset", "chain", "--b", "{B}", "--spec", "{spec}"], 0,
-     _SETUP + ("commutant", "lattice")),
-    (["witness", "nonlattice", "--spec", "{wspec}"], 0, _LATTICE + ("jordan",)),
+    (["downset", "chain", "--b", "{B}", "--spec", "{spec}"], 0, _SETUP + ("lattice",)),
+    # an exact witness is checked on the Cullen chart's head rows
+    (["witness", "nonlattice", "--spec", "{wspec}"], 0, _LATTICE + ("commutant", "jordan")),
     (["witness", "nonlattice", "--spec", "{fwspec}"], 0, _LATTICE + ("floatmatrix", "jordan")),
     (["refute", "conjecture"], 0, _SHARP),
     (["meet2", "--b1", "{b1}", "--b2", "{b2}"], 0, _LATTICE),
@@ -550,6 +555,8 @@ def test_each_command_in_a_fresh_interpreter(runner, files, args, code, modules)
     assert ("sharporder.equations" in loaded) == (argv[0] == "equations")
     assert ("sharporder.hasse" in loaded) == (argv[0] == "hasse")
     assert "sharporder.oracle" not in loaded
+    assert "sharporder.commutant" not in loaded or argv[:2] not in (["downset", "boolean"],
+                                                                   ["downset", "chain"])
     float_input = any(a in _FLOAT_FILES for a in args)
     assert float_loaded == numpy_loaded == (float_input or argv[:2] in _FLOAT_ONLY)
 

@@ -1,10 +1,11 @@
 import random
+import time
 from itertools import count
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sharporder import (
@@ -29,7 +30,7 @@ from sharporder.commutant import (
     block_choice_projector,
     random_commutant_element,
 )
-from sharporder.core import in_tau, scalar_from_obj, scalar_to_obj
+from sharporder.core import _bareiss, in_tau, scalar_from_obj, scalar_to_obj
 from sharporder.errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta,
                                ShapeMismatch)
 from sharporder.sharp import proj_leq
@@ -605,3 +606,116 @@ def test_projectors_whose_norm_overflows(rows, idempotent):
     else:
         with pytest.raises(NotInDelta):
             projector_from_obj(obj)
+
+
+@pytest.fixture
+def made_rngs(monkeypatch):
+    """The random.Random instances that the commutant module makes, in order."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(commutant, "random", SimpleNamespace(Random=Recorded))
+    return made
+
+
+def _sampled_as_replayed(spec, seed, bits, made):
+    """Whether the first S of sample_delta_projector(spec, seed, bits) was
+    drawn again, once its T and rng state are checked against the replay."""
+    t, state, redrawn = _replayed_exact_t(spec, seed, bits)
+    cp = sample_delta_projector(spec, seed, block_choices=bits)
+    assert made.pop().getstate() == state
+    assert cp.expand().key() == t.key()
+    return redrawn
+
+
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+def test_exact_sampling_with_uniform_eigenvalues_matches_the_full_conjugation(case, made_rngs):
+    # an eigenvalue whose blocks are all kept or all dropped gets T = I or O
+    # there with no solve; the others are solved.  Each mix of the two, and
+    # the all-zero and all-one choices, give the full conjugation's T and
+    # leave the rng where its draws do
+    spec, rng = make_spec(EXACT_CASES[case]), random.Random(100 + case)
+    l = len(spec.block_sizes)
+    for seed in range(40):
+        mixed = [b for e in spec.eigenvalues
+                 for b in ([rng.randint(0, 1)] * e.t if rng.random() < 0.5
+                           else [rng.randint(0, 1) for _ in e.sizes])]
+        for bits in (mixed, [0] * l, [1] * l):
+            _sampled_as_replayed(spec, seed, bits, made_rngs)
+        assert sample_delta_projector(spec, seed, block_choices=[0] * l).expand().is_zero()
+        assert (sample_delta_projector(spec, seed, block_choices=[1] * l).expand()
+                == Matrix.identity(spec.r))
+
+
+# the first S of this (spec, seed) is singular on the first eigenvalue's
+# block only, and the second eigenvalue's block of it is nonsingular
+UNIFORM_SINGULAR = ([(2, [3, 2]), (-2, [2, 1])], 8)
+
+
+@pytest.mark.parametrize("bits", [[1, 1, 1, 0], [0, 0, 0, 1]])
+def test_a_singular_uniform_block_draws_the_whole_s_again(bits, made_rngs):
+    # the first eigenvalue's choice is uniform, so its T is I or O whatever
+    # S is; S is still drawn again whole, and the mixed second eigenvalue is
+    # solved from the second S
+    pairs, seed = UNIFORM_SINGULAR
+    spec = make_spec(pairs)
+    rng, k = random.Random(seed), spec.eigenvalues[0].dim
+    first = Matrix.identity(spec.r) + random_commutant_element(spec, rng)
+    assert first.block(0, k, 0, k).rank() < k
+    assert first.block(k, spec.r, k, spec.r).rank() == spec.r - k
+    assert _sampled_as_replayed(spec, seed, bits, made_rngs)
+
+
+_COEFFICIENT = st.tuples(st.integers(-1, 1), st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_size_classes_decide_invertibility(sizes, data):
+    # one eigenvalue's commutant element is invertible iff, per distinct
+    # block size, the leading coefficients of the cells between blocks of
+    # that size form a nonsingular matrix.  Coefficients in {-1, 0, 1} +
+    # {0, 1}i make about a quarter of the elements singular
+    spec = make_spec([(1, sorted(sizes, reverse=True))])
+    count = len(commutant._chart(spec)[2])
+    s = data.draw(st.lists(_COEFFICIENT, min_size=count, max_size=count))
+    (*_, classes), = commutant._eigen_charts(spec)
+    dense = commutant._spread(spec, s)._intform[1]
+    assert (commutant._size_classes_invertible(s, classes)
+            == (len(_bareiss(dense, spec.r, spec.r)[1]) == spec.r))
+
+
+@pytest.mark.parametrize("case", range(len(EXACT_CASES)))
+def test_order_on_head_rows_agrees_with_proj_leq(case):
+    # nested block choices under one seed give comparable projectors, and
+    # two seeds mostly incomparable ones
+    spec, rng = make_spec(EXACT_CASES[case]), random.Random(case)
+    seen = set()
+    for seed in range(10):
+        hi = [rng.randint(0, 1) for _ in spec.block_sizes]
+        lo = [b & rng.randint(0, 1) for b in hi]
+        ts = [sample_delta_projector(spec, s, block_choices=bits).expand()
+              for s, bits in ((seed, lo), (seed, hi), (seed + 1, hi))]
+        for a in ts:
+            for b in ts:
+                seen.add(proj_leq(a, b))
+                assert commutant._below_on_heads(spec, a, b) == proj_leq(a, b)
+    assert seen == {False, True}
+
+
+def test_sampling_one_large_block_solves_nothing():
+    # one eigenvalue with one block of 127 and one of size 1: every block
+    # choice is O or I per eigenvalue, so a sample costs its draws and the
+    # writing of T, not a 127 x 127 elimination
+    spec = make_spec([(1, [127]), (3, [1])])
+    for seed in range(4):
+        start = time.perf_counter()
+        t = sample_delta_projector(spec, seed).expand()
+        assert time.perf_counter() - start < 0.1
+        kept = [not t.block(0, 127, 0, 127).is_zero(), not t.block(127, 128, 127, 128).is_zero()]
+        assert t == block_choice_projector(spec, kept)
+        assert _idempotent_on_heads(spec, t)

@@ -20,12 +20,12 @@ from sharporder import (
     split_ep_solution,
     verify_power_commute,
 )
-from sharporder.commutant import center_choices
 from sharporder.core import matrix_dumps
 from sharporder.equations import jordan_family_member
 from sharporder.errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
                                SingularK, WNotProjector)
 from sharporder.floatmatrix import slices
+from sharporder.jordan import center_choices
 from sharporder.oracle import brute_commuting_idempotents, enumerate_index1
 from sharporder.sharp import psi_choices
 

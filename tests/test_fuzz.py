@@ -116,9 +116,7 @@ def _mutated_argv(argv, directory, rnd):
         argv[i] = str(mutant)
     elif options and roll < 0.85:
         i = rnd.choice(options)
-        # the skeleton's samples are not bounded: keep their count small
-        argv[i] = rnd.choice(["-1", "0", "1", "x"] if argv[i - 1] == "--antichain-samples"
-                             else OPTION_VALUES)
+        argv[i] = rnd.choice(OPTION_VALUES)
     elif roll < 0.95:
         del argv[rnd.randrange(len(argv))]
     else:

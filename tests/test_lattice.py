@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from sharporder import (
     Matrix,
     approx_eq,
     boolean_center,
+    build_jordan_matrix,
     classify_downset,
     complement_in_downset,
     delta_membership,
@@ -27,6 +28,8 @@ from sharporder import (
     sample_delta_projector,
     sharp_leq,
 )
+from sharporder.commutant import _below_on_heads
+from sharporder.core import in_tau
 from sharporder.errors import (
     IndexTooLarge,
     NoEligibleEigenvalue,
@@ -39,6 +42,7 @@ from sharporder.lattice import (
     BOUNDED_INFINITE_ANTICHAIN,
     NON_LATTICE,
     TWO_CHAIN,
+    witness_relations,
 )
 from sharporder.oracle import (
     brute_common_lower_bounds,
@@ -192,6 +196,36 @@ def test_witness_relations_various_sizes():
         assert proj_leq(t2, t3) and proj_leq(t2, t4)
         assert not proj_leq(t1, t2) and not proj_leq(t2, t1)
         assert not proj_leq(t3, t4) and not proj_leq(t4, t3)
+
+
+def _witness_specs(max_size=3):
+    """Every spec with at most three eigenvalues and five Jordan blocks in
+    all, block sizes at most max_size, that has an eigenvalue with three or
+    more blocks: block sizes per eigenvalue in each order of the eigenvalues."""
+    def sizes(t):
+        return [list(c) for c in combinations_with_replacement(range(max_size, 0, -1), t)]
+
+    for counts in ([3], [4], [5], [3, 1], [1, 3], [3, 2], [2, 3], [4, 1], [1, 4],
+                   [3, 1, 1], [1, 3, 1], [1, 1, 3]):
+        for blocks in product(*map(sizes, counts)):
+            yield list(zip((2, (1, 1), -1), blocks))
+
+
+def test_exact_witness_check_agrees_with_the_dense_relations():
+    # non_lattice_witness checks an exact quad on its head rows; the dense
+    # checks (in_tau against J, proj_leq) agree on every one of these specs,
+    # and the head-row order agrees with proj_leq on all 16 ordered pairs
+    count = 0
+    for pairs in _witness_specs():
+        spec = make_spec(pairs)
+        quad = non_lattice_witness(spec)
+        j = build_jordan_matrix(spec)
+        assert all(in_tau(t, j) for t in quad)
+        assert witness_relations(*quad) == dict.fromkeys(witness_relations(*quad), True)
+        for a, b in product(quad, repeat=2):
+            assert _below_on_heads(spec, a, b) == proj_leq(a, b)
+        count += 1
+    assert count == 586
 
 
 def _dense_witness(a, b, c):

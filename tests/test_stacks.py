@@ -27,10 +27,10 @@ from sharporder import (
     psi,
     sample_delta_projector,
 )
-from sharporder.commutant import _block_diagonal, center_choices
 from sharporder.core import in_tau
 from sharporder.errors import MalformedInput, NotAPredecessor, NotInTau, SingularK
 from sharporder.floatmatrix import outside_tau
+from sharporder.jordan import _block_diagonal, center_choices
 from sharporder.sharp import phi_inv_stack, psi_choices
 
 from conftest import TOL7, float_context
