@@ -287,21 +287,27 @@ def _heads(spec: JordanSpec, t: Matrix) -> ExactMatrix:
     return ExactMatrix(len(top), spec.r, (d, top))
 
 
-def _idempotent_on_heads(spec: JordanSpec, t: Matrix) -> bool:
+def _idempotent_on_heads(spec: JordanSpec, t: Matrix, heads=None) -> bool:
     """T^2 = T for an exact T in the commutant of J, decided on its rows I:
     T[I, :] T = T[I, :].  T^2 is in the commutant too, and the rows I fix a
-    commutant element."""
-    heads = _heads(spec, t)
+    commutant element.  heads: T's _heads, made here unless given."""
+    if heads is None:
+        heads = _heads(spec, t)
     return _int_rep_eq(heads._intform, _int_product(heads, t))
 
 
-def _below_on_heads(spec: JordanSpec, a: Matrix, b: Matrix) -> bool:
+def _below_on_heads(spec: JordanSpec, a: Matrix, b: Matrix, ha=None, hb=None) -> bool:
     """The projector order A = A B = B A for exact A and B in the commutant
     of J, decided on the rows I: A[I, :] B = A[I, :] = B[I, :] A, as A B and
-    B A are in the commutant too."""
-    ha = _heads(spec, a)
-    return (_int_rep_eq(ha._intform, _int_product(ha, b))
-            and _int_rep_eq(ha._intform, _int_product(_heads(spec, b), a)))
+    B A are in the commutant too.  ha, hb: the _heads of A and B, made here
+    unless given (B's only when A[I, :] B = A[I, :])."""
+    if ha is None:
+        ha = _heads(spec, a)
+    if not _int_rep_eq(ha._intform, _int_product(ha, b)):
+        return False
+    if hb is None:
+        hb = _heads(spec, b)
+    return _int_rep_eq(ha._intform, _int_product(hb, a))
 
 
 def _eigen_charts(spec: JordanSpec):

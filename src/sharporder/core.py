@@ -300,9 +300,7 @@ class ExactMatrix(Matrix):
     def H(self):
         """Conjugate transpose."""
         d, rows = self._intform
-        return ExactMatrix(self.cols, self.rows,
-                           (d, tuple(tuple((xr, -xi) for xr, xi in row)
-                                     for row in _transpose(rows, self.cols))))
+        return ExactMatrix(self.cols, self.rows, (d, _adjoint(rows, self.cols)))
 
     @property
     def T(self):
@@ -408,17 +406,22 @@ def _cleared(values):
 
 
 def _int_product(a: Matrix, b: Matrix):
-    """Integer form (d, rows) of a @ b, the one exact product: @ writes it
-    with _over, and the product predicates compare it as it is.
-
-    Row i of the product is the sum of b's rows scaled by row i of a, so a
-    zero entry of a skips a whole row of b, and a real one skips the
-    imaginary cross terms.  Zero entries of b are multiplied as they come:
-    listing each row's nonzero entries first costs more than it saves on
-    the small matrices most products are made of."""
+    """Integer form (d, rows) of a @ b: @ writes it with _over, and the
+    product predicates compare it as it is."""
     d1, ra = a._intform
     d2, rb = b._intform
-    nc = b.cols
+    return d1 * d2, _rows_product(ra, rb, b.cols)
+
+
+def _rows_product(ra, rb, nc):
+    """The Gaussian-integer rows of ra @ rb, for rb with nc columns: the one
+    exact product.
+
+    Row i of the product is the sum of rb's rows scaled by row i of ra, so
+    a zero entry of ra skips a whole row of rb, and a real one skips the
+    imaginary cross terms.  Zero entries of rb are multiplied as they come:
+    listing each row's nonzero entries first costs more than it saves on
+    the small matrices most products are made of."""
     rows = []
     for arow in ra:
         sre = [0] * nc
@@ -433,7 +436,7 @@ def _int_product(a: Matrix, b: Matrix):
                     sre[j] += xr * yr
                     sim[j] += xr * yi
         rows.append(tuple(zip(sre, sim)))
-    return d1 * d2, tuple(rows)
+    return tuple(rows)
 
 
 def _square(a: Matrix):
@@ -446,6 +449,12 @@ def _square(a: Matrix):
 def _transpose(rows, nc):
     """The nc rows of the transpose of nested rows with nc columns."""
     return tuple(tuple(row[j] for row in rows) for j in range(nc))
+
+
+def _adjoint(rows, nc):
+    """The nc rows of the conjugate transpose of Gaussian-integer rows with
+    nc columns."""
+    return tuple(tuple((xr, -xi) for xr, xi in row) for row in _transpose(rows, nc))
 
 
 def _int_rep_eq(p, q) -> bool:
@@ -475,19 +484,32 @@ def _bareiss(rows, nr, nc):
     input one of the column space, and the last pivot D is, up to sign, a
     minor of the input on its pivot columns (+-det A for a nonsingular A).
 
-    Returns (rows, pivot columns, D); D is (1, 0) when there is no pivot.
+    The row order lists the input index of each row as the swaps leave
+    them.  Row i of the result is a combination of the input rows at order
+    positions 0..i, with a nonzero coefficient on the one at position i:
+    a step scales each row below the pivot by p / p_prev and subtracts a
+    multiple of the pivot row, and a swap moves a row with its index.  So
+    the k nonzero rows and the input rows at the first k positions span one
+    space, and those input rows are a row basis of input size.
+
+    Returns (rows, pivot columns, D, row order); D is (1, 0) when there is
+    no pivot.
     """
     a = [list(row) for row in rows]
+    order = list(range(nr))
     pivots = []
     pr, pi = 1, 0
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        k = next((k for k in range(r, nr) if a[k][c] != (0, 0)), None)
-        if k is None:
+        for k in range(r, nr):
+            if a[k][c] != (0, 0):
+                break
+        else:
             continue
         a[r], a[k] = a[k], a[r]
+        order[r], order[k] = order[k], order[r]
         row_r = a[r]
         qr, qi = row_r[c]
         # a unit p_prev other than 1 (-1, i, -i) still has to be divided out
@@ -510,7 +532,7 @@ def _bareiss(rows, nr, nc):
         pivots.append(c)
         pr, pi = qr, qi
         r += 1
-    return a, pivots, (pr, pi)
+    return a, pivots, (pr, pi), order
 
 
 def _solve(rows, n, rhs, k):
@@ -521,7 +543,7 @@ def _solve(rows, n, rhs, k):
     D is +-det A, so D A^-1 = +-adj A is integral (Cramer's rule).  N is D
     when D > 0, else |D|^2, so N X is integral too: back substitution
     N x_i = (N b'_i - sum over j > i of u_ij N x_j) / u_ii divides exactly."""
-    a, pivots, (dr, di) = _bareiss([p + q for p, q in zip(rows, rhs)], n, n + k)
+    a, pivots, (dr, di), _ = _bareiss([p + q for p, q in zip(rows, rhs)], n, n + k)
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("exact matrix is singular")
     big_n = dr if dr > 0 and not di else dr * dr + di * di

@@ -4,9 +4,11 @@ from .core import (
     DEFAULT_TOL,
     EXACT,
     Matrix,
+    _adjoint,
     _bareiss,
     _kept,
     _over,
+    _rows_product,
     _solve,
     _square,
     approx_eq,
@@ -26,7 +28,7 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """
     if a.mode == EXACT:
         f, g = _bases(a)
-        return _through(f.H, a, g.H)
+        return _through(_adjoint(f, len(g)), a, _adjoint(g, a.cols))
     u, sigma, v = svd(a)
     r = numerical_rank(sigma, tol)
     if r == 0:
@@ -38,28 +40,35 @@ def moore_penrose(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
 
 
 def _bases(a: Matrix):
-    """(F, G) for an exact a: its pivot columns and the nonzero rows of its
-    forward-only Bareiss echelon form, bases of its column and row spaces.
+    """(F, G) for an exact a = rows / d, as Gaussian-integer rows: d times
+    a's pivot columns and d times a's rows at the first k positions of
+    _bareiss's row order, k = rank a.  They are bases of a's column and row
+    spaces (see _bareiss for the rows), and their entries are a's own, not
+    the minors of its echelon form.
 
     Both generalized inverses take any such bases: for a = F0 G0 of full
     rank, F = F0 P and G = Q G0 with P and Q nonsingular, and P and Q cancel
-    from G* (F* a G*)^-1 F* and from F (G a F)^-1 G.  So G need not be the
-    RREF or give a = F G."""
-    echelon, pivots, _ = _bareiss(a._intform[1], a.rows, a.cols)
+    from G* (F* a G*)^-1 F* and from F (G a F)^-1 G.  So the scale d drops
+    out, and G need not be the RREF or give a = F G."""
+    rows = a._intform[1]
+    _, pivots, _, order = _bareiss(rows, a.rows, a.cols)
+    return (tuple(tuple(row[j] for j in pivots) for row in rows),
+            tuple(rows[i] for i in order[:len(pivots)]))
+
+
+def _through(l, a: Matrix, r) -> Matrix:
+    """r (l a r)^-1 l for an exact a and the Gaussian-integer rows of l
+    (k x a.rows) and r (a.cols x k), the one exact generalized inverse.
+
+    It runs on integer forms: for a = rows / d, l a r = M / d with M the
+    two row products l rows r, so (l a r) Y = l iff M Y = d l.  One _solve
+    gives Y = X / N, its divisions exact by Cramer's rule, and the one
+    _over writes r Y = (r X) / N.  SingularMatrix when l a r is singular."""
     d, rows = a._intform
-    k = len(pivots)
-    return (_over(a.rows, k, tuple(tuple(row[j] for j in pivots) for row in rows), (d, 0)),
-            _over(k, a.cols, tuple(map(tuple, echelon[:k])), (1, 0)))
-
-
-def _through(l: Matrix, a: Matrix, r: Matrix) -> Matrix:
-    """r (l a r)^-1 l for exact l, a and r, the one exact generalized
-    inverse: r Y, with (l a r) Y = l solved by one _solve, its divisions
-    exact by Cramer's rule.  SingularMatrix when l a r is singular."""
-    dm, m = (l @ a @ r)._intform
-    dl, rl = l.scale(dm)._intform  # (m / dm) Y = l iff m Y = dm l
-    y, n = _solve(m, l.rows, rl, l.cols)
-    return r @ _over(l.rows, l.cols, y, (n * dl, 0))
+    k = len(l)
+    m = _rows_product(_rows_product(l, rows, a.cols), r, k)
+    x, n = _solve(m, k, tuple(tuple((d * xr, d * xi) for xr, xi in row) for row in l), a.rows)
+    return _over(len(r), a.rows, _rows_product(r, x, a.rows), (n, 0))
 
 
 def index_le_one(a: Matrix, tol=DEFAULT_TOL) -> bool:
@@ -86,10 +95,10 @@ def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """The group inverse a# of an index <= 1 matrix.
 
     Exact mode returns a# = F (G a F)^-1 G (Ben-Israel and Greville) through
-    _through, with F and G the bases of _bases: for a = F G0 with G0 the
-    RREF's nonzero rows, G a F = Q (G0 F)^2 with Q nonsingular, so this is
-    Cline's F (G0 F)^-2 G0 (Cline 1965), and G a F is nonsingular iff the
-    index is at most 1.  Float mode decomposes a = U [[SK, SL], [O, O]] U*
+    _through, with F and G the bases of _bases: a = F G0 for one row basis
+    G0, and G = Q G0 with Q nonsingular, so G a F = Q (G0 F)^2 and this is
+    Cline's F (G0 F)^-2 G0 (Cline 1965); G a F is nonsingular iff the index
+    is at most 1.  Float mode decomposes a = U [[SK, SL], [O, O]] U*
     (Hartwig-Spindelbock) and inverts that: the index is at most 1 iff SK
     is nonsingular.  Raises IndexTooLarge when the index exceeds 1.
     """

@@ -16,58 +16,54 @@ from .sharp import proj_leq
 MAX_NODES = 64
 
 
-def _dedupe(mats, tol):
-    """mats without each matrix that is approx_eq to one kept before it
-    (in exact mode, equal to it)."""
-    out = []
-    for m in mats:
-        if not any(approx_eq(m, x, tol) for x in out):
-            out.append(m)
-    return out
-
-
 def hasse_skeleton(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TOL):
     """Nodes (matrix, role, factor index) and the sampled-factor indices.
 
     Roles are "center" and "sample"; factor index is the eigenvalue the
-    sample belongs to (None for center nodes).
+    sample belongs to (None for center nodes).  A sample is kept unless it
+    is approx_eq to (in exact mode, equal to) a sample of its eigenvalue
+    drawn before it, or then to a center node.  BudgetExceeded as soon as
+    the nodes and one ellipsis per sampled eigenvalue are more than
+    MAX_NODES: before any node is built when the 2^s center nodes are too
+    many already, else at the first sample too many, so the work is bounded
+    by the budget and not by antichain_samples.
     """
     if antichain_samples < 0:
         raise MalformedInput("antichain_samples must not be negative")
+    sampled_factors = [j for j, e in enumerate(spec.eigenvalues) if e.t >= 2]
+    budget = MAX_NODES - len(sampled_factors)
+    if 2 ** spec.s > budget:
+        raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")
     nodes = [(cp.expand(), "center", None) for cp in boolean_center(spec)]
-    sampled_factors = []
-    for j, e in enumerate(spec.eigenvalues):
-        if e.t < 2:
-            continue
-        sampled_factors.append(j)
+    center_mats = [n[0] for n in nodes]
+    for j in sampled_factors:
         # one nonzero bit: the largest block of this eigenvalue only
         bits = []
         for jj, ee in enumerate(spec.eigenvalues):
             bits.extend([1 if (jj == j and i == 0) else 0 for i in range(ee.t)])
-        samples = []
+        # every distinct sample, a center one too: a later sample near one
+        # that is dropped as a center is dropped with it
+        drawn = []
         for i in range(antichain_samples):
-            cp = sample_delta_projector(spec, seed * 7919 + j * 131 + i,
-                                        block_choices=bits, tol=tol)
-            samples.append(cp.expand())
-        center_mats = [n[0] for n in nodes]
-        for m in _dedupe(samples, tol):
+            m = sample_delta_projector(spec, seed * 7919 + j * 131 + i,
+                                       block_choices=bits, tol=tol).expand()
+            if any(approx_eq(m, x, tol) for x in drawn):
+                continue
+            drawn.append(m)
             if any(approx_eq(m, c, tol) for c in center_mats):
                 continue
+            if len(nodes) == budget:
+                raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")
             nodes.append((m, "sample", j))
     return nodes, sampled_factors
 
 
 def hasse_dot(spec: JordanSpec, seed=0, antichain_samples=3, tol=DEFAULT_TOL) -> str:
     """The DOT digraph of the skeleton; edges are covering relations among
-    the emitted nodes, directed low to high.  BudgetExceeded when the
-    skeleton has more than MAX_NODES nodes and ellipses: before anything is
-    built when its 2^s central nodes and one ellipsis per eigenvalue with
-    two or more blocks are too many already."""
-    if 2 ** spec.s + sum(e.t >= 2 for e in spec.eigenvalues) > MAX_NODES:
-        raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")
+    the emitted nodes, directed low to high.  BudgetExceeded, from
+    hasse_skeleton, when the skeleton has more than MAX_NODES nodes and
+    ellipses."""
     nodes, sampled_factors = hasse_skeleton(spec, seed, antichain_samples, tol)
-    if len(nodes) + len(sampled_factors) > MAX_NODES:
-        raise BudgetExceeded(f"skeleton exceeds {MAX_NODES} nodes")
     n = len(nodes)
     mats = [x[0] for x in nodes]
     ranks = [m.rank(tol) for m in mats]

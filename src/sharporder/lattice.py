@@ -170,8 +170,9 @@ def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
     checked on the rows I of each T that fix a commutant element (the first
     row of each Jordan block): T is in the commutant iff it is the element
     its Cullen grid spans, then T^2 = T on T[I, :] T, and each order test
-    on those rows (commutant._below_on_heads).  A float quad is checked by
-    in_tau against J and by witness_relations, at tol.
+    on those rows (commutant._below_on_heads), with the rows I of each T
+    made once.  A float quad is checked by in_tau against J and by
+    witness_relations, at tol.
     """
     off = 0
     for e in spec.eigenvalues:
@@ -200,11 +201,16 @@ def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
     quad = tuple(Matrix.from_entries(spec.r, spec.r, shared + third, spec.mode)
                  for third in ([], y, ic, t4))
     if spec.mode == EXACT:
-        from .commutant import _below_on_heads, _gather, _idempotent_on_heads, _spread
+        from .commutant import _below_on_heads, _gather, _heads, _idempotent_on_heads, _spread
 
-        valid = (all(_spread(spec, *_gather(spec, t)) == t and _idempotent_on_heads(spec, t)
-                     for t in quad)
-                 and all(_relations(partial(_below_on_heads, spec), *quad).values()))
+        heads = [_heads(spec, t) for t in quad]
+
+        def below(i, k):
+            return _below_on_heads(spec, quad[i], quad[k], heads[i], heads[k])
+
+        valid = (all(_spread(spec, *_gather(spec, t)) == t and _idempotent_on_heads(spec, t, h)
+                     for t, h in zip(quad, heads))
+                 and all(_relations(below, 0, 1, 2, 3).values()))
     else:
         from .jordan import build_jordan_matrix
 
@@ -224,7 +230,8 @@ def witness_relations(t1: Matrix, t2: Matrix, t3: Matrix, t4: Matrix, tol=DEFAUL
 
 
 def _relations(leq, t1, t2, t3, t4):
-    """witness_relations with the projector order leq(a, b)."""
+    """witness_relations with the projector order leq(a, b), which the
+    exact witness check calls on the quad's indices."""
     return {
         "T1_leq_T3": leq(t1, t3),
         "T1_leq_T4": leq(t1, t4),

@@ -375,9 +375,12 @@ def test_hasse_unwritable_out_exit_2(runner, files, tmp_path):
     (["hasse", "--out", "{tmp}/g.dot"], [(k, [1]) for k in range(1, 21)]),
     # 70,000 samples of 4 x 4 projectors: 1,120,000 entries drawn
     (["hasse", "--out", "{tmp}/g.dot", "--antichain-samples=70000"], [(1, [2, 2])]),
+    # 65,536 samples, exactly MAX_ENTRIES entries: allowed, and refused by
+    # the node budget at the first sample too many
+    (["hasse", "--out", "{tmp}/g.dot", "--antichain-samples=65536"], [(1, [2, 2])]),
 ], ids=["witness-huge-size", "sample-size-100000", "sample-size-1000", "hasse-size-1000",
         "sample-count-2**63", "sample-count-over-entries", "hasse-s-20",
-        "hasse-samples-over-entries"])
+        "hasse-samples-over-entries", "hasse-samples-over-nodes"])
 def test_work_bounds_refuse_at_once(runner, tmp_path, argv, pairs):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(spec_to_obj(make_spec(pairs))))

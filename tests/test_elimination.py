@@ -85,7 +85,7 @@ def rows(m):
 def echelon(m):
     """(G, pivots): the nonzero rows of m's forward-only Bareiss echelon form,
     as a Matrix, and its pivot columns."""
-    a, pivots, _ = _bareiss(m._intform[1], m.rows, m.cols)
+    a, pivots, _, _ = _bareiss(m._intform[1], m.rows, m.cols)
     k = len(pivots)
     return (Matrix.exact(a[:k]) if k else Matrix.zeros(0, m.cols)), pivots
 
@@ -181,7 +181,7 @@ def test_group_inverse_index_too_large(a):
 def test_unit_pivots(unit, size):
     u = QQi(*unit)
     d = Matrix.diag([u] + [1] * (size - 1), EXACT)
-    _, pivots, last = _bareiss(d._intform[1], size, size)
+    _, pivots, last, _ = _bareiss(d._intform[1], size, size)
     # the last pivot is det d = u; at size 3 the unit is left in it, u^2,
     # unless it is divided out
     assert pivots == list(range(size)) and last == unit and d.rank() == size
@@ -200,7 +200,7 @@ def test_unit_pivots(unit, size):
 def test_rref_empty_shapes():
     for r, c in [(0, 0), (0, 4), (3, 0)]:
         z = Matrix.zeros(r, c)
-        a, pivots, last = _bareiss(z._intform[1], r, c)
+        a, pivots, last, _ = _bareiss(z._intform[1], r, c)
         assert (len(a), pivots, last, z.rank()) == (r, [], (1, 0), 0)
     assert Matrix.zeros(0, 0).inverse() == Matrix.zeros(0, 0)
     assert moore_penrose(Matrix.zeros(3, 0)) == Matrix.zeros(0, 3)
