@@ -1,23 +1,23 @@
-"""The algebra of matrices commuting with a Jordan matrix J, and the poset
-of projectors inside it, used to describe down-sets under the sharp order.
+"""The algebra of matrices commuting with a Jordan matrix J, and its poset
+Delta(J) of projectors, used to describe down-sets under the sharp order.
 
 A matrix commutes with J iff it is block diagonal across eigenvalues, each
 diagonal block a grid of upper-triangular Toeplitz cores padded per the
 Cullen shape rules (Gantmacher, The Theory of Matrices, ch. VIII).  A grid
-holds only its cores' coefficients: the cell shapes depend on the block
-sizes alone, so a spec's layout is made once, by _layout, and kept on it.
-So is its chart (_chart), which maps the coefficients to the matrix
-entries, in both modes: _spread writes every commutant element from its
-coefficients, and _gather reads every grid off its cells' first rows.
+holds only its cores' coefficients; the cell shapes depend on the block
+sizes alone, so each spec keeps one chart of them (_chart), global and per
+eigenvalue: _spread writes every commutant element from its coefficients,
+and _gather reads every grid off its cells' first rows.
 
 Exact work is done per eigenvalue block, on the first rows I of the Jordan
 blocks, which fix a commutant element: the sampler solves only where its
-block choice is mixed (_conjugated), and T^2 = T and the projector order
-are decided on T[I, :] (_idempotent_on_heads, _below_on_heads)."""
+block choice is mixed (_conjugated), and Delta(J) membership (_delta_span,
+the one check of it) and the projector order are decided on T[I, :]."""
 
 import random
+from collections import namedtuple
 from contextlib import suppress
-from itertools import accumulate, chain, groupby, islice
+from itertools import accumulate, chain, groupby, islice, product
 from math import lcm
 
 from .core import (
@@ -48,66 +48,71 @@ from .jordan import (JordanSpec, _block_diagonal, build_jordan_matrix, spec_from
                      spec_to_obj)
 from .scalars import QQi
 
+_Chart = namedtuple("_Chart", "coef dst head parts")
+_Part = namedtuple("_Part", "o dim c0 c1 coef dst head cores heads tops diag classes")
 
-def _layout(spec: JordanSpec):
-    """Per eigenvalue, the t x t grid of (rows, cols, i0, j0) of its Cullen
-    cells: the cell shape and the top-left entry of its Toeplitz core X in the
-    r x r matrix, at the top of a tall cell ([X; O]) and the right of a wide
-    one ([O X]).  Kept on the spec, as a float spec's P is unhashable."""
-    return _kept(spec, "_cullen", _cullen_layout)
+# the most S whose T the float sampler checks: a tol that no T meets ends in NotInDelta
+_FLOAT_DRAWS = 64
 
 
-def _cullen_layout(spec: JordanSpec):
-    out, off = [], 0
+def _chart(spec: JordanSpec) -> _Chart:
+    """The Cullen chart (coef, dst, head, parts), made in one walk over the
+    block sizes and kept on the spec (a float spec's P is unhashable, so no
+    cache could key on it).  With the core coefficients numbered in layout
+    order, the entry at flat index dst[e] holds coefficient coef[e], and
+    coefficient c is the entry at flat index head[c], in its cell's first
+    row: lists for an exact spec (exact code loads no numpy), index arrays
+    for a float one.  parts has a _Part per eigenvalue: its dim x dim block
+    starts at (o, o), and its coefficients c0 .. c1 - 1 are numbered from 0
+    in its (coef, dst, head); cores[i][k] = min(sizes[i], sizes[k]); heads
+    are its block starts, the rows I that hold its grid; coefficient c0 + c
+    is entry (heads[q], j) for (j, q) = tops[c]; diag is each diagonal
+    cell's leading coefficient, and classes, per block size p, those of the
+    cells between blocks of size p (_size_classes_invertible)."""
+    return _kept(spec, "_cullen", _make_chart)
+
+
+def _make_chart(spec: JordanSpec) -> _Chart:
+    r, o, c0 = spec.r, 0, 0
+    coef, dst, head, parts = [], [], [], []
     for e in spec.eigenvalues:
-        starts = [off + sum(e.sizes[:i]) for i in range(e.t)]
-        out.append([[(e.sizes[i], e.sizes[k], starts[i],
-                      starts[k] + e.sizes[k] - min(e.sizes[i], e.sizes[k]))
-                     for k in range(e.t)] for i in range(e.t)])
-        off += e.dim
-    return out
+        n, t, starts = e.dim, e.t, list(accumulate(e.sizes, initial=0))
+        cores = [[min(p, q) for q in e.sizes] for p in e.sizes]
+        pc, pd, ph, tops = [], [], [], []
+        for i, k in product(range(t), repeat=2):
+            # the core's top-left entry is at the top of a tall cell and the
+            # right of a wide one; its coefficient c fills its c-th superdiagonal
+            m = cores[i][k]
+            i0, j0 = starts[i], starts[k + 1] - m
+            for c in range(m):
+                for x in range(m - c):
+                    pc.append(len(ph) + c)
+                    pd.append((i0 + x) * n + j0 + x + c)
+            ph += range(i0 * n + j0, i0 * n + j0 + m)
+            tops += ((j, i) for j in range(j0, j0 + m))
+        # cell (i, k)'s leading coefficient is lead[i * t + k], and c1 = lead[-1]
+        lead = list(accumulate(chain.from_iterable(cores), initial=c0))
+        classes = [[[lead[i * t + k] for k in same] for i in same]
+                   for same in (list(g) for _, g in groupby(range(t), e.sizes.__getitem__))]
+        parts.append(_Part(o, n, c0, lead[-1], pc, pd, ph, cores, starts[:-1], tops,
+                           lead[:-1:t + 1], classes))
+        # local flat index i n + j is global (o + i) r + o + j
+        coef += (c0 + c for c in pc)
+        dst += (o * (r + 1) + x + (r - n) * (x // n) for x in pd)
+        head += (o * (r + 1) + x + (r - n) * (x // n) for x in ph)
+        o, c0 = o + n, lead[-1]
+    if spec.mode == FLOAT:
+        import numpy as np
+
+        coef, dst, head = map(np.array, (coef, dst, head))
+    return _Chart(coef, dst, head, parts)
 
 
 def _fits(spec: JordanSpec, blocks):
     """Whether blocks has the spec's grids, each cell with as many
     coefficients as its core's size."""
-    return [[list(map(len, row)) for row in grid] for grid in blocks] == [
-        [[min(nr, nc) for nr, nc, _, _ in row] for row in grid] for grid in _layout(spec)]
-
-
-def _chart(spec: JordanSpec):
-    """The Cullen chart (coef, dst, head), kept on the spec: with the core
-    coefficients numbered in layout order, the entry at flat index dst[e]
-    holds coefficient coef[e], and coefficient c is the entry at flat index
-    head[c], in its cell's first row.  Lists for an exact spec, so exact
-    code loads no numpy; numpy index arrays for a float one."""
-    return _kept(spec, "_cullen_index", _cullen_chart)
-
-
-def _cullen_chart(spec: JordanSpec):
-    lists = _chart_lists((place for grid in _layout(spec) for row in grid for place in row),
-                         spec.r)
-    if spec.mode == EXACT:
-        return lists
-    import numpy as np
-
-    return tuple(map(np.array, lists))
-
-
-def _chart_lists(places, n, o=0):
-    """(coef, dst, head) of the Cullen cells at places, as _chart has them,
-    with flat indices into the n x n matrix whose top-left entry is the
-    layout's (o, o), and the cells' coefficients numbered from 0."""
-    coef, dst, head = [], [], []
-    for nr, nc, i0, j0 in places:
-        i0, j0, k = i0 - o, j0 - o, min(nr, nc)
-        # coefficient c of the cell fills the core's c-th superdiagonal
-        for c in range(k):
-            for x in range(k - c):
-                coef.append(len(head) + c)
-                dst.append((i0 + x) * n + j0 + x + c)
-        head += range(i0 * n + j0, i0 * n + j0 + k)
-    return coef, dst, head
+    return ([[list(map(len, row)) for row in grid] for grid in blocks]
+            == [p.cores for p in _chart(spec).parts])
 
 
 def _chart_rows(n, coef, dst, values):
@@ -123,7 +128,7 @@ def _spread(spec: JordanSpec, values, d=1):
     """The commutant element whose core coefficients, in layout order, are
     values: (re, im) int pairs over the denominator d for an exact spec,
     complex numbers for a float one.  The one writer of a commutant element."""
-    coef, dst, _ = _chart(spec)
+    coef, dst, _, _ = _chart(spec)
     r = spec.r
     if spec.mode == EXACT:
         return _over(r, r, _chart_rows(r, coef, dst, values), (d, 0))
@@ -141,11 +146,29 @@ def _gather(spec: JordanSpec, t: Matrix):
     order, read off its cells' first rows, as (re, im) int pairs over t's
     denominator d, or a complex array and d = 1.  The one reader of a grid:
     _spread(spec, *_gather(spec, t)) is the element t's first rows span."""
-    head = _chart(spec)[2]
+    head = _chart(spec).head
     if t.mode == EXACT:
         flat = list(chain.from_iterable(t._intform[1]))
         return [flat[k] for k in head], t._intform[0]
     return t.array.ravel()[head], 1
+
+
+def _delta_span(spec: JordanSpec, t: Matrix, tol=DEFAULT_TOL, heads=None):
+    """The one Delta(J) check of an r x r t of the spec's mode (the dense
+    delta_membership is its reference): t must be the element its grid spans
+    (approx_eq at tol), then T^2 = T, in exact mode on the rows I as
+    T[I, :] T = T[I, :] (T^2 is in the commutant too, and the rows I fix a
+    commutant element; heads: t's _heads, made unless given), in float mode
+    by is_projector at tol.  The matrix a projector keeps (t, or in float
+    mode the span) if t passes, else None."""
+    span = _spread(spec, *_gather(spec, t))
+    if not approx_eq(span, t, tol):
+        return None
+    if t.mode == FLOAT:
+        return span if is_projector(t, tol) else None
+    if heads is None:
+        heads = _heads(spec, t)
+    return t if _int_rep_eq(heads._intform, _int_product(heads, t)) else None
 
 
 class CommutantProjector(_Frozen):
@@ -175,24 +198,18 @@ class CommutantProjector(_Frozen):
 
     @classmethod
     def from_matrix(cls, spec: JordanSpec, t: Matrix, tol=DEFAULT_TOL):
-        """Keep t if it is an idempotent in the commutant of J, else raise
-        NotInDelta; its Cullen grid is read only when asked for.
-
-        t must equal the element its cores' first rows span (Toeplitz cores,
-        zero padding on the right side, nothing coupling distinct
-        eigenvalues): _spread(spec, *_gather(spec, t)), the bits of
-        read(spec, t).expand(), compared with t by approx_eq.  Exact mode
-        keeps t itself, float mode the span, which drops t's noise."""
+        """Keep t if it is in Delta(J), an idempotent in the commutant of J,
+        by _delta_span at tol, else raise NotInDelta; its Cullen grid is read
+        only when asked for.  Exact mode keeps t itself, float mode the
+        span of its grid, which drops t's noise."""
         if not t.is_square or t.rows != spec.r:
             raise ShapeMismatch(f"expected a {spec.r}x{spec.r} matrix")
         if t.mode != spec.mode:
             raise ModeMismatch(f"{t.mode} matrix for a {spec.mode} spec")
-        if not is_projector(t, tol):
-            raise NotInDelta("matrix is not idempotent")
-        span = _spread(spec, *_gather(spec, t))
-        if not approx_eq(span, t, tol):
-            raise NotInDelta("matrix is not in the commutant (Cullen shape per eigenvalue)")
-        return cls(spec, None, t if t.mode == EXACT else span)
+        kept = _delta_span(spec, t, tol)
+        if kept is None:
+            raise NotInDelta("matrix is not an idempotent in the commutant of J")
+        return cls(spec, None, kept)
 
     @classmethod
     def read(cls, spec: JordanSpec, t: Matrix):
@@ -202,8 +219,8 @@ class CommutantProjector(_Frozen):
         coefficients are made into QQi."""
         values, d = _gather(spec, t)
         it = iter(map(_scalar_over(d), values) if t.mode == EXACT else values.tolist())
-        return cls(spec, tuple(tuple(tuple(tuple(islice(it, min(nr, nc))) for nr, nc, _, _ in row)
-                                     for row in grid) for grid in _layout(spec)))
+        return cls(spec, tuple(tuple(tuple(tuple(islice(it, m)) for m in row) for row in p.cores)
+                               for p in _chart(spec).parts))
 
 
 def _read_blocks(cp: CommutantProjector):
@@ -265,7 +282,7 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     core coefficients drawn from [-2, 2] (_draws) in layout order, real part
     first, and written by _spread: in float mode with the bits of the exact
     element's to_float()."""
-    parts = _draws(rng, 2 * len(_chart(spec)[2]))
+    parts = _draws(rng, 2 * len(_chart(spec).head))
     if spec.mode == FLOAT:
         import numpy as np
 
@@ -283,17 +300,8 @@ def _heads(spec: JordanSpec, t: Matrix) -> ExactMatrix:
     """The rows I of an exact T, the first row of each Jordan block, over
     T's denominator.  They fix a commutant element: they hold its grid."""
     d, rows = t._intform
-    top = tuple(rows[row[0][2]] for grid in _layout(spec) for row in grid)
+    top = tuple(rows[p.o + h] for p in _chart(spec).parts for h in p.heads)
     return ExactMatrix(len(top), spec.r, (d, top))
-
-
-def _idempotent_on_heads(spec: JordanSpec, t: Matrix, heads=None) -> bool:
-    """T^2 = T for an exact T in the commutant of J, decided on its rows I:
-    T[I, :] T = T[I, :].  T^2 is in the commutant too, and the rows I fix a
-    commutant element.  heads: T's _heads, made here unless given."""
-    if heads is None:
-        heads = _heads(spec, t)
-    return _int_rep_eq(heads._intform, _int_product(heads, t))
 
 
 def _below_on_heads(spec: JordanSpec, a: Matrix, b: Matrix, ha=None, hb=None) -> bool:
@@ -310,44 +318,9 @@ def _below_on_heads(spec: JordanSpec, a: Matrix, b: Matrix, ha=None, hb=None) ->
     return _int_rep_eq(ha._intform, _int_product(hb, a))
 
 
-def _eigen_charts(spec: JordanSpec):
-    """Per eigenvalue, kept on the spec, the part of the chart that exact
-    sampling works on, as a tuple (o, dim, c0, c1, coef, dst, tops, heads,
-    diag, classes):
-
-    - the eigenvalue's dim x dim block starts at (o, o), and its core
-      coefficients are c0 .. c1 - 1 in layout order;
-    - (coef, dst) is the eigenvalue's chart on its dim x dim block, with its
-      coefficients numbered from 0 (_chart_lists);
-    - its coefficient c0 + c is entry (heads[q], j) for (j, q) = tops[c]:
-      heads are its first rows I, and q the block whose first row holds it;
-    - diag lists the leading coefficient of each diagonal cell, and classes,
-      per distinct block size p, the m_p x m_p leading coefficients of the
-      cells between the blocks of size p (_size_classes_invertible)."""
-    return _kept(spec, "_cullen_parts", _cullen_parts)
-
-
-def _cullen_parts(spec: JordanSpec):
-    out, o, c0 = [], 0, 0
-    for e, grid in zip(spec.eigenvalues, _layout(spec)):
-        places = [place for row in grid for place in row]
-        coef, dst, head = _chart_lists(places, e.dim, o)
-        # cell (i, k)'s leading coefficient is lead[i * t + k], and c1 = lead[-1]
-        lead = list(accumulate((min(nr, nc) for nr, nc, _, _ in places), initial=c0))
-        heads = [row[0][2] - o for row in grid]
-        block = {h: q for q, h in enumerate(heads)}
-        classes = [[[lead[i * e.t + k] for k in same] for i in same]
-                   for same in (list(g) for _, g in groupby(range(e.t), e.sizes.__getitem__))]
-        out.append((o, e.dim, c0, lead[-1], coef, dst,
-                    [(h % e.dim, block[h // e.dim]) for h in head], heads,
-                    [lead[i * (e.t + 1)] for i in range(e.t)], classes))
-        o, c0 = o + e.dim, lead[-1]
-    return out
-
-
 def _size_classes_invertible(s, classes) -> bool:
     """Whether an exact commutant element with core coefficients s is
-    invertible on one eigenvalue, from its classes (_eigen_charts): iff
+    invertible on one eigenvalue, from its classes (_chart): iff
     each size class's matrix of leading coefficients is nonsingular.
 
     Modulo its radical, the commutant of one eigenvalue's blocks is the sum
@@ -362,20 +335,20 @@ def _size_classes_invertible(s, classes) -> bool:
                == len(cls) for cls in classes)
 
 
-def _delta_rows(s, keep, o, dim, c0, c1, coef, dst, tops, heads, *_):
+def _delta_rows(s, keep, p):
     """(n, values): the core coefficients c0 .. c1 - 1 of T = (S E) S^-1 on
-    one eigenvalue (_eigen_charts' part o ..), as (re, im) ints over n, for
+    one eigenvalue (its chart part p), as (re, im) ints over n, for
     the exact commutant element S with core coefficients s and the 0/1
     diagonal keep of E.  The rows I of T, which hold its grid, solve
     T[I, :] S = (S E)[I, :] by one _solve of the block's S^T: SingularMatrix
     if it is singular.  T^2 = T is then checked on those rows: NotInDelta if
     it fails."""
-    st = _transpose(_chart_rows(dim, coef, dst, s[c0:c1]), dim)
-    x, n = _solve(st, dim, tuple(tuple(row[h] for h in heads) if keep[o + j] else
-                                 ((0, 0),) * len(heads) for j, row in enumerate(st)),
-                  len(heads))
-    values = [x[j][q] for j, q in tops]
-    rows = _chart_rows(dim, coef, dst, values)
+    dim, heads = p.dim, p.heads
+    st = _transpose(_chart_rows(dim, p.coef, p.dst, s[p.c0:p.c1]), dim)
+    x, n = _solve(st, dim, tuple(tuple(row[h] for h in heads) if keep[p.o + j] else
+                                 ((0, 0),) * len(heads) for j, row in enumerate(st)), len(heads))
+    values = [x[j][q] for j, q in p.tops]
+    rows = _chart_rows(dim, p.coef, p.dst, values)
     top = ExactMatrix(len(heads), dim, (n, tuple(rows[h] for h in heads)))
     if not _int_rep_eq(top._intform, _int_product(top, ExactMatrix(dim, dim, (n, rows)))):
         raise NotInDelta("matrix is not idempotent")
@@ -390,24 +363,23 @@ def _conjugated(spec: JordanSpec, c, keep) -> Matrix:
     invertible there is decided (_size_classes_invertible); the other
     eigenvalues are solved by _delta_rows.  T is written by _spread."""
     s, mixed, ones = list(c), [], []
-    for part in _eigen_charts(spec):
-        o, dim, *_, diag, classes = part
-        for i in diag:
+    for p in _chart(spec).parts:
+        for i in p.diag:
             s[i] = (s[i][0] + 1, s[i][1])
-        kept = keep[o:o + dim]
+        kept = keep[p.o:p.o + p.dim]
         if min(kept) != max(kept):
-            mixed.append(part)
-        elif not _size_classes_invertible(s, classes):
+            mixed.append(p)
+        elif not _size_classes_invertible(s, p.classes):
             raise SingularMatrix("exact matrix is singular")
         elif kept[0]:
-            ones += diag
-    solved = [_delta_rows(s, keep, *part) for part in mixed]
+            ones += p.diag
+    solved = [_delta_rows(s, keep, p) for p in mixed]
     d = lcm(*(n for n, _ in solved))
     values = [(0, 0)] * len(s)
     for i in ones:
         values[i] = (d, 0)
-    for (_, _, c0, c1, *_), (n, part) in zip(mixed, solved):
-        values[c0:c1] = [(xr * (d // n), xi * (d // n)) for xr, xi in part]
+    for p, (n, part) in zip(mixed, solved):
+        values[p.c0:p.c1] = [(xr * (d // n), xi * (d // n)) for xr, xi in part]
     return _spread(spec, values, d)
 
 
@@ -424,15 +396,17 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
     is O or I on an eigenvalue, as it always is on one with a single block,
     that part of T is O or I and nothing is solved; elsewhere the rows of T
     that hold its grid are solved for and T^2 = T is checked on them.  Float
-    mode forms T by products and checks it with from_matrix: BLAS gives some
+    mode forms T by products and checks it with _delta_span: BLAS gives some
     zeros of S E a sign that a column mask would not, and those signs reach
     T.  A singular S, found on any eigenvalue or by the float rank cut
-    (np.linalg.inv can succeed where the cut fails), is drawn again whole."""
+    (np.linalg.inv can succeed where the cut fails), is drawn again whole; so
+    is an ill-conditioned float S whose T fails the check, up to
+    _FLOAT_DRAWS times before NotInDelta."""
     rng = random.Random(seed)
     keep = _block_diagonal(spec, [rng.randint(0, 1) for _ in spec.block_sizes]
                            if block_choices is None else list(block_choices))
     if spec.mode == EXACT:
-        count = len(_chart(spec)[2])
+        count = len(_chart(spec).head)
         while True:
             parts = _draws(rng, 2 * count)
             with suppress(SingularMatrix):
@@ -441,12 +415,16 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
     from .floatmatrix import _wrap
 
     ident = Matrix.identity(spec.r, FLOAT)
-    while True:
+    # E = diag(keep): the columns of I that keep keeps
+    e = ident.array * keep
+    for _ in range(_FLOAT_DRAWS):
         s = ident + random_commutant_element(spec, rng)
-        if s.rank(tol) == spec.r:
-            # E = diag(keep): the columns of I that keep keeps
-            e = ident.array * keep
-            return CommutantProjector.from_matrix(spec, _wrap(s.array @ e @ s.inverse().array), tol)
+        while s.rank(tol) < spec.r:
+            s = ident + random_commutant_element(spec, rng)
+        t = _delta_span(spec, _wrap(s.array @ e @ s.inverse().array), tol)
+        if t is not None:
+            return CommutantProjector(spec, None, t)
+    raise NotInDelta(f"no T of {_FLOAT_DRAWS} nonsingular draws of S passed the check at tol")
 
 
 # ----------------------------------------------------------------------
@@ -466,9 +444,10 @@ def projector_to_obj(cp: CommutantProjector):
 
 def projector_from_obj(obj) -> CommutantProjector:
     """The projector of projector JSON: MalformedInput for a grid that does
-    not fit the spec or its mode, NotInDelta for one whose matrix is not
-    idempotent (exact mode: _idempotent_on_heads; float mode: is_projector
-    at DEFAULT_TOL).  The matrix is expanded here and kept."""
+    not fit the spec or its mode, NotInDelta for one whose matrix fails
+    _delta_span at DEFAULT_TOL (the span check holds, as the grid spans the
+    matrix, so this is T^2 = T: on the rows I in exact mode, by is_projector
+    in float mode).  The matrix is expanded here and kept."""
     try:
         spec = spec_from_obj(obj["spec"])
         blocks = tuple(tuple(tuple(tuple(map(scalar_from_obj, cell)) for cell in row)
@@ -480,7 +459,6 @@ def projector_from_obj(obj) -> CommutantProjector:
                                       for row in grid for cell in row for c in cell):
         raise MalformedInput(f"the grid does not fit the spec's block sizes and {spec.mode} mode")
     cp = CommutantProjector(spec, blocks)
-    t = cp.expand()
-    if not (_idempotent_on_heads(spec, t) if exact else is_projector(t)):
+    if _delta_span(spec, cp.expand()) is None:
         raise NotInDelta("the grid's matrix is not idempotent")
     return cp

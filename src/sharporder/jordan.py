@@ -74,11 +74,9 @@ class JordanSpec(_Frozen):
     """Distinct nonzero eigenvalues with block sizes, plus an optional
     similarity matrix P mapping J to the target (target = P J P^-1)."""
 
-    # _r is kept by r; _cullen (the Cullen layout), _cullen_index (the
-    # Cullen chart) and _cullen_parts (its parts per eigenvalue) by the
-    # commutant code
+    # _r is kept by r; _cullen, the one Cullen chart, by commutant._chart
     _fields = ("eigenvalues", "P")
-    __slots__ = _fields + ("_r", "_cullen", "_cullen_index", "_cullen_parts")
+    __slots__ = _fields + ("_r", "_cullen")
 
     def __init__(self, eigenvalues: tuple, P: Matrix = None):
         eigs = tuple(eigenvalues)

@@ -168,10 +168,10 @@ def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
     The quad is checked before it is returned: each T is in the commutant
     of J and idempotent, and witness_relations all hold.  An exact quad is
     checked on the rows I of each T that fix a commutant element (the first
-    row of each Jordan block): T is in the commutant iff it is the element
-    its Cullen grid spans, then T^2 = T on T[I, :] T, and each order test
-    on those rows (commutant._below_on_heads), with the rows I of each T
-    made once.  A float quad is checked by in_tau against J and by
+    row of each Jordan block), made once per T: Delta(J) membership by
+    commutant._delta_span (T is the element its Cullen grid spans, then
+    T^2 = T on T[I, :] T), and each order test on those rows
+    (commutant._below_on_heads).  A float quad is checked by in_tau against J and by
     witness_relations, at tol.
     """
     off = 0
@@ -201,15 +201,14 @@ def non_lattice_witness(spec: "JordanSpec", tol=DEFAULT_TOL):
     quad = tuple(Matrix.from_entries(spec.r, spec.r, shared + third, spec.mode)
                  for third in ([], y, ic, t4))
     if spec.mode == EXACT:
-        from .commutant import _below_on_heads, _gather, _heads, _idempotent_on_heads, _spread
+        from .commutant import _below_on_heads, _delta_span, _heads
 
         heads = [_heads(spec, t) for t in quad]
 
         def below(i, k):
             return _below_on_heads(spec, quad[i], quad[k], heads[i], heads[k])
 
-        valid = (all(_spread(spec, *_gather(spec, t)) == t and _idempotent_on_heads(spec, t, h)
-                     for t, h in zip(quad, heads))
+        valid = (all(_delta_span(spec, t, tol, h) is not None for t, h in zip(quad, heads))
                  and all(_relations(below, 0, 1, 2, 3).values()))
     else:
         from .jordan import build_jordan_matrix

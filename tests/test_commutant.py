@@ -14,6 +14,7 @@ from sharporder import (
     Matrix,
     QQi,
     Tolerance,
+    approx_eq,
     is_projector,
     admissible_ranks,
     build_jordan_matrix,
@@ -26,7 +27,6 @@ from sharporder import (
 from sharporder import commutant
 from sharporder.commutant import (
     CommutantProjector,
-    _idempotent_on_heads,
     block_choice_projector,
     random_commutant_element,
 )
@@ -471,7 +471,7 @@ def test_row_idempotence_agrees_with_is_projector(case):
         for m in (element, Matrix.identity(spec.r) + element, cp.expand(),
                   perturbed.expand(), block_choice_projector(spec, bits)):
             seen.add(is_projector(m))
-            assert _idempotent_on_heads(spec, m) == is_projector(m)
+            assert (commutant._delta_span(spec, m) is not None) == is_projector(m)
     assert seen == {False, True}
 
 
@@ -683,7 +683,7 @@ def test_size_classes_decide_invertibility(sizes, data):
     spec = make_spec([(1, sorted(sizes, reverse=True))])
     count = len(commutant._chart(spec)[2])
     s = data.draw(st.lists(_COEFFICIENT, min_size=count, max_size=count))
-    (*_, classes), = commutant._eigen_charts(spec)
+    (*_, classes), = commutant._chart(spec).parts
     dense = commutant._spread(spec, s)._intform[1]
     assert (commutant._size_classes_invertible(s, classes)
             == (len(_bareiss(dense, spec.r, spec.r)[1]) == spec.r))
@@ -718,4 +718,123 @@ def test_sampling_one_large_block_solves_nothing():
         assert time.perf_counter() - start < 0.1
         kept = [not t.block(0, 127, 0, 127).is_zero(), not t.block(127, 128, 127, 128).is_zero()]
         assert t == block_choice_projector(spec, kept)
-        assert _idempotent_on_heads(spec, t)
+        assert commutant._delta_span(spec, t) is t
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([EXACT, FLOAT]),
+       st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=4), min_size=1, max_size=3),
+       st.randoms(use_true_random=False))
+def test_one_chart_holds_each_eigenvalue_part(mode, sizes, rnd):
+    # each eigenvalue's part is the global chart on its block: its local
+    # entries and heads moved by (o, o), its coefficients numbered from c0;
+    # its core sizes are min(s_i, s_k) and its head rows the block starts
+    sizes = [sorted(s, reverse=True) for s in sizes]
+    spec = make_spec(list(zip((1, 2, 3), sizes)), mode=mode)
+    chart, r = commutant._chart(spec), spec.r
+    assert commutant._chart(spec) is chart
+    coef, dst, head = (list(map(int, a)) for a in chart[:3])
+    placed, v = 0, [(rnd.randint(-3, 3), rnd.randint(-3, 3)) for _ in head]
+    assembled = [[(0, 0)] * r for _ in range(r)]
+    o = c0 = 0
+    for p, s in zip(chart.parts, sizes):
+        def at(x):
+            i, j = divmod(x, p.dim)
+            return (p.o + i) * r + p.o + j
+
+        assert (p.o, p.dim, p.c0) == (o, sum(s), c0)
+        assert p.cores == [[min(a, b) for b in s] for a in s]
+        assert p.heads == [sum(s[:i]) for i in range(len(s))]
+        assert p.c1 - p.c0 == len(p.head) == sum(map(sum, p.cores))
+        assert head[p.c0:p.c1] == list(map(at, p.head))
+        assert dst[placed:placed + len(p.dst)] == list(map(at, p.dst))
+        assert coef[placed:placed + len(p.coef)] == [c + p.c0 for c in p.coef]
+        for i, row in enumerate(commutant._chart_rows(p.dim, p.coef, p.dst, v[p.c0:p.c1])):
+            assembled[p.o + i][p.o:p.o + p.dim] = row
+        placed, o, c0 = placed + len(p.dst), o + p.dim, p.c1
+    assert (placed, o, c0) == (len(dst), r, len(head))
+    # the exact scatter is the block-diagonal assembly of the parts' rows
+    exact = make_spec(list(zip((1, 2, 3), sizes)))
+    assert commutant._spread(exact, v) == Matrix.exact(assembled)
+
+
+def _delta_inputs(pairs, rng):
+    """Exact r x r matrices around Delta(J) of the spec of pairs: sampled
+    projectors, their perturbed grids, random commutant elements (mostly
+    not idempotent) and, for REGION_SPEC, idempotents one entry off the
+    grid, with their conjugates by a commutant unit."""
+    spec = make_spec(pairs)
+    for seed in range(8):
+        cp = sample_delta_projector(spec, seed)
+        element = random_commutant_element(spec, rng)
+        yield from (cp.expand(), _perturbed(cp, rng).expand(), element,
+                    Matrix.identity(spec.r) + element)
+    if pairs == REGION_SPEC:
+        e = block_choice_projector(spec, REGION_BITS)
+        s = Matrix.identity(spec.r) + random_commutant_element(spec, random.Random(5))
+        for i, j in ((1, 3), (1, 4), (4, 0), (5, 2)):
+            bad = e + Matrix.from_entries(spec.r, spec.r, [(i, j, (1, -2))], EXACT)
+            yield from (bad, s @ bad @ s.inverse())
+
+
+@pytest.mark.parametrize("pairs", [REGION_SPEC, *EXACT_CASES])
+def test_one_delta_check_agrees_with_the_dense_rules(pairs):
+    # _delta_span against delta_membership (T idempotent and T J = J T) and
+    # against the rule it replaced (is_projector and the grid's span), on
+    # exact inputs and their to_float()
+    exact, seen = make_spec(pairs), set()
+    twin = make_spec([(complex(e.lam), e.sizes) for e in exact.eigenvalues], mode=FLOAT)
+    for t in _delta_inputs(pairs, random.Random(len(pairs))):
+        for spec, m in ((exact, t), (twin, t.to_float())):
+            mode = spec.mode
+            member = delta_membership(m, spec)
+            span = commutant._spread(spec, *commutant._gather(spec, m))
+            assert member == (is_projector(m) and approx_eq(span, m))
+            kept = commutant._delta_span(spec, m)
+            assert (kept is not None) == member
+            if member:
+                assert kept is m if mode == EXACT else kept.array.tobytes() == span.array.tobytes()
+            seen.add((mode, member))
+    assert seen == {(EXACT, False), (EXACT, True), (FLOAT, False), (FLOAT, True)}
+
+
+def test_exact_from_matrix_does_not_square_t():
+    # T^2 = T is decided on the head rows: no r x r square is made or kept
+    spec = make_spec(REGION_SPEC)
+    t = sample_delta_projector(spec, 3).expand()
+    t = Matrix.exact([t.row(i) for i in range(t.rows)])
+    assert CommutantProjector.from_matrix(spec, t).expand() is t
+    assert getattr(t, "_sq", None) is None
+
+
+# float specs and seeds whose first nonsingular S is so ill-conditioned that
+# its T = (S E) S^-1 misses is_projector at the default tolerance (with the
+# LAPACK and BLAS these tests were written on): the sampler draws S again
+ILL_CONDITIONED_S = [([(1, [12, 12]), (3, [1])], 12), ([(1, [32]), (3, [1])], 52),
+                     *(([(1, [48]), (3, [1])], seed) for seed in (17, 34, 40, 41))]
+
+
+@pytest.mark.parametrize("pairs, seed", ILL_CONDITIONED_S)
+def test_float_sampler_draws_s_again_when_t_fails_the_check(pairs, seed):
+    spec = make_spec(pairs, mode=FLOAT)
+    t = sample_delta_projector(spec, seed).expand()
+    assert delta_membership(t, spec)
+    assert CommutantProjector.from_matrix(spec, t).expand() == t
+    # the exact twin needs no second draw
+    assert delta_membership(sample_delta_projector(make_spec(pairs), seed).expand(),
+                            make_spec(pairs))
+
+
+def test_float_sampler_caps_the_t_checks(monkeypatch):
+    # a tolerance that no float T meets ends in NotInDelta after
+    # _FLOAT_DRAWS checks, not in an endless loop: here every check fails
+    checked = []
+
+    def failing(spec, t, tol, heads=None):
+        checked.append(tol)
+
+    monkeypatch.setattr(commutant, "_delta_span", failing)
+    spec, tol = make_spec([(2.0, [2, 1]), (3.0, [1])], mode=FLOAT), Tolerance(rel=1e-300)
+    with pytest.raises(NotInDelta):
+        sample_delta_projector(spec, 0, block_choices=[1, 0, 1], tol=tol)
+    assert checked == [tol] * commutant._FLOAT_DRAWS
