@@ -137,7 +137,8 @@ def downset_sample(spec_path, seed, count):
 def downset_chain(b_path, spec_path, tol):
     from .lattice import max_chain
 
-    _, spec, d = _downset_setup(b_path, spec_path, tol)
+    _, spec, d = _downset_setup(b_path, spec_path, tol,
+                                lambda n, spec: (len(spec.block_sizes) + 1) * n * n)
     _emit([matrix_to_obj(m) for m in max_chain(d, spec, tol)])
 
 

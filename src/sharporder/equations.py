@@ -25,29 +25,21 @@ from .jordan import JordanSpec, center_choices
 from .sharp import psi, psi_choices
 
 
-JORDAN_COMMUTE_IDEMPOTENT = "jordan_commute_idempotent"
-
-
 class SolutionFamily(_Frozen):
-    """A parameterized family of solutions; members is only populated when
-    the family is finite."""
+    """The solutions P T P^-1 of {BX = XB, X^2 = X}: base is (P, spec);
+    finite_count and members, the 2^s solutions, are None unless the family
+    is finite."""
 
-    __slots__ = _fields = ("kind", "base", "free_part_shape", "finite_count", "members")
-
-    def __init__(self, kind: str, base, free_part_shape: tuple, finite_count: int = None,
-                 members: tuple = None):
-        super().__init__(kind=kind, base=base, free_part_shape=free_part_shape,
-                         finite_count=finite_count, members=members)
+    __slots__ = _fields = ("base", "finite_count", "members")
 
 
-def _is_finite(hs: HSDecomposition, spec: JordanSpec) -> bool:
-    """The block and rank conditions for finitely many solutions of
-    {BX = XB, X^2 = X}: one Jordan block per eigenvalue, and rank n or n - 1.
-    PrecondViolated first when the spec is not of the core block's size r:
-    count_solutions and finite_solutions both make that check here."""
+def _core_finite_count(hs: HSDecomposition, spec: JordanSpec):
+    """_finite_count for the B that hs decomposes, after PrecondViolated
+    when the spec is not of the core block's size r: count_solutions and
+    finite_solutions both make that check here."""
     if spec.r != hs.r:
         raise PrecondViolated("spec does not describe the core block of B")
-    return _finite_count(hs.n, spec) is not None
+    return _finite_count(hs.n, spec)
 
 
 def _finite_count(n, spec: JordanSpec):
@@ -104,10 +96,11 @@ def count_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL) -> i
     spec of the core block: 2^s when B is nonsingular with one Jordan block
     per eigenvalue, 2^(s+1) when B has rank n - 1 under the same block
     condition, EP or not.  SingularK when B has index greater than 1."""
-    if not _is_finite(hs, spec):
+    count = _core_finite_count(hs, spec)
+    if count is None:
         raise HypothesisViolated("B needs one Jordan block per eigenvalue and rank >= n - 1")
     hs.require_index_le_one(tol)
-    return _finite_count(hs.n, spec)
+    return count
 
 
 def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
@@ -116,7 +109,7 @@ def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
     n - r (one empty W when r = n), in one batched product.  NotInTau at
     the first T outside tau, as in solve_ep_commute_idempotent.
     """
-    if not _is_finite(hs, spec):
+    if _core_finite_count(hs, spec) is None:
         return None
     centers = psi_choices(spec, center_choices(spec))
     if outside_tau(centers, hs.sigma_k().array, tol) is not None:
@@ -155,16 +148,13 @@ def solve_jordan_commuting_projectors(p: Matrix, spec: JordanSpec,
         raise SingularityMismatch("P must match the spec dimension")
     if p.rank(tol) < p.rows:
         raise SingularityMismatch("P is singular")
-    mode = spec.mode
-    if p.mode != mode:
+    if p.mode != spec.mode:
         raise SingularityMismatch("P and spec modes differ")
-    free_shape = (spec.r, spec.r)
     if all(e.t == 1 for e in spec.eigenvalues):
         members = tuple(psi(block_choice_projector(spec, bits), p)
                         for bits in center_choices(spec))
-        return SolutionFamily(JORDAN_COMMUTE_IDEMPOTENT, (p, spec), free_shape,
-                              finite_count=2 ** spec.s, members=members)
-    return SolutionFamily(JORDAN_COMMUTE_IDEMPOTENT, (p, spec), free_shape)
+        return SolutionFamily(base=(p, spec), finite_count=2 ** spec.s, members=members)
+    return SolutionFamily(base=(p, spec), finite_count=None, members=None)
 
 
 def jordan_family_member(family: SolutionFamily, t: Matrix, tol=DEFAULT_TOL) -> Matrix:

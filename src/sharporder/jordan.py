@@ -92,6 +92,11 @@ class JordanSpec(_Frozen):
             if not self.P.is_square or self.P.rows != self.r:
                 raise InvalidSpec("P has the wrong shape")
 
+    def __hash__(self):
+        # over the eigenvalues only, as a Matrix P is unhashable; equal
+        # specs have equal eigenvalues
+        return hash(self.eigenvalues)
+
     @property
     def mode(self):
         return self.eigenvalues[0].mode

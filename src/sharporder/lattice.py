@@ -30,23 +30,18 @@ from .ginv import moore_penrose
 from .sharp import phi, phi_inv_stack, proj_leq, psi_choices, sharp_leq
 
 
-def _commuting_product(t1: Matrix, t2: Matrix, tol) -> Matrix:
-    """T1 T2, once T1 T2 and T2 T1 are found close; NonCommuting otherwise."""
+def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
+    """Infimum T1 T2 of two commuting projectors; NonCommuting unless T1 T2
+    and T2 T1 are close at tol."""
     t12 = t1 @ t2
     if not approx_eq(t12, t2 @ t1, tol):
         raise NonCommuting("projectors do not commute")
     return t12
 
 
-def meet_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
-    """Infimum T1 T2 of two commuting projectors."""
-    return _commuting_product(t1, t2, tol)
-
-
 def join_commuting(t1: Matrix, t2: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """Supremum T1 + T2 - T1 T2 of two commuting projectors."""
-    t12 = _commuting_product(t1, t2, tol)
-    return t1 + t2 - t12
+    return t1 + t2 - meet_commuting(t1, t2, tol)
 
 
 def matrix_meet(a1: Matrix, a2: Matrix, hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
@@ -54,7 +49,7 @@ def matrix_meet(a1: Matrix, a2: Matrix, hs: "HSDecomposition", tol=DEFAULT_TOL) 
     commute."""
     from .hs import hs_reconstruct
 
-    _commuting_product(phi(a1, hs, tol), phi(a2, hs, tol), tol)
+    meet_commuting(phi(a1, hs, tol), phi(a2, hs, tol), tol)
     b = hs_reconstruct(hs)
     return a1 @ moore_penrose(b, tol) @ a2
 
@@ -82,24 +77,10 @@ class DownsetDescriptor(_Frozen):
     __slots__ = _fields = ("s", "factors", "is_lattice", "is_distributive", "is_boolean",
                            "boolean_center_size", "max_chain_length")
 
-    def __init__(self, s: int, factors: tuple = (), is_lattice: bool = False,
-                 is_distributive: bool = False, is_boolean: bool = False,
-                 boolean_center_size: int = 0, max_chain_length: int = 0):
-        super().__init__(s=s, factors=factors, is_lattice=is_lattice,
-                         is_distributive=is_distributive, is_boolean=is_boolean,
-                         boolean_center_size=boolean_center_size,
-                         max_chain_length=max_chain_length)
-
     def to_obj(self):
-        return {
-            "s": self.s,
-            "factors": [dict(f) for f in self.factors],
-            "is_lattice": self.is_lattice,
-            "is_distributive": self.is_distributive,
-            "is_boolean": self.is_boolean,
-            "boolean_center_size": self.boolean_center_size,
-            "max_chain_length": self.max_chain_length,
-        }
+        obj = {name: getattr(self, name) for name in self._fields}
+        obj["factors"] = [dict(f) for f in self.factors]
+        return obj
 
 
 def classify_downset(spec: "JordanSpec") -> DownsetDescriptor:
@@ -245,20 +226,17 @@ def _relations(leq, t1, t2, t3, t4):
 # intervals and chains
 
 
-def interval_iso_forward(pproj: Matrix, t1: Matrix, t2: Matrix = None,
+def interval_iso_forward(pproj: Matrix, t1: Matrix, t2: Matrix,
                          tol=DEFAULT_TOL) -> Matrix:
-    """Map [O, T2 - T1] onto [T1, T2] by P -> P + T1.
-
-    When t2 is supplied, T1 <= T2 (the interval is not empty) and membership
-    of pproj in [O, T2 - T1] are enforced.
-    """
+    """Map [O, T2 - T1] onto [T1, T2] by P -> P + T1.  PrecondViolated
+    unless P is idempotent, T1 <= T2 (the interval is not empty) and
+    P <= T2 - T1."""
     if not is_projector(pproj, tol):
         raise PrecondViolated("interval element is not idempotent")
-    if t2 is not None:
-        if not proj_leq(t1, t2, tol):
-            raise PrecondViolated("T1 does not lie below T2: the interval is empty")
-        if not proj_leq(pproj, t2 - t1, tol):
-            raise PrecondViolated("element does not lie below T2 - T1")
+    if not proj_leq(t1, t2, tol):
+        raise PrecondViolated("T1 does not lie below T2: the interval is empty")
+    if not proj_leq(pproj, t2 - t1, tol):
+        raise PrecondViolated("element does not lie below T2 - T1")
     return pproj + t1
 
 

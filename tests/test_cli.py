@@ -394,14 +394,18 @@ def test_work_bounds_refuse_at_once(runner, tmp_path, argv, pairs):
     assert runner.invoke(main, ["downset", "classify", "--spec", str(spec)]).exit_code == 0
 
 
-@pytest.mark.parametrize("command", [["downset", "boolean"], ["equations", "solve"]])
+@pytest.mark.parametrize("command", [["downset", "boolean"], ["equations", "solve"],
+                                     ["downset", "chain"]])
 def test_written_entries_bound(runner, tmp_path, command):
-    # B = diag(1..13), one block per eigenvalue: 2^13 matrices of 13 x 13,
-    # 1,384,448 entries, refused before B is decomposed or P checked
+    # B = diag(1..n), one block per eigenvalue, refused before B is
+    # decomposed or P checked: for n = 13, 2^13 matrices of 13 x 13,
+    # 1,384,448 entries; the chain of n = 102 has 103 matrices of 102 x 102,
+    # 1,071,612 entries
+    n = 102 if command[1] == "chain" else 13
     b, spec = tmp_path / "b.json", tmp_path / "spec.json"
-    b.write_text(json.dumps(matrix_to_obj(Matrix.floating(np.diag(np.arange(1.0, 14))))))
+    b.write_text(json.dumps(matrix_to_obj(Matrix.floating(np.diag(np.arange(1.0, n + 1))))))
     spec.write_text(json.dumps(spec_to_obj(make_spec(
-        [(float(k), [1]) for k in range(1, 14)], P=Matrix.identity(13, FLOAT), mode=FLOAT))))
+        [(float(k), [1]) for k in range(1, n + 1)], P=Matrix.identity(n, FLOAT), mode=FLOAT))))
     start = time.perf_counter()
     res = runner.invoke(main, command + ["--b", str(b), "--spec", str(spec)])
     assert time.perf_counter() - start < 1

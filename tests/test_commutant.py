@@ -838,3 +838,20 @@ def test_float_sampler_caps_the_t_checks(monkeypatch):
     with pytest.raises(NotInDelta):
         sample_delta_projector(spec, 0, block_choices=[1, 0, 1], tol=tol)
     assert checked == [tol] * commutant._FLOAT_DRAWS
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_specs_with_p_and_their_projectors_hash(mode):
+    # a spec hashes on its eigenvalues, as its Matrix P is unhashable; a
+    # projector hashes on (spec, blocks), also once read back from JSON
+    rows = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    p = Matrix.exact(rows) if mode == EXACT else Matrix.floating(np.array(rows, dtype=complex))
+    pairs = [(2, [2]), (3, [1])] if mode == EXACT else [(2.0, [2]), (3.0, [1])]
+    spec = make_spec(pairs, P=p, mode=mode)
+    twin = make_spec(pairs, P=p, mode=mode)
+    assert spec == twin and hash(spec) == hash(twin)
+    cp = sample_delta_projector(spec, 3)
+    again = projector_from_obj(projector_to_obj(cp))
+    assert again.spec.P is not None
+    assert again == cp and hash(again) == hash(cp)
+    assert {cp, sample_delta_projector(twin, 3), again} == {cp}

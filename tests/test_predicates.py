@@ -261,7 +261,7 @@ RAISES = [
     (jordan_family_member, (solve_jordan_commuting_projectors(E2, SPEC_2), NOT_IDEMPOTENT),
      NotInTau),
     (complement_in_downset, (E3, 2), ShapeMismatch),
-    (interval_iso_forward, (NOT_IDEMPOTENT, E2), PrecondViolated),
+    (interval_iso_forward, (NOT_IDEMPOTENT, E2, E2), PrecondViolated),
     (interval_iso_backward, (Matrix.zeros(2, 2), E2), PrecondViolated),
     (meet_in_c2, (E3, E3), NonSquare),
     (verify_glb, (F2, E2, E2, []), NotSupported),
