@@ -31,6 +31,8 @@ class SolutionFamily(_Frozen):
     is finite."""
 
     __slots__ = _fields = ("base", "finite_count", "members")
+    # unhashable, as the Matrix P of its base and its members are
+    __hash__ = None
 
 
 def _core_finite_count(hs: HSDecomposition, spec: JordanSpec):

@@ -26,6 +26,8 @@ class HSDecomposition(_Frozen):
 
     _fields = ("U", "sigma", "K", "L", "r")
     __slots__ = _fields + ("_sk", "_sl")
+    # unhashable, as its Matrix fields are
+    __hash__ = None
 
     def __init__(self, U: Matrix, sigma: tuple, K: Matrix, L: Matrix, r: int):
         # Sigma K and Sigma L: the rows of K and L scaled by sigma

@@ -5,12 +5,18 @@ the core-block similarity after decomposition is available in closed form
 (nonsingular case) or via plain eigenvectors (diagonalizable core).
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import sharporder
 from sharporder import (
     EXACT,
     FLOAT,
@@ -31,6 +37,19 @@ settings.register_profile("ci", print_blob=True)
 
 TOL8 = Tolerance(rel=1e-8)
 TOL7 = Tolerance(rel=1e-7)
+
+
+def loaded_in_fresh_interpreter(statement):
+    """The sorted sharporder and numpy modules that statement loads in a
+    fresh interpreter."""
+    src = str(Path(sharporder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (f"import json, sys; {statement}; print(json.dumps(sorted("
+            "m for m in sys.modules if m.startswith('sharporder') or m == 'numpy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(proc.stdout)
 
 
 @pytest.fixture

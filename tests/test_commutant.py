@@ -1,5 +1,6 @@
 import random
 import time
+from collections.abc import Hashable
 from itertools import count
 from types import SimpleNamespace
 
@@ -19,10 +20,12 @@ from sharporder import (
     admissible_ranks,
     build_jordan_matrix,
     delta_membership,
+    hs_decompose,
     make_spec,
     projector_from_obj,
     projector_to_obj,
     sample_delta_projector,
+    solve_jordan_commuting_projectors,
 )
 from sharporder import commutant
 from sharporder.commutant import (
@@ -855,3 +858,18 @@ def test_specs_with_p_and_their_projectors_hash(mode):
     assert again.spec.P is not None
     assert again == cp and hash(again) == hash(cp)
     assert {cp, sample_delta_projector(twin, 3), again} == {cp}
+
+
+def test_values_holding_a_matrix_are_unhashable():
+    # a decomposition and a solution family hold Matrix fields, which are
+    # unhashable, so they declare themselves unhashable too; a spec and a
+    # projector hash on their hashable fields
+    spec = make_spec([(2, [1]), (3, [1])])
+    for value in (hs_decompose(Matrix.identity(2, FLOAT)),
+                  solve_jordan_commuting_projectors(Matrix.identity(2), spec)):
+        assert not isinstance(value, Hashable)
+        with pytest.raises(TypeError, match="unhashable type"):
+            hash(value)
+    cp = sample_delta_projector(spec, 1)
+    assert isinstance(spec, Hashable) and isinstance(cp, Hashable)
+    assert {spec: 1, cp: 2}[cp] == 2

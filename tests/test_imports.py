@@ -1,7 +1,8 @@
 """Every import of a library module is used where it is made (in the
 module, or in the function that makes it), no library module holds mutable
 state at module level, every error class of errors.py is raised somewhere,
-and every fact a value keeps is written by core._kept.
+every fact a value keeps is written by core._kept, and the brute-force
+oracle's sweeps load neither numpy nor the order code they check.
 
 Deleting code tends to leave its imports behind; this catches them, also
 in the CLI, whose commands each import what they run.  A module-level
@@ -16,6 +17,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from conftest import loaded_in_fresh_interpreter
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sharporder"
 
@@ -188,3 +191,15 @@ def test_setattr_sites_finds_a_hand_written_cache():
               "def _kept(obj):\n    object.__setattr__(obj, 'v', 5)\n"
               "setattr(A, 'u', 6)\nobject.__setattr__(A, 't', 7)\n")
     assert setattr_sites(source, ("_kept",)) == ["__post_init__", "get", "keep", "module"]
+
+
+def test_oracle_sweeps_load_neither_numpy_nor_the_order_code():
+    # the sweeps run on integer forms in pure Python, and share no code with
+    # the sharp order they are the ground truth for
+    loaded = loaded_in_fresh_interpreter(
+        "from sharporder.core import Matrix; from sharporder import oracle; "
+        "u = oracle.enumerate_index1(2, [0, 1, '1/2']); b = Matrix.exact([[1, 0], [0, 2]]); "
+        "oracle.predecessor_table(u); oracle.brute_common_lower_bounds(b, u[-1], u); "
+        "oracle.brute_commuting_idempotents(b, u)")
+    assert "sharporder.oracle" in loaded
+    assert "numpy" not in loaded and "sharporder.sharp" not in loaded
