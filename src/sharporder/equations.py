@@ -2,10 +2,10 @@
 {BX = XB, X^2 = X} and {XBX = BX, X^2 = X}.
 
 For B = U [[SK, SL], [O, O]] U* of index <= 1, EP or not, the commuting
-idempotents are exactly U [[T, TM - MW], [O, W]] U* with M = K^-1 L, T a
-projector commuting with the core block and W any projector of size n - r:
-Q diag(T, W) Q^-1 with Q = U [[I, -M], [O, I]], which carries B to
-U diag(SK, O) U*.  For nonsingular B they are P T P^-1 with T in the
+idempotents are exactly Q diag(T, W) Q^-1 (hs.HSDecomposition.similarity:
+Q carries diag(SK, O) to B), T a projector commuting with the core block
+and W any projector of size n - r; in U's basis, U [[T, TM - MW], [O, W]] U*
+with M = K^-1 L.  For nonsingular B they are P T P^-1 with T in the
 commutant-projector poset of the Jordan form.
 
 The families but the Jordan one are built on a Hartwig-Spindelbock
@@ -19,7 +19,7 @@ from .commutant import block_choice_projector, delta_membership
 from .core import DEFAULT_TOL, Matrix, _Frozen, approx_eq, in_tau, is_projector
 from .errors import (HypothesisViolated, NotInTau, PrecondViolated, SingularityMismatch,
                      WNotProjector)
-from .floatmatrix import outside_tau, slices
+from .floatmatrix import _wrap, outside_tau, slices
 from .hs import HSDecomposition
 from .jordan import JordanSpec, center_choices
 from .sharp import psi, psi_choices
@@ -53,23 +53,14 @@ def _finite_count(n, spec: JordanSpec):
     return None
 
 
-def _members(hs: HSDecomposition, ts, ws, tol):
-    """U [[T, TM - MW], [O, W]] U* with M = K^-1 L for each pair of slices of
-    a (k, r, r) stack T and a (k, n - r, n - r) stack W, in one batched
-    product: a (k, n, n) array.  SingularK when B has index greater than 1;
-    K keeps its inverse, so a decomposition inverts it once."""
-    hs.require_index_le_one(tol)
-    m = (hs.K.inverse() @ hs.L).array
-    return hs.embed_stack(ts, ts @ m - m @ ws, ws)
-
-
 def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,
                                 tol=DEFAULT_TOL) -> Matrix:
-    """One solution U [[T, TM - MW], [O, W]] U* of {BX = XB, X^2 = X}; B need
-    not be EP (for EP B, M = O and the solution is U diag(T, W) U*).
+    """One solution Q diag(T, W) Q^-1 of {BX = XB, X^2 = X}; B need not be EP
+    (for EP B, M = O and the solution is U diag(T, W) U*).
 
     T ranges over projectors commuting with the core block and W over
-    projectors of size n - r.  The 1-stack of finite_solutions' product.
+    projectors of size n - r; SingularK for B of index > 1.  The 1-stack of
+    finite_solutions' product.
     """
     if not in_tau(t, hs.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with the core block")
@@ -77,7 +68,7 @@ def solve_ep_commute_idempotent(hs: HSDecomposition, t: Matrix, w: Matrix,
         raise WNotProjector(f"W must be {hs.n - hs.r} square")
     if not is_projector(w, tol):
         raise WNotProjector("W is not idempotent")
-    return slices(_members(hs, t.array[None], w.array[None], tol))[0]
+    return slices(hs.conjugate_stack(t.array[None], w.array[None], tol))[0]
 
 
 def split_ep_solution(hs: HSDecomposition, s: Matrix, tol=DEFAULT_TOL):
@@ -89,7 +80,7 @@ def split_ep_solution(hs: HSDecomposition, s: Matrix, tol=DEFAULT_TOL):
     t = m.block(0, r, 0, r)
     w = m.block(r, n, r, n)
     if not approx_eq(s, solve_ep_commute_idempotent(hs, t, w, tol), tol):
-        raise NotInTau("solution is not U [[T, TM - MW], [O, W]] U* of its diagonal blocks")
+        raise NotInTau("solution is not Q diag(T, W) Q^-1 of its diagonal blocks")
     return t, w
 
 
@@ -106,7 +97,7 @@ def count_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL) -> i
 
 
 def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
-    """The members U [[T, TM - MW], [O, W]] U* of a finite family, or None: T
+    """The members Q diag(T, W) Q^-1 of a finite family, or None: T
     over psi of the Boolean center and, for each T, W = O then I of size
     n - r (one empty W when r = n), in one batched product.  NotInTau at
     the first T outside tau, as in solve_ep_commute_idempotent.
@@ -118,7 +109,7 @@ def finite_solutions(hs: HSDecomposition, spec: JordanSpec, tol=DEFAULT_TOL):
         raise NotInTau("T is not an idempotent commuting with the core block")
     ws = np.array([[[0]], [[1]]] if hs.r < hs.n else [np.zeros((0, 0))], dtype=complex)
     x = np.repeat(centers, len(ws), axis=0)
-    return slices(_members(hs, x, np.tile(ws, (len(centers), 1, 1)), tol))
+    return slices(hs.conjugate_stack(x, np.tile(ws, (len(centers), 1, 1)), tol))
 
 
 def verify_power_commute(s: Matrix, b: Matrix, kmax: int, tol=DEFAULT_TOL) -> bool:
@@ -132,10 +123,11 @@ def verify_power_commute(s: Matrix, b: Matrix, kmax: int, tol=DEFAULT_TOL) -> bo
 
 
 def solve_xbx_family(hs: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:
-    """One solution S = U diag(T, O) U* of {XBX = BX, X^2 = X}."""
+    """One solution S = F T F* = U diag(T, O) U* of {XBX = BX, X^2 = X}."""
     if not in_tau(t, hs.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with the core block")
-    return hs.embed(t)
+    f = hs.U.array[:, :hs.r]
+    return _wrap(f @ t.array @ f.conj().T)
 
 
 def solve_jordan_commuting_projectors(p: Matrix, spec: JordanSpec,

@@ -98,9 +98,9 @@ def group_inverse(a: Matrix, tol=DEFAULT_TOL) -> Matrix:
     _through, with F and G the bases of _bases: a = F G0 for one row basis
     G0, and G = Q G0 with Q nonsingular, so G a F = Q (G0 F)^2 and this is
     Cline's F (G0 F)^-2 G0 (Cline 1965); G a F is nonsingular iff the index
-    is at most 1.  Float mode decomposes a = U [[SK, SL], [O, O]] U*
-    (Hartwig-Spindelbock) and inverts that: the index is at most 1 iff SK
-    is nonsingular.  Raises IndexTooLarge when the index exceeds 1.
+    is at most 1.  Float mode decomposes a = Q diag(SK, O) Q^-1
+    (Hartwig-Spindelbock) and returns Q diag((SK)^-1, O) Q^-1: the index is
+    at most 1 iff SK is nonsingular.  Raises IndexTooLarge when the index exceeds 1.
     """
     a.require_square()
     if a.mode == EXACT:

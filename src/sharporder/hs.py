@@ -1,4 +1,5 @@
-"""Hartwig-Spindelbock decomposition B = U [[SK, SL], [O, O]] U*.
+"""Hartwig-Spindelbock decomposition B = U [[SK, SL], [O, O]] U*, and the
+similarity Q = U [[I, -K^-1 L], [O, I]] with B = Q diag(SK, O) Q^-1.
 
 Float mode only: the singular values are algebraic irrationals in general,
 so exact-mode pipelines enter through Jordan data instead.  This module
@@ -7,8 +8,8 @@ modules that serve both modes import it only where a float path needs it.
 
 B keeps its decomposition, as it keeps its SVD: the down-set [O, B] of one B
 is studied through this one decomposition, so hs_decompose, the float group
-inverse and every down-set query on B share one SVD, and the inverses and
-singular values that SK and K keep.
+inverse and every down-set query on B share one SVD, the inverses and
+singular values that SK and K keep, and one Q.
 """
 
 import sys
@@ -18,55 +19,55 @@ import numpy as np
 from .core import (DEFAULT_TOL, FLOAT, Matrix, _Frozen, _kept, approx_eq, in_tau, matrix_from_obj,
                    matrix_to_obj, numerical_rank, singular_values, svd)
 from .errors import MalformedInput, NotInTau, NotSupported, SingularK, ZeroMatrix
-from .floatmatrix import _wrap, slices
+from .floatmatrix import _wrap
 
 
 class HSDecomposition(_Frozen):
-    """(U, sigma, K, L, r) with U unitary, KK* + LL* = I_r, r = rank(B)."""
+    """(U, sigma, K, L, r) with U unitary, KK* + LL* = I_r, r = rank(B).
+
+    With F = U[:, :r], C = SK and M = K^-1 L, B = F (C E) for the rows
+    C E = [SK, SL] U*, and B = Q diag(C, O) Q^-1 for the similarity
+    Q = U [[I, -M], [O, I]], Q^-1 = [[I, M], [O, I]] U*: each float map on
+    the down-set of B is F X (C E), F X F* or Q diag(X, Z) Q^-1."""
 
     _fields = ("U", "sigma", "K", "L", "r")
-    __slots__ = _fields + ("_sk", "_sl")
+    # _q, the pair (Q, Q^-1), stays unset until similarity makes it
+    __slots__ = _fields + ("_sk", "_ce", "_q")
     # unhashable, as its Matrix fields are
     __hash__ = None
 
     def __init__(self, U: Matrix, sigma: tuple, K: Matrix, L: Matrix, r: int):
-        # Sigma K and Sigma L: the rows of K and L scaled by sigma
+        # SK and C E = Sigma [K, L] U*: rows scaled by sigma, with no K^-1
         s = np.array(sigma, dtype=float).reshape(-1, 1)
         super().__init__(U=U, sigma=sigma, K=K, L=L, r=r, _sk=_wrap(s * K.array),
-                         _sl=_wrap(s * L.array))
+                         _ce=_wrap(s * np.hstack((K.array, L.array)) @ U.array.conj().T))
 
     @property
     def n(self):
         return self.U.rows
 
-    def sigma_matrix(self) -> Matrix:
-        return Matrix.diag(list(self.sigma), FLOAT)
-
     def sigma_k(self) -> Matrix:
-        """The r x r core block; nonsingular iff B has index <= 1."""
+        """The r x r core block C; nonsingular iff B has index <= 1."""
         return self._sk
 
-    def sigma_l(self) -> Matrix:
-        return self._sl
+    def ce(self) -> Matrix:
+        """The r x n rows C E = [SK, SL] U*, with B = F (C E)."""
+        return self._ce
 
-    def embed(self, x: Matrix, y: Matrix = None, z: Matrix = None) -> Matrix:
-        """U [[X, Y], [O, Z]] U* with X r x r, Y r x (n-r) and Z (n-r) x (n-r);
-        None stands for a zero block.  The 1-stack of embed_stack."""
-        return slices(self.embed_stack(*(None if m is None else m.array[None]
-                                         for m in (x, y, z))))[0]
+    def similarity(self, tol=DEFAULT_TOL):
+        """(Q, Q^-1), made on the first call and kept; SingularK unless
+        index_le_one, as Q needs K^-1."""
+        self.require_index_le_one(tol)
+        return _kept(self, "_q", _similarity)
 
-    def embed_stack(self, x, y=None, z=None):
-        """embed of each slice of (k, ., .) complex stacks X, Y and Z, in one
-        batched product: a (k, n, n) array."""
-        r = self.r
-        inner = np.zeros((len(x), self.n, self.n), dtype=complex)
-        inner[:, :r, :r] = x
-        if y is not None:
-            inner[:, :r, r:] = y
-        if z is not None:
-            inner[:, r:, r:] = z
-        u = self.U.array
-        return u @ inner @ u.conj().T
+    def conjugate_stack(self, x, z=None, tol=DEFAULT_TOL):
+        """Q diag(X, Z) Q^-1 for each slice of a (k, r, r) complex stack X
+        and a (k, n - r, n - r) stack Z, None standing for O, in one batched
+        product: a (k, n, n) array, or one n x n array for 2-d X and Z.
+        SingularK unless index_le_one."""
+        q, q_inv = (m.array for m in self.similarity(tol))
+        out = q[:, :self.r] @ x @ q_inv[:self.r]
+        return out if z is None else out + q[:, self.r:] @ z @ q_inv[self.r:]
 
     def index_le_one(self, tol=DEFAULT_TOL) -> bool:
         """SK nonsingular, cut against sigma_1 of B: an SK of rounding noise
@@ -77,7 +78,7 @@ class HSDecomposition(_Frozen):
 
     def require_index_le_one(self, tol=DEFAULT_TOL):
         """SingularK unless index_le_one: the one guard of every map that
-        inverts SK (phi, phi_inv, extend_to_nonsingular, the group inverse)."""
+        inverts SK or K (phi, phi_inv, similarity, the group inverse)."""
         if not self.index_le_one(tol):
             raise SingularK("SK singular: B has index greater than 1")
 
@@ -119,17 +120,24 @@ def hs_decompose(b: Matrix, tol=DEFAULT_TOL) -> HSDecomposition:
     return kept[r]
 
 
+def _similarity(d: HSDecomposition):
+    """(Q, Q^-1) for HSDecomposition.similarity: with F = U[:, :r],
+    G = U[:, r:] and M = K^-1 L, Q = [F, G - F M] and Q^-1 = [F* + M G*; G*].
+    The one place K is inverted; K keeps its inverse."""
+    f, g = d.U.array[:, :d.r], d.U.array[:, d.r:]
+    m = (d.K.inverse() @ d.L).array
+    return (_wrap(np.hstack((f, g - f @ m))),
+            _wrap(np.vstack((f.conj().T + m @ g.conj().T, g.conj().T))))
+
+
 def hs_reconstruct(d: HSDecomposition) -> Matrix:
-    """B from its decomposition."""
-    return d.embed(d.sigma_k(), d.sigma_l())
+    """B = F (C E) from its decomposition."""
+    return _wrap(d.U.array[:, :d.r] @ d.ce().array)
 
 
 def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:
-    """Group inverse of the predecessor with projector t.
-
-    Uses (T SK)# = (SK)^-1 T, so the result is
-    U [[(SK)^-1 T, (SK)^-1 T K^-1 L], [O, O]] U*.
-    """
+    """Group inverse of the predecessor with projector t: since
+    (T SK)# = (SK)^-1 T, it is Q diag((SK)^-1 T, O) Q^-1."""
     if not in_tau(t, d.sigma_k(), tol):
         raise NotInTau("T is not an idempotent commuting with SK")
     return _block_group_inverse(d, t, tol)
@@ -137,12 +145,10 @@ def predecessor_block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_T
 
 def _block_group_inverse(d: HSDecomposition, t: Matrix, tol=DEFAULT_TOL) -> Matrix:
     """predecessor_block_group_inverse for a t already known to be in tau,
-    unchecked: SingularK when SK is singular, else U [[H, H K^-1 L], [O, O]]
-    U* with H = (SK)^-1 T.  SK and K keep their inverses, so a decomposition
-    inverts each once."""
+    unchecked: SingularK when SK is singular.  SK keeps its inverse and the
+    decomposition its Q, so a decomposition inverts SK and K once each."""
     d.require_index_le_one(tol)
-    head = d.sigma_k().inverse() @ t
-    return d.embed(head, head @ d.K.inverse() @ d.L)
+    return _wrap(d.conjugate_stack((d.sigma_k().inverse() @ t).array, tol=tol))
 
 
 # ----------------------------------------------------------------------

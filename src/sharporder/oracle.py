@@ -110,9 +110,10 @@ def verify_glb(candidate: Matrix, b1: Matrix, b2: Matrix, universe,
     every common lower bound found in the universe.
 
     Pass lower_bounds to reuse a precomputed brute_common_lower_bounds
-    result across many candidates.
+    result across many candidates.  NotSupported when any of candidate, b1
+    and b2 is a float matrix, before any product.
     """
-    if candidate.mode != EXACT:
+    if not candidate.mode == b1.mode == b2.mode == EXACT:
         raise NotSupported("oracle checks run in exact mode only")
     if not index_le_one(candidate):
         return False

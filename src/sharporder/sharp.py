@@ -1,8 +1,8 @@
 """The sharp partial order, its projector isomorphisms, and the
 predecessor/successor constructions.
 
-For a fixed B with Hartwig-Spindelbock data (U, Sigma, K, L, r), every
-A below B corresponds to a unique projector T commuting with Sigma K
+For a fixed B = F (C E) (hs.HSDecomposition: F = U[:, :r], C = Sigma K),
+every A below B is F T (C E) for a unique projector T commuting with C
 (the map phi); conjugating by the Jordan similarity P moves between those
 projectors and projectors commuting with the Jordan form itself (psi).
 
@@ -53,9 +53,9 @@ def sharp_leq(a: Matrix, b: Matrix, tol=DEFAULT_TOL) -> bool:
 
 
 def phi(a: Matrix, hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
-    """The projector T with A = U [[T SK, T SL], [O, O]] U*.
+    """The projector T with A = F T (C E), C = SK.
 
-    Computed as the leading r x r block of U* A U times (SK)^-1, then
+    Computed as the leading r x r block F* A F of U* A U times (SK)^-1, then
     validated by reconstruction; raises NotAPredecessor if A is not below
     the decomposed matrix, and SingularK if SK is singular.  The tau check
     and the reconstruction are 1-stacks of the kernels behind phi_inv_stack.
@@ -99,9 +99,9 @@ def phi_inv_stack(ts, hs: "HSDecomposition", tol=DEFAULT_TOL):
 
 
 def predecessor_expand(hs: "HSDecomposition", ts):
-    """A = U [[T SK, T SL], [O, O]] U* for each projector T commuting with SK
-    of a (k, r, r) complex stack, in one batched product: a (k, n, n) array."""
-    return hs.embed_stack(ts @ hs.sigma_k().array, ts @ hs.sigma_l().array)
+    """A = F T (C E) for each projector T commuting with SK of a (k, r, r)
+    complex stack, in one batched product: a (k, n, n) array."""
+    return hs.U.array[:, :hs.r] @ ts @ hs.ce().array
 
 
 def psi(t: Matrix, p: Matrix) -> Matrix:
@@ -202,8 +202,9 @@ def successor_form(a: Matrix, p: Matrix, spec: "JordanSpec", x: Matrix, tol=DEFA
 
 
 def extend_to_nonsingular(hs: "HSDecomposition", tol=DEFAULT_TOL) -> Matrix:
-    """A nonsingular C with B sharp-below C:
-    C = U [[SK, (Sigma - K^-1) L], [O, I]] U*."""
-    hs.require_index_le_one(tol)
-    corner = (hs.sigma_matrix() - hs.K.inverse()) @ hs.L
-    return hs.embed(hs.sigma_k(), corner, Matrix.identity(hs.n - hs.r, FLOAT))
+    """A nonsingular matrix with B sharp-below it, Q diag(SK, I) Q^-1 =
+    U [[SK, (Sigma - K^-1) L], [O, I]] U*; SingularK unless index <= 1."""
+    from .floatmatrix import _wrap
+
+    ident = Matrix.identity(hs.n - hs.r, FLOAT).array
+    return _wrap(hs.conjugate_stack(hs.sigma_k().array, ident, tol))

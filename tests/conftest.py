@@ -146,6 +146,22 @@ def sample_tau(spec: JordanSpec, seed, tol=TOL7):
     return psi(cp.expand(), spec.P)
 
 
+def dense_embedding(hs, x, y=None, z=None):
+    """U [[X, Y], [O, Z]] U* for the r x r array X, r x (n - r) Y and
+    (n - r) x (n - r) Z of a decomposition, None standing for O: the dense
+    formula the float down-set maps were written in before they went
+    through the similarity Q, kept as their reference."""
+    r = hs.r
+    inner = np.zeros((hs.n, hs.n), dtype=complex)
+    inner[:r, :r] = x
+    if y is not None:
+        inner[:r, r:] = y
+    if z is not None:
+        inner[r:, r:] = z
+    u = hs.U.array
+    return Matrix.floating(u @ inner @ u.conj().T)
+
+
 def sample_predecessor(hs, spec, seed, tol=TOL7):
     t = sample_tau(spec, seed, tol)
     return phi_inv(t, hs, tol), t

@@ -15,6 +15,7 @@ from sharporder import (
     Matrix,
     Tolerance,
     approx_eq,
+    extend_to_nonsingular,
     hs_decompose,
     is_projector,
     matrix_dumps,
@@ -553,7 +554,8 @@ READ_ONLY_RESULTS = {
     "block": lambda m: m.block(0, 2, 1, 3),
     "svd_U": lambda m: svd(m)[0],
     "svd_V": lambda m: svd(m)[2],
-    "embed": lambda m: hs_decompose(m).embed(Matrix.identity(3, FLOAT)),
+    "extend_to_nonsingular": lambda m: extend_to_nonsingular(hs_decompose(m)),
+    "similarity": lambda m: hs_decompose(m).similarity()[1],
 }
 
 

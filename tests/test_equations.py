@@ -29,7 +29,7 @@ from sharporder.jordan import center_choices
 from sharporder.oracle import brute_commuting_idempotents, enumerate_index1
 from sharporder.sharp import psi_choices
 
-from conftest import TOL7, float_context, sample_tau
+from conftest import TOL7, dense_embedding, float_context, sample_tau
 
 
 def _non_ep_2x2(top):
@@ -177,7 +177,7 @@ def test_non_ep_oblique_w(seed):
     assert approx_eq(t2, t, TOL7) and approx_eq(w2, w, TOL7)
     # without the TM - MW corner, U diag(T, W) U* is no solution for this B
     with pytest.raises(NotInTau):
-        split_ep_solution(d, d.embed(t, z=w), TOL7)
+        split_ep_solution(d, dense_embedding(d, t.array, z=w.array), TOL7)
 
 
 def test_finite_solutions_check_tau_at_full_rank():

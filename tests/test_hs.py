@@ -7,6 +7,7 @@ from sharporder import (
     Matrix,
     Tolerance,
     approx_eq,
+    extend_to_nonsingular,
     group_inverse,
     hs_decompose,
     hs_from_obj,
@@ -14,11 +15,16 @@ from sharporder import (
     hs_to_obj,
     index_le_one,
     moore_penrose,
+    phi_inv,
+    solve_ep_commute_idempotent,
+    solve_xbx_family,
 )
 from sharporder.core import DEFAULT_TOL, matrix_to_obj, svd
 from sharporder.errors import MalformedInput, NotSupported, ZeroMatrix
+from sharporder.hs import predecessor_block_group_inverse
 
-from conftest import TOL8
+from conftest import TOL7, TOL8, dense_embedding, sample_tau
+from test_stacks import SHAPES, _context
 
 
 def test_diagonal_example():
@@ -80,10 +86,9 @@ def test_random_invariants():
         assert d.validate(b, TOL8)
         assert d.r == b.rank(TOL8)
         assert index_le_one(b, TOL8) == d.index_le_one(TOL8)
-        # Sigma K and Sigma L scale the rows of K and L: the products with
-        # diag(sigma), entry for entry (a zero's sign may differ)
-        s = d.sigma_matrix()
-        assert d.sigma_k() == s @ d.K and d.sigma_l() == s @ d.L
+        # Sigma K scales the rows of K: the product with diag(sigma), entry
+        # for entry (a zero's sign may differ)
+        assert d.sigma_k() == Matrix.diag(list(d.sigma), FLOAT) @ d.K
 
 
 def test_json_round_trip():
@@ -100,8 +105,8 @@ def test_json_round_trip():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_hs_from_obj_rejects_inconsistent_blocks():
-    # Sigma K and Sigma L are formed when the decomposition is built, so a
-    # misfit must be caught before that, as malformed input
+    # Sigma K and C E = Sigma [K, L] U* are formed when the decomposition is
+    # built, so a misfit must be caught before that, as malformed input
     obj = hs_to_obj(hs_decompose(Matrix.floating([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0],
                                                   [0.0, 0.0, 0.0]])))
     assert obj["r"] == 2
@@ -204,3 +209,63 @@ def test_repeated_queries_on_one_b_run_no_svd(monkeypatch):
     assert hs_decompose(b, TOL8).r == 2
     assert _bytes(group_inverse(b, TOL8)) == _bytes(first)
     assert calls == []
+
+
+# ----------------------------------------------------------------------
+# the similarity Q = U [[I, -M], [O, I]], M = K^-1 L, on the down-set shapes
+
+TOL12 = Tolerance(rel=1e-12)
+COUPLINGS = pytest.mark.parametrize("coupling", [0.0, 1.0], ids=["ep", "non-ep"])
+
+
+def _diag(x, z):
+    """diag(X, Z) of two square matrices."""
+    r, n = x.rows, x.rows + z.rows
+    out = np.zeros((n, n), dtype=complex)
+    out[:r, :r], out[r:, r:] = x.array, z.array
+    return Matrix.floating(out)
+
+
+@COUPLINGS
+@pytest.mark.parametrize("case", range(len(SHAPES)))
+def test_the_core_form_and_the_similarity_hold(case, coupling):
+    b, d, _ = _context(case, 1, coupling)
+    q, q_inv = d.similarity()
+    n, r, c = d.n, d.r, d.sigma_k()
+    f, e = d.U.block(0, n, 0, r), q_inv.block(0, r, 0, n)
+    zero, ident = Matrix.zeros(n - r, n - r, FLOAT), Matrix.identity(n - r, FLOAT)
+    assert approx_eq(q @ q_inv, Matrix.identity(n, FLOAT), TOL12)
+    assert approx_eq(q_inv @ b @ q, _diag(c, zero), TOL12)
+    assert approx_eq(f @ d.ce(), b, TOL12) and approx_eq(c @ e, d.ce(), TOL12)
+    assert approx_eq(f @ c.inverse() @ e, group_inverse(b, TOL7), TOL12)
+    assert approx_eq(q @ _diag(c, ident) @ q_inv, extend_to_nonsingular(d), TOL12)
+    # Q's first r columns are F, bit for bit, and Q is kept
+    assert q.block(0, n, 0, r) == f and d.similarity()[0] is q
+
+
+@COUPLINGS
+@pytest.mark.parametrize("case", range(len(SHAPES)))
+def test_maps_through_q_match_the_dense_formula(case, coupling):
+    # each map that goes through F, C E or Q, against U [[X, Y], [O, Z]] U*
+    b, d, spec = _context(case, 2, coupling)
+    s = np.array(d.sigma).reshape(-1, 1)
+    sk, sl, k_inv = s * d.K.array, s * d.L.array, d.K.inverse().array
+    m, sk_inv, s_minus_k_inv = k_inv @ d.L.array, np.linalg.inv(sk), np.diag(d.sigma) - k_inv
+    rng = np.random.default_rng(case)
+    pairs = [(hs_reconstruct(d), dense_embedding(d, sk, sl)),
+             (group_inverse(b, TOL7), dense_embedding(d, sk_inv, sk_inv @ m)),
+             (extend_to_nonsingular(d),
+              dense_embedding(d, sk, s_minus_k_inv @ d.L.array, np.eye(d.n - d.r)))]
+    for k in range(4):
+        t = sample_tau(spec, 20 + k)
+        # an oblique projector of size n - r, or O
+        v, u = rng.standard_normal((2, d.n - d.r)) + 1j * rng.standard_normal((2, d.n - d.r))
+        w = np.outer(v, u) / (u @ v) if d.n > d.r else np.zeros((0, 0))
+        h, ta = sk_inv @ t.array, t.array
+        pairs += [(phi_inv(t, d, TOL7), dense_embedding(d, ta @ sk, ta @ sl)),
+                  (predecessor_block_group_inverse(d, t, TOL7), dense_embedding(d, h, h @ m)),
+                  (solve_ep_commute_idempotent(d, t, Matrix.floating(w), TOL7),
+                   dense_embedding(d, ta, ta @ m - m @ w, w)),
+                  (solve_xbx_family(d, t, TOL7), dense_embedding(d, ta))]
+    for got, want in pairs:
+        assert approx_eq(got, want, TOL12)

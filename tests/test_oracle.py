@@ -69,6 +69,16 @@ def test_verify_glb():
     assert not verify_glb(Matrix.diag([0, 2], EXACT), b1, b2, uni)
 
 
+@pytest.mark.parametrize("position", range(3), ids=["candidate", "b1", "b2"])
+def test_verify_glb_refuses_a_float_matrix_in_any_position(position):
+    # the same NotSupported whichever of candidate, b1 and b2 is float, not
+    # a ModeMismatch from the first mixed product
+    args = [Matrix.identity(2, EXACT)] * 3
+    args[position] = Matrix.identity(2, FLOAT)
+    with pytest.raises(NotSupported):
+        verify_glb(*args, [])
+
+
 def test_leq_unchecked_matches_sharp_leq():
     uni = enumerate_index1(2, [0, 1])
     for a in uni:

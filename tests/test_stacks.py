@@ -4,10 +4,10 @@ replaced, bit for bit.
 max_chain, the Boolean center of the CLI and phi_inv map their elements as
 one (k, r, r) stack: psi_choices conjugates the block choices by one batched
 P E P^-1, outside_tau checks every slice against tau, and predecessor_expand
-forms U [[T SK, T SL], [O, O]] U* for all slices at once.  The reference
-below is the Matrix-level path that did this one element at a time: each
-step's P @ E @ P^-1, the float in_tau rules (is_projector's, then
-approx_eq's) on that step, and the embedding.  Outputs must agree byte for
+forms F T (C E), with F = U[:, :r] and C E = [SK, SL] U*, for all slices at
+once.  The reference below is the Matrix-level path that does this one
+element at a time: each step's P @ E @ P^-1, the float in_tau rules
+(is_projector's, then approx_eq's) on that step, and F @ T @ (C E).  Outputs must agree byte for
 byte, and a failure must come at the same element with the same error."""
 
 import random
@@ -77,12 +77,7 @@ def ref_in_tau(t, sk, tol):
 
 
 def ref_expand(hs, t):
-    r, n = hs.r, hs.n
-    inner = np.zeros((n, n), dtype=complex)
-    inner[:r, :r] = (t @ hs.sigma_k()).array
-    inner[:r, r:] = (t @ hs.sigma_l()).array
-    u = hs.U.array
-    return Matrix.floating(u @ inner @ u.conj().T)
+    return Matrix.floating(hs.U.array[:, :hs.r] @ t.array @ hs.ce().array)
 
 
 def ref_phi_inv(t, hs, tol):
