@@ -9,10 +9,10 @@ sizes alone, so each spec keeps one chart of them (_chart), global and per
 eigenvalue: _spread writes every commutant element from its coefficients,
 and _gather reads every grid off its cells' first rows.
 
-Exact work is done per eigenvalue block, on the first rows I of the Jordan
-blocks, which fix a commutant element: the sampler solves only where its
-block choice is mixed (_conjugated), and Delta(J) membership (_delta_span,
-the one check of it) and the projector order are decided on T[I, :]."""
+Work is done per eigenvalue block, on the first rows I of the Jordan
+blocks, which fix a commutant element: in both modes the sampler solves
+only where its block choice is mixed (_conjugated), and exact Delta(J)
+membership (_delta_span, its one check) and the order use T[I, :]."""
 
 import random
 from collections import namedtuple
@@ -62,18 +62,21 @@ def _chart(spec: JordanSpec) -> _Chart:
     order, the entry at flat index dst[e] holds coefficient coef[e], and
     coefficient c is the entry at flat index head[c], in its cell's first
     row: lists for an exact spec (exact code loads no numpy), index arrays
-    for a float one.  parts has a _Part per eigenvalue: its dim x dim block
-    starts at (o, o), and its coefficients c0 .. c1 - 1 are numbered from 0
-    in its (coef, dst, head); cores[i][k] = min(sizes[i], sizes[k]); heads
-    are its block starts, the rows I that hold its grid; coefficient c0 + c
-    is entry (heads[q], j) for (j, q) = tops[c]; diag is each diagonal
-    cell's leading coefficient, and classes, per block size p, those of the
-    cells between blocks of size p (_size_classes_invertible)."""
+    for a float one, as are its parts' coef, dst and tops.  parts has a
+    _Part per eigenvalue: its dim x dim block starts at (o, o), and its
+    coefficients c0 .. c1 - 1 are numbered from 0 in its (coef, dst, head);
+    cores[i][k] = min(sizes[i], sizes[k]); heads are its block starts, the
+    rows I that hold its grid; coefficient c0 + c is entry (heads[q], j) for
+    (j, q) = tops[c]; diag is each diagonal cell's leading coefficient, and
+    classes, per block size p, those of the cells between blocks of size p
+    (_size_classes_invertible)."""
     return _kept(spec, "_cullen", _make_chart)
 
 
 def _make_chart(spec: JordanSpec) -> _Chart:
-    r, o, c0 = spec.r, 0, 0
+    r, o, c0, index = spec.r, 0, 0, list
+    if spec.mode == FLOAT:
+        from numpy import array as index
     coef, dst, head, parts = [], [], [], []
     for e in spec.eigenvalues:
         n, t, starts = e.dim, e.t, list(accumulate(e.sizes, initial=0))
@@ -94,18 +97,14 @@ def _make_chart(spec: JordanSpec) -> _Chart:
         lead = list(accumulate(chain.from_iterable(cores), initial=c0))
         classes = [[[lead[i * t + k] for k in same] for i in same]
                    for same in (list(g) for _, g in groupby(range(t), e.sizes.__getitem__))]
-        parts.append(_Part(o, n, c0, lead[-1], pc, pd, ph, cores, starts[:-1], tops,
-                           lead[:-1:t + 1], classes))
+        parts.append(_Part(o, n, c0, lead[-1], index(pc), index(pd), ph, cores, starts[:-1],
+                           index(tops), lead[:-1:t + 1], classes))
         # local flat index i n + j is global (o + i) r + o + j
         coef += (c0 + c for c in pc)
         dst += (o * (r + 1) + x + (r - n) * (x // n) for x in pd)
         head += (o * (r + 1) + x + (r - n) * (x // n) for x in ph)
         o, c0 = o + n, lead[-1]
-    if spec.mode == FLOAT:
-        import numpy as np
-
-        coef, dst, head = map(np.array, (coef, dst, head))
-    return _Chart(coef, dst, head, parts)
+    return _Chart(index(coef), index(dst), index(head), parts)
 
 
 def _fits(spec: JordanSpec, blocks):
@@ -283,12 +282,8 @@ def random_commutant_element(spec: JordanSpec, rng: random.Random) -> Matrix:
     first, and written by _spread: in float mode with the bits of the exact
     element's to_float()."""
     parts = _draws(rng, 2 * len(_chart(spec).head))
-    if spec.mode == FLOAT:
-        import numpy as np
-
-        # (re, im) float pairs read as complex128: complex(re, im), bit for bit
-        return _spread(spec, np.array(parts, dtype=float).view(complex))
-    return _spread(spec, list(zip(parts[::2], parts[1::2])))
+    c = list(zip(parts[::2], parts[1::2]))
+    return _spread(spec, c if spec.mode == EXACT else [complex(*v) for v in c])
 
 
 def block_choice_projector(spec: JordanSpec, bits) -> Matrix:
@@ -335,15 +330,26 @@ def _size_classes_invertible(s, classes) -> bool:
                == len(cls) for cls in classes)
 
 
-def _delta_rows(s, keep, p):
+def _delta_rows(s, keep, p, mode):
     """(n, values): the core coefficients c0 .. c1 - 1 of T = (S E) S^-1 on
-    one eigenvalue (its chart part p), as (re, im) ints over n, for
-    the exact commutant element S with core coefficients s and the 0/1
-    diagonal keep of E.  The rows I of T, which hold its grid, solve
-    T[I, :] S = (S E)[I, :] by one _solve of the block's S^T: SingularMatrix
-    if it is singular.  T^2 = T is then checked on those rows: NotInDelta if
-    it fails."""
+    one eigenvalue (its chart part p), as (re, im) ints over n, for the
+    exact commutant element S, invertible there, with core coefficients s
+    and the 0/1 diagonal keep of E.  T's rows I, which hold its grid, solve
+    T[I, :] S = (S E)[I, :] by one _solve of the block's S^T; T^2 = T is
+    checked on them (NotInDelta).  Float mode: one np.linalg.solve
+    (SingularMatrix on a zero pivot), complex values, n = 1."""
     dim, heads = p.dim, p.heads
+    if mode == FLOAT:
+        import numpy as np
+
+        a = np.zeros(dim * dim, dtype=complex)
+        a[p.dst] = np.fromiter(chain.from_iterable(s[p.c0:p.c1]), float).view(complex)[p.coef]
+        a = a.reshape(dim, dim)
+        try:
+            x = np.linalg.solve(a.T, a[heads].T * np.array(keep[p.o:p.o + dim])[:, None])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(str(exc)) from exc
+        return 1, x[p.tops[:, 0], p.tops[:, 1]]
     st = _transpose(_chart_rows(dim, p.coef, p.dst, s[p.c0:p.c1]), dim)
     x, n = _solve(st, dim, tuple(tuple(row[h] for h in heads) if keep[p.o + j] else
                                  ((0, 0),) * len(heads) for j, row in enumerate(st)), len(heads))
@@ -356,30 +362,32 @@ def _delta_rows(s, keep, p):
 
 
 def _conjugated(spec: JordanSpec, c, keep) -> Matrix:
-    """T = S E S^-1 for S = I + C, C the exact commutant element with core
-    coefficients c (layout order, (re, im) ints), and the 0/1 diagonal keep
-    of E; SingularMatrix if S is singular.  T is block diagonal like S:
-    where E is O or I on an eigenvalue, so is T, and only whether S is
-    invertible there is decided (_size_classes_invertible); the other
-    eigenvalues are solved by _delta_rows.  T is written by _spread."""
+    """T = S E S^-1 in the spec's mode, for S = I + C, C the commutant
+    element with core coefficients c (layout order, (re, im) ints), and the
+    0/1 diagonal keep of E; SingularMatrix if S is singular, which both
+    modes decide exactly per eigenvalue (_size_classes_invertible), as a
+    float solve cannot tell a singular S from a near one.  T is block
+    diagonal like S, O or I where E is, solved by _delta_rows elsewhere,
+    and written by _spread."""
+    exact = spec.mode == EXACT
     s, mixed, ones = list(c), [], []
     for p in _chart(spec).parts:
         for i in p.diag:
             s[i] = (s[i][0] + 1, s[i][1])
+        if not _size_classes_invertible(s, p.classes):
+            raise SingularMatrix("exact matrix is singular")
         kept = keep[p.o:p.o + p.dim]
         if min(kept) != max(kept):
             mixed.append(p)
-        elif not _size_classes_invertible(s, p.classes):
-            raise SingularMatrix("exact matrix is singular")
         elif kept[0]:
             ones += p.diag
-    solved = [_delta_rows(s, keep, p) for p in mixed]
+    solved = [_delta_rows(s, keep, p, spec.mode) for p in mixed]
     d = lcm(*(n for n, _ in solved))
-    values = [(0, 0)] * len(s)
+    one, values = ((d, 0), [(0, 0)] * len(s)) if exact else (1, [0j] * len(s))
     for i in ones:
-        values[i] = (d, 0)
+        values[i] = one
     for p, (n, part) in zip(mixed, solved):
-        values[p.c0:p.c1] = [(xr * (d // n), xi * (d // n)) for xr, xi in part]
+        values[p.c0:p.c1] = [(xr * (d // n), xi * (d // n)) for xr, xi in part] if exact else part
     return _spread(spec, values, d)
 
 
@@ -387,43 +395,34 @@ def sample_delta_projector(spec: JordanSpec, seed: int,
                            block_choices=None, tol=DEFAULT_TOL) -> CommutantProjector:
     """A random projector commuting with J: conjugate a 0/1 block-diagonal
     idempotent E by a random invertible commutant element S = I + C, C from
-    random_commutant_element.  Deterministic for a fixed seed; may not reach
-    every projector (the sets are infinite).
+    random_commutant_element.  Deterministic for a fixed seed, which must
+    not be negative (MalformedInput: random.Random seeds with |seed|); may
+    not reach every projector (the sets are infinite).
 
-    Exact mode draws C's core coefficients as random_commutant_element does
-    and adds 1 to the leading one of each diagonal cell, so the r x r S is
-    never formed; it works one eigenvalue at a time (_conjugated).  Where E
-    is O or I on an eigenvalue, as it always is on one with a single block,
-    that part of T is O or I and nothing is solved; elsewhere the rows of T
-    that hold its grid are solved for and T^2 = T is checked on them.  Float
-    mode forms T by products and checks it with _delta_span: BLAS gives some
-    zeros of S E a sign that a column mask would not, and those signs reach
-    T.  A singular S, found on any eigenvalue or by the float rank cut
-    (np.linalg.inv can succeed where the cut fails), is drawn again whole; so
-    is an ill-conditioned float S whose T fails the check, up to
-    _FLOAT_DRAWS times before NotInDelta."""
+    Both modes draw C's core coefficients as random_commutant_element does
+    and add 1 to the leading one of each diagonal cell, so the r x r S is
+    never formed; they work one eigenvalue at a time (_conjugated), and draw
+    a singular S again whole.  Exact mode checks T^2 = T on the rows it
+    solves and counts no checks; float mode checks T with _delta_span at tol
+    and draws S again when T fails, up to _FLOAT_DRAWS times before
+    NotInDelta.  So a float sample whose first T passes is its exact twin's
+    (the same block sizes and seed), up to rounding that grows with the
+    condition number of S."""
+    if seed < 0:
+        raise MalformedInput("the seed must not be negative")
     rng = random.Random(seed)
     keep = _block_diagonal(spec, [rng.randint(0, 1) for _ in spec.block_sizes]
                            if block_choices is None else list(block_choices))
-    if spec.mode == EXACT:
-        count = len(_chart(spec).head)
-        while True:
-            parts = _draws(rng, 2 * count)
-            with suppress(SingularMatrix):
-                return CommutantProjector(
-                    spec, None, _conjugated(spec, list(zip(parts[::2], parts[1::2])), keep))
-    from .floatmatrix import _wrap
-
-    ident = Matrix.identity(spec.r, FLOAT)
-    # E = diag(keep): the columns of I that keep keeps
-    e = ident.array * keep
-    for _ in range(_FLOAT_DRAWS):
-        s = ident + random_commutant_element(spec, rng)
-        while s.rank(tol) < spec.r:
-            s = ident + random_commutant_element(spec, rng)
-        t = _delta_span(spec, _wrap(s.array @ e @ s.inverse().array), tol)
-        if t is not None:
-            return CommutantProjector(spec, None, t)
+    count, checks = len(_chart(spec).head), _FLOAT_DRAWS
+    while checks:
+        parts = _draws(rng, 2 * count)
+        with suppress(SingularMatrix):
+            t = _conjugated(spec, list(zip(parts[::2], parts[1::2])), keep)
+            if spec.mode == FLOAT:
+                checks -= 1
+                t = _delta_span(spec, t, tol)
+            if t is not None:
+                return CommutantProjector(spec, None, t)
     raise NotInDelta(f"no T of {_FLOAT_DRAWS} nonsingular draws of S passed the check at tol")
 
 

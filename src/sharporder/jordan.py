@@ -72,7 +72,8 @@ class EigenBlocks(_Frozen):
 
 class JordanSpec(_Frozen):
     """Distinct nonzero eigenvalues with block sizes, plus an optional
-    similarity matrix P mapping J to the target (target = P J P^-1)."""
+    similarity matrix P mapping J to the target (target = P J P^-1), of the
+    eigenvalues' mode (ModeMismatch otherwise, as for mixed eigenvalues)."""
 
     # _r is kept by r; _cullen, the one Cullen chart, by commutant._chart
     _fields = ("eigenvalues", "P")
@@ -89,6 +90,8 @@ class JordanSpec(_Frozen):
         if len({e.lam for e in eigs}) != len(eigs):
             raise InvalidSpec("eigenvalues must be distinct")
         if self.P is not None:
+            if self.P.mode != self.mode:
+                raise ModeMismatch(f"{self.P.mode} P for {self.mode} eigenvalues")
             if not self.P.is_square or self.P.rows != self.r:
                 raise InvalidSpec("P has the wrong shape")
 
@@ -180,9 +183,10 @@ def weyr_structure(m: Matrix, candidate_eigenvalues) -> JordanSpec:
     """Recover Jordan block sizes of an exact nonsingular matrix from the
     rank sequence of (m - lam I)^k per candidate eigenvalue.
 
-    Raises IncompleteSpectrum when the multiplicities do not sum to the
-    dimension (wrong or missing candidates) and ZeroEigenvalue for a zero
-    candidate.
+    Each distinct candidate is taken once (by QQi equality, so 3 and "6/2"
+    are one).  Raises IncompleteSpectrum when the multiplicities do not sum
+    to the dimension (wrong or missing candidates) and ZeroEigenvalue for a
+    zero candidate.
     """
     if m.mode != EXACT:
         raise NotSupported("weyr_structure is exact-mode only")
@@ -190,8 +194,7 @@ def weyr_structure(m: Matrix, candidate_eigenvalues) -> JordanSpec:
     n = m.rows
     eigs = []
     total = 0
-    for lam in candidate_eigenvalues:
-        lam = QQi.coerce(lam)
+    for lam in dict.fromkeys(map(QQi.coerce, candidate_eigenvalues)):
         if lam.is_zero():
             raise ZeroEigenvalue("candidate eigenvalue 0 is not allowed")
         shifted = m - Matrix.identity(n, EXACT).scale(lam)

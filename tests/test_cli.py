@@ -174,6 +174,20 @@ def test_negative_count_exit_2(runner, files, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", ["wspec", "fwspec"])
+@pytest.mark.parametrize("args", [["downset", "sample", "--seed=-1", "--count=3"],
+                                  ["hasse", "--out", "{out}", "--seed=-1"]])
+def test_negative_seed_exit_2(runner, files, args, spec):
+    # random.Random seeds with |seed|, so seed -1 would repeat seed 1's
+    # sample; hasse's sample seeds grow from --seed, and are negative with it
+    out = files["tmp"] / "g.dot"
+    res = runner.invoke(main, [a.format(out=out) for a in args] + ["--spec", files[spec]])
+    assert res.exit_code == 2
+    assert json.loads(res.stderr) == {"error": "malformed_input"}
+    assert res.stdout == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [["downset", "classify"],
                                   ["downset", "sample"],
                                   ["downset", "boolean", "--b", "{B}"],

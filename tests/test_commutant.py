@@ -33,7 +33,7 @@ from sharporder.commutant import (
     block_choice_projector,
     random_commutant_element,
 )
-from sharporder.core import _bareiss, in_tau, scalar_from_obj, scalar_to_obj
+from sharporder.core import DEFAULT_TOL, _bareiss, in_tau, scalar_from_obj, scalar_to_obj
 from sharporder.errors import (InvalidSpec, MalformedInput, ModeMismatch, NotInDelta,
                                ShapeMismatch)
 from sharporder.sharp import proj_leq
@@ -318,16 +318,17 @@ def test_from_matrix_float_expands_to_the_cleaned_grid():
 
 # a (case, seed) pair whose first float S is exactly singular (its exact twin
 # has rank r - 1), yet np.linalg.inv returns a finite inverse of it (largest
-# entry about 1.8e16 with the LAPACK these tests were written on): the rank
-# cut alone makes the sampler draw again
+# entry about 1.8e16 with the LAPACK these tests were written on): the float
+# sampler draws again because it decides singularity on the integer draws
 SINGULAR_S = (1, 59)
 # (block sizes per eigenvalue, seeds): two of the float benchmark's shapes,
 # one with 1x1 cells only and one with tall and wide cells, and two small ones
 FLOAT_CASES = [([[1] * 5, [1] * 4, [1] * 3], range(6)),
                ([[4, 3, 2], [3, 2], [2]], [*range(6), SINGULAR_S[1]]),
                ([[2, 1], [1]], range(6)), ([[2], [1]], range(12, 18))]
-# the (case, seed) pairs whose first float S fails the rank cut
-RANK_CUT_REDRAWS = {(1, 1), (2, 0), SINGULAR_S}
+# the (case, seed) pairs whose first S is exactly singular, so that both
+# modes draw it again
+SINGULAR_FIRST_FLOAT_S = {(1, 1), (2, 0), SINGULAR_S}
 # a (case, seed) pair whose T has a zero with its sign bit set in a cell's
 # first row, which the scatter must keep
 NEGATIVE_ZERO = (3, 15)
@@ -339,16 +340,17 @@ def _same_bits(x, y):
             and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
 
 
-def _replayed_t(spec, seed, tol):
-    """The T = (S E) S^-1 that sample_delta_projector checks, from its own
-    draws, and whether its first S failed the rank cut."""
+def _replayed_t(spec, seed):
+    """A dense float T = (S E) S^-1, by BLAS products, from the draws of
+    sample_delta_projector(spec, seed), and whether its first S was drawn
+    again: S's entries are Gaussian integers, and an S that is exactly
+    singular is drawn again."""
     rng = random.Random(seed)
     bits = [rng.randint(0, 1) for _ in spec.block_sizes]
-    draws = 0
-    while True:
-        draws += 1
+    for draws in count(1):
         s = Matrix.identity(spec.r, FLOAT) + random_commutant_element(spec, rng)
-        if s.rank(tol) == spec.r:
+        exact = Matrix.exact([[(int(z.real), int(z.imag)) for z in row] for row in s.array])
+        if exact.rank() == spec.r:
             return s @ block_choice_projector(spec, bits) @ s.inverse(), draws > 1
 
 
@@ -391,12 +393,14 @@ def test_float_sampling_bits_match_the_grid_reference(case):
         got = random_commutant_element(spec, rf).array
         assert _same_bits(got, random_commutant_element(exact, rx).to_float().array)
         assert rf.getstate() == rx.getstate()
-        t, redrawn = _replayed_t(spec, seed, tol)
-        assert redrawn == ((case, seed) in RANK_CUT_REDRAWS)
+        t, redrawn = _replayed_t(spec, seed)
+        assert redrawn == ((case, seed) in SINGULAR_FIRST_FLOAT_S)
         cp, ref = CommutantProjector.from_matrix(spec, t, tol), CommutantProjector.read(spec, t)
         assert _same_bits(cp.expand().array, ref.expand().array)
-        assert _same_bits(sample_delta_projector(spec, seed, tol=tol).expand().array,
-                          ref.expand().array)
+        # the sampler solves per eigenvalue, not by the dense products: its T
+        # is the same up to rounding
+        sampled = sample_delta_projector(spec, seed, tol=tol).expand()
+        assert approx_eq(sampled, ref.expand(), Tolerance(rel=1e-13))
         assert cp.blocks == ref.blocks and hash(cp) == hash(ref)
         if (case, seed) == NEGATIVE_ZERO:
             a = ref.expand().array
@@ -810,22 +814,115 @@ def test_exact_from_matrix_does_not_square_t():
     assert getattr(t, "_sq", None) is None
 
 
-# float specs and seeds whose first nonsingular S is so ill-conditioned that
-# its T = (S E) S^-1 misses is_projector at the default tolerance (with the
-# LAPACK and BLAS these tests were written on): the sampler draws S again
+# float specs and seeds whose first nonsingular S is ill-conditioned: a T
+# formed densely from S's inverse missed is_projector at the default
+# tolerance there (with the LAPACK and BLAS these tests were written on), so
+# they are kept to pin down the T that the per-eigenvalue solve gives
 ILL_CONDITIONED_S = [([(1, [12, 12]), (3, [1])], 12), ([(1, [32]), (3, [1])], 52),
                      *(([(1, [48]), (3, [1])], seed) for seed in (17, 34, 40, 41))]
 
 
+def _exact_ts(spec, seed):
+    """S E S^-1 for each nonsingular S that sample_delta_projector(spec,
+    seed) draws, in turn, by the full inverse and two products."""
+    rng = random.Random(seed)
+    e = block_choice_projector(spec, [rng.randint(0, 1) for _ in spec.block_sizes])
+    while True:
+        s = Matrix.identity(spec.r) + random_commutant_element(spec, rng)
+        if s.rank() == spec.r:
+            yield s @ e @ s.inverse()
+
+
 @pytest.mark.parametrize("pairs, seed", ILL_CONDITIONED_S)
-def test_float_sampler_draws_s_again_when_t_fails_the_check(pairs, seed):
-    spec = make_spec(pairs, mode=FLOAT)
+def test_float_sampler_draws_s_again_when_t_fails_the_check(pairs, seed, monkeypatch):
+    # the exact sample is the first nonsingular S's T; the float T, solved
+    # per eigenvalue, passes the check there too and is the same up to rounding
+    spec, twin = make_spec(pairs, mode=FLOAT), make_spec(pairs)
+    ts = _exact_ts(twin, seed)
+    first = next(ts)
+    assert sample_delta_projector(twin, seed).expand() == first
     t = sample_delta_projector(spec, seed).expand()
     assert delta_membership(t, spec)
     assert CommutantProjector.from_matrix(spec, t).expand() == t
-    # the exact twin needs no second draw
-    assert delta_membership(sample_delta_projector(make_spec(pairs), seed).expand(),
-                            make_spec(pairs))
+    assert approx_eq(t, first.to_float())
+    # a T that fails the check is drawn again: the next nonsingular S's T
+    checked, check = [], commutant._delta_span
+
+    def fails_first(spec, t, tol, heads=None):
+        checked.append(t)
+        return check(spec, t, tol) if len(checked) > 1 else None
+
+    monkeypatch.setattr(commutant, "_delta_span", fails_first)
+    again = sample_delta_projector(spec, seed).expand()
+    assert len(checked) == 2 and approx_eq(checked[0], t)
+    assert approx_eq(again, next(ts).to_float())
+
+
+_SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(
+    lambda sizes: sorted(sizes, reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SIZES, min_size=1, max_size=3), st.integers(0, 10 ** 6))
+def test_float_samples_are_their_exact_twins(sizes, seed):
+    # both modes make the same draws and decide singularity on them exactly,
+    # so a float sample is its exact twin's written as floats, up to rounding
+    pairs = list(zip(range(1, 4), sizes))
+    spec, twin = make_spec(pairs, mode=FLOAT), make_spec(pairs)
+    for k in range(seed, seed + 5):
+        assert approx_eq(sample_delta_projector(spec, k).expand(),
+                         sample_delta_projector(twin, k).expand().to_float(), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("pairs, bits", [
+    ([(1.0, [127]), (3.0, [1])], None),
+    ([(float(k), [1]) for k in range(1, 129)], None),
+    ([(1.0, [2, 1]), (2.0, [1])], [1, 0, 1]),
+    ([(1.0, [2, 2]), (2.0, [3, 1]), (3.0, [1])], [0, 1, 1, 0, 1]),
+    ([(1.0, [2] * 8)], [k % 2 for k in range(8)]),
+])
+def test_float_sampling_solves_only_mixed_eigenvalues(pairs, bits, monkeypatch):
+    # no SVD and no dense inverse: one np.linalg.solve per eigenvalue whose
+    # block choice is mixed, for each T checked (one per nonsingular S)
+    calls = {}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "solve"), (np.linalg, "inv"),
+                        (commutant, "_delta_span")):
+        counting(owner, name)
+    spec = make_spec(pairs, mode=FLOAT)
+    keep = commutant._block_diagonal(spec, bits or [0] * len(spec.block_sizes))
+    mixed = sum(min(keep[p.o:p.o + p.dim]) != max(keep[p.o:p.o + p.dim])
+                for p in commutant._chart(spec).parts)
+    for seed in range(3):
+        calls.update(svd=0, solve=0, inv=0, _delta_span=0)
+        sample_delta_projector(spec, seed, block_choices=bits)
+        assert calls == {"svd": 0, "solve": mixed, "inv": 0, "_delta_span": 1}
+
+
+def test_float_sampler_draws_s_again_when_lapack_refuses_it(monkeypatch):
+    # np.linalg.solve raises on an exactly zero pivot, which an S that is
+    # exactly invertible can still meet in rounding: S is drawn again
+    calls, solve = [], np.linalg.solve
+
+    def refuses_first(a, b):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refuses_first)
+    spec = make_spec([(1.0, [2, 1]), (2.0, [1])], mode=FLOAT)
+    t = sample_delta_projector(spec, 0, block_choices=[1, 0, 1]).expand()
+    assert len(calls) == 2 and delta_membership(t, spec)
 
 
 def test_float_sampler_caps_the_t_checks(monkeypatch):

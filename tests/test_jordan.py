@@ -59,6 +59,19 @@ def test_spec_validation():
         JordanSpec((EigenBlocks(QQi(1), (1,)), EigenBlocks(2j, (1,))))
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_spec_p_has_the_eigenvalues_mode(mode):
+    # a P of the other mode is refused when the spec is built, as mixed
+    # eigenvalue modes are, so every spec the library holds writes JSON that
+    # spec_from_obj reads back
+    other = FLOAT if mode == EXACT else EXACT
+    pairs = [(1, [1]), (2, [1])]
+    with pytest.raises(ModeMismatch):
+        make_spec(pairs, P=Matrix.identity(2, other), mode=mode)
+    spec = make_spec(pairs, P=Matrix.identity(2, mode), mode=mode)
+    assert spec_from_obj(spec_to_obj(spec)) == spec
+
+
 @pytest.mark.parametrize("sizes", [[2.5], [True], [1, False], "21", ["2", "1"],
                                    [np.float64(2.0)], [np.True_]])
 def test_spec_sizes_must_be_integers(sizes):
@@ -89,6 +102,14 @@ def test_weyr_mixed_sizes():
     assert spec.eigenvalues[0].sizes == (2, 1)
     # a candidate that is no eigenvalue adds nothing
     assert weyr_structure(Matrix.diag([2, 3]), [2, 5, 3]) == make_spec([(2, [1]), (3, [1])])
+
+
+def test_weyr_takes_each_distinct_candidate_once():
+    # a repeated candidate, however it is written, counts its eigenvalue once
+    m, want = Matrix.exact([[2, 0], [0, 3]]), make_spec([(2, [1]), (3, [1])])
+    assert weyr_structure(m, [2, 3, 3]) == want
+    assert weyr_structure(m, [2, "6/2", 3]) == want
+    assert weyr_structure(m, [(2, 0), QQi(2), 3]) == want
 
 
 def test_weyr_errors():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharporder import EXACT, FLOAT, Matrix, Tolerance, delta_membership, hs_decompose, make_spec
+from sharporder import EXACT, FLOAT, Matrix, delta_membership, hs_decompose, make_spec
 from sharporder.commutant import (
     CommutantProjector,
     block_choice_projector,
@@ -309,16 +309,16 @@ SAMPLER_SPECS = [
 ]
 
 
-def reference_sample(spec, seed, block_choices=None, tol=Tolerance()):
-    """sample_delta_projector's draws, replayed, with T = S E S^-1 from two
-    products."""
+def reference_sample(spec, seed, block_choices=None):
+    """sample_delta_projector's draws on an exact spec, replayed, with
+    T = S E S^-1 from two products."""
     rng = random.Random(seed)
     bits = ([rng.randint(0, 1) for _ in spec.block_sizes] if block_choices is None
             else list(block_choices))
     ident = Matrix.identity(spec.r, spec.mode)
     while True:
         s = ident + random_commutant_element(spec, rng)
-        if s.rank(tol) == spec.r:
+        if s.rank() == spec.r:
             break
     return s @ block_choice_projector(spec, bits) @ s.inverse()
 
@@ -362,14 +362,17 @@ def test_sampler_draws_whole_s_again_after_one_singular_block():
 
 @pytest.mark.parametrize("pairs", SAMPLER_SPECS)
 def test_sampler_float_bit_for_bit(pairs):
-    # the JSON text tells -0.0 from 0.0, so equal text is equal bits
-    spec = make_spec(pairs, mode=FLOAT)
-    tol = Tolerance(rel=1e-7)
+    # bit for bit: a float sample's JSON reads back to the same text, and
+    # the text tells -0.0 from 0.0.  As the sampler solves per eigenvalue,
+    # its values are the reference sample of its exact twin (the same block
+    # sizes and seed) up to rounding, here within 1e-13 max(1, ||T||_F)
+    spec, twin = make_spec(pairs, mode=FLOAT), make_spec(pairs)
     for seed in range(12):
-        got = projector_to_obj(sample_delta_projector(spec, seed, tol=tol))
-        want = projector_to_obj(CommutantProjector.from_matrix(
-            spec, reference_sample(spec, seed, tol=tol), tol))
-        assert json.dumps(got) == json.dumps(want)
+        cp = sample_delta_projector(spec, seed)
+        want = reference_sample(twin, seed).to_float()
+        assert (cp.expand() - want).fro() <= 1e-13 * max(1.0, want.fro())
+        got = json.dumps(projector_to_obj(cp))
+        assert json.dumps(projector_to_obj(projector_from_obj(json.loads(got)))) == got
 
 
 def test_sampler_rejects_wrong_bit_count():
