@@ -158,7 +158,11 @@ class Matrix(_Frozen):
     @staticmethod
     def from_entries(rows, cols, entries, mode):
         """A rows x cols matrix of the class of mode, zero except for the
-        (i, j, value) entries; the one place a zero matrix is filled."""
+        (i, j, value) entries; the one place a zero matrix is filled, and
+        so the one size check: MalformedInput for a negative size, in both
+        modes."""
+        if rows < 0 or cols < 0:
+            raise MalformedInput(f"a matrix cannot be {rows}x{cols}")
         return _backend(mode)._filled(rows, cols, entries)
 
     @classmethod
@@ -167,7 +171,7 @@ class Matrix(_Frozen):
 
     @classmethod
     def identity(cls, n, mode=EXACT):
-        return cls.diag([1] * n, mode)
+        return cls.from_entries(n, n, ((i, i, 1) for i in range(n)), mode)
 
     @classmethod
     def diag(cls, values, mode=EXACT):

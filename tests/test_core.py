@@ -70,6 +70,16 @@ def test_rank_zero():
                 assert [m.row(i) for i in range(m.rows)] == [[]] * m.rows
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_negative_sizes_are_malformed_in_both_modes(mode):
+    # one refusal in both modes, as the JSON reader's: no -1 x 2 exact
+    # matrix, no numpy ValueError, no 0 x 0 identity for a negative n
+    for make in (lambda: Matrix.zeros(-1, 2, mode), lambda: Matrix.zeros(2, -1, mode),
+                 lambda: Matrix.identity(-1, mode), lambda: Matrix.from_entries(-2, -2, [], mode)):
+        with pytest.raises(MalformedInput):
+            make()
+
+
 def test_is_projector_diag():
     assert is_projector(Matrix.exact([[1, 0], [0, 0]]))
     assert is_projector(Matrix.floating([[1, 0], [0, 0]]))

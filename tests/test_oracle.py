@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -17,7 +17,8 @@ from sharporder import (
     sharp_leq,
     verify_glb,
 )
-from sharporder.errors import BudgetExceeded, NotSupported, ShapeMismatch
+from sharporder import oracle
+from sharporder.errors import BudgetExceeded, MalformedInput, NotSupported, ShapeMismatch
 from sharporder.oracle import leq_unchecked, predecessor_table
 
 
@@ -38,6 +39,30 @@ def test_enumerate_matches_direct_filter():
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_index1(3, [0, 1, 2], cap=100)
+
+
+def test_enumerate_takes_a_repeated_grid_value_once():
+    # 1 and "2/2" are one value: 14 distinct members, not 77 with repeats,
+    # and the cap counts the 3 distinct values, not the 4 given
+    want = [m.key() for m in enumerate_index1(2, [0, 1, (1, 0)])]
+    got = [m.key() for m in enumerate_index1(2, [0, 1, "2/2", Fraction(3, 3)], cap=3 ** 4)]
+    assert got == want == [m.key() for m in enumerate_index1(2, [0, 1])]
+    assert len(got) == len(set(got)) == 14
+    # first-seen order of the values decides the lexicographic order
+    assert [m[0, 0] for m in enumerate_index1(1, [1, 0, "1/1"])] == [1, 0]
+
+
+@pytest.mark.parametrize("n", [-2, -1, 2.0, "2", True, None])
+def test_enumerate_refuses_a_size_that_is_no_non_negative_int(n):
+    with pytest.raises(MalformedInput):
+        enumerate_index1(n, [0, 1, 2])
+
+
+def test_enumerate_n0_is_the_empty_matrix():
+    (m,) = enumerate_index1(0, [0, 1])
+    assert (m.rows, m.cols) == (0, 0)
+    assert predecessor_table([m, m]) == [frozenset({0, 1})] * 2
+    assert brute_common_lower_bounds(m, m, [m]) == [m]
 
 
 def test_common_lower_bounds():
@@ -98,9 +123,10 @@ def test_predecessor_table():
 
 # the universes the integer-form sweeps are checked on against the Matrix-level
 # definitions: the benchmark grid, where every denominator is 1; a Gaussian
-# grid whose members have denominators 1, 2, 3 and 6; and a seeded sample of
+# grid whose members have denominators 1, 2, 3 and 6; a seeded sample of
 # the 3 x 3 index <= 1 matrices with entries in {-1, 0, 1}, biased to zeros
-# so that its order has more than the trivial relations
+# so that its order has more than the trivial relations; and seeded 3 x 3
+# Gaussian-rational members, with decoys that pass the first-row lookup
 
 
 def _sub_3x3(seed=36, size=160):
@@ -114,10 +140,58 @@ def _sub_3x3(seed=36, size=160):
     return out
 
 
+# the eigenvalues of _gaussian_3x3's members: on the first an idempotent
+# chain up to I, on the others chains with distinct eigenvalues
+LAMBDAS = ((1, 1, 1), (1, 1, 3), (1, (2, 1), Fraction(-1, 2)))
+
+
+def _gaussian_3x3(seed=39, size=120):
+    """size seeded 3 x 3 members with Gaussian-rational entries, whose first
+    rows rarely repeat.  Five sixths are P D P^-1 for a seeded P and every
+    D that keeps some of the diagonal of one of LAMBDAS and zeroes the rest,
+    so members of one P are related.  The rest are decoys: A + u v for a
+    related pair A <= B, with u = (0, a02, -a01)^T from A's first row a0 and
+    a seeded row v, not below B.  A decoy keeps A's first row, and a0 u = 0,
+    so the first rows of its square and of its product with B are both
+    a0 A = a0 B: the first-row lookup lets it through, and the rest of the
+    products must reject it."""
+    rnd = random.Random(seed)
+
+    def scalar():
+        return (Fraction(rnd.randint(-3, 3), rnd.randint(1, 3)),
+                Fraction(rnd.randint(-2, 2), rnd.randint(1, 2)))
+
+    seen, real, decoys = set(), [], []
+
+    def add(m, into):
+        if m.key() not in seen and index_le_one(m):
+            seen.add(m.key())
+            into.append(m)
+
+    while len(real) < size - size // 6:
+        p = Matrix.exact([[scalar() for _ in range(3)] for _ in range(3)])
+        if p.rank() < 3:
+            continue
+        lam, q = rnd.choice(LAMBDAS), p.inverse()
+        for keep in product((0, 1), repeat=3):
+            add(p @ Matrix.diag([x if k else 0 for x, k in zip(lam, keep)]) @ q, real)
+    del real[size - size // 6:]
+    while len(decoys) < size // 6:
+        a, b = rnd.sample(real, 2)
+        if leq_unchecked(a, b):
+            a0 = a.row(0)
+            u = Matrix.exact([[0], [a0[2]], [-a0[1]]])
+            m = a + u @ Matrix.exact([[scalar() for _ in range(3)]])
+            if not leq_unchecked(m, b):
+                add(m, decoys)
+    return real + decoys
+
+
 UNIVERSES = {
     "benchmark": lambda: enumerate_index1(2, [-1, 0, 1, 2]),
     "gaussian": lambda: enumerate_index1(2, [0, 1, Fraction(-1, 3), (0, Fraction(1, 2))]),
     "sub-3x3": _sub_3x3,
+    "gaussian-3x3": _gaussian_3x3,
 }
 
 
@@ -167,6 +241,31 @@ def test_brute_commuting_idempotents_agree_with_matrix_products(universe):
         assert len(got) == len(want) and all(x is y for x, y in zip(got, want))
         sizes.append(len(got))
     assert max(sizes) > 2
+
+
+def test_gaussian_3x3_first_rows_are_rare_and_its_decoys_pass_the_lookup():
+    uni = _gaussian_3x3()
+    assert len({tuple(m.row(0)) for m in uni}) > 0.8 * len(uni)
+    # each decoy A has a nonzero first row and a B in the universe with
+    # AB and A^2 of one first row, though A is not below B
+    for a in uni[-(len(uni) // 6):]:
+        head = (a @ a).row(0)
+        assert not a.block(0, 1, 0, 3).is_zero()
+        assert any((a @ b).row(0) == head and not leq_unchecked(a, b) for b in uni)
+
+
+def test_predecessor_table_makes_fewer_products_than_pairs(monkeypatch):
+    # a cost guard: one product per pair (60,516 on the benchmark grid) is
+    # the pairwise sweep the first-row lookup replaced
+    uni, product_of, calls = UNIVERSES["benchmark"](), oracle._rows_product, []
+
+    def counted(ra, rb, nc):
+        calls.append(nc)
+        return product_of(ra, rb, nc)
+
+    monkeypatch.setattr(oracle, "_rows_product", counted)
+    assert len(predecessor_table(uni)) == len(uni)
+    assert 0 < len(calls) < len(uni) ** 2
 
 
 def test_sweeps_on_an_empty_universe():
